@@ -33,7 +33,7 @@ from .evaluation import (
     synth_corpus,
     write_corpus,
 )
-from .graph import build_costats, dump_graph, load_graph
+from .graph import build_costats, dump_graph
 from .ingest import (
     dedupe,
     parse_embeddings,
@@ -198,34 +198,36 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _load_built_digraph(args, jobs):
-    active = frozenset(j for j, rec in jobs.items() if rec.is_active)
-    graph_dir = Path(args.graph_dir)
-    digraph_path = graph_dir / "digraph.csv"
-    if not digraph_path.exists():
-        raise CliError(EXIT_INPUT, f"digraph dump not found at {digraph_path}")
-    digraph = load_digraph(_read_lines(str(digraph_path), stage="digraph"), active)
-    return digraph
-
-
-def _recommend_one(profile, digraph, jobs, embeddings, reference_date, config):
-    params = config.recommender_params()
-    return recommend(profile, digraph, jobs, embeddings, reference_date, params)
-
-
-def _cmd_recommend(args) -> int:
+def _serving_setup(args):
+    """What ``recommend`` and ``serve-batch`` share: parse the inputs, load
+    the built digraph against today's active jobs and build the profiles.
+    Returns the profiles and a function that serves one profile."""
     config = _load_engine_config(args.config)
     reference_date = _parse_reference_date(args.reference_date)
     events, jobs, embeddings, users, _ = _load_corpus(args)
     signals, _, _ = _prepare_signals(events, jobs, reference_date, config)
-    digraph = _load_built_digraph(args, jobs)
+    digraph_path = Path(args.graph_dir) / "digraph.csv"
+    if not digraph_path.exists():
+        raise CliError(EXIT_INPUT, f"digraph dump not found at {digraph_path}")
+    active = frozenset(j for j, rec in jobs.items() if rec.is_active)
+    digraph = load_digraph(_read_lines(str(digraph_path), stage="digraph"), active)
     taxonomy = {j.category for j in jobs.values()}
     profiles = build_profiles(signals, users, taxonomy)
+    params = config.recommender_params()
+
+    def serve(profile):
+        return recommend(profile, digraph, jobs, embeddings, reference_date, params)
+
+    return profiles, serve
+
+
+def _cmd_recommend(args) -> int:
+    profiles, serve = _serving_setup(args)
     profile = profiles.get(args.user_id)
     if profile is None:
         logger.warning("user %s has no events and no record: treated as anonymous", args.user_id)
         profile = UserProfile(args.user_id)
-    recs = _recommend_one(profile, digraph, jobs, embeddings, reference_date, config)
+    recs = serve(profile)
     for rank, rec in enumerate(recs, start=1):
         print(f"{rank},{rec.job_id},{rec.score!r},{rec.provenance.value}")
     logger.info("user %s (%s): %d recommendations", args.user_id, classify_user(profile).value, len(recs))
@@ -233,14 +235,7 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_serve_batch(args) -> int:
-    config = _load_engine_config(args.config)
-    reference_date = _parse_reference_date(args.reference_date)
-    events, jobs, embeddings, users, _ = _load_corpus(args)
-    signals, _, _ = _prepare_signals(events, jobs, reference_date, config)
-    digraph = _load_built_digraph(args, jobs)
-    taxonomy = {j.category for j in jobs.values()}
-    profiles = build_profiles(signals, users, taxonomy)
-
+    profiles, serve = _serving_setup(args)
     requested = [line.strip() for line in _read_lines(args.user_ids, stage="user-ids")]
     requested = [u for u in requested if u]
     skipped = 0
@@ -252,7 +247,7 @@ def _cmd_serve_batch(args) -> int:
             if profile is None:
                 skipped += 1
                 continue
-            recs = _recommend_one(profile, digraph, jobs, embeddings, reference_date, config)
+            recs = serve(profile)
             for rank, rec in enumerate(recs, start=1):
                 fh.write(f"{user_id},{rank},{rec.job_id},{rec.score!r},{rec.provenance.value}\n")
                 key = rec.provenance.value

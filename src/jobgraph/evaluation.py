@@ -14,7 +14,7 @@ import logging
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from pathlib import Path
@@ -547,9 +547,10 @@ def evaluate_systems(
     identical split.
 
     All systems see the same train events, the same per-user history
-    exclusions, and the same active-job candidate pool. Users whose entire
-    holdout is empty are skipped; a system that cannot serve an evaluated
-    user scores zero for that user (macro averaging).
+    exclusions, the same active-job candidate pool and the same list length
+    ``k``, which overrides ``params.k`` (``min_recs`` is capped at it). Users
+    whose entire holdout is empty are skipped; a system that cannot serve an
+    evaluated user scores zero for that user (macro averaging).
     """
     for name in systems:
         if name not in KNOWN_SYSTEMS:
@@ -566,7 +567,9 @@ def evaluate_systems(
     taxonomy = {j.category for j in jobs.values()}
     profiles = build_profiles(signals, users, taxonomy)
     active = frozenset(j for j, rec in jobs.items() if rec.is_active)
-    rec_params = params if params is not None else RecommenderParams(k=k)
+    rec_params = params if params is not None else RecommenderParams()
+    min_recs = None if rec_params.min_recs is None else min(rec_params.min_recs, k)
+    rec_params = replace(rec_params, k=k, min_recs=min_recs)
 
     digraph = None
     if "graph" in systems:

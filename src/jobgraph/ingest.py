@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from io import StringIO
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -350,10 +350,3 @@ def dedupe(events: Iterable[InteractionEvent]) -> list[DedupedSignal]:
     out.sort(key=lambda s: (s.user_id, s.job_id, s.kind.value))
     return out
 
-
-def signals_of_user(signals: Sequence[DedupedSignal]) -> dict[str, list[DedupedSignal]]:
-    """Group deduped signals by user_id (insertion order preserved)."""
-    by_user: dict[str, list[DedupedSignal]] = {}
-    for s in signals:
-        by_user.setdefault(s.user_id, []).append(s)
-    return by_user

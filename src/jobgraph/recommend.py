@@ -208,35 +208,29 @@ def level2(
     return _top_k(candidates, k)
 
 
-def _pagerank_iterate(
-    nodes: list[str],
-    weighted_edges: list[tuple[int, int, float]],
-    restart: np.ndarray,
+def _pagerank(
+    digraph: RecDigraph,
+    restart_jobs: Sequence[str],
     damping: float,
     epsilon: float,
     max_iters: int,
 ) -> PageRankResult:
-    """Power iteration with restart; dangling mass teleports to the restart
-    distribution (so a full uniform restart reproduces plain PageRank)."""
-    n = len(nodes)
-    if n == 0:
-        return PageRankResult({}, True, 0)
-    out_sum = np.zeros(n)
-    for src, _, w in weighted_edges:
-        out_sum[src] += w
-    src_idx = np.array([e[0] for e in weighted_edges], dtype=np.intp)
-    dst_idx = np.array([e[1] for e in weighted_edges], dtype=np.intp)
-    prob = np.array([w / out_sum[s] for s, _, w in weighted_edges], dtype=np.float64)
-    dangling = out_sum == 0.0
+    """Power iteration with restart mass uniform over ``restart_jobs``;
+    dangling mass teleports to the restart distribution (so restarting from
+    every active job is plain PageRank). Lists the jobs that hold mass,
+    which are those out-reachable from the restart jobs over positive edges.
+    """
+    walk = digraph.transitions
+    n = len(walk.nodes)
+    restart = np.zeros(n)
+    restart[[walk.index[j] for j in restart_jobs]] = 1.0 / len(restart_jobs)
 
     x = restart.copy()
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        flow = np.zeros(n)
-        if len(weighted_edges):
-            np.add.at(flow, dst_idx, x[src_idx] * prob)
-        dangling_mass = float(x[dangling].sum())
+        flow = np.bincount(walk.dst, weights=x[walk.src] * walk.prob, minlength=n)
+        dangling_mass = float(x[walk.dangling].sum())
         x_next = damping * (flow + dangling_mass * restart) + (1.0 - damping) * restart
         delta = float(np.abs(x_next - x).sum())
         x = x_next
@@ -245,26 +239,8 @@ def _pagerank_iterate(
             break
     if not converged:
         logger.warning("pagerank did not converge within %d iterations", max_iters)
-    return PageRankResult(
-        {node: float(score) for node, score in zip(nodes, x)}, converged, iterations
-    )
-
-
-def _transition_edges(
-    digraph: RecDigraph, index: Mapping[str, int]
-) -> list[tuple[int, int, float]]:
-    """Corr-weighted edges within the indexed node set; negative aggregate
-    scores are clamped to zero since transitions need non-negative weights."""
-    edges: list[tuple[int, int, float]] = []
-    for src, si in index.items():
-        for dst, es in digraph.out_edges(src):
-            di = index.get(dst)
-            if di is None:
-                continue
-            w = max(es.corr, 0.0)
-            if w > 0.0:
-                edges.append((si, di, w))
-    return edges
+    scores = {job_id: score for job_id, score in zip(walk.nodes, x.tolist()) if score > 0.0}
+    return PageRankResult(scores, converged, iterations)
 
 
 def global_pagerank(
@@ -273,18 +249,21 @@ def global_pagerank(
     epsilon: float = 1e-10,
     max_iters: int = 100,
 ) -> PageRankResult:
-    """Popularity scores over all active jobs; scores sum to 1."""
+    """Popularity scores over all active jobs; scores sum to 1.
+
+    Computed once per digraph and settings and kept on the digraph; the
+    result is shared, so callers must not mutate it.
+    """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
-    nodes = sorted(digraph.active_jobs)
-    if not nodes:
+    if not digraph.active_jobs:
         logger.warning("global pagerank on empty digraph")
         return PageRankResult({}, True, 0)
-    index = {node: i for i, node in enumerate(nodes)}
-    restart = np.full(len(nodes), 1.0 / len(nodes))
-    return _pagerank_iterate(
-        nodes, _transition_edges(digraph, index), restart, damping, epsilon, max_iters
-    )
+    results = digraph.global_pagerank_results
+    key = (damping, epsilon, max_iters)
+    if key not in results:
+        results[key] = _pagerank(digraph, sorted(digraph.active_jobs), damping, epsilon, max_iters)
+    return results[key]
 
 
 def personalized_pagerank(
@@ -296,9 +275,8 @@ def personalized_pagerank(
 ) -> PageRankResult:
     """PageRank whose restart mass is uniform over the preference jobs.
 
-    Runs on the subgraph reachable from the preference set via outgoing
-    edges (nodes outside it can never hold mass, since dangling mass also
-    returns to the preference set).
+    Only jobs out-reachable from the preference set hold mass (dangling
+    mass also returns to the preference set), so only they are listed.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
@@ -306,26 +284,7 @@ def personalized_pagerank(
     if not prefs:
         logger.warning("preference set shares no jobs with the digraph")
         return PageRankResult({}, True, 0)
-
-    reachable: set[str] = set(prefs)
-    frontier = list(prefs)
-    while frontier:
-        nxt: list[str] = []
-        for src in frontier:
-            for dst, es in digraph.out_edges(src):
-                if es.corr > 0.0 and dst in digraph.active_jobs and dst not in reachable:
-                    reachable.add(dst)
-                    nxt.append(dst)
-        frontier = nxt
-
-    nodes = sorted(reachable)
-    index = {node: i for i, node in enumerate(nodes)}
-    restart = np.zeros(len(nodes))
-    for p in prefs:
-        restart[index[p]] = 1.0 / len(prefs)
-    return _pagerank_iterate(
-        nodes, _transition_edges(digraph, index), restart, damping, epsilon, max_iters
-    )
+    return _pagerank(digraph, prefs, damping, epsilon, max_iters)
 
 
 def preference_vector(
@@ -453,6 +412,14 @@ def recommend(
     tiers: list[tuple[Provenance, list[tuple[str, float]]]] = []
     user_type = classify_user(profile)
 
+    def fill_with_global(banned: set[str], slots: int) -> None:
+        gpr = global_pagerank(
+            digraph, params.damping, params.pagerank_epsilon, params.pagerank_max_iters
+        )
+        picked = _pagerank_fill(gpr, banned, slots)
+        if picked:
+            tiers.append((Provenance.GLOBAL_PAGERANK, picked))
+
     def fill_with_pagerank(taken: set[str], slots: int) -> None:
         """Personalized fill via the preference set, else global."""
         prefs = preference_vector(profile, jobs, embeddings, params.m_similar)
@@ -465,12 +432,7 @@ def recommend(
             if picked:
                 tiers.append((Provenance.PERSONALIZED_PAGERANK, picked))
                 return
-        gpr = global_pagerank(
-            digraph, params.damping, params.pagerank_epsilon, params.pagerank_max_iters
-        )
-        picked = _pagerank_fill(gpr, banned, slots)
-        if picked:
-            tiers.append((Provenance.GLOBAL_PAGERANK, picked))
+        fill_with_global(banned, slots)
 
     if user_type is UserType.ACTIVE:
         sources = sources_with_activity(profile, reference_date, params.activity_decay)
@@ -489,12 +451,7 @@ def recommend(
     elif user_type is UserType.PASSIVE_OR_NEW_WITH_PROFILE:
         fill_with_pagerank(set(), k)
     else:
-        gpr = global_pagerank(
-            digraph, params.damping, params.pagerank_epsilon, params.pagerank_max_iters
-        )
-        picked = _pagerank_fill(gpr, history, k)
-        if picked:
-            tiers.append((Provenance.GLOBAL_PAGERANK, picked))
+        fill_with_global(history, k)
 
     out: list[Recommendation] = []
     seen: set[str] = set()

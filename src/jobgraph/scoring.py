@@ -10,16 +10,17 @@ Three score families feed a weighted aggregate:
 * cosine similarity of job content embeddings, cut off below ``gamma``.
 
 The aggregate ``corr`` of an ordered pair is asymmetric, and directed
-edges are only created when the destination job is active.
+edges only ever point at active jobs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Mapping, NamedTuple, TextIO
 
 import numpy as np
 
@@ -176,12 +177,38 @@ def _directed_scores(
     return EdgeScores(corr, p_apps, p_clicks, pm_apps, pm_clicks, sim)
 
 
+class Transitions(NamedTuple):
+    """Random walk over the sorted active jobs: edge ``e`` moves ``prob[e]``
+    of the mass of job ``src[e]`` to job ``dst[e]``. Only positive-corr edges
+    between active jobs carry mass; a ``dangling`` job has none of them."""
+
+    nodes: list[str]
+    index: dict[str, int]
+    src: np.ndarray
+    dst: np.ndarray
+    prob: np.ndarray
+    dangling: np.ndarray
+
+
 class RecDigraph:
-    """Directed, weighted recommendation graph over active destinations."""
+    """Directed, weighted recommendation graph over active destinations.
+
+    Every edge points at an active job: edges into any other job are dropped
+    here, so a dump loaded against a newer jobs file never serves a job that
+    expired since the build. The adjacency is held in (src, dst) order.
+    """
 
     def __init__(self, edges: dict[str, dict[str, EdgeScores]], active_jobs: Iterable[str]):
-        self.edges = edges
         self.active_jobs = frozenset(active_jobs)
+        self.edges: dict[str, dict[str, EdgeScores]] = {}
+        for src in sorted(edges):
+            out = edges[src]
+            kept = {dst: out[dst] for dst in sorted(out) if dst in self.active_jobs}
+            if kept:
+                self.edges[src] = kept
+        # global PageRank results per (damping, epsilon, max_iters), filled
+        # by recommend.global_pagerank
+        self.global_pagerank_results: dict[tuple[float, float, int], object] = {}
 
     @classmethod
     def from_corr(
@@ -197,14 +224,31 @@ class RecDigraph:
     def num_edges(self) -> int:
         return sum(len(out) for out in self.edges.values())
 
-    def out_edges(self, src: str) -> list[tuple[str, EdgeScores]]:
+    def out_edges(self, src: str) -> Iterable[tuple[str, EdgeScores]]:
         """Outgoing edges of ``src`` ordered by destination job_id."""
-        out = self.edges.get(src, {})
-        return [(dst, out[dst]) for dst in sorted(out)]
+        return self.edges.get(src, {}).items()
 
     def corr(self, src: str, dst: str) -> float | None:
         es = self.edges.get(src, {}).get(dst)
         return es.corr if es is not None else None
+
+    @functools.cached_property
+    def transitions(self) -> Transitions:
+        """The walk PageRank runs on, built on first use."""
+        nodes = sorted(self.active_jobs)
+        index = {job_id: i for i, job_id in enumerate(nodes)}
+        hops = [
+            (index[src], index[dst], es.corr)
+            for src, out in self.edges.items()
+            if src in index
+            for dst, es in out.items()
+            if es.corr > 0.0
+        ]
+        src = np.array([h[0] for h in hops], dtype=np.intp)
+        dst = np.array([h[1] for h in hops], dtype=np.intp)
+        weight = np.array([h[2] for h in hops], dtype=np.float64)
+        out_sum = np.bincount(src, weights=weight, minlength=len(nodes))
+        return Transitions(nodes, index, src, dst, weight / out_sum[src], out_sum == 0.0)
 
 
 def aggregate(
@@ -239,10 +283,8 @@ def _fmt(value: float | None) -> str:
 def dump_digraph(digraph: RecDigraph, fh: TextIO) -> None:
     """Write one edge per line with audit components; deterministic order."""
     writer = csv.writer(fh, lineterminator="\n")
-    for src in sorted(digraph.edges):
-        out = digraph.edges[src]
-        for dst in sorted(out):
-            es = out[dst]
+    for src, out in digraph.edges.items():
+        for dst, es in out.items():
             writer.writerow(
                 [
                     src,
@@ -260,7 +302,8 @@ def dump_digraph(digraph: RecDigraph, fh: TextIO) -> None:
 def load_digraph(lines: Iterable[str], active_jobs: Iterable[str] | None = None) -> RecDigraph:
     """Reload a digraph dump; bit-exact inverse of :func:`dump_digraph`.
 
-    When ``active_jobs`` is not supplied, the destination set of the dump
+    When ``active_jobs`` is supplied, edges into jobs outside it (expired
+    since the build) are dropped. Otherwise the destination set of the dump
     is used (active jobs without incoming edges are then unknown).
     """
     edges: dict[str, dict[str, EdgeScores]] = {}

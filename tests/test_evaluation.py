@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import REF, ev, ts
+from jobgraph import evaluation
 from jobgraph.evaluation import (
     EDGE_TYPES,
     KNOWN_SYSTEMS,
@@ -26,6 +27,7 @@ from jobgraph.evaluation import (
 )
 from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
 from jobgraph.ingest import SignalKind
+from jobgraph.recommend import RecommenderParams
 from jobgraph.scoring import embed_sim
 
 
@@ -592,3 +594,33 @@ def test_evaluate_systems_same_split_for_subset_runs():
     only_graph = evaluate_systems(*args, systems=("graph",), k=5, seed=4)
     assert both.systems["graph"] == only_graph.systems["graph"]
     assert both.num_users == only_graph.num_users
+
+
+def test_evaluate_k_sets_the_graph_list_length(monkeypatch):
+    seen = []
+    serve = evaluation.recommend
+
+    def spy(profile, digraph, jobs, embeddings, reference_date, params):
+        seen.append((params.k, params.min_recs))
+        return serve(profile, digraph, jobs, embeddings, reference_date, params)
+
+    monkeypatch.setattr(evaluation, "recommend", spy)
+    corpus = synth_corpus(3, 12, 40, 0.1, seed=12)
+    args = (
+        corpus.events,
+        corpus.jobs,
+        corpus.embeddings,
+        corpus.users,
+        corpus.reference_date,
+    )
+    report = evaluate_systems(
+        *args, systems=("graph",), k=5, seed=4, params=RecommenderParams(k=15, min_recs=12)
+    )
+    assert seen and set(seen) == {(5, 5)}
+    seen.clear()
+    evaluate_systems(*args, systems=("graph",), k=5, seed=4, params=RecommenderParams(min_recs=3))
+    assert set(seen) == {(5, 3)}
+    same = evaluate_systems(
+        *args, systems=("graph",), k=5, seed=4, params=RecommenderParams(k=5, min_recs=5)
+    )
+    assert report.systems["graph"] == same.systems["graph"]

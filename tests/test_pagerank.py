@@ -1,12 +1,22 @@
 """Power-iteration popularity scores checked against a direct linear solve."""
 
+import importlib
 import random
 
 import pytest
 
-from helpers import dense_pagerank, random_digraph
-from jobgraph.recommend import global_pagerank, personalized_pagerank
+from helpers import REF, dense_pagerank, make_job, random_digraph
+from jobgraph.recommend import (
+    RecommenderParams,
+    UserProfile,
+    global_pagerank,
+    personalized_pagerank,
+    recommend,
+)
 from jobgraph.scoring import RecDigraph
+
+# the package re-exports the function `recommend` under the module's name
+recommend_module = importlib.import_module("jobgraph.recommend")
 
 
 def test_two_node_cycle_splits_mass_evenly():
@@ -131,3 +141,34 @@ def test_unconverged_run_is_flagged():
     result = global_pagerank(digraph, epsilon=1e-15, max_iters=2)
     assert not result.converged
     assert result.iterations == 2
+
+
+def test_global_pagerank_iterates_once_per_digraph_and_settings(monkeypatch):
+    runs = []
+    power_iteration = recommend_module._pagerank
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return power_iteration(*args, **kwargs)
+
+    monkeypatch.setattr(recommend_module, "_pagerank", counted)
+    digraph = RecDigraph.from_corr({("a", "b"): 1.0, ("c", "b"): 0.5}, ["a", "b", "c"])
+    jobs = {j: make_job(j) for j in digraph.active_jobs}
+    anonymous = UserProfile("anon")
+    first = recommend(anonymous, digraph, jobs, {}, REF)
+    second = recommend(anonymous, digraph, jobs, {}, REF)
+    assert first == second and first[0].job_id == "b"
+    assert len(runs) == 1
+    assert global_pagerank(digraph) is global_pagerank(digraph)
+    assert len(runs) == 1
+
+    recommend(anonymous, digraph, jobs, {}, REF, RecommenderParams(damping=0.5))
+    assert len(runs) == 2
+    fresh = RecDigraph.from_corr({("a", "b"): 1.0, ("c", "b"): 0.5}, ["a", "b", "c"])
+    assert global_pagerank(fresh).scores == global_pagerank(digraph).scores
+    assert len(runs) == 3
+    with pytest.raises(ValueError):
+        global_pagerank(digraph, damping=1.0)
+    with pytest.raises(ValueError):
+        recommend(anonymous, digraph, jobs, {}, REF, RecommenderParams(damping=0.0))
+    assert len(runs) == 3

@@ -3,6 +3,7 @@ and the end-to-end top-k pipeline."""
 
 import math
 import random
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -18,15 +19,17 @@ from jobgraph.recommend import (
     activity_score,
     build_profiles,
     classify_user,
+    global_pagerank,
     haversine_km,
     level1,
     level2,
     location_rerank,
+    personalized_pagerank,
     preference_vector,
     recommend,
     sources_with_activity,
 )
-from jobgraph.scoring import RecDigraph
+from jobgraph.scoring import RecDigraph, dump_digraph, load_digraph
 
 
 def interactions(*triples):
@@ -534,3 +537,35 @@ def test_recommend_location_boost_reorders_within_tier():
     recs = recommend(p, digraph, jobs, {}, REF)
     assert [r.job_id for r in recs[:2]] == ["near", "far"]
     assert recs[0].score == pytest.approx(0.8 * 1.25)
+
+
+def test_stale_artifact_never_serves_a_job_expired_after_the_build():
+    # "x" is a strong direct, two-hop, PageRank and popularity target at
+    # build time, and expires before the dump is served
+    built = RecDigraph.from_corr(
+        {("h", "x"): 0.9, ("h", "a"): 0.5, ("a", "x"): 0.9, ("a", "b"): 0.2,
+         ("p", "x"): 1.0, ("p", "b"): 0.1, ("b", "x"): 1.0},
+        ["h", "a", "b", "p", "x"],
+    )
+    buf = StringIO()
+    dump_digraph(built, buf)
+    served = load_digraph(StringIO(buf.getvalue()), ["h", "a", "b", "p"])
+    assert "x" not in {dst for out in served.edges.values() for dst in out}
+
+    l1 = level1(served, [("h", 1.0)], 10)
+    assert [j for j, _ in l1] == ["a"]
+    assert "x" not in {j for j, _ in level2(served, l1, 10)}
+    assert "x" not in personalized_pagerank(served, ["p"]).scores
+    assert "x" not in global_pagerank(served).scores
+
+    jobs = {j: make_job(j, category="retail" if j == "p" else "sales") for j in "habp"}
+    jobs["x"] = make_job("x", active=False)
+    users = [
+        profile(triples=[("h", SignalKind.APPLY, 0)]),
+        profile(category="retail"),
+        profile(),
+    ]
+    for p in users:
+        recs = recommend(p, served, jobs, {}, REF, RecommenderParams(k=10))
+        assert recs
+        assert "x" not in {r.job_id for r in recs}
