@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .ingest import DedupedSignal, JobRecord, SignalKind, UserRecord
-from .scoring import RecDigraph, embed_sim
+from .scoring import RecDigraph
 
 logger = logging.getLogger(__name__)
 
@@ -311,12 +311,24 @@ def preference_vector(
             if i.job_id in jobs and not jobs[i.job_id].is_active and i.job_id in embeddings
         }
     )
-    if expired_history:
-        embeddable = [j for j in active_ids if j in embeddings]
+    embeddable = [j for j in active_ids if j in embeddings] if expired_history else []
+    if embeddable:
+        # embed_sim's cosine, one matrix-vector product per expired job. The
+        # row sums reduce every row alike (BLAS mat-vec does not), so equal
+        # embeddings tie exactly and the stable sort of -sim over the job-id
+        # order of embeddable breaks the tie by job_id.
+        mat = np.stack([np.asarray(embeddings[j], dtype=np.float64) for j in embeddable])
+        norms = np.linalg.norm(mat, axis=1)
         for old_job in expired_history:
-            sims = [(-embed_sim(embeddings[old_job], embeddings[j]), j) for j in embeddable]
-            sims.sort()
-            prefs.update(j for _, j in sims[:m_similar])
+            vec = np.asarray(embeddings[old_job], dtype=np.float64)
+            if vec.shape != mat.shape[1:]:
+                raise ValueError(f"dimension mismatch: {vec.shape} vs {mat.shape[1:]}")
+            denom = norms * np.linalg.norm(vec)
+            if not denom.all():
+                raise ValueError("zero-norm vector")
+            sims = (mat * vec).sum(axis=1) / denom
+            top = np.argsort(-sims, kind="stable")[:m_similar]
+            prefs.update(embeddable[i] for i in top.tolist())
 
     if profile.resume_category is not None:
         prefs.update(j for j in active_ids if jobs[j].category == profile.resume_category)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple, TextIO
 
 import numpy as np
 
-from .graph import JobMultiGraph, _pair
+from .graph import JobMultiGraph
 
 logger = logging.getLogger(__name__)
 
@@ -55,8 +56,7 @@ class ScoreWeights:
             raise ValueError(f"gamma must lie in [-1, 1], got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class EdgeScores:
+class EdgeScores(NamedTuple):
     """Aggregate score of one directed edge plus its audit components.
 
     Component fields are ``None`` when the corresponding signal contributed
@@ -144,39 +144,6 @@ def content_edges(
     return edges
 
 
-def _directed_scores(
-    graph: JobMultiGraph,
-    content: Mapping[tuple[str, str], float],
-    weights: ScoreWeights,
-    src: str,
-    dst: str,
-) -> EdgeScores | None:
-    """Score the directed edge src -> dst; None when no signal contributes."""
-    p_apps = p_clicks = pm_apps = pm_clicks = None
-    co = graph.costats(dst, src)
-    if co.co_apps > 0:
-        p_apps = mle(graph, dst, src, "apps")
-        pm_apps = pmi2(graph, dst, src, "apps")
-    if co.co_clicks > 0:
-        p_clicks = mle(graph, dst, src, "clicks")
-        pm_clicks = pmi2(graph, dst, src, "clicks")
-    sim = content.get(_pair(src, dst))
-    if p_apps is None and p_clicks is None and sim is None:
-        return None
-
-    def pmi_term(value: float | None) -> float:
-        if value is None:
-            return 0.0
-        return math.exp(value) if weights.normalize_pmi2 else value
-
-    corr = (
-        weights.w1 * ((p_apps or 0.0) + (p_clicks or 0.0))
-        + weights.w2 * (pmi_term(pm_apps) + pmi_term(pm_clicks))
-        + weights.w3 * (sim if sim is not None else 0.0)
-    )
-    return EdgeScores(corr, p_apps, p_clicks, pm_apps, pm_clicks, sim)
-
-
 class Transitions(NamedTuple):
     """Random walk over the sorted active jobs: edge ``e`` moves ``prob[e]``
     of the mass of job ``src[e]`` to job ``dst[e]``. Only positive-corr edges
@@ -195,7 +162,9 @@ class RecDigraph:
 
     Every edge points at an active job: edges into any other job are dropped
     here, so a dump loaded against a newer jobs file never serves a job that
-    expired since the build. The adjacency is held in (src, dst) order.
+    expired since the build. The adjacency is held in (src, dst) order; an
+    out-edge dict of ``edges`` that is already in order and points at active
+    jobs only is held as it is, not copied.
     """
 
     def __init__(self, edges: dict[str, dict[str, EdgeScores]], active_jobs: Iterable[str]):
@@ -203,7 +172,11 @@ class RecDigraph:
         self.edges: dict[str, dict[str, EdgeScores]] = {}
         for src in sorted(edges):
             out = edges[src]
-            kept = {dst: out[dst] for dst in sorted(out) if dst in self.active_jobs}
+            dsts = sorted(out)
+            if dsts == list(out) and self.active_jobs.issuperset(dsts):
+                kept = out
+            else:
+                kept = {dst: out[dst] for dst in dsts if dst in self.active_jobs}
             if kept:
                 self.edges[src] = kept
         # global PageRank results per (damping, epsilon, max_iters), filled
@@ -251,6 +224,12 @@ class RecDigraph:
         return Transitions(nodes, index, src, dst, weight / out_sum[src], out_sum == 0.0)
 
 
+# Candidate pairs scored per numpy block: large enough that the array work
+# outweighs its set-up, small enough that a block's temporaries stay far
+# below the digraph they feed.
+AGGREGATE_BLOCK = 4096
+
+
 def aggregate(
     graph: JobMultiGraph,
     content: Mapping[tuple[str, str], float],
@@ -261,42 +240,209 @@ def aggregate(
 
     Both directions of every candidate pair are scored independently; an
     edge is created only when at least one signal contributes and the
-    destination job is active. Sources may be expired.
+    destination job is active. Sources may be expired. The candidate pairs
+    are the multigraph's pairs plus the content pairs between its nodes,
+    scored as arrays in blocks of :data:`AGGREGATE_BLOCK` pairs.
     """
     active = frozenset(active_set)
-    pairs = set(graph.edges) | {p for p in content if p[0] in graph.nodes and p[1] in graph.nodes}
-    edges: dict[str, dict[str, EdgeScores]] = {}
-    for a, b in pairs:
-        for src, dst in ((a, b), (b, a)):
-            if dst not in active:
-                continue
-            scores = _directed_scores(graph, content, weights, src, dst)
-            if scores is not None:
-                edges.setdefault(src, {})[dst] = scores
+    ids = sorted(graph.nodes)  # node index order is job-id order
+    index = {job_id: i for i, job_id in enumerate(ids)}
+    nodes = _NodeArrays(
+        np.array([graph.nodes[j].total_apps for j in ids], dtype=np.int64),
+        np.array([graph.nodes[j].total_clicks for j in ids], dtype=np.int64),
+        np.array([j in active for j in ids], dtype=bool),
+    )
+    # a content key not ordered (i, j) with i <= j is never looked up, as
+    # graph.costats orders every pair that way
+    content_keys = [
+        k for k in content if k[0] <= k[1] and k not in graph.edges and k[0] in index and k[1] in index
+    ]
+    pair_keys = list(graph.edges)
+    co_stats = list(graph.edges.values())
+    scored: list[_ScoredEdges] = []
+    for lo in range(0, len(pair_keys), AGGREGATE_BLOCK):
+        keys = pair_keys[lo : lo + AGGREGATE_BLOCK]
+        stats = co_stats[lo : lo + AGGREGATE_BLOCK]
+        co_apps = [cs.co_apps for cs in stats]
+        co_clicks = [cs.co_clicks for cs in stats]
+        sims = [content.get(k) for k in keys]
+        scored += _score_block(keys, co_apps, co_clicks, sims, index, nodes, weights)
+    for lo in range(0, len(content_keys), AGGREGATE_BLOCK):
+        keys = content_keys[lo : lo + AGGREGATE_BLOCK]
+        zeros = [0] * len(keys)
+        scored += _score_block(keys, zeros, zeros, [content[k] for k in keys], index, nodes, weights)
+    if not scored:
+        return RecDigraph({}, active)
+    # one (src, dst) sort of all kept edges, then one dict per source; the
+    # names are rebound as they go so each step frees the one before
+    src, dst, scores = (np.concatenate(column) for column in zip(*scored))
+    del scored
+    order = np.lexsort((dst, src))
+    src, dst, scores = src[order], dst[order], scores[order]
+    del order
+    dst_ids = np.array(ids, dtype=object)[dst]
+    bounds = [0, *(np.flatnonzero(src[1:] != src[:-1]) + 1).tolist(), len(src)]
+    edges = {
+        ids[src[lo]]: dict(zip(dst_ids[lo:hi], scores[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
+    }
     return RecDigraph(edges, active)
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
+class _NodeArrays(NamedTuple):
+    """Per-node columns of the multigraph, indexed like ``sorted(nodes)``."""
+
+    total_apps: np.ndarray
+    total_clicks: np.ndarray
+    active: np.ndarray
+
+
+class _ScoredEdges(NamedTuple):
+    """Kept edges of one block and direction: node indices and an object
+    array of their :class:`EdgeScores`."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    scores: np.ndarray
+
+
+def _score_block(
+    keys: list[tuple[str, str]],
+    co_apps: list[int],
+    co_clicks: list[int],
+    sims: list[float | None],
+    index: Mapping[str, int],
+    nodes: _NodeArrays,
+    weights: ScoreWeights,
+) -> list[_ScoredEdges]:
+    """Score both directions of a block of pairs (a, b), given as parallel
+    columns; one entry per direction that keeps an edge.
+
+    ``corr`` keeps the term order of ``w1*(p_apps+p_clicks) +
+    w2*(pmi2_apps+pmi2_clicks) + w3*sim`` in float64, so it equals the
+    scalar formula bit for bit. The columns are lists, not one tuple per
+    pair: CPython keeps thousands of freed small tuples for reuse, and made
+    per pair they end up spread over the memory the digraph fills, which
+    then stays resident after the digraph is freed.
+    """
+    a = np.array([index[i] for i, _ in keys], dtype=np.int32)
+    b = np.array([index[j] for _, j in keys], dtype=np.int32)
+    co_apps = np.array(co_apps, dtype=np.int64)
+    co_clicks = np.array(co_clicks, dtype=np.int64)
+    has_sim = np.array([s is not None for s in sims], dtype=bool)
+    sim = np.where(has_sim, np.array(sims, dtype=np.float64), 0.0)
+    has_apps = co_apps > 0
+    has_clicks = co_clicks > 0
+    evidence = has_apps | has_clicks | has_sim
+    # PMI^2 is symmetric in the pair: one value serves both directions
+    pm_apps, has_pm_apps, term_apps = _pmi2_block(co_apps, nodes.total_apps[a], nodes.total_apps[b], weights)
+    pm_clicks, has_pm_clicks, term_clicks = _pmi2_block(
+        co_clicks, nodes.total_clicks[a], nodes.total_clicks[b], weights
+    )
+    pmi_sum = term_apps + term_clicks
+    scored = []
+    for src, dst in ((a, b), (b, a)):
+        keep = evidence & nodes.active[dst]
+        if not keep.any():
+            continue
+        p_apps = _mle_block(co_apps, nodes.total_apps[src], has_apps)
+        p_clicks = _mle_block(co_clicks, nodes.total_clicks[src], has_clicks)
+        corr = weights.w1 * (p_apps + p_clicks) + weights.w2 * pmi_sum + weights.w3 * sim
+        fields = zip(
+            corr[keep].tolist(),
+            _optional(p_apps, has_apps, keep),
+            _optional(p_clicks, has_clicks, keep),
+            _optional(pm_apps, has_pm_apps, keep),
+            _optional(pm_clicks, has_pm_clicks, keep),
+            _optional(sim, has_sim, keep),
+        )
+        # _make copies zip's reused tuple; calling EdgeScores(...) would
+        # pack every edge's fields into one more tuple first
+        scores = map(EdgeScores._make, fields)
+        count = int(keep.sum())
+        scored.append(_ScoredEdges(src[keep], dst[keep], np.fromiter(scores, dtype=object, count=count)))
+    return scored
+
+
+def _mle_block(co: np.ndarray, src_total: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """:func:`mle` of dst given src per pair; 0.0 where ``present`` is false."""
+    p = np.zeros(len(co))
+    np.divide(co, src_total, out=p, where=present & (src_total != 0))
+    return p
+
+
+def _pmi2_block(
+    co: np.ndarray, total_a: np.ndarray, total_b: np.ndarray, weights: ScoreWeights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pmi2` per pair with its presence mask and its aggregate term
+    (``exp(pmi2)`` under ``normalize_pmi2``; 0.0 where absent).
+
+    ``math.log``/``math.exp`` rather than their numpy forms: those differ
+    from the scalar functions in the last bit on some inputs, and the
+    artifact must not depend on which is used.
+    """
+    present = (co > 0) & (total_a != 0) & (total_b != 0)
+    value = np.zeros(len(co))
+    # int64 products are exact, and their float quotient equals Python's
+    # int division, while both stay below 2**53: counts below 9.4e7 users
+    if present.any():
+        c = co[present]
+        ratio = (c * c) / (total_a[present] * total_b[present])
+        value[present] = list(map(math.log, ratio.tolist()))
+    if not weights.normalize_pmi2:
+        return value, present, value
+    term = np.zeros(len(co))
+    if present.any():
+        term[present] = list(map(math.exp, value[present].tolist()))
+    return value, present, term
+
+
+def _optional(values: np.ndarray, present: np.ndarray, keep: np.ndarray) -> list[float | None]:
+    """The kept ``values`` as Python floats, ``None`` where not ``present``."""
+    out = np.empty(int(keep.sum()), dtype=object)  # all None
+    shown = present[keep]
+    out[shown] = values[keep][shown]
+    return out.tolist()
+
+
+def _csv_fields(values: Iterable[str]) -> dict[str, str]:
+    """Each value as ``csv.writer`` writes it as one field of a row.
+
+    Each is written as the first of two fields and cut from the output, so
+    an empty value comes out empty, as inside a row (alone it is ``""``).
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = {}
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([value, ""])
+        fields[value] = buf.getvalue()[:-2]
+    return fields
 
 
 def dump_digraph(digraph: RecDigraph, fh: TextIO) -> None:
-    """Write one edge per line with audit components; deterministic order."""
-    writer = csv.writer(fh, lineterminator="\n")
+    """Write one edge per line with audit components; deterministic order.
+
+    The bytes are those of ``csv.writer``: each job id is quoted once,
+    floats are ``repr``s, absent components empty. One write per source.
+    """
+    quoted = _csv_fields(digraph.edges.keys() | digraph.active_jobs)
     for src, out in digraph.edges.items():
-        for dst, es in out.items():
-            writer.writerow(
+        q_src = quoted[src]
+        fh.write(
+            "".join(
                 [
-                    src,
-                    dst,
-                    repr(es.corr),
-                    _fmt(es.p_apps),
-                    _fmt(es.p_clicks),
-                    _fmt(es.pmi2_apps),
-                    _fmt(es.pmi2_clicks),
-                    _fmt(es.sim_e),
+                    f"{q_src},{quoted[dst]},{corr!r},"
+                    f"{'' if pa is None else repr(pa)},"
+                    f"{'' if pc is None else repr(pc)},"
+                    f"{'' if ma is None else repr(ma)},"
+                    f"{'' if mc is None else repr(mc)},"
+                    f"{'' if se is None else repr(se)}\n"
+                    for dst, (corr, pa, pc, ma, mc, se) in out.items()
                 ]
             )
+        )
 
 
 def load_digraph(lines: Iterable[str], active_jobs: Iterable[str] | None = None) -> RecDigraph:
@@ -313,6 +459,6 @@ def load_digraph(lines: Iterable[str], active_jobs: Iterable[str] | None = None)
             continue
         src, dst = row[0], row[1]
         vals = [float(f) if f else None for f in row[2:8]]
-        edges.setdefault(src, {})[dst] = EdgeScores(vals[0], *vals[1:])
+        edges.setdefault(src, {})[dst] = EdgeScores(*vals)
         dsts.add(dst)
     return RecDigraph(edges, frozenset(active_jobs) if active_jobs is not None else dsts)

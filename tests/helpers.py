@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from jobgraph.graph import _pair
 from jobgraph.ingest import InteractionEvent, JobRecord, JobStatus, SignalKind
-from jobgraph.scoring import RecDigraph
+from jobgraph.scoring import EdgeScores, RecDigraph, mle, pmi2
 
 REF = datetime(2017, 6, 1, tzinfo=timezone.utc)
 
@@ -107,3 +109,47 @@ def dense_pagerank(digraph, restart: dict, damping: float) -> dict:
             P[index[src]] = r
     x = np.linalg.solve(np.eye(n) - damping * P.T, (1.0 - damping) * r)
     return {node: float(x[index[node]]) for node in nodes}
+
+
+def reference_edge_scores(graph, content, weights, src, dst):
+    """Score the directed edge src -> dst one signal at a time from
+    :func:`mle`, :func:`pmi2` and the cosine map; None when no signal
+    contributes. The scalar statement of what ``aggregate`` computes."""
+    p_apps = p_clicks = pm_apps = pm_clicks = None
+    co = graph.costats(dst, src)
+    if co.co_apps > 0:
+        p_apps = mle(graph, dst, src, "apps")
+        pm_apps = pmi2(graph, dst, src, "apps")
+    if co.co_clicks > 0:
+        p_clicks = mle(graph, dst, src, "clicks")
+        pm_clicks = pmi2(graph, dst, src, "clicks")
+    sim = content.get(_pair(src, dst))
+    if p_apps is None and p_clicks is None and sim is None:
+        return None
+
+    def pmi_term(value):
+        if value is None:
+            return 0.0
+        return math.exp(value) if weights.normalize_pmi2 else value
+
+    corr = (
+        weights.w1 * ((p_apps or 0.0) + (p_clicks or 0.0))
+        + weights.w2 * (pmi_term(pm_apps) + pmi_term(pm_clicks))
+        + weights.w3 * (sim if sim is not None else 0.0)
+    )
+    return EdgeScores(corr, p_apps, p_clicks, pm_apps, pm_clicks, sim)
+
+
+def reference_aggregate(graph, content, weights, active):
+    """Every (src, dst) -> EdgeScores that ``aggregate`` should produce:
+    both directions of each multigraph pair and of each content pair
+    between known nodes, into active destinations only."""
+    pairs = set(graph.edges) | {p for p in content if p[0] in graph.nodes and p[1] in graph.nodes}
+    edges = {}
+    for a, b in pairs:
+        for src, dst in ((a, b), (b, a)):
+            if dst in active:
+                scores = reference_edge_scores(graph, content, weights, src, dst)
+                if scores is not None:
+                    edges[(src, dst)] = scores
+    return edges

@@ -1,11 +1,13 @@
 """In-process command-line tests: every subcommand, exit codes, file outputs."""
 
+import hashlib
 import json
 
 import pytest
 
 from jobgraph import cli
 from jobgraph.config import EngineConfig, config_hash, load_config
+from jobgraph.evaluation import synth_corpus, write_corpus
 from jobgraph.recommend import Provenance
 
 REF_ARG = "2017-06-01T00:00:00Z"
@@ -127,6 +129,33 @@ def test_build_is_deterministic(tmp_path, corpus_dir, graph_dir):
     assert rc == 0
     for name in ("graph_nodes.csv", "graph_edges.csv", "digraph.csv", "manifest.json"):
         assert (again / name).read_bytes() == (graph_dir / name).read_bytes()
+
+
+# sha256 of digraph.csv built from synth_corpus(4, 25, 200, noise=0.1, seed=0)
+# (16-dim embeddings, 2593 edges) with reference date 2017-06-01. Computed at
+# commit 2b6a421, whose aggregate scored one edge at a time in scalar floats;
+# the array scorer must write the same bytes. A change of term order, of
+# float formatting or of quoting changes this digest. The co-counts here are
+# too small for numpy's log to round differently from math's; the oracle
+# tests in test_scoring.py use counts that are not.
+GOLDEN_DIGRAPH_SHA256 = "539b833e6438b5c561a659b1e696b3e127519e2c81514fed7377509b51b511ec"
+
+
+def test_build_digraph_matches_the_golden_digest(tmp_path):
+    paths = write_corpus(synth_corpus(4, 25, 200, 0.1, 0), tmp_path / "corpus")
+    rc = cli.main(
+        [
+            "build",
+            "--events", str(paths["events"]),
+            "--jobs", str(paths["jobs"]),
+            "--embeddings", str(paths["embeddings"]),
+            "--reference-date", REF_ARG,
+            "--out-dir", str(tmp_path / "build"),
+        ]
+    )
+    assert rc == 0
+    digest = hashlib.sha256((tmp_path / "build" / "digraph.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_DIGRAPH_SHA256
 
 
 def test_build_without_embeddings_degrades(tmp_path, corpus_dir, caplog):

@@ -29,7 +29,7 @@ from jobgraph.recommend import (
     recommend,
     sources_with_activity,
 )
-from jobgraph.scoring import RecDigraph, dump_digraph, load_digraph
+from jobgraph.scoring import RecDigraph, dump_digraph, embed_sim, load_digraph
 
 
 def interactions(*triples):
@@ -323,6 +323,63 @@ def test_preference_vector_matches_set_oracle():
         if cat is not None:
             want.update(j for j in active if jobs[j].category == cat)
         assert got == sorted(want)
+
+
+def embed_sim_preferences(p, jobs, emb, m):
+    """preference_vector restated with one embed_sim call per job pair."""
+    active = sorted(j for j in jobs if jobs[j].is_active)
+    embeddable = [j for j in active if j in emb]
+    want = set()
+    for old in {i.job_id for i in p.interactions if not jobs[i.job_id].is_active and i.job_id in emb}:
+        ranked = sorted(embeddable, key=lambda j: (-embed_sim(emb[old], emb[j]), j))
+        want.update(ranked[:m])
+    if p.resume_category is not None:
+        want.update(j for j in active if jobs[j].category == p.resume_category)
+    return sorted(want)
+
+
+def test_preference_vector_matches_embed_sim_oracle_on_random_embeddings():
+    rng = random.Random(43)
+    cats = ["c0", "c1", "c2", "c3"]
+    for _ in range(40):
+        ids = [f"j{i:03d}" for i in range(rng.randint(5, 90))]
+        jobs = {
+            j: make_job(j, category=rng.choice(cats), active=rng.random() < 0.7)
+            for j in ids
+        }
+        dim = rng.choice([2, 7, 16, 33])
+        emb = embeddings_for([j for j in ids if rng.random() < 0.9], dim, seed=rng.randint(0, 10**6))
+        # duplicated embeddings tie exactly and are ranked by job_id
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.sample(sorted(emb), 2)
+            emb[b] = emb[a].copy()
+        history = rng.sample(ids, rng.randint(1, 8))
+        p = profile(
+            triples=[(j, SignalKind.APPLY, rng.uniform(1, 40)) for j in history],
+            category=rng.choice(cats + [None]),
+        )
+        m = rng.randint(1, 12)
+        assert preference_vector(p, jobs, emb, m_similar=m) == embed_sim_preferences(p, jobs, emb, m)
+
+
+def test_preference_vector_breaks_exact_ties_by_job_id():
+    rng = np.random.default_rng(7)
+    ids = [f"j{i:03d}" for i in range(63)]
+    jobs = {"old": make_job("old", active=False), **{j: make_job(j) for j in ids}}
+    p = profile(triples=[("old", SignalKind.APPLY, 3)])
+    for dim in (3, 5, 17, 32, 61, 64):
+        shared = rng.normal(size=dim)
+        emb = {"old": rng.normal(size=dim), **{j: shared.copy() for j in ids}}
+        assert preference_vector(p, jobs, emb, m_similar=3) == ids[:3]
+
+
+def test_preference_vector_rejects_zero_and_mismatched_embeddings():
+    jobs = {"old": make_job("old", active=False), "a": make_job("a"), "b": make_job("b")}
+    p = profile(triples=[("old", SignalKind.APPLY, 3)])
+    with pytest.raises(ValueError, match="zero-norm"):
+        preference_vector(p, jobs, {"old": np.ones(2), "a": np.ones(2), "b": np.zeros(2)})
+    with pytest.raises(ValueError, match="dimension"):
+        preference_vector(p, jobs, {"old": np.ones(3), "a": np.ones(2), "b": np.ones(2)})
 
 
 # ---------------------------------------------------------------------------

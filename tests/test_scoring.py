@@ -1,5 +1,7 @@
 """Edge-score formula and aggregation tests with frozen hand-computed values."""
 
+import csv
+import itertools
 import math
 import random
 from io import StringIO
@@ -7,9 +9,11 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from helpers import make_job
+from helpers import make_job, reference_aggregate
+from jobgraph import scoring
 from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
 from jobgraph.scoring import (
+    EdgeScores,
     RecDigraph,
     ScoreWeights,
     aggregate,
@@ -273,3 +277,110 @@ def test_digraph_dump_reload_is_bit_exact():
     rebuf = StringIO()
     dump_digraph(reloaded, rebuf)
     assert rebuf.getvalue() == buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# array scoring against the scalar reference
+
+
+def random_scoring_inputs(rng, num_nodes, pair_prob, content_prob):
+    """A multigraph with arbitrary counts (apps-only, clicks-only, both and
+    empty co-stats; zero totals included), a content map that also names
+    nodes outside the graph and holds a few reversed keys, and a random
+    active subset."""
+    ids = [f"j{i:03d}" for i in range(num_nodes)]
+    # counts wide enough that numpy's log/exp would round some PMI^2 terms
+    # differently from math's
+    nodes = {j: (rng.choice([0, rng.randint(1, 400)]), rng.choice([0, rng.randint(1, 400)])) for j in ids}
+    edges = {}
+    for a, b in itertools.combinations(ids, 2):
+        if rng.random() < pair_prob:
+            kind = rng.choice(["apps", "clicks", "both", "none"])
+            co_apps = rng.randint(1, 300) if kind in ("apps", "both") else 0
+            co_clicks = rng.randint(1, 300) if kind in ("clicks", "both") else 0
+            edges[(a, b)] = (co_apps, co_clicks)
+    ghosts = [f"ghost{i}" for i in range(3)]
+    content = {}
+    for a, b in itertools.combinations(sorted(ids + ghosts), 2):
+        if rng.random() < content_prob:
+            content[(a, b)] = rng.choice([0.0, 1.0, rng.uniform(-1.0, 1.0)])
+        if rng.random() < 0.05:  # out of (i, j) with i <= j order: never looked up
+            content[(b, a)] = rng.uniform(-1.0, 1.0)
+    active = {j for j in ids + ghosts if rng.random() < 0.8}
+    jobs = {j: make_job(j, active=j in active) for j in ids}
+    return graph_of(nodes, edges, jobs), content, active
+
+
+def assert_matches_reference(digraph, graph, content, weights, active):
+    want = reference_aggregate(graph, content, weights, active)
+    got = {(src, dst): es for src, out in digraph.edges.items() for dst, es in out.items()}
+    assert got.keys() == want.keys()
+    for key, es in want.items():
+        assert got[key] == es  # every field, None components included
+        assert repr(got[key]) == repr(es)  # bit for bit
+    assert list(digraph.edges) == sorted(digraph.edges)
+    for out in digraph.edges.values():
+        assert list(out) == sorted(out)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_aggregate_matches_scalar_reference_on_random_multigraphs(monkeypatch, normalize):
+    rng = random.Random(20 + normalize)
+    for trial in range(60):
+        graph, content, active = random_scoring_inputs(
+            rng, rng.randint(2, 14), rng.uniform(0.1, 0.9), rng.uniform(0.0, 0.6)
+        )
+        weights = ScoreWeights(
+            w1=rng.choice([0.0, rng.uniform(0.1, 1.0)]),
+            w2=rng.choice([0.0, rng.uniform(0.1, 1.0)]),
+            w3=rng.uniform(0.1, 1.0),
+            normalize_pmi2=normalize,
+        )
+        # small blocks, so most trials span several of them
+        monkeypatch.setattr(scoring, "AGGREGATE_BLOCK", rng.choice([1, 2, 5, 64]))
+        digraph = aggregate(graph, content, weights, active)
+        assert_matches_reference(digraph, graph, content, weights, active)
+
+
+def test_aggregate_matches_scalar_reference_across_full_blocks():
+    rng = random.Random(5)
+    graph, content, active = random_scoring_inputs(rng, 110, 0.3, 0.7)
+    candidates = set(graph.edges) | {p for p in content if p[0] in graph.nodes and p[1] in graph.nodes}
+    assert len(candidates) > scoring.AGGREGATE_BLOCK
+    for weights in (ScoreWeights(), ScoreWeights(normalize_pmi2=True)):
+        digraph = aggregate(graph, content, weights, active)
+        assert_matches_reference(digraph, graph, content, weights, active)
+
+
+def test_aggregate_without_candidate_pairs_is_empty():
+    g = graph_of({"i": (1, 1)}, {}, {"i": make_job("i")})
+    digraph = aggregate(g, {}, ScoreWeights(), ["i"])
+    assert digraph.num_edges == 0 and digraph.edges == {}
+
+
+# ---------------------------------------------------------------------------
+# artifact format
+
+
+def test_dump_digraph_quotes_job_ids_as_csv_writer_does():
+    ids = ["plain", "with,comma", 'with"quote', '"quoted, both"', "a b"]
+    components = [None, 0.25, -1.5, 1e-300, 0.1 + 0.2]
+    rng = random.Random(3)
+    edges = {}
+    for src, dst in itertools.permutations(ids, 2):
+        fields = [rng.choice(components) for _ in range(5)]
+        edges.setdefault(src, {})[dst] = EdgeScores(rng.uniform(-1.0, 2.0), *fields)
+    digraph = RecDigraph(edges, ids)
+
+    buf = StringIO()
+    dump_digraph(digraph, buf)
+    want = StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    for src, out in digraph.edges.items():
+        for dst, es in out.items():
+            values = (es.corr, es.p_apps, es.p_clicks, es.pmi2_apps, es.pmi2_clicks, es.sim_e)
+            writer.writerow([src, dst, *("" if v is None else repr(v) for v in values)])
+    assert buf.getvalue() == want.getvalue()
+
+    reloaded = load_digraph(StringIO(buf.getvalue()), ids)
+    assert reloaded.edges == digraph.edges
