@@ -210,7 +210,10 @@ def _serving_setup(args):
     if not digraph_path.exists():
         raise CliError(EXIT_INPUT, f"digraph dump not found at {digraph_path}")
     active = frozenset(j for j, rec in jobs.items() if rec.is_active)
-    digraph = load_digraph(_read_lines(str(digraph_path), stage="digraph"), active)
+    try:
+        digraph = load_digraph(_read_lines(str(digraph_path), stage="digraph"), active)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, f"{digraph_path}: {exc}") from exc
     taxonomy = {j.category for j in jobs.values()}
     profiles = build_profiles(signals, users, taxonomy)
     params = config.recommender_params()

@@ -8,6 +8,7 @@ the same query scope). Zero-valued co-statistics pairs are not stored.
 
 from __future__ import annotations
 
+import csv
 import logging
 from dataclasses import dataclass
 from datetime import timedelta
@@ -166,13 +167,16 @@ def build_costats(
 
 
 def dump_graph(graph: JobMultiGraph, nodes_fh: TextIO, edges_fh: TextIO) -> None:
-    """Write node stats and edge co-stats, sorted, re-loadable bit-exactly."""
+    """Write node stats and edge co-stats as CSV, sorted, re-loadable
+    bit-exactly; job ids are quoted as ``csv.writer`` quotes them."""
+    nodes = csv.writer(nodes_fh, lineterminator="\n")
     for job_id in sorted(graph.nodes):
         ns = graph.nodes[job_id]
-        nodes_fh.write(f"{job_id},{ns.total_apps},{ns.total_clicks}\n")
+        nodes.writerow([job_id, ns.total_apps, ns.total_clicks])
+    edges = csv.writer(edges_fh, lineterminator="\n")
     for (i, j) in sorted(graph.edges):
         cs = graph.edges[(i, j)]
-        edges_fh.write(f"{i},{j},{cs.co_apps},{cs.co_clicks}\n")
+        edges.writerow([i, j, cs.co_apps, cs.co_clicks])
 
 
 def load_graph(
@@ -181,17 +185,13 @@ def load_graph(
     jobs: Mapping[str, JobRecord] | None = None,
 ) -> JobMultiGraph:
     nodes: dict[str, NodeStats] = {}
-    for line in nodes_fh:
-        line = line.strip()
-        if not line:
-            continue
-        job_id, apps, clicks = line.split(",")
-        nodes[job_id] = NodeStats(int(apps), int(clicks))
+    for row in csv.reader(nodes_fh):
+        if row:
+            job_id, apps, clicks = row
+            nodes[job_id] = NodeStats(int(apps), int(clicks))
     edges: dict[tuple[str, str], CoStats] = {}
-    for line in edges_fh:
-        line = line.strip()
-        if not line:
-            continue
-        i, j, co_a, co_c = line.split(",")
-        edges[_pair(i, j)] = CoStats(int(co_a), int(co_c))
+    for row in csv.reader(edges_fh):
+        if row:
+            i, j, co_a, co_c = row
+            edges[_pair(i, j)] = CoStats(int(co_a), int(co_c))
     return JobMultiGraph(nodes, edges, jobs)

@@ -157,6 +157,27 @@ def _top_k(candidates: Mapping[str, float], k: int) -> list[tuple[str, float]]:
     return ranked[:k]
 
 
+def _hop(
+    digraph: RecDigraph,
+    starts: Sequence[tuple[str, float]],
+    k: int,
+    exclude: Iterable[str],
+) -> list[tuple[str, float]]:
+    """One propagation hop: each out-neighbor of a start job is scored
+    ``weight * corr``, merged across start jobs by max; the start jobs and
+    ``exclude`` are never candidates. The top ``k`` by (-score, job_id)."""
+    banned = set(exclude) | {job_id for job_id, _ in starts}
+    candidates: dict[str, float] = {}
+    for job_id, weight in starts:
+        for dst, corr in digraph.out_corr(job_id):
+            if dst in banned:
+                continue
+            score = weight * corr
+            if dst not in candidates or score > candidates[dst]:
+                candidates[dst] = score
+    return _top_k(candidates, k)
+
+
 def level1(
     digraph: RecDigraph,
     sources: Sequence[tuple[str, float]],
@@ -166,46 +187,20 @@ def level1(
     """Direct propagation: each out-neighbor of a source job is scored
     ``activity * corr``, merged across sources by max. Source jobs are never
     candidates."""
-    banned = set(exclude) | {job_id for job_id, _ in sources}
-    candidates: dict[str, float] = {}
-    for job_id, activity in sources:
-        for dst, es in digraph.out_edges(job_id):
-            if dst in banned:
-                continue
-            score = activity * es.corr
-            if dst not in candidates or score > candidates[dst]:
-                candidates[dst] = score
-    return _top_k(candidates, k)
+    return _hop(digraph, sources, k, exclude)
 
 
 def level2(
     digraph: RecDigraph,
     level1_results: Sequence[tuple[str, float]],
     k: int,
-    per_node_fanout: int | None = None,
     exclude: Iterable[str] = (),
 ) -> list[tuple[str, float]]:
-    """Second propagation hop from the level-1 candidates.
-
-    Each successor of a level-1 job inherits the path score multiplied along
-    the path (level-1 score times the onward edge's corr), max-merged across
-    paths. Jobs already recommended at level 1 and jobs in ``exclude`` are
-    skipped.
-    """
-    level1_jobs = {job_id for job_id, _ in level1_results}
-    banned = set(exclude) | level1_jobs
-    candidates: dict[str, float] = {}
-    for mid, path_score in level1_results:
-        successors = sorted(digraph.out_edges(mid), key=lambda e: (-e[1].corr, e[0]))
-        if per_node_fanout is not None:
-            successors = successors[:per_node_fanout]
-        for dst, es in successors:
-            if dst in banned:
-                continue
-            score = path_score * es.corr
-            if dst not in candidates or score > candidates[dst]:
-                candidates[dst] = score
-    return _top_k(candidates, k)
+    """Second propagation hop: the first hop taken again from the level-1
+    candidates, so each successor of a level-1 job inherits the path score
+    multiplied along the path, max-merged across paths. Jobs already
+    recommended at level 1 and jobs in ``exclude`` are skipped."""
+    return _hop(digraph, level1_results, k, exclude)
 
 
 def _pagerank(
@@ -382,7 +377,6 @@ class RecommenderParams:
     k: int = 15
     min_recs: int | None = None
     activity_decay: float = 0.05
-    per_node_fanout: int | None = None
     damping: float = 0.85
     pagerank_epsilon: float = 1e-10
     pagerank_max_iters: int = 100
@@ -453,7 +447,7 @@ def recommend(
             tiers.append((Provenance.LEVEL1, l1))
         taken = {job_id for job_id, _ in l1}
         if len(taken) < min_recs:
-            l2 = level2(digraph, l1, k, params.per_node_fanout, exclude=history)
+            l2 = level2(digraph, l1, k, exclude=history)
             l2 = l2[: k - len(taken)]
             if l2:
                 tiers.append((Provenance.LEVEL2, l2))

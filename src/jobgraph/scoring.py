@@ -21,7 +21,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -57,7 +57,8 @@ class ScoreWeights:
 
 
 class EdgeScores(NamedTuple):
-    """Aggregate score of one directed edge plus its audit components.
+    """Aggregate score of one directed edge plus its audit components, as
+    :meth:`RecDigraph.out_edges` shows them.
 
     Component fields are ``None`` when the corresponding signal contributed
     no evidence. ``corr`` is computed from the components at aggregation
@@ -160,25 +161,37 @@ class Transitions(NamedTuple):
 class RecDigraph:
     """Directed, weighted recommendation graph over active destinations.
 
-    Every edge points at an active job: edges into any other job are dropped
-    here, so a dump loaded against a newer jobs file never serves a job that
-    expired since the build. The adjacency is held in (src, dst) order; an
-    out-edge dict of ``edges`` that is already in order and points at active
-    jobs only is held as it is, not copied.
+    One CSR over the interned job ids ``nodes`` (the active jobs and the
+    edge sources, sorted, so index ties break like job-id ties): the edges
+    of ``nodes[i]`` are rows ``indptr[i]:indptr[i+1]`` of ``dst`` (ascending
+    node indices) and of ``scores``, one float64 column per field of
+    :class:`EdgeScores`, NaN for an absent component.
+
+    The constructor takes edges as indices into ``ids``, in any order; it
+    drops edges into jobs outside ``active_jobs`` (so a dump loaded against
+    a newer jobs file never serves a job that expired since the build),
+    sorts the rest by (src, dst) and keeps the last of repeated edges.
     """
 
-    def __init__(self, edges: dict[str, dict[str, EdgeScores]], active_jobs: Iterable[str]):
+    def __init__(
+        self, ids: Sequence[str], src: np.ndarray, dst: np.ndarray, scores: np.ndarray, active_jobs: Iterable[str]
+    ):
         self.active_jobs = frozenset(active_jobs)
-        self.edges: dict[str, dict[str, EdgeScores]] = {}
-        for src in sorted(edges):
-            out = edges[src]
-            dsts = sorted(out)
-            if dsts == list(out) and self.active_jobs.issuperset(dsts):
-                kept = out
-            else:
-                kept = {dst: out[dst] for dst in dsts if dst in self.active_jobs}
-            if kept:
-                self.edges[src] = kept
+        rows = np.flatnonzero(np.array([j in self.active_jobs for j in ids], dtype=bool)[dst])
+        src, dst = src[rows], dst[rows]
+        self.nodes = sorted(self.active_jobs.union([ids[i] for i in np.unique(src).tolist()]))
+        self.index = {job_id: i for i, job_id in enumerate(self.nodes)}
+        remap = np.array([self.index.get(j, -1) for j in ids], dtype=np.intp)
+        order = np.lexsort((remap[dst], remap[src]))  # stable: repeats keep their input order
+        src, dst = remap[src][order], remap[dst][order]
+        last = np.ones(len(src), dtype=bool)
+        last[:-1] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        rows = rows[order[last]]
+        self.dst = dst[last]
+        # one gather of the score rows, none when they are in order already
+        in_order = len(rows) == len(scores) and (rows == np.arange(len(rows))).all()
+        self.scores = scores if in_order else scores[rows]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src[last], minlength=len(self.nodes)))))
         # global PageRank results per (damping, epsilon, max_iters), filled
         # by recommend.global_pagerank
         self.global_pagerank_results: dict[tuple[float, float, int], object] = {}
@@ -188,39 +201,58 @@ class RecDigraph:
         cls, corr: Mapping[tuple[str, str], float], active_jobs: Iterable[str]
     ) -> "RecDigraph":
         """Build from bare (src, dst) -> corr weights (components unset)."""
-        edges: dict[str, dict[str, EdgeScores]] = {}
-        for (src, dst), value in corr.items():
-            edges.setdefault(src, {})[dst] = EdgeScores(float(value))
-        return cls(edges, active_jobs)
+        ids = sorted({job_id for pair in corr for job_id in pair})
+        index = {job_id: i for i, job_id in enumerate(ids)}
+        src = np.array([index[s] for s, _ in corr], dtype=np.intp)
+        dst = np.array([index[d] for _, d in corr], dtype=np.intp)
+        scores = np.full((len(corr), len(EdgeScores._fields)), np.nan)
+        scores[:, 0] = list(corr.values())
+        return cls(ids, src, dst, scores, active_jobs)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(out) for out in self.edges.values())
+        return len(self.dst)
 
-    def out_edges(self, src: str) -> Iterable[tuple[str, EdgeScores]]:
+    def _span(self, src: str) -> tuple[int, int]:
+        i = self.index.get(src)
+        return (0, 0) if i is None else (int(self.indptr[i]), int(self.indptr[i + 1]))
+
+    def out_edges(self, src: str) -> list[tuple[str, EdgeScores]]:
         """Outgoing edges of ``src`` ordered by destination job_id."""
-        return self.edges.get(src, {}).items()
+        lo, hi = self._span(src)
+        return [
+            (self.nodes[d], EdgeScores._make(None if v != v else v for v in row))
+            for d, row in zip(self.dst[lo:hi].tolist(), self.scores[lo:hi].tolist())
+        ]
+
+    def out_corr(self, src: str) -> Iterable[tuple[str, float]]:
+        """(dst, corr) of the outgoing edges of ``src`` in destination order."""
+        lo, hi = self._span(src)
+        dst_ids, corr = self._hop_lists
+        return zip(dst_ids[lo:hi], corr[lo:hi])
+
+    @functools.cached_property
+    def _hop_lists(self) -> tuple[list[str], list[float]]:
+        # list slices make a faster hop than array slices
+        return np.array(self.nodes, dtype=object)[self.dst].tolist(), self.scores[:, 0].tolist()
 
     def corr(self, src: str, dst: str) -> float | None:
-        es = self.edges.get(src, {}).get(dst)
-        return es.corr if es is not None else None
+        return next((es.corr for d, es in self.out_edges(src) if d == dst), None)
 
     @functools.cached_property
     def transitions(self) -> Transitions:
-        """The walk PageRank runs on, built on first use."""
+        """The walk PageRank runs on, built on first use: masks over the
+        CSR arrays keep the positive-corr edges from active jobs, in (src,
+        dst) order, renumbered over the sorted active jobs."""
+        is_active = np.array([j in self.active_jobs for j in self.nodes], dtype=bool)
+        position = np.cumsum(is_active) - 1  # walk index of an active node
+        src = np.repeat(np.arange(len(self.nodes)), np.diff(self.indptr))
+        corr = self.scores[:, 0]
+        hop = is_active[src] & (corr > 0.0)
+        src, dst, weight = position[src[hop]], position[self.dst[hop]], corr[hop]
         nodes = sorted(self.active_jobs)
-        index = {job_id: i for i, job_id in enumerate(nodes)}
-        hops = [
-            (index[src], index[dst], es.corr)
-            for src, out in self.edges.items()
-            if src in index
-            for dst, es in out.items()
-            if es.corr > 0.0
-        ]
-        src = np.array([h[0] for h in hops], dtype=np.intp)
-        dst = np.array([h[1] for h in hops], dtype=np.intp)
-        weight = np.array([h[2] for h in hops], dtype=np.float64)
         out_sum = np.bincount(src, weights=weight, minlength=len(nodes))
+        index = {job_id: i for i, job_id in enumerate(nodes)}
         return Transitions(nodes, index, src, dst, weight / out_sum[src], out_sum == 0.0)
 
 
@@ -259,7 +291,7 @@ def aggregate(
     ]
     pair_keys = list(graph.edges)
     co_stats = list(graph.edges.values())
-    scored: list[_ScoredEdges] = []
+    scored: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for lo in range(0, len(pair_keys), AGGREGATE_BLOCK):
         keys = pair_keys[lo : lo + AGGREGATE_BLOCK]
         stats = co_stats[lo : lo + AGGREGATE_BLOCK]
@@ -272,20 +304,10 @@ def aggregate(
         zeros = [0] * len(keys)
         scored += _score_block(keys, zeros, zeros, [content[k] for k in keys], index, nodes, weights)
     if not scored:
-        return RecDigraph({}, active)
-    # one (src, dst) sort of all kept edges, then one dict per source; the
-    # names are rebound as they go so each step frees the one before
+        return RecDigraph.from_corr({}, active)
     src, dst, scores = (np.concatenate(column) for column in zip(*scored))
-    del scored
-    order = np.lexsort((dst, src))
-    src, dst, scores = src[order], dst[order], scores[order]
-    del order
-    dst_ids = np.array(ids, dtype=object)[dst]
-    bounds = [0, *(np.flatnonzero(src[1:] != src[:-1]) + 1).tolist(), len(src)]
-    edges = {
-        ids[src[lo]]: dict(zip(dst_ids[lo:hi], scores[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
-    }
-    return RecDigraph(edges, active)
+    del scored  # the blocks are freed before the digraph is built
+    return RecDigraph(ids, src, dst, scores, active)
 
 
 class _NodeArrays(NamedTuple):
@@ -296,15 +318,6 @@ class _NodeArrays(NamedTuple):
     active: np.ndarray
 
 
-class _ScoredEdges(NamedTuple):
-    """Kept edges of one block and direction: node indices and an object
-    array of their :class:`EdgeScores`."""
-
-    src: np.ndarray
-    dst: np.ndarray
-    scores: np.ndarray
-
-
 def _score_block(
     keys: list[tuple[str, str]],
     co_apps: list[int],
@@ -313,9 +326,10 @@ def _score_block(
     index: Mapping[str, int],
     nodes: _NodeArrays,
     weights: ScoreWeights,
-) -> list[_ScoredEdges]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Score both directions of a block of pairs (a, b), given as parallel
-    columns; one entry per direction that keeps an edge.
+    columns, as one (src, dst, scores) entry per direction, scores in
+    :class:`RecDigraph` columns.
 
     ``corr`` keeps the term order of ``w1*(p_apps+p_clicks) +
     w2*(pmi2_apps+pmi2_clicks) + w3*sim`` in float64, so it equals the
@@ -341,25 +355,21 @@ def _score_block(
     pmi_sum = term_apps + term_clicks
     scored = []
     for src, dst in ((a, b), (b, a)):
-        keep = evidence & nodes.active[dst]
-        if not keep.any():
-            continue
         p_apps = _mle_block(co_apps, nodes.total_apps[src], has_apps)
         p_clicks = _mle_block(co_clicks, nodes.total_clicks[src], has_clicks)
         corr = weights.w1 * (p_apps + p_clicks) + weights.w2 * pmi_sum + weights.w3 * sim
-        fields = zip(
-            corr[keep].tolist(),
-            _optional(p_apps, has_apps, keep),
-            _optional(p_clicks, has_clicks, keep),
-            _optional(pm_apps, has_pm_apps, keep),
-            _optional(pm_clicks, has_pm_clicks, keep),
-            _optional(sim, has_sim, keep),
+        columns = (
+            corr,
+            np.where(has_apps, p_apps, np.nan),
+            np.where(has_clicks, p_clicks, np.nan),
+            np.where(has_pm_apps, pm_apps, np.nan),
+            np.where(has_pm_clicks, pm_clicks, np.nan),
+            np.where(has_sim, sim, np.nan),
         )
-        # _make copies zip's reused tuple; calling EdgeScores(...) would
-        # pack every edge's fields into one more tuple first
-        scores = map(EdgeScores._make, fields)
-        count = int(keep.sum())
-        scored.append(_ScoredEdges(src[keep], dst[keep], np.fromiter(scores, dtype=object, count=count)))
+        # the digraph drops edges into inactive jobs anyway; not making them
+        # keeps the blocks, and the build's peak memory, smaller
+        keep = evidence & nodes.active[dst]
+        scored.append((src[keep], dst[keep], np.column_stack(columns)[keep]))
     return scored
 
 
@@ -396,15 +406,7 @@ def _pmi2_block(
     return value, present, term
 
 
-def _optional(values: np.ndarray, present: np.ndarray, keep: np.ndarray) -> list[float | None]:
-    """The kept ``values`` as Python floats, ``None`` where not ``present``."""
-    out = np.empty(int(keep.sum()), dtype=object)  # all None
-    shown = present[keep]
-    out[shown] = values[keep][shown]
-    return out.tolist()
-
-
-def _csv_fields(values: Iterable[str]) -> dict[str, str]:
+def _csv_fields(values: Iterable[str]) -> list[str]:
     """Each value as ``csv.writer`` writes it as one field of a row.
 
     Each is written as the first of two fields and cut from the output, so
@@ -412,12 +414,12 @@ def _csv_fields(values: Iterable[str]) -> dict[str, str]:
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    fields = {}
+    fields = []
     for value in values:
         buf.seek(0)
         buf.truncate()
         writer.writerow([value, ""])
-        fields[value] = buf.getvalue()[:-2]
+        fields.append(buf.getvalue()[:-2])
     return fields
 
 
@@ -427,22 +429,29 @@ def dump_digraph(digraph: RecDigraph, fh: TextIO) -> None:
     The bytes are those of ``csv.writer``: each job id is quoted once,
     floats are ``repr``s, absent components empty. One write per source.
     """
-    quoted = _csv_fields(digraph.edges.keys() | digraph.active_jobs)
-    for src, out in digraph.edges.items():
-        q_src = quoted[src]
+    quoted = _csv_fields(digraph.nodes)
+    bounds = digraph.indptr.tolist()
+    for q_src, lo, hi in zip(quoted, bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        rows = zip(digraph.dst[lo:hi].tolist(), digraph.scores[lo:hi].tolist())
         fh.write(
             "".join(
                 [
                     f"{q_src},{quoted[dst]},{corr!r},"
-                    f"{'' if pa is None else repr(pa)},"
-                    f"{'' if pc is None else repr(pc)},"
-                    f"{'' if ma is None else repr(ma)},"
-                    f"{'' if mc is None else repr(mc)},"
-                    f"{'' if se is None else repr(se)}\n"
-                    for dst, (corr, pa, pc, ma, mc, se) in out.items()
+                    f"{'' if pa != pa else repr(pa)},"
+                    f"{'' if pc != pc else repr(pc)},"
+                    f"{'' if ma != ma else repr(ma)},"
+                    f"{'' if mc != mc else repr(mc)},"
+                    f"{'' if se != se else repr(se)}\n"
+                    for dst, (corr, pa, pc, ma, mc, se) in rows
                 ]
             )
         )
+
+
+# Dump rows parsed per numpy block by load_digraph
+LOAD_BLOCK = 4096
 
 
 def load_digraph(lines: Iterable[str], active_jobs: Iterable[str] | None = None) -> RecDigraph:
@@ -450,15 +459,67 @@ def load_digraph(lines: Iterable[str], active_jobs: Iterable[str] | None = None)
 
     When ``active_jobs`` is supplied, edges into jobs outside it (expired
     since the build) are dropped. Otherwise the destination set of the dump
-    is used (active jobs without incoming edges are then unknown).
+    is used (active jobs without incoming edges are then unknown). A row
+    with other than 8 fields, an empty ``corr``, or a non-numeric or
+    non-finite value raises ``ValueError`` naming its line.
     """
-    edges: dict[str, dict[str, EdgeScores]] = {}
-    dsts: set[str] = set()
-    for row in csv.reader(lines):
-        if not row:
-            continue
-        src, dst = row[0], row[1]
-        vals = [float(f) if f else None for f in row[2:8]]
-        edges.setdefault(src, {})[dst] = EdgeScores(*vals)
-        dsts.add(dst)
-    return RecDigraph(edges, frozenset(active_jobs) if active_jobs is not None else dsts)
+    index: dict[str, int] = {}
+    blocks, block = [], []
+    reader = csv.reader(lines)
+    for row in reader:
+        if row:
+            block.append((reader.line_num, row))
+        if len(block) == LOAD_BLOCK:
+            blocks.append(_parse_rows(block, index))
+            block = []
+    blocks.append(_parse_rows(block, index))
+    src, dst, scores = (np.concatenate(column) for column in zip(*blocks))
+    del blocks  # the blocks are freed before the digraph is built
+    ids = list(index)
+    if active_jobs is None:
+        active_jobs = [ids[i] for i in np.unique(dst).tolist()]
+    return RecDigraph(ids, src, dst, scores, active_jobs)
+
+
+def _parse_rows(block: list[tuple[int, list[str]]], index: dict[str, int]) -> tuple[np.ndarray, ...]:
+    """(line number, row) pairs of the dump as (src, dst, scores), job ids
+    interned into ``index``.
+
+    The block is checked at once: 8 fields a row, a finite ``corr``, no
+    infinity, and NaN only where a field is empty. A block that fails (as
+    one with an empty job id does) is checked row by row for a line to name.
+    """
+    rows = [row for _, row in block]
+    try:
+        values = [float(f) if f else math.nan for row in rows for f in row[2:]]
+        scores = np.array(values).reshape(len(rows), 6)
+    except ValueError:  # a non-numeric field, or a wrong field count
+        scores = None
+    if (
+        scores is None
+        or set(map(len, rows)) != {8}
+        or not np.isfinite(scores[:, 0]).all()
+        or np.isinf(scores).any()
+        or np.count_nonzero(np.isnan(scores)) != sum(row.count("") for row in rows)
+    ):
+        for line_no, row in block:
+            if problem := _row_problem(row):
+                raise ValueError(f"digraph line {line_no}: {problem}")
+    src = np.array([index.setdefault(row[0], len(index)) for row in rows], dtype=np.intp)
+    dst = np.array([index.setdefault(row[1], len(index)) for row in rows], dtype=np.intp)
+    return src, dst, scores
+
+
+def _row_problem(row: list[str]) -> str | None:
+    """What makes a dump row malformed, or None."""
+    if len(row) != 8:
+        return f"expected 8 fields, got {len(row)}"
+    if not row[2]:
+        return "empty corr"
+    for name, field in zip(EdgeScores._fields, row[2:]):
+        try:
+            if field and not math.isfinite(float(field)):
+                return f"non-finite {name} {field!r}"
+        except ValueError:
+            return f"non-numeric {name} {field!r}"
+    return None

@@ -52,6 +52,22 @@ def random_digraph(rng: random.Random, max_nodes: int = 12, *, edge_prob=0.3, ne
     return RecDigraph.from_corr(corr, nodes)
 
 
+def edge_map(digraph):
+    """Every edge of ``digraph`` as (src, dst) -> EdgeScores, in (src, dst)
+    order, read through ``out_edges``."""
+    return {(src, dst): es for src in digraph.nodes for dst, es in digraph.out_edges(src)}
+
+
+def digraph_of_scores(scores, active_jobs):
+    """A digraph holding the given (src, dst) -> EdgeScores."""
+    ids = sorted({job_id for pair in scores for job_id in pair})
+    index = {job_id: i for i, job_id in enumerate(ids)}
+    src = np.array([index[s] for s, _ in scores], dtype=np.intp)
+    dst = np.array([index[d] for _, d in scores], dtype=np.intp)
+    rows = [[np.nan if v is None else v for v in es] for es in scores.values()]
+    return RecDigraph(ids, src, dst, np.array(rows).reshape(len(rows), 6), active_jobs)
+
+
 def brute_force_levels(digraph, sources, exclude):
     """Enumerate every path of length <= 2 from the sources with product
     scoring and max-merge, honoring tier precedence: one-hop candidates

@@ -271,6 +271,46 @@ def test_recommend_missing_graph_dir_is_input_error(tmp_path, corpus_dir):
     assert rc == 1
 
 
+# dump rows that load_digraph rejects, with the reason it names
+MALFORMED_ROWS = [
+    ("j1,j2", "expected 8 fields, got 2"),
+    ("j1,j2,0.5,,,,,,", "expected 8 fields, got 9"),
+    ("j1,j2,,0.5,,,,", "empty corr"),
+    ("j1,j2,high,,,,,", "non-numeric corr 'high'"),
+    ("j1,j2,0.5,,,,,0.x", "non-numeric sim_e '0.x'"),
+    ("j1,j2,inf,,,,,", "non-finite corr 'inf'"),
+    ("j1,j2,0.5,-inf,,,,", "non-finite p_apps '-inf'"),
+    ("j1,j2,0.5,,,nan,,", "non-finite pmi2_apps 'nan'"),
+]
+
+
+@pytest.mark.parametrize("row, reason", MALFORMED_ROWS)
+@pytest.mark.parametrize("command", ["recommend", "serve-batch"])
+def test_malformed_digraph_row_is_input_error(graph_dir, corpus_dir, tmp_path, caplog, command, row, reason):
+    lines = (graph_dir / "digraph.csv").read_text().splitlines(keepends=True)
+    lines.insert(2, row + "\n")
+    bad_dir = tmp_path / "graph"
+    bad_dir.mkdir()
+    (bad_dir / "digraph.csv").write_text("".join(lines))
+    ids = tmp_path / "ids.txt"
+    ids.write_text("u00000\n")
+    per_command = {
+        "recommend": ["--user-id", "u00000"],
+        "serve-batch": ["--user-ids", str(ids), "--out", str(tmp_path / "recs.csv")],
+    }
+    rc = cli.main(
+        [
+            command,
+            *corpus_flags(corpus_dir),
+            "--graph-dir", str(bad_dir),
+            "--reference-date", REF_ARG,
+            *per_command[command],
+        ]
+    )
+    assert rc == 1
+    assert f"line 3: {reason}" in caplog.text
+
+
 def test_serve_batch_counts_and_file_format(graph_dir, corpus_dir, tmp_path, capsys):
     ids = tmp_path / "ids.txt"
     ids.write_text("u00000\nu00001\nstranger\n\n")

@@ -1,6 +1,7 @@
 """Multigraph construction tests: co-statistics against brute-force oracles."""
 
 import random
+from io import StringIO
 from itertools import combinations
 
 import pytest
@@ -195,3 +196,18 @@ def test_dump_load_round_trip(tmp_path):
     assert reloaded.nodes == graph.nodes
     assert reloaded.edges == graph.edges
     assert reloaded.jobs == graph.jobs
+
+
+def test_dump_load_round_trip_quotes_job_ids():
+    ids = ["plain", "with,comma", 'with"quote']
+    graph = JobMultiGraph(
+        {job_id: NodeStats(i + 1, i) for i, job_id in enumerate(ids)},
+        {("plain", "with,comma"): CoStats(1, 0), ("plain", 'with"quote'): CoStats(0, 1)},
+    )
+    nodes_fh, edges_fh = StringIO(), StringIO()
+    dump_graph(graph, nodes_fh, edges_fh)
+    assert nodes_fh.getvalue() == 'plain,1,0\n"with""quote",3,2\n"with,comma",2,1\n'
+    assert edges_fh.getvalue() == 'plain,"with""quote",0,1\nplain,"with,comma",1,0\n'
+    reloaded = load_graph(StringIO(nodes_fh.getvalue()), StringIO(edges_fh.getvalue()))
+    assert reloaded.nodes == graph.nodes
+    assert reloaded.edges == graph.edges

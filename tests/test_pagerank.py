@@ -128,6 +128,17 @@ def test_preference_job_without_out_edges_keeps_all_mass():
     assert result.scores == {"island": pytest.approx(1.0)}
 
 
+def test_edges_from_expired_sources_carry_no_mass():
+    # "bx" expired: it keeps its out-edges as a level-1 source, and sorts
+    # between active jobs, but moves no PageRank mass
+    active_edges = {("a", "b"): 1.0, ("b", "c"): 0.5, ("c", "a"): 0.25}
+    with_expired = RecDigraph.from_corr({**active_edges, ("bx", "a"): 2.0, ("bx", "c"): 1.0}, "abc")
+    without = RecDigraph.from_corr(active_edges, "abc")
+    assert with_expired.num_edges == 5
+    assert global_pagerank(with_expired).scores == global_pagerank(without).scores
+    assert personalized_pagerank(with_expired, ["b"]).scores == personalized_pagerank(without, ["b"]).scores
+
+
 def test_preferences_outside_active_set_yield_empty_result():
     digraph = RecDigraph.from_corr({("a", "b"): 1.0}, ["a", "b"])
     result = personalized_pagerank(digraph, ["ghost"])

@@ -8,7 +8,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from helpers import REF, brute_force_levels, ev, make_job, random_digraph, ts
+from helpers import REF, brute_force_levels, edge_map, ev, make_job, random_digraph, ts
 from jobgraph.ingest import SignalKind, UserRecord, dedupe
 from jobgraph.recommend import (
     Interaction,
@@ -212,16 +212,6 @@ def test_level2_skips_level1_jobs_and_exclusions():
     l1 = level1(digraph, [("s", 1.0)], k=10)
     l2 = level2(digraph, l1, k=10, exclude=["x"])
     assert [job for job, _ in l2] == ["c"]
-
-
-def test_level2_fanout_keeps_strongest_onward_edges():
-    digraph = RecDigraph.from_corr(
-        {("s", "m"): 1.0, ("m", "a"): 0.2, ("m", "b"): 0.9, ("m", "c"): 0.5},
-        ["s", "m", "a", "b", "c"],
-    )
-    l1 = level1(digraph, [("s", 1.0)], k=10)
-    narrow = level2(digraph, l1, k=10, per_node_fanout=2)
-    assert {job for job, _ in narrow} == {"b", "c"}
 
 
 def test_levels_match_bruteforce_on_random_digraphs():
@@ -607,7 +597,7 @@ def test_stale_artifact_never_serves_a_job_expired_after_the_build():
     buf = StringIO()
     dump_digraph(built, buf)
     served = load_digraph(StringIO(buf.getvalue()), ["h", "a", "b", "p"])
-    assert "x" not in {dst for out in served.edges.values() for dst in out}
+    assert "x" not in {dst for src, dst in edge_map(served)}
 
     l1 = level1(served, [("h", 1.0)], 10)
     assert [j for j, _ in l1] == ["a"]

@@ -9,12 +9,12 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from helpers import make_job, reference_aggregate
+from helpers import digraph_of_scores, edge_map, make_job, reference_aggregate
 from jobgraph import scoring
 from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
+from jobgraph.recommend import global_pagerank, personalized_pagerank
 from jobgraph.scoring import (
     EdgeScores,
-    RecDigraph,
     ScoreWeights,
     aggregate,
     content_edges,
@@ -192,7 +192,7 @@ def test_aggregate_content_only_hand_value():
     digraph = aggregate(g, {("i", "j"): 0.8}, ScoreWeights(), ["i", "j"])
     assert digraph.corr("i", "j") == pytest.approx(0.16, abs=1e-15)
     assert digraph.corr("j", "i") == pytest.approx(0.16, abs=1e-15)
-    es = digraph.edges["i"]["j"]
+    es = edge_map(digraph)[("i", "j")]
     assert es.p_apps is None and es.p_clicks is None
     assert es.pmi2_apps is None and es.pmi2_clicks is None
     assert es.sim_e == pytest.approx(0.8)
@@ -268,11 +268,7 @@ def test_digraph_dump_reload_is_bit_exact():
     buf = StringIO()
     dump_digraph(digraph, buf)
     reloaded = load_digraph(StringIO(buf.getvalue()), ids)
-    assert set(reloaded.edges) == set(digraph.edges)
-    for src, out in digraph.edges.items():
-        for dst, es in out.items():
-            other = reloaded.edges[src][dst]
-            assert other == es  # bit-exact, including None components
+    assert edge_map(reloaded) == edge_map(digraph)  # including None components
 
     rebuf = StringIO()
     dump_digraph(reloaded, rebuf)
@@ -313,14 +309,12 @@ def random_scoring_inputs(rng, num_nodes, pair_prob, content_prob):
 
 def assert_matches_reference(digraph, graph, content, weights, active):
     want = reference_aggregate(graph, content, weights, active)
-    got = {(src, dst): es for src, out in digraph.edges.items() for dst, es in out.items()}
+    got = edge_map(digraph)
     assert got.keys() == want.keys()
     for key, es in want.items():
         assert got[key] == es  # every field, None components included
         assert repr(got[key]) == repr(es)  # bit for bit
-    assert list(digraph.edges) == sorted(digraph.edges)
-    for out in digraph.edges.values():
-        assert list(out) == sorted(out)
+    assert list(got) == sorted(got)
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -355,7 +349,7 @@ def test_aggregate_matches_scalar_reference_across_full_blocks():
 def test_aggregate_without_candidate_pairs_is_empty():
     g = graph_of({"i": (1, 1)}, {}, {"i": make_job("i")})
     digraph = aggregate(g, {}, ScoreWeights(), ["i"])
-    assert digraph.num_edges == 0 and digraph.edges == {}
+    assert digraph.num_edges == 0 and edge_map(digraph) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +363,58 @@ def test_dump_digraph_quotes_job_ids_as_csv_writer_does():
     edges = {}
     for src, dst in itertools.permutations(ids, 2):
         fields = [rng.choice(components) for _ in range(5)]
-        edges.setdefault(src, {})[dst] = EdgeScores(rng.uniform(-1.0, 2.0), *fields)
-    digraph = RecDigraph(edges, ids)
+        edges[(src, dst)] = EdgeScores(rng.uniform(-1.0, 2.0), *fields)
+    digraph = digraph_of_scores(edges, ids)
 
     buf = StringIO()
     dump_digraph(digraph, buf)
     want = StringIO()
     writer = csv.writer(want, lineterminator="\n")
-    for src, out in digraph.edges.items():
-        for dst, es in out.items():
-            values = (es.corr, es.p_apps, es.p_clicks, es.pmi2_apps, es.pmi2_clicks, es.sim_e)
-            writer.writerow([src, dst, *("" if v is None else repr(v) for v in values)])
+    for (src, dst), es in edge_map(digraph).items():
+        writer.writerow([src, dst, *("" if v is None else repr(v) for v in es)])
     assert buf.getvalue() == want.getvalue()
 
     reloaded = load_digraph(StringIO(buf.getvalue()), ids)
-    assert reloaded.edges == digraph.edges
+    assert edge_map(reloaded) == edge_map(digraph)
+
+
+def test_load_digraph_sorts_and_filters_rows_in_any_order():
+    rng = random.Random(8)
+    graph, content, active = random_scoring_inputs(rng, 40, 0.3, 0.4)
+    built = aggregate(graph, content, ScoreWeights(), active)
+    buf = StringIO()
+    dump_digraph(built, buf)
+    rows = buf.getvalue().splitlines(keepends=True)
+    serving = set(rng.sample(sorted(active), len(active) * 3 // 4))
+    kept = [row for row in rows if next(csv.reader([row]))[1] in serving]
+    assert 0 < len(kept) < len(rows)
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+
+    want = load_digraph(kept, serving)
+    got = load_digraph(shuffled, serving)
+    assert got.nodes == want.nodes
+    for src in want.nodes:
+        assert got.out_edges(src) == want.out_edges(src)
+    again = StringIO()
+    dump_digraph(got, again)
+    assert again.getvalue() == "".join(kept)
+
+
+def test_load_digraph_keeps_the_last_of_repeated_rows():
+    rows = ["a,b,0.5,,,,,\n", "a,c,0.25,,,,,\n", "a,b,0.75,,,,,0.5\n"]
+    digraph = load_digraph(rows, ["b", "c"])
+    assert digraph.out_edges("a") == [("b", EdgeScores(0.75, sim_e=0.5)), ("c", EdgeScores(0.25))]
+
+
+def test_pagerank_of_a_reloaded_dump_equals_the_built_digraph():
+    rng = random.Random(12)
+    graph, content, active = random_scoring_inputs(rng, 40, 0.3, 0.4)
+    built = aggregate(graph, content, ScoreWeights(w2=0.05), active)
+    buf = StringIO()
+    dump_digraph(built, buf)
+    reloaded = load_digraph(StringIO(buf.getvalue()), active)
+    assert global_pagerank(reloaded).scores == global_pagerank(built).scores
+    known = sorted(active & set(graph.nodes))
+    for prefs in (known[:1], rng.sample(known, 5)):
+        assert personalized_pagerank(reloaded, prefs).scores == personalized_pagerank(built, prefs).scores
