@@ -211,7 +211,10 @@ def _serving_setup(args):
         raise CliError(EXIT_INPUT, f"digraph dump not found at {digraph_path}")
     active = frozenset(j for j, rec in jobs.items() if rec.is_active)
     try:
-        digraph = load_digraph(_read_lines(str(digraph_path), stage="digraph"), active)
+        with digraph_path.open("r") as fh:  # parsed as it is read, in blocks
+            digraph = load_digraph(fh, active)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"digraph: cannot read {digraph_path}: {exc}") from exc
     except ValueError as exc:
         raise CliError(EXIT_INPUT, f"{digraph_path}: {exc}") from exc
     taxonomy = {j.category for j in jobs.values()}

@@ -12,6 +12,7 @@ import csv
 import logging
 from dataclasses import dataclass
 from datetime import timedelta
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, TextIO
 
@@ -66,12 +67,6 @@ class JobMultiGraph:
         self.nodes = nodes
         self.edges = edges
         self.jobs = dict(jobs) if jobs is not None else {}
-        self._adjacency: dict[str, list[str]] = {}
-        for a, b in edges:
-            self._adjacency.setdefault(a, []).append(b)
-            self._adjacency.setdefault(b, []).append(a)
-        for partners in self._adjacency.values():
-            partners.sort()
 
     def __contains__(self, job_id: str) -> bool:
         return job_id in self.nodes
@@ -90,6 +85,17 @@ class JobMultiGraph:
     def costats(self, i: str, j: str) -> CoStats:
         """Co-statistics for (i, j); order-independent, zero pair if absent."""
         return self.edges.get(_pair(i, j), CoStats())
+
+    @cached_property
+    def _adjacency(self) -> dict[str, list[str]]:
+        """Each node's partners ordered by job_id, built on first use."""
+        adjacency: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        for partners in adjacency.values():
+            partners.sort()
+        return adjacency
 
     def neighbors(self, job_id: str) -> list[tuple[str, CoStats]]:
         """All partners with nonzero co-statistics, ordered by job_id."""

@@ -12,6 +12,7 @@ each user's click history.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable, Set as AbstractSet
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -102,20 +103,81 @@ class FactorModel:
     def __post_init__(self):
         self.user_index = {u: i for i, u in enumerate(self.user_ids)}
         self.job_index = {j: i for i, j in enumerate(self.job_ids)}
+        # the indexed jobs in job-id order, for tie-breaking in recommend_mf
+        self.job_id_order = np.array(
+            [j for _, j in sorted(self.job_index.items())], dtype=np.intp
+        )
 
     @property
     def k(self) -> int:
         return self.user_factors.shape[1]
 
 
-def _solve_row(design: np.ndarray, target: np.ndarray, reg: float) -> np.ndarray:
-    """Exact ridge solution of one row's least-squares subproblem."""
-    gram = design.T @ design
-    rhs = design.T @ target
+# Rows solved per batched least-squares call in an ALS half-step: enough
+# that one batched Gram product and solve outweigh their per-call cost, few
+# enough that a block's padded design (ALS_BLOCK x longest row x k+1 floats)
+# and Gram matrices (0.56 MB at k = 32) leave the peak RSS where it is.
+ALS_BLOCK = 64
+
+
+def _solve_batch(design: np.ndarray, target: np.ndarray, reg: float) -> np.ndarray:
+    """Exact ridge solutions of a batch of least-squares subproblems.
+
+    ``design`` is (B, L, d) and ``target`` (B, L); all-zero padding rows
+    change neither the Gram matrix nor the right-hand side. Without a
+    regularizer the minimum-norm solution is taken, with the singular-value
+    cutoff of ``lstsq(rcond=None)``.
+    """
+    design_t = design.transpose(0, 2, 1)
+    gram = design_t @ design
+    rhs = design_t @ target[..., None]
     if reg > 0.0:
-        gram = gram + reg * np.eye(gram.shape[0])
-        return np.linalg.solve(gram, rhs)
-    return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        gram += reg * np.eye(gram.shape[-1])
+        return np.linalg.solve(gram, rhs)[..., 0]
+    cutoff = gram.shape[-1] * np.finfo(gram.dtype).eps  # lstsq's rcond=None
+    return (np.linalg.pinv(gram, rcond=cutoff) @ rhs)[..., 0]
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entry positions ordered by key (stable), the distinct keys, and the
+    start and length of each key's run in that order."""
+    order = np.argsort(keys, kind="stable")
+    ids, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    return order, ids, starts, counts
+
+
+def _half_step(
+    groups: tuple[np.ndarray, ...],
+    features: Callable[[np.ndarray], np.ndarray],
+    target: Callable[[np.ndarray], np.ndarray],
+    reg: float,
+    factors: np.ndarray,
+    bias: np.ndarray,
+) -> None:
+    """Solve every grouped row of one ALS half-step in place.
+
+    Each row's design is ``[features(e), 1]`` over its entries ``e`` with
+    ``target(e)`` as the right-hand side. Rows are taken in order of entry
+    count and solved :data:`ALS_BLOCK` at a time, each block zero-padded to
+    its longest row.
+    """
+    order, ids, starts, counts = groups
+    k = factors.shape[1]
+    by_length = np.argsort(counts, kind="stable")
+    for lo in range(0, len(by_length), ALS_BLOCK):
+        block = by_length[lo : lo + ALS_BLOCK]
+        lengths = counts[block]
+        present = np.arange(lengths[-1]) < lengths[:, None]
+        entries = order[(starts[block, None] + np.arange(lengths[-1]))[present]]
+        design = np.zeros((len(block), lengths[-1], k + 1))
+        design[present, :k] = features(entries)
+        design[present, k] = 1.0
+        rhs = np.zeros(present.shape)
+        rhs[present] = target(entries)
+        beta = _solve_batch(design, rhs, reg)
+        rows = ids[block]
+        factors[rows] = beta[:, :k]
+        bias[rows] = beta[:, k]
 
 
 def _implicit_offsets(matrix: RatingsMatrix, Y: np.ndarray, k: int) -> np.ndarray:
@@ -162,12 +224,16 @@ def als_train(
     vals = np.array([e[2] for e in matrix.entries])
     mu = float(vals.mean())
 
-    by_user: dict[int, np.ndarray] = {
-        u: np.flatnonzero(rows == u) for u in np.unique(rows)
-    }
-    by_job: dict[int, np.ndarray] = {j: np.flatnonzero(cols == j) for j in np.unique(cols)}
+    user_groups = _group(rows)
+    job_groups = _group(cols)
+    by_user: dict[int, np.ndarray] = {}
     job_users_with: dict[int, list[int]] = {}
     if implicit:
+        order, ids, starts, counts = user_groups
+        by_user = {
+            u: order[s : s + c]
+            for u, s, c in zip(ids.tolist(), starts.tolist(), counts.tolist())
+        }
         for u, items in matrix.implicit.items():
             for g in items:
                 job_users_with.setdefault(g, []).append(u)
@@ -201,22 +267,27 @@ def als_train(
 
     for it in range(1, iterations + 1):
         off = offsets()
-        for u, idx in by_user.items():
-            js = cols[idx]
-            design = np.hstack([J[js], np.ones((len(idx), 1))])
-            target = vals[idx] - mu - b_j[js] - J[js] @ off[u]
-            beta = _solve_row(design, target, reg)
-            U[u] = beta[:k]
-            b_u[u] = beta[k]
+        _half_step(
+            user_groups,
+            lambda e: J[cols[e]],
+            lambda e: (
+                vals[e] - mu - b_j[cols[e]]
+                - np.einsum("ij,ij->i", J[cols[e]], off[rows[e]])
+            ),
+            reg,
+            U,
+            b_u,
+        )
         loss_trace.append((f"iter{it}:users", objective(off)))
 
-        for j, idx in by_job.items():
-            us = rows[idx]
-            design = np.hstack([U[us] + off[us], np.ones((len(idx), 1))])
-            target = vals[idx] - mu - b_u[us]
-            beta = _solve_row(design, target, reg)
-            J[j] = beta[:k]
-            b_j[j] = beta[k]
+        _half_step(
+            job_groups,
+            lambda e: U[rows[e]] + off[rows[e]],
+            lambda e: vals[e] - mu - b_u[rows[e]],
+            reg,
+            J,
+            b_j,
+        )
         off = offsets()
         loss_trace.append((f"iter{it}:jobs", objective(off)))
 
@@ -246,7 +317,7 @@ def als_train(
                     continue
                 design = np.vstack(design_rows)
                 target = np.concatenate(targets)
-                Y[g] = _solve_row(design, target, reg)
+                Y[g] = _solve_batch(design[None], target[None], reg)[0]
                 off = offsets()
             loss_trace.append((f"iter{it}:implicit", objective(off)))
 
@@ -335,14 +406,20 @@ def recommend_mf(
             user_vec = user_vec + model.implicit_factors[known].sum(axis=0) / np.sqrt(len(known))
     scores = model.mu + model.user_bias[u] + model.job_bias + model.job_factors @ user_vec
 
-    banned = set(exclusions)
-    allowed = None if active_jobs is None else set(active_jobs)
-    candidates = {
-        job_id: float(scores[j])
-        for job_id, j in model.job_index.items()
-        if job_id not in banned and (allowed is None or job_id in allowed)
-    }
-    ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
+    banned = exclusions if isinstance(exclusions, AbstractSet) else set(exclusions)
+    allowed = None
+    if active_jobs is not None:
+        allowed = active_jobs if isinstance(active_jobs, AbstractSet) else set(active_jobs)
+    # one stable sort by descending score over job-id order breaks ties by id
+    order = model.job_id_order
+    ranked: list[tuple[str, float]] = []
+    for j in order[np.argsort(-scores[order], kind="stable")].tolist():
+        job_id = model.job_ids[j]
+        if job_id in banned or (allowed is not None and job_id not in allowed):
+            continue
+        ranked.append((job_id, float(scores[j])))
+        if len(ranked) == k:
+            break
     return ranked[:k]
 
 

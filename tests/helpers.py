@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 import random
 from datetime import datetime, timedelta, timezone
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from jobgraph.graph import _pair
 from jobgraph.ingest import InteractionEvent, JobRecord, JobStatus, SignalKind
+from jobgraph.mf import FactorModel, RatingsMatrix, _implicit_offsets
 from jobgraph.scoring import EdgeScores, RecDigraph, mle, pmi2
 
 REF = datetime(2017, 6, 1, tzinfo=timezone.utc)
@@ -169,3 +171,181 @@ def reference_aggregate(graph, content, weights, active):
                 if scores is not None:
                     edges[(src, dst)] = scores
     return edges
+
+
+def _solve_row(design: np.ndarray, target: np.ndarray, reg: float) -> np.ndarray:
+    """Exact ridge solution of one row's least-squares subproblem."""
+    gram = design.T @ design
+    rhs = design.T @ target
+    if reg > 0.0:
+        gram = gram + reg * np.eye(gram.shape[0])
+        return np.linalg.solve(gram, rhs)
+    return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+
+
+def reference_als_train(
+    matrix: RatingsMatrix,
+    k: int = 32,
+    reg: float = 0.1,
+    iterations: int = 10,
+    seed: int = 0,
+    implicit: bool = False,
+) -> FactorModel:
+    """:func:`als_train` one row at a time: each user's and each job's
+    ridge problem is gathered with ``flatnonzero`` and solved on its own."""
+    if not matrix.entries:
+        raise ValueError("ratings matrix is empty")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if reg < 0:
+        raise ValueError(f"reg must be >= 0, got {reg}")
+
+    m, n = matrix.num_users, matrix.num_jobs
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(-0.01, 0.01, size=(m, k))
+    J = rng.uniform(-0.01, 0.01, size=(n, k))
+    b_u = np.zeros(m)
+    b_j = np.zeros(n)
+    Y = np.zeros((n, k))
+
+    rows = np.array([e[0] for e in matrix.entries], dtype=np.intp)
+    cols = np.array([e[1] for e in matrix.entries], dtype=np.intp)
+    vals = np.array([e[2] for e in matrix.entries])
+    mu = float(vals.mean())
+
+    by_user: dict[int, np.ndarray] = {
+        u: np.flatnonzero(rows == u) for u in np.unique(rows)
+    }
+    by_job: dict[int, np.ndarray] = {j: np.flatnonzero(cols == j) for j in np.unique(cols)}
+    job_users_with: dict[int, list[int]] = {}
+    if implicit:
+        for u, items in matrix.implicit.items():
+            for g in items:
+                job_users_with.setdefault(g, []).append(u)
+
+    def offsets() -> np.ndarray:
+        return (
+            _implicit_offsets(matrix, Y, k) if implicit else np.zeros((m, k))
+        )
+
+    def predictions(off: np.ndarray) -> np.ndarray:
+        return (
+            mu
+            + b_u[rows]
+            + b_j[cols]
+            + np.einsum("ij,ij->i", U[rows] + off[rows], J[cols])
+        )
+
+    def objective(off: np.ndarray) -> float:
+        resid = vals - predictions(off)
+        penalty = (
+            np.sum(U * U)
+            + np.sum(J * J)
+            + np.sum(b_u * b_u)
+            + np.sum(b_j * b_j)
+            + np.sum(Y * Y)
+        )
+        return float(np.sum(resid * resid) + reg * penalty)
+
+    loss_trace: list[tuple[str, float]] = []
+    mse_trace: list[float] = []
+
+    for it in range(1, iterations + 1):
+        off = offsets()
+        for u, idx in by_user.items():
+            js = cols[idx]
+            design = np.hstack([J[js], np.ones((len(idx), 1))])
+            target = vals[idx] - mu - b_j[js] - J[js] @ off[u]
+            beta = _solve_row(design, target, reg)
+            U[u] = beta[:k]
+            b_u[u] = beta[k]
+        loss_trace.append((f"iter{it}:users", objective(off)))
+
+        for j, idx in by_job.items():
+            us = rows[idx]
+            design = np.hstack([U[us] + off[us], np.ones((len(idx), 1))])
+            target = vals[idx] - mu - b_u[us]
+            beta = _solve_row(design, target, reg)
+            J[j] = beta[:k]
+            b_j[j] = beta[k]
+        off = offsets()
+        loss_trace.append((f"iter{it}:jobs", objective(off)))
+
+        if implicit and job_users_with:
+            # Cyclic exact solves per implicit-factor row; each observation
+            # (u, j) with g in N(u) constrains Y[g] through c_u * J[j].
+            for g in sorted(job_users_with):
+                design_rows = []
+                targets = []
+                for u in job_users_with[g]:
+                    idx = by_user.get(u)
+                    if idx is None:
+                        continue
+                    c_u = 1.0 / np.sqrt(len(matrix.implicit[u]))
+                    partial = off[u] - c_u * Y[g]
+                    js = cols[idx]
+                    resid = (
+                        vals[idx]
+                        - mu
+                        - b_u[u]
+                        - b_j[js]
+                        - J[js] @ (U[u] + partial)
+                    )
+                    design_rows.append(c_u * J[js])
+                    targets.append(resid)
+                if not design_rows:
+                    continue
+                design = np.vstack(design_rows)
+                target = np.concatenate(targets)
+                Y[g] = _solve_row(design, target, reg)
+                off = offsets()
+            loss_trace.append((f"iter{it}:implicit", objective(off)))
+
+        if not (
+            np.all(np.isfinite(U))
+            and np.all(np.isfinite(J))
+            and np.all(np.isfinite(b_u))
+            and np.all(np.isfinite(b_j))
+            and np.all(np.isfinite(Y))
+        ):
+            raise ArithmeticError(f"non-finite factors after iteration {it}")
+
+        resid = vals - predictions(off)
+        mse = float(np.mean(resid * resid))
+        mse_trace.append(mse)
+
+    return FactorModel(
+        U, J, b_u, b_j, Y, mu, reg, list(matrix.user_ids), list(matrix.job_ids),
+        loss_trace, mse_trace,
+    )
+
+
+def reference_recommend_mf(
+    model: FactorModel,
+    user_id: str,
+    k: int,
+    exclusions: Iterable[str] = (),
+    active_jobs: Iterable[str] | None = None,
+    implicit_items: Sequence[str] | None = None,
+) -> list[tuple[str, float]]:
+    """:func:`recommend_mf` by one Python sort of every candidate on
+    (-score, job_id)."""
+    if user_id not in model.user_index:
+        raise KeyError(f"user {user_id!r} unknown to the model")
+    u = model.user_index[user_id]
+    user_vec = model.user_factors[u]
+    if implicit_items:
+        known = [model.job_index[i] for i in implicit_items if i in model.job_index]
+        if known:
+            user_vec = user_vec + model.implicit_factors[known].sum(axis=0) / np.sqrt(len(known))
+    scores = model.mu + model.user_bias[u] + model.job_bias + model.job_factors @ user_vec
+
+    banned = set(exclusions)
+    allowed = None if active_jobs is None else set(active_jobs)
+    candidates = {
+        job_id: float(scores[j])
+        for job_id, j in model.job_index.items()
+        if job_id not in banned and (allowed is None or job_id in allowed)
+    }
+    ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ranked[:k]

@@ -271,6 +271,21 @@ def test_recommend_missing_graph_dir_is_input_error(tmp_path, corpus_dir):
     assert rc == 1
 
 
+def test_unreadable_digraph_dump_is_input_error(tmp_path, corpus_dir, caplog):
+    (tmp_path / "graph" / "digraph.csv").mkdir(parents=True)  # exists, cannot be read
+    rc = cli.main(
+        [
+            "recommend",
+            *corpus_flags(corpus_dir),
+            "--graph-dir", str(tmp_path / "graph"),
+            "--reference-date", REF_ARG,
+            "--user-id", "u00000",
+        ]
+    )
+    assert rc == 1
+    assert "digraph: cannot read" in caplog.text
+
+
 # dump rows that load_digraph rejects, with the reason it names
 MALFORMED_ROWS = [
     ("j1,j2", "expected 8 fields, got 2"),

@@ -7,9 +7,15 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from helpers import ev
+from helpers import (
+    _solve_row,
+    ev,
+    reference_als_train,
+    reference_recommend_mf,
+)
 from jobgraph.ingest import SignalKind, dedupe
 from jobgraph.mf import (
+    ALS_BLOCK,
     FactorModel,
     RatingsMatrix,
     als_train,
@@ -19,6 +25,7 @@ from jobgraph.mf import (
     predict_implicit,
     recommend_mf,
     save_model,
+    _solve_batch,
 )
 
 
@@ -204,6 +211,125 @@ def test_als_input_validation():
 
 
 # ---------------------------------------------------------------------------
+# batched training against the per-row reference
+
+
+def assert_same_training(got, want):
+    for a, b in [
+        (got.user_factors, want.user_factors),
+        (got.job_factors, want.job_factors),
+        (got.user_bias, want.user_bias),
+        (got.job_bias, want.job_bias),
+        (got.implicit_factors, want.implicit_factors),
+    ]:
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+    assert [label for label, _ in got.loss_trace] == [label for label, _ in want.loss_trace]
+    for (_, a), (_, b) in zip(got.loss_trace, want.loss_trace):
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+    for a, b in zip(got.mse_trace, want.mse_trace):
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+    assert got.mu == want.mu
+
+
+def both_trainings(matrix, **kwargs):
+    return als_train(matrix, **kwargs), reference_als_train(matrix, **kwargs)
+
+
+def test_als_matches_per_row_reference_on_random_matrices():
+    rng = random.Random(83)
+    for trial in range(15):
+        matrix = random_matrix(
+            rng, m=rng.randint(2, 12), n=rng.randint(2, 10), density=rng.uniform(0.2, 0.9)
+        )
+        k = rng.randint(1, 4)
+        assert_same_training(*both_trainings(matrix, k=k, reg=0.1, iterations=4, seed=trial))
+
+
+def test_als_matches_reference_without_regularization():
+    # reg == 0 on a dense rank-one matrix with k = 1: every row's normal
+    # equations are well posed. (On sparse +-1 matrices the unregularized
+    # factors grow to 1e3-1e6 and any change of rounding moves them far
+    # more than 1e-10, in the per-row reference as much as here.)
+    rng = random.Random(89)
+    for trial in range(5):
+        m, n = rng.randint(4, 12), rng.randint(4, 10)
+        s = [rng.choice([1.0, -1.0]) for _ in range(m)]
+        t = [rng.choice([1.0, -1.0]) for _ in range(n)]
+        matrix = RatingsMatrix(
+            [f"u{i}" for i in range(m)],
+            [f"j{i}" for i in range(n)],
+            [(u, j, s[u] * t[j]) for u in range(m) for j in range(n)],
+        )
+        assert_same_training(*both_trainings(matrix, k=1, reg=0.0, iterations=6, seed=trial))
+
+
+def test_unregularized_batched_solve_is_the_minimum_norm_answer():
+    # rows with fewer entries than unknowns, zero-padded among longer rows
+    rng = np.random.default_rng(97)
+    for _ in range(200):
+        d = int(rng.integers(2, 6))
+        lengths = rng.integers(1, d + 3, size=4)
+        design = np.zeros((4, lengths.max(), d))
+        target = np.zeros((4, lengths.max()))
+        for b, length in enumerate(lengths):
+            design[b, :length, :-1] = rng.uniform(-1, 1, size=(length, d - 1))
+            design[b, :length, -1] = 1.0
+            target[b, :length] = rng.choice([1.0, -1.0], size=length)
+        got = _solve_batch(design, target, 0.0)
+        for b, length in enumerate(lengths):
+            want = _solve_row(design[b, :length], target[b, :length], 0.0)
+            np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-10)
+
+
+def test_als_matches_reference_with_single_entry_rows():
+    # every user and every job holds exactly one entry
+    entries = [(i, (3 * i) % 7, 1.0 if i % 2 else -1.0) for i in range(7)]
+    matrix = RatingsMatrix([f"u{i}" for i in range(7)], [f"j{i}" for i in range(7)], entries)
+    assert_same_training(*both_trainings(matrix, k=2, reg=0.1, iterations=4, seed=1))
+    # one heavy user beside single-entry users and jobs
+    entries = [(0, j, 1.0) for j in range(5)] + [(u, u + 4, -1.0) for u in range(1, 6)]
+    matrix = RatingsMatrix([f"u{i}" for i in range(6)], [f"j{i}" for i in range(10)], sorted(entries))
+    assert_same_training(*both_trainings(matrix, k=3, reg=0.1, iterations=4, seed=2))
+
+
+def test_als_matches_reference_with_rows_longer_than_a_block():
+    rng = random.Random(101)
+    n = ALS_BLOCK + 37
+    entries = [(0, j, rng.choice([1.0, -1.0])) for j in range(n)]
+    entries += [(u, j, rng.choice([1.0, -1.0])) for u in range(1, 5) for j in range(n) if rng.random() < 0.1]
+    matrix = RatingsMatrix([f"u{i}" for i in range(5)], [f"j{i}" for i in range(n)], entries)
+    assert_same_training(*both_trainings(matrix, k=3, reg=0.1, iterations=3, seed=3))
+
+
+def test_als_matches_reference_with_rows_over_several_blocks():
+    rng = random.Random(103)
+    matrix = random_matrix(rng, m=3 * ALS_BLOCK + 5, n=40, density=0.15)
+    assert_same_training(*both_trainings(matrix, k=4, reg=0.1, iterations=3, seed=4))
+
+
+def test_als_jobs_without_entries_keep_their_seeded_init():
+    entries = [(0, 0, 1.0), (0, 2, -1.0), (1, 2, 1.0), (2, 0, -1.0), (2, 4, 1.0)]
+    matrix = RatingsMatrix(["a", "b", "c"], ["j0", "j1", "j2", "j3", "j4"], entries)
+    got, want = both_trainings(matrix, k=2, reg=0.1, iterations=3, seed=5)
+    assert_same_training(got, want)
+    init = np.random.default_rng(5)
+    init.uniform(-0.01, 0.01, size=(3, 2))
+    job_init = init.uniform(-0.01, 0.01, size=(5, 2))
+    for j in (1, 3):
+        assert np.array_equal(got.job_factors[j], job_init[j])
+        assert got.job_bias[j] == 0.0
+
+
+def test_als_matches_reference_with_implicit_term():
+    rng = random.Random(107)
+    for trial in range(5):
+        matrix = random_matrix(rng, m=8, n=6, density=0.6, with_implicit=True)
+        assert_same_training(
+            *both_trainings(matrix, k=3, reg=0.05, iterations=4, seed=trial, implicit=True)
+        )
+
+
+# ---------------------------------------------------------------------------
 # prediction
 
 
@@ -296,6 +422,95 @@ def test_recommend_mf_applies_implicit_history():
         assert history[j] == pytest.approx(
             predict_implicit(model, "u1", j, ["j0", "j3"]), abs=1e-12
         )
+
+
+def assert_same_ranking(model, user_id, k, **kwargs):
+    got = recommend_mf(model, user_id, k, **kwargs)
+    want = reference_recommend_mf(model, user_id, k, **kwargs)
+    assert got == want
+    # repr tells 0.0 from -0.0 and shows each float exactly
+    assert repr(got) == repr(want)
+
+
+def test_recommend_mf_matches_sort_reference_with_exact_ties():
+    rng = np.random.default_rng(109)
+    n = 12
+    base = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(4, 2))
+    model = FactorModel(
+        user_factors=rng.choice([-1.0, 1.0], size=(3, 2)),
+        job_factors=base[rng.integers(0, 4, size=n)],  # duplicated rows tie exactly
+        user_bias=np.zeros(3),
+        job_bias=np.zeros(n),
+        implicit_factors=np.zeros((n, 2)),
+        mu=0.0,
+        reg=0.1,
+        user_ids=["u0", "u1", "u2"],
+        job_ids=[f"j{i:02d}" for i in range(n)],
+    )
+    for user_id in model.user_ids:
+        for k in (1, 3, n, n + 5):
+            assert_same_ranking(model, user_id, k)
+
+
+def test_recommend_mf_matches_sort_reference_on_zero_scores():
+    # zero scores by cancellation (their sort keys are -0.0) tie by id,
+    # beside the smallest subnormals of either sign, which do not tie
+    tiny = 5e-324
+    model = FactorModel(
+        user_factors=np.array([[1.0]]),
+        job_factors=np.array([[0.0], [0.0], [tiny], [0.0], [-tiny], [0.0], [-0.0]]),
+        user_bias=np.array([-0.25]),
+        job_bias=np.array([0.0, 0.0, 0.0, -1.0, 0.0, 1.0, -0.0]),
+        implicit_factors=np.zeros((7, 1)),
+        mu=0.25,
+        reg=0.0,
+        user_ids=["u"],
+        job_ids=["g", "f", "e", "d", "c", "b", "a"],
+    )
+    assert [job_id for job_id, _ in recommend_mf(model, "u", k=7)] == [
+        "b", "e", "a", "f", "g", "c", "d"
+    ]
+    for k in (2, 4, 9):
+        assert_same_ranking(model, "u", k)
+
+
+def test_recommend_mf_matches_sort_reference_after_load_with_unsorted_ids():
+    rng = random.Random(113)
+    matrix = random_matrix(rng, m=5, n=9, density=0.7, with_implicit=True)
+    model = als_train(matrix, k=2, reg=0.1, iterations=3, seed=6, implicit=True)
+    buf = StringIO()
+    save_model(model, buf)
+    shuffled = ["j7", "j2", "j0", "j8", "j5", "j1", "j3", "j6", "j4"]
+    clone = load_model(StringIO(buf.getvalue()), model.user_ids, shuffled, reg=model.reg)
+    # a duplicated factor row ties two ids whose order differs from index order
+    clone.job_factors[8] = clone.job_factors[0]
+    clone.job_bias[8] = clone.job_bias[0]
+    for user_id in clone.user_ids:
+        assert_same_ranking(clone, user_id, 4)
+        assert_same_ranking(clone, user_id, 20)
+
+
+def test_recommend_mf_matches_sort_reference_with_filters_and_history():
+    rng = random.Random(127)
+    matrix = random_matrix(rng, m=6, n=10, density=0.6, with_implicit=True)
+    model = als_train(matrix, k=3, reg=0.1, iterations=3, seed=7, implicit=True)
+    for trial in range(40):
+        pool = rng.sample(model.job_ids, rng.randint(0, 10))
+        banned = rng.sample(model.job_ids, rng.randint(0, 4)) + ["ghost"]
+        history = rng.sample(model.job_ids + ["ghost"], rng.randint(0, 3))
+        for exclusions, active in [
+            (set(banned), frozenset(pool)),
+            (list(banned), list(pool)),
+            (tuple(banned), None),
+        ]:
+            assert_same_ranking(
+                model,
+                rng.choice(model.user_ids),
+                rng.randint(1, 12),
+                exclusions=exclusions,
+                active_jobs=active,
+                implicit_items=history,
+            )
 
 
 def test_recommend_mf_unknown_user_raises():
