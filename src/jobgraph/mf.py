@@ -318,7 +318,10 @@ def als_train(
                 design = np.vstack(design_rows)
                 target = np.concatenate(targets)
                 Y[g] = _solve_batch(design[None], target[None], reg)[0]
-                off = offsets()
+                # only the offsets of the users who clicked g change
+                for u in job_users_with[g]:
+                    items = matrix.implicit[u]
+                    off[u] = Y[list(items)].sum(axis=0) / np.sqrt(len(items))
             loss_trace.append((f"iter{it}:implicit", objective(off)))
 
         if not (

@@ -11,6 +11,8 @@ during a final re-rank.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .ingest import DedupedSignal, JobRecord, SignalKind, UserRecord
-from .scoring import RecDigraph
+from .scoring import RecDigraph, Transitions
 
 logger = logging.getLogger(__name__)
 
@@ -82,6 +84,11 @@ class PageRankResult:
     scores: dict[str, float]
     converged: bool
     iterations: int
+
+    @functools.cached_property
+    def ranked(self) -> list[tuple[str, float]]:
+        """(job_id, score) by (-score, job_id), built on first use."""
+        return _top_k(self.scores, len(self.scores))
 
 
 def build_profiles(
@@ -203,6 +210,27 @@ def level2(
     return _hop(digraph, level1_results, k, exclude)
 
 
+def _span_rows(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Edge rows of the CSR spans of ``nodes``, span after span, in order."""
+    lo = indptr[nodes]
+    counts = indptr[nodes + 1] - lo
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(lo - starts, counts)
+
+
+def _reached(walk: Transitions, seeds: np.ndarray) -> np.ndarray:
+    """Sorted indices of the jobs out-reachable from ``seeds`` over the
+    walk's edges, the seeds included."""
+    reached = np.zeros(len(walk.nodes), dtype=bool)
+    reached[seeds] = True
+    frontier = seeds
+    while frontier.size:
+        dst = walk.dst[_span_rows(walk.indptr, frontier)]
+        frontier = np.unique(dst[~reached[dst]])
+        reached[frontier] = True
+    return np.flatnonzero(reached)
+
+
 def _pagerank(
     digraph: RecDigraph,
     restart_jobs: Sequence[str],
@@ -214,19 +242,34 @@ def _pagerank(
     dangling mass teleports to the restart distribution (so restarting from
     every active job is plain PageRank). Lists the jobs that hold mass,
     which are those out-reachable from the restart jobs over positive edges.
+
+    Only the edges out of reached jobs are walked. Every other edge moves
+    the mass of a job that holds none, so it would add exactly ``+0.0`` to
+    the flow; the vectors stay full-length, so every sum, the iteration
+    count and the scores are those of a walk over all edges.
     """
     walk = digraph.transitions
     n = len(walk.nodes)
+    seeds = np.array([walk.index[j] for j in restart_jobs], dtype=np.intp)
     restart = np.zeros(n)
-    restart[[walk.index[j] for j in restart_jobs]] = 1.0 / len(restart_jobs)
+    restart[seeds] = 1.0 / len(restart_jobs)
+    if len(seeds) == n:  # every job is a restart job: all of them are reached
+        reached = np.arange(n)
+        src, dst, prob = walk.src, walk.dst, walk.prob
+    else:
+        reached = _reached(walk, seeds)
+        rows = _span_rows(walk.indptr, reached)
+        src, dst, prob = walk.src[rows], walk.dst[rows], walk.prob[rows]
+    dangling = np.flatnonzero(walk.dangling)
+    teleport = (1.0 - damping) * restart
 
     x = restart.copy()
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        flow = np.bincount(walk.dst, weights=x[walk.src] * walk.prob, minlength=n)
-        dangling_mass = float(x[walk.dangling].sum())
-        x_next = damping * (flow + dangling_mass * restart) + (1.0 - damping) * restart
+        flow = np.bincount(dst, weights=x[src] * prob, minlength=n)
+        dangling_mass = float(x[dangling].sum())
+        x_next = damping * (flow + dangling_mass * restart) + teleport
         delta = float(np.abs(x_next - x).sum())
         x = x_next
         if delta < epsilon:
@@ -234,8 +277,30 @@ def _pagerank(
             break
     if not converged:
         logger.warning("pagerank did not converge within %d iterations", max_iters)
-    scores = {job_id: score for job_id, score in zip(walk.nodes, x.tolist()) if score > 0.0}
+    scores = {
+        walk.nodes[i]: score for i, score in zip(reached.tolist(), x[reached].tolist()) if score > 0.0
+    }
     return PageRankResult(scores, converged, iterations)
+
+
+def _kept_pagerank(
+    digraph: RecDigraph,
+    restart: tuple[str, ...] | None,
+    damping: float,
+    epsilon: float,
+    max_iters: int,
+) -> PageRankResult:
+    """The PageRank result of a restart set many requests share, computed
+    once per digraph and settings and kept on the digraph: global PageRank
+    (``restart`` None) or the personalized one of a preference set."""
+    key = (restart, damping, epsilon, max_iters)
+    results = digraph.pagerank_results
+    if key not in results:
+        if restart is None:
+            results[key] = _pagerank(digraph, digraph.transitions.nodes, damping, epsilon, max_iters)
+        else:
+            results[key] = personalized_pagerank(digraph, restart, damping, epsilon, max_iters)
+    return results[key]
 
 
 def global_pagerank(
@@ -254,11 +319,7 @@ def global_pagerank(
     if not digraph.active_jobs:
         logger.warning("global pagerank on empty digraph")
         return PageRankResult({}, True, 0)
-    results = digraph.global_pagerank_results
-    key = (damping, epsilon, max_iters)
-    if key not in results:
-        results[key] = _pagerank(digraph, sorted(digraph.active_jobs), damping, epsilon, max_iters)
-    return results[key]
+    return _kept_pagerank(digraph, None, damping, epsilon, max_iters)
 
 
 def personalized_pagerank(
@@ -282,6 +343,19 @@ def personalized_pagerank(
     return _pagerank(digraph, prefs, damping, epsilon, max_iters)
 
 
+def _expired_history(
+    profile: UserProfile, jobs: Mapping[str, JobRecord], embeddings: Mapping[str, np.ndarray]
+) -> list[str]:
+    """The user's expired, embedded history jobs, sorted."""
+    return sorted(
+        {
+            i.job_id
+            for i in profile.interactions
+            if i.job_id in jobs and not jobs[i.job_id].is_active and i.job_id in embeddings
+        }
+    )
+
+
 def preference_vector(
     profile: UserProfile,
     jobs: Mapping[str, JobRecord],
@@ -299,13 +373,7 @@ def preference_vector(
     active_ids = sorted(j for j, rec in jobs.items() if rec.is_active)
     prefs: set[str] = set()
 
-    expired_history = sorted(
-        {
-            i.job_id
-            for i in profile.interactions
-            if i.job_id in jobs and not jobs[i.job_id].is_active and i.job_id in embeddings
-        }
-    )
+    expired_history = _expired_history(profile, jobs, embeddings)
     embeddable = [j for j in active_ids if j in embeddings] if expired_history else []
     if embeddable:
         # embed_sim's cosine, one matrix-vector product per expired job. The
@@ -388,8 +456,8 @@ class RecommenderParams:
 def _pagerank_fill(
     result: PageRankResult, banned: set[str], slots: int
 ) -> list[tuple[str, float]]:
-    candidates = {j: s for j, s in result.scores.items() if j not in banned}
-    return _top_k(candidates, slots)
+    """The first ``slots`` jobs of the ranked result outside ``banned``."""
+    return list(itertools.islice((kv for kv in result.ranked if kv[0] not in banned), slots))
 
 
 def recommend(
@@ -431,9 +499,13 @@ def recommend(
         prefs = preference_vector(profile, jobs, embeddings, params.m_similar)
         banned = taken | history
         if prefs:
-            ppr = personalized_pagerank(
-                digraph, prefs, params.damping, params.pagerank_epsilon, params.pagerank_max_iters
-            )
+            settings = (params.damping, params.pagerank_epsilon, params.pagerank_max_iters)
+            if _expired_history(profile, jobs, embeddings):
+                ppr = personalized_pagerank(digraph, prefs, *settings)
+            else:
+                # the preference set is the resume category's active jobs,
+                # shared by every such user
+                ppr = _kept_pagerank(digraph, tuple(prefs), *settings)
             picked = _pagerank_fill(ppr, banned, slots)
             if picked:
                 tiers.append((Provenance.PERSONALIZED_PAGERANK, picked))

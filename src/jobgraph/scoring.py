@@ -148,10 +148,13 @@ def content_edges(
 class Transitions(NamedTuple):
     """Random walk over the sorted active jobs: edge ``e`` moves ``prob[e]``
     of the mass of job ``src[e]`` to job ``dst[e]``. Only positive-corr edges
-    between active jobs carry mass; a ``dangling`` job has none of them."""
+    between active jobs carry mass; a ``dangling`` job has none of them. The
+    edges are in (src, dst) order, those of job ``i`` at rows
+    ``indptr[i]:indptr[i+1]``."""
 
     nodes: list[str]
     index: dict[str, int]
+    indptr: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     prob: np.ndarray
@@ -192,9 +195,10 @@ class RecDigraph:
         in_order = len(rows) == len(scores) and (rows == np.arange(len(rows))).all()
         self.scores = scores if in_order else scores[rows]
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src[last], minlength=len(self.nodes)))))
-        # global PageRank results per (damping, epsilon, max_iters), filled
-        # by recommend.global_pagerank
-        self.global_pagerank_results: dict[tuple[float, float, int], object] = {}
+        # PageRank results many requests share, filled by recommend: keyed
+        # by (restart jobs, or None for every active job, damping, epsilon,
+        # max_iters)
+        self.pagerank_results: dict[tuple, object] = {}
 
     @classmethod
     def from_corr(
@@ -253,7 +257,8 @@ class RecDigraph:
         nodes = sorted(self.active_jobs)
         out_sum = np.bincount(src, weights=weight, minlength=len(nodes))
         index = {job_id: i for i, job_id in enumerate(nodes)}
-        return Transitions(nodes, index, src, dst, weight / out_sum[src], out_sum == 0.0)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=len(nodes)))))
+        return Transitions(nodes, index, indptr, src, dst, weight / out_sum[src], out_sum == 0.0)
 
 
 # Candidate pairs scored per numpy block: large enough that the array work

@@ -12,6 +12,7 @@ import numpy as np
 from jobgraph.graph import _pair
 from jobgraph.ingest import InteractionEvent, JobRecord, JobStatus, SignalKind
 from jobgraph.mf import FactorModel, RatingsMatrix, _implicit_offsets
+from jobgraph.recommend import PageRankResult
 from jobgraph.scoring import EdgeScores, RecDigraph, mle, pmi2
 
 REF = datetime(2017, 6, 1, tzinfo=timezone.utc)
@@ -127,6 +128,38 @@ def dense_pagerank(digraph, restart: dict, damping: float) -> dict:
             P[index[src]] = r
     x = np.linalg.solve(np.eye(n) - damping * P.T, (1.0 - damping) * r)
     return {node: float(x[index[node]]) for node in nodes}
+
+
+def reference_pagerank(
+    digraph: RecDigraph,
+    restart_jobs: Sequence[str],
+    damping: float,
+    epsilon: float,
+    max_iters: int,
+) -> PageRankResult:
+    """The power iteration as it was before it walked only reached edges:
+    every iteration walks every positive edge of the digraph, whatever the
+    restart set. recommend._pagerank must return the same result, bit for
+    bit."""
+    walk = digraph.transitions
+    n = len(walk.nodes)
+    restart = np.zeros(n)
+    restart[[walk.index[j] for j in restart_jobs]] = 1.0 / len(restart_jobs)
+
+    x = restart.copy()
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        flow = np.bincount(walk.dst, weights=x[walk.src] * walk.prob, minlength=n)
+        dangling_mass = float(x[walk.dangling].sum())
+        x_next = damping * (flow + dangling_mass * restart) + (1.0 - damping) * restart
+        delta = float(np.abs(x_next - x).sum())
+        x = x_next
+        if delta < epsilon:
+            converged = True
+            break
+    scores = {job_id: score for job_id, score in zip(walk.nodes, x.tolist()) if score > 0.0}
+    return PageRankResult(scores, converged, iterations)
 
 
 def reference_edge_scores(graph, content, weights, src, dst):

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -361,6 +365,112 @@ def test_serve_batch_counts_and_file_format(graph_dir, corpus_dir, tmp_path, cap
 
     counted = sum(int(line.split(",")[2]) for line in printed[1:])
     assert counted == provenance_total
+
+
+@pytest.fixture(scope="module")
+def serving_corpus(tmp_path_factory):
+    """synth_corpus(4, 25, 200, 0.1, 0), built, with users of every kind
+    appended: per category two resume-only users and one passive user with
+    email opens of the category's expired jobs, then one passive user whose
+    expired emails span all categories, two anonymous users, and an unknown
+    id last in the request file."""
+    root = tmp_path_factory.mktemp("serving")
+    corpus = synth_corpus(4, 25, 200, 0.1, 0)
+    paths = write_corpus(corpus, root / "corpus")
+    categories = sorted({job.category for job in corpus.jobs.values()})
+    expired = sorted(j for j, rec in corpus.jobs.items() if not rec.is_active)
+    users, events = [], []
+    for c in categories:
+        users += [f"pr_{c}_0,{c},,,true", f"pr_{c}_1,{c},-45.0,-135.0,true", f"ph_{c},{c},,,true"]
+        events += [
+            f"ph_{c},{j},email_open_no_click,2017-05-0{n + 1}T00:00:00Z,"
+            for n, j in enumerate(j for j in expired if corpus.jobs[j].category == c)
+        ]
+    users += [f"px,{categories[0]},,,true", "an_0,,,,false", "an_1,,-15.0,-45.0,false"]
+    events += [f"px,{j},email_open_no_click,2017-04-01T00:00:00Z," for j in expired[::3]]
+    with paths["users"].open("a") as fh:
+        fh.writelines(line + "\n" for line in users)
+    with paths["events"].open("a") as fh:
+        fh.writelines(line + "\n" for line in events)
+    ids = root / "ids.txt"
+    ids.write_text("".join(u + "\n" for u in sorted(corpus.users)) + "".join(
+        line.split(",")[0] + "\n" for line in users) + "nobody\n")
+    rc = cli.main(
+        [
+            "build", "--quiet",
+            "--events", str(paths["events"]),
+            "--jobs", str(paths["jobs"]),
+            "--embeddings", str(paths["embeddings"]),
+            "--reference-date", REF_ARG,
+            "--out-dir", str(root / "build"),
+        ]
+    )
+    assert rc == 0
+    args = [
+        "serve-batch", "--quiet",
+        "--events", str(paths["events"]),
+        "--jobs", str(paths["jobs"]),
+        "--embeddings", str(paths["embeddings"]),
+        "--users", str(paths["users"]),
+        "--graph-dir", str(root / "build"),
+        "--reference-date", REF_ARG,
+        "--user-ids", str(ids),
+    ]
+    return args, len(categories)
+
+
+# sha256 of the serve-batch stdout and --out file for the serving_corpus
+# fixture, computed at commit ec952b9, before PageRank walked only reached
+# edges and kept per-category results. Any change of a served id, score
+# repr, provenance or order changes them.
+GOLDEN_SERVE_SHA256 = {
+    "stdout": "d5e6ba398fdcd81dc15642779755da3e9c727a6138cbee839e46c672ccd4db52",
+    "out": "51077e101f17861a2bef601183432225e9f34a4553ef1adec8ef9f9c7a2bdc9e",
+}
+
+
+def test_serve_batch_matches_the_golden_digest(serving_corpus, tmp_path, capsys):
+    args, _ = serving_corpus
+    rc = cli.main([*args, "--out", str(tmp_path / "recs.csv")])
+    stdout = capsys.readouterr().out.encode()
+    out = (tmp_path / "recs.csv").read_bytes()
+    assert rc == 0
+    assert {
+        "stdout": hashlib.sha256(stdout).hexdigest(),
+        "out": hashlib.sha256(out).hexdigest(),
+    } == GOLDEN_SERVE_SHA256
+
+    # the same bytes from a fresh interpreter with another string hash seed
+    src = str(Path(cli.__file__).resolve().parents[1])
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    again = tmp_path / "again.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "jobgraph.cli", *args, "--out", str(again)],
+        env=env, capture_output=True, check=True,
+    )
+    assert proc.stdout == stdout
+    assert again.read_bytes() == out
+
+
+def test_serve_batch_keeps_one_pagerank_per_category(serving_corpus, tmp_path, monkeypatch):
+    args, categories = serving_corpus
+    load, loaded = cli.load_digraph, []
+
+    def load_and_keep(*a, **kw):
+        loaded.append(load(*a, **kw))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_digraph", load_and_keep)
+    for conf_text in ("", "damping = 0.5\n"):
+        conf = tmp_path / "serve.conf"
+        conf.write_text(conf_text)
+        assert cli.main([*args, "--config", str(conf), "--out", str(tmp_path / "recs.csv")]) == 0
+        kept = loaded[-1].pagerank_results
+        assert len({key[1:] for key in kept}) == 1
+        assert sum(key[0] is None for key in kept) == 1
+        assert 1 < len(kept) <= categories + 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,21 @@
 import importlib
 import random
 
+import numpy as np
 import pytest
 
-from helpers import REF, dense_pagerank, make_job, random_digraph
+from helpers import REF, dense_pagerank, make_job, random_digraph, reference_pagerank
+from jobgraph.ingest import SignalKind
 from jobgraph.recommend import (
+    Interaction,
+    PageRankResult,
     RecommenderParams,
     UserProfile,
     global_pagerank,
     personalized_pagerank,
     recommend,
 )
-from jobgraph.scoring import RecDigraph
+from jobgraph.scoring import EdgeScores, RecDigraph
 
 # the package re-exports the function `recommend` under the module's name
 recommend_module = importlib.import_module("jobgraph.recommend")
@@ -183,3 +187,129 @@ def test_global_pagerank_iterates_once_per_digraph_and_settings(monkeypatch):
     with pytest.raises(ValueError):
         recommend(anonymous, digraph, jobs, {}, REF, RecommenderParams(damping=0.0))
     assert len(runs) == 3
+
+
+def bridged_digraph(rng: np.random.Generator) -> RecDigraph:
+    """Clusters of dense edges joined by a few weak bridges. Some corr are
+    negative or exactly zero, some jobs lose every out-edge (dangling), and
+    some jobs are expired: their out-edges stay, edges into them go."""
+    sizes = rng.integers(1, 60, size=rng.integers(1, 5))
+    n = int(sizes.sum())
+    ids = [f"j{i:03d}" for i in range(n)]
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    same = cluster[:, None] == cluster[None, :]
+    adjacent = rng.random((n, n)) < np.where(same, rng.uniform(0.05, 0.5), rng.uniform(0.0, 0.01))
+    np.fill_diagonal(adjacent, False)
+    adjacent[rng.random(n) < 0.1] = False
+    src, dst = np.nonzero(adjacent)
+    corr = rng.uniform(-0.5, 2.0, len(src))
+    corr[rng.random(len(src)) < 0.1] = 0.0
+    corr[cluster[src] != cluster[dst]] *= 1e-3
+    scores = np.full((len(src), len(EdgeScores._fields)), np.nan)
+    scores[:, 0] = corr
+    active = [j for j in ids if rng.random() > 0.15] or ids[:1]
+    return RecDigraph(ids, src, dst, scores, active)
+
+
+def test_reached_edge_walk_equals_the_full_walk_bit_for_bit():
+    rng = np.random.default_rng(41)
+    cut_off = converged = 0
+    for _ in range(150):
+        digraph = bridged_digraph(rng)
+        nodes = sorted(digraph.active_jobs)
+        size = int(rng.choice([1, rng.integers(1, len(nodes) + 1), len(nodes)]))
+        restart = sorted(rng.choice(nodes, size, replace=False).tolist())
+        settings = (
+            float(rng.uniform(0.5, 0.95)),
+            float(rng.choice([1e-10, 1e-14])),
+            int(rng.choice([1, 3, 100, 1000])),
+        )
+        got = recommend_module._pagerank(digraph, restart, *settings)
+        want = reference_pagerank(digraph, restart, *settings)
+        assert list(got.scores.items()) == list(want.scores.items())
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        cut_off += not got.converged
+        converged += got.converged
+    assert cut_off and converged
+
+
+def count_pagerank_runs(monkeypatch) -> list:
+    runs = []
+    power_iteration = recommend_module._pagerank
+
+    def counted(*args, **kwargs):
+        runs.append(args[1])
+        return power_iteration(*args, **kwargs)
+
+    monkeypatch.setattr(recommend_module, "_pagerank", counted)
+    return runs
+
+
+def category_setup():
+    """Two categories of three active jobs each, one expired sales job with
+    an embedding, and an active sales job embedded next to it."""
+    digraph = RecDigraph.from_corr(
+        {("s1", "s2"): 1.0, ("s2", "s3"): 0.5, ("r1", "r2"): 1.0, ("r2", "s1"): 0.2},
+        ["s1", "s2", "s3", "r1", "r2", "r3"],
+    )
+    jobs = {j: make_job(j, category="sales") for j in ("s1", "s2", "s3")}
+    jobs |= {j: make_job(j, category="retail") for j in ("r1", "r2", "r3")}
+    jobs["old"] = make_job("old", category="sales", active=False)
+    embeddings = {"old": np.array([1.0, 0.0]), "r3": np.array([1.0, 0.1]), "s1": np.array([0.0, 1.0])}
+    return digraph, jobs, embeddings
+
+
+def test_resume_only_users_of_one_category_share_one_pagerank_run(monkeypatch):
+    runs = count_pagerank_runs(monkeypatch)
+    digraph, jobs, embeddings = category_setup()
+    first = recommend(UserProfile("p1", resume_category="sales"), digraph, jobs, embeddings, REF)
+    second = recommend(UserProfile("p2", resume_category="sales"), digraph, jobs, embeddings, REF)
+    assert first == second and len(runs) == 1
+    assert {r.provenance for r in first} == {recommend_module.Provenance.PERSONALIZED_PAGERANK}
+    recommend(UserProfile("p3", resume_category="retail"), digraph, jobs, embeddings, REF)
+    assert len(runs) == 2
+    recommend(UserProfile("p4", resume_category="sales"), digraph, jobs, embeddings, REF,
+              RecommenderParams(damping=0.5))
+    assert len(runs) == 3
+    assert sorted(key[1:] for key in digraph.pagerank_results) == [
+        (0.5, 1e-10, 100), (0.85, 1e-10, 100), (0.85, 1e-10, 100)
+    ]
+
+
+def test_user_with_expired_embedded_history_is_never_kept(monkeypatch):
+    runs = count_pagerank_runs(monkeypatch)
+    digraph, jobs, embeddings = category_setup()
+    emailed = UserProfile(
+        "h1", (Interaction("old", SignalKind.EMAIL_OPEN_NO_CLICK, REF),), resume_category="sales"
+    )
+    first = recommend(emailed, digraph, jobs, embeddings, REF, RecommenderParams(m_similar=1))
+    second = recommend(emailed, digraph, jobs, embeddings, REF, RecommenderParams(m_similar=1))
+    assert first == second and len(runs) == 2
+    assert runs[0] == ["r3", "s1", "s2", "s3"]  # r3 is like the expired job
+    assert digraph.pagerank_results == {}
+
+
+def test_each_jobs_map_keeps_its_own_category_result():
+    digraph, jobs, embeddings = category_setup()
+    moved = {**jobs, "s3": make_job("s3", category="retail")}
+    sales = UserProfile("p1", resume_category="sales")
+    before = recommend(sales, digraph, jobs, embeddings, REF)
+    after = recommend(sales, digraph, moved, embeddings, REF)
+    fresh, _, _ = category_setup()
+    assert after == recommend(sales, fresh, moved, embeddings, REF) != before
+    assert sorted(key[0] for key in digraph.pagerank_results) == [("s1", "s2"), ("s1", "s2", "s3")]
+
+
+def test_ranked_fill_equals_filter_then_sort():
+    rng = random.Random(43)
+    for _ in range(200):
+        ids = [f"j{i:02d}" for i in range(rng.randint(0, 30))]
+        # few distinct values, so that ties break by job id
+        scores = {j: rng.choice([0.1, 0.2, 0.25, rng.random()]) for j in ids}
+        result = PageRankResult(scores, True, 1)
+        banned = {j for j in ids if rng.random() < 0.3} | {"ghost"}
+        slots = rng.randint(1, 35)
+        want = sorted(
+            ((j, s) for j, s in scores.items() if j not in banned), key=lambda kv: (-kv[1], kv[0])
+        )[:slots]
+        assert recommend_module._pagerank_fill(result, banned, slots) == want
