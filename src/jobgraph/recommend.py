@@ -253,13 +253,11 @@ def _pagerank(
     seeds = np.array([walk.index[j] for j in restart_jobs], dtype=np.intp)
     restart = np.zeros(n)
     restart[seeds] = 1.0 / len(restart_jobs)
-    if len(seeds) == n:  # every job is a restart job: all of them are reached
-        reached = np.arange(n)
-        src, dst, prob = walk.src, walk.dst, walk.prob
-    else:
-        reached = _reached(walk, seeds)
+    reached = _reached(walk, seeds)
+    src, dst, prob = walk.src, walk.dst, walk.prob
+    if len(reached) < n:  # with all reached, a gathered copy would only double the walk
         rows = _span_rows(walk.indptr, reached)
-        src, dst, prob = walk.src[rows], walk.dst[rows], walk.prob[rows]
+        src, dst, prob = src[rows], dst[rows], prob[rows]
     dangling = np.flatnonzero(walk.dangling)
     teleport = (1.0 - damping) * restart
 
@@ -283,26 +281,6 @@ def _pagerank(
     return PageRankResult(scores, converged, iterations)
 
 
-def _kept_pagerank(
-    digraph: RecDigraph,
-    restart: tuple[str, ...] | None,
-    damping: float,
-    epsilon: float,
-    max_iters: int,
-) -> PageRankResult:
-    """The PageRank result of a restart set many requests share, computed
-    once per digraph and settings and kept on the digraph: global PageRank
-    (``restart`` None) or the personalized one of a preference set."""
-    key = (restart, damping, epsilon, max_iters)
-    results = digraph.pagerank_results
-    if key not in results:
-        if restart is None:
-            results[key] = _pagerank(digraph, digraph.transitions.nodes, damping, epsilon, max_iters)
-        else:
-            results[key] = personalized_pagerank(digraph, restart, damping, epsilon, max_iters)
-    return results[key]
-
-
 def global_pagerank(
     digraph: RecDigraph,
     damping: float = 0.85,
@@ -319,7 +297,11 @@ def global_pagerank(
     if not digraph.active_jobs:
         logger.warning("global pagerank on empty digraph")
         return PageRankResult({}, True, 0)
-    return _kept_pagerank(digraph, None, damping, epsilon, max_iters)
+    results = digraph.global_pagerank_results
+    key = (damping, epsilon, max_iters)
+    if key not in results:
+        results[key] = _pagerank(digraph, digraph.transitions.nodes, damping, epsilon, max_iters)
+    return results[key]
 
 
 def personalized_pagerank(
@@ -343,19 +325,6 @@ def personalized_pagerank(
     return _pagerank(digraph, prefs, damping, epsilon, max_iters)
 
 
-def _expired_history(
-    profile: UserProfile, jobs: Mapping[str, JobRecord], embeddings: Mapping[str, np.ndarray]
-) -> list[str]:
-    """The user's expired, embedded history jobs, sorted."""
-    return sorted(
-        {
-            i.job_id
-            for i in profile.interactions
-            if i.job_id in jobs and not jobs[i.job_id].is_active and i.job_id in embeddings
-        }
-    )
-
-
 def preference_vector(
     profile: UserProfile,
     jobs: Mapping[str, JobRecord],
@@ -373,7 +342,13 @@ def preference_vector(
     active_ids = sorted(j for j, rec in jobs.items() if rec.is_active)
     prefs: set[str] = set()
 
-    expired_history = _expired_history(profile, jobs, embeddings)
+    expired_history = sorted(
+        {
+            i.job_id
+            for i in profile.interactions
+            if i.job_id in jobs and not jobs[i.job_id].is_active and i.job_id in embeddings
+        }
+    )
     embeddable = [j for j in active_ids if j in embeddings] if expired_history else []
     if embeddable:
         # embed_sim's cosine, one matrix-vector product per expired job. The
@@ -499,13 +474,9 @@ def recommend(
         prefs = preference_vector(profile, jobs, embeddings, params.m_similar)
         banned = taken | history
         if prefs:
-            settings = (params.damping, params.pagerank_epsilon, params.pagerank_max_iters)
-            if _expired_history(profile, jobs, embeddings):
-                ppr = personalized_pagerank(digraph, prefs, *settings)
-            else:
-                # the preference set is the resume category's active jobs,
-                # shared by every such user
-                ppr = _kept_pagerank(digraph, tuple(prefs), *settings)
+            ppr = personalized_pagerank(
+                digraph, prefs, params.damping, params.pagerank_epsilon, params.pagerank_max_iters
+            )
             picked = _pagerank_fill(ppr, banned, slots)
             if picked:
                 tiers.append((Provenance.PERSONALIZED_PAGERANK, picked))

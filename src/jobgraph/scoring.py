@@ -195,10 +195,9 @@ class RecDigraph:
         in_order = len(rows) == len(scores) and (rows == np.arange(len(rows))).all()
         self.scores = scores if in_order else scores[rows]
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src[last], minlength=len(self.nodes)))))
-        # PageRank results many requests share, filled by recommend: keyed
-        # by (restart jobs, or None for every active job, damping, epsilon,
-        # max_iters)
-        self.pagerank_results: dict[tuple, object] = {}
+        # global PageRank results per (damping, epsilon, max_iters), filled
+        # by recommend.global_pagerank
+        self.global_pagerank_results: dict[tuple[float, float, int], object] = {}
 
     @classmethod
     def from_corr(

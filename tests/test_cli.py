@@ -416,13 +416,13 @@ def serving_corpus(tmp_path_factory):
         "--reference-date", REF_ARG,
         "--user-ids", str(ids),
     ]
-    return args, len(categories)
+    return args
 
 
 # sha256 of the serve-batch stdout and --out file for the serving_corpus
 # fixture, computed at commit ec952b9, before PageRank walked only reached
-# edges and kept per-category results. Any change of a served id, score
-# repr, provenance or order changes them.
+# edges. Any change of a served id, score repr, provenance or order
+# changes them.
 GOLDEN_SERVE_SHA256 = {
     "stdout": "d5e6ba398fdcd81dc15642779755da3e9c727a6138cbee839e46c672ccd4db52",
     "out": "51077e101f17861a2bef601183432225e9f34a4553ef1adec8ef9f9c7a2bdc9e",
@@ -430,7 +430,7 @@ GOLDEN_SERVE_SHA256 = {
 
 
 def test_serve_batch_matches_the_golden_digest(serving_corpus, tmp_path, capsys):
-    args, _ = serving_corpus
+    args = serving_corpus
     rc = cli.main([*args, "--out", str(tmp_path / "recs.csv")])
     stdout = capsys.readouterr().out.encode()
     out = (tmp_path / "recs.csv").read_bytes()
@@ -452,25 +452,6 @@ def test_serve_batch_matches_the_golden_digest(serving_corpus, tmp_path, capsys)
     )
     assert proc.stdout == stdout
     assert again.read_bytes() == out
-
-
-def test_serve_batch_keeps_one_pagerank_per_category(serving_corpus, tmp_path, monkeypatch):
-    args, categories = serving_corpus
-    load, loaded = cli.load_digraph, []
-
-    def load_and_keep(*a, **kw):
-        loaded.append(load(*a, **kw))
-        return loaded[-1]
-
-    monkeypatch.setattr(cli, "load_digraph", load_and_keep)
-    for conf_text in ("", "damping = 0.5\n"):
-        conf = tmp_path / "serve.conf"
-        conf.write_text(conf_text)
-        assert cli.main([*args, "--config", str(conf), "--out", str(tmp_path / "recs.csv")]) == 0
-        kept = loaded[-1].pagerank_results
-        assert len({key[1:] for key in kept}) == 1
-        assert sum(key[0] is None for key in kept) == 1
-        assert 1 < len(kept) <= categories + 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import REF, dense_pagerank, make_job, random_digraph, reference_pagerank
-from jobgraph.ingest import SignalKind
 from jobgraph.recommend import (
-    Interaction,
     PageRankResult,
     RecommenderParams,
     UserProfile,
@@ -231,73 +229,6 @@ def test_reached_edge_walk_equals_the_full_walk_bit_for_bit():
         cut_off += not got.converged
         converged += got.converged
     assert cut_off and converged
-
-
-def count_pagerank_runs(monkeypatch) -> list:
-    runs = []
-    power_iteration = recommend_module._pagerank
-
-    def counted(*args, **kwargs):
-        runs.append(args[1])
-        return power_iteration(*args, **kwargs)
-
-    monkeypatch.setattr(recommend_module, "_pagerank", counted)
-    return runs
-
-
-def category_setup():
-    """Two categories of three active jobs each, one expired sales job with
-    an embedding, and an active sales job embedded next to it."""
-    digraph = RecDigraph.from_corr(
-        {("s1", "s2"): 1.0, ("s2", "s3"): 0.5, ("r1", "r2"): 1.0, ("r2", "s1"): 0.2},
-        ["s1", "s2", "s3", "r1", "r2", "r3"],
-    )
-    jobs = {j: make_job(j, category="sales") for j in ("s1", "s2", "s3")}
-    jobs |= {j: make_job(j, category="retail") for j in ("r1", "r2", "r3")}
-    jobs["old"] = make_job("old", category="sales", active=False)
-    embeddings = {"old": np.array([1.0, 0.0]), "r3": np.array([1.0, 0.1]), "s1": np.array([0.0, 1.0])}
-    return digraph, jobs, embeddings
-
-
-def test_resume_only_users_of_one_category_share_one_pagerank_run(monkeypatch):
-    runs = count_pagerank_runs(monkeypatch)
-    digraph, jobs, embeddings = category_setup()
-    first = recommend(UserProfile("p1", resume_category="sales"), digraph, jobs, embeddings, REF)
-    second = recommend(UserProfile("p2", resume_category="sales"), digraph, jobs, embeddings, REF)
-    assert first == second and len(runs) == 1
-    assert {r.provenance for r in first} == {recommend_module.Provenance.PERSONALIZED_PAGERANK}
-    recommend(UserProfile("p3", resume_category="retail"), digraph, jobs, embeddings, REF)
-    assert len(runs) == 2
-    recommend(UserProfile("p4", resume_category="sales"), digraph, jobs, embeddings, REF,
-              RecommenderParams(damping=0.5))
-    assert len(runs) == 3
-    assert sorted(key[1:] for key in digraph.pagerank_results) == [
-        (0.5, 1e-10, 100), (0.85, 1e-10, 100), (0.85, 1e-10, 100)
-    ]
-
-
-def test_user_with_expired_embedded_history_is_never_kept(monkeypatch):
-    runs = count_pagerank_runs(monkeypatch)
-    digraph, jobs, embeddings = category_setup()
-    emailed = UserProfile(
-        "h1", (Interaction("old", SignalKind.EMAIL_OPEN_NO_CLICK, REF),), resume_category="sales"
-    )
-    first = recommend(emailed, digraph, jobs, embeddings, REF, RecommenderParams(m_similar=1))
-    second = recommend(emailed, digraph, jobs, embeddings, REF, RecommenderParams(m_similar=1))
-    assert first == second and len(runs) == 2
-    assert runs[0] == ["r3", "s1", "s2", "s3"]  # r3 is like the expired job
-    assert digraph.pagerank_results == {}
-
-
-def test_each_jobs_map_keeps_its_own_category_result():
-    digraph, jobs, embeddings = category_setup()
-    moved = {**jobs, "s3": make_job("s3", category="retail")}
-    sales = UserProfile("p1", resume_category="sales")
-    before = recommend(sales, digraph, jobs, embeddings, REF)
-    after = recommend(sales, digraph, moved, embeddings, REF)
-    fresh, _, _ = category_setup()
-    assert after == recommend(sales, fresh, moved, embeddings, REF) != before
-    assert sorted(key[0] for key in digraph.pagerank_results) == [("s1", "s2"), ("s1", "s2", "s3")]
 
 
 def test_ranked_fill_equals_filter_then_sort():
