@@ -21,6 +21,7 @@ from .ingest import (
     dedupe,
     parse_events,
     parse_jobs,
+    resolve_jobs,
     window_filter,
 )
 from .mf import als_train, build_matrix, recommend_mf
@@ -34,7 +35,7 @@ from .recommend import (
     personalized_pagerank,
     recommend,
 )
-from .scoring import RecDigraph, ScoreWeights, aggregate, content_edges
+from .scoring import RecDigraph, ScoreWeights, aggregate, build_digraph, content_edges
 
 __all__ = [
     "ConfigError",
@@ -52,6 +53,7 @@ __all__ = [
     "aggregate",
     "als_train",
     "build_costats",
+    "build_digraph",
     "build_matrix",
     "build_profiles",
     "classic_cf",
@@ -66,6 +68,7 @@ __all__ = [
     "personalized_pagerank",
     "recommend",
     "recommend_mf",
+    "resolve_jobs",
     "synth_corpus",
     "window_filter",
 ]

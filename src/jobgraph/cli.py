@@ -20,6 +20,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -33,8 +34,9 @@ from .evaluation import (
     synth_corpus,
     write_corpus,
 )
-from .graph import build_costats, dump_graph
+from .graph import build_costats
 from .ingest import (
+    active_job_ids,
     dedupe,
     parse_embeddings,
     parse_events,
@@ -46,7 +48,7 @@ from .ingest import (
 )
 from .mf import als_train, build_matrix, save_model
 from .recommend import UserProfile, build_profiles, classify_user, recommend
-from .scoring import aggregate, content_edges, dump_digraph, load_digraph
+from .scoring import build_digraph, content_edges, dump_digraph, load_digraph
 
 logger = logging.getLogger(__name__)
 
@@ -72,14 +74,16 @@ def _read_lines(path: str, *, stage: str) -> list[str]:
         raise CliError(EXIT_INPUT, f"{stage}: cannot read {path}: {exc}") from exc
 
 
-def _load_engine_config(path: str | None) -> EngineConfig:
-    if path is None:
-        return EngineConfig()
-    try:
-        with open(path, "r") as fh:
-            return load_config(fh)
-    except OSError as exc:
-        raise CliError(EXIT_CONFIG, f"config: cannot read {path}: {exc}") from exc
+def _load_engine_config(args) -> EngineConfig:
+    """The ``--config`` file (defaults without one), with ``--seed`` applied."""
+    config = EngineConfig()
+    if args.config is not None:
+        try:
+            with open(args.config, "r") as fh:
+                config = load_config(fh)
+        except OSError as exc:
+            raise CliError(EXIT_CONFIG, f"config: cannot read {args.config}: {exc}") from exc
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _parse_reference_date(token: str) -> datetime:
@@ -96,37 +100,26 @@ def _log_issues(stage: str, issues) -> None:
         logger.warning("%s: %d further issues suppressed", stage, len(issues) - 20)
 
 
-def _load_corpus(args, *, need_events=True, need_jobs=True):
+def _load_corpus(args):
     """Parse the raw input files named by the common CLI flags."""
-    events, jobs, embeddings, users = [], {}, {}, {}
-    counts = {}
-    if need_events:
-        lines = _read_lines(args.events, stage="events")
-        events, issues = parse_events(lines)
-        _log_issues("events", issues)
-        counts["events_total"] = len(events)
-        counts["events_parse_issues"] = len(issues)
-    if need_jobs:
-        lines = _read_lines(args.jobs, stage="jobs")
-        jobs, issues = parse_jobs(lines)
-        _log_issues("jobs", issues)
-        if not jobs:
-            raise CliError(EXIT_INPUT, f"jobs: no valid records in {args.jobs}")
-        counts["jobs"] = len(jobs)
-        counts["jobs_parse_issues"] = len(issues)
+    events, issues = parse_events(_read_lines(args.events, stage="events"))
+    _log_issues("events", issues)
+    counts = {"events_total": len(events), "events_parse_issues": len(issues)}
+    jobs, issues = parse_jobs(_read_lines(args.jobs, stage="jobs"))
+    _log_issues("jobs", issues)
+    if not jobs:
+        raise CliError(EXIT_INPUT, f"jobs: no valid records in {args.jobs}")
+    counts.update(jobs=len(jobs), jobs_parse_issues=len(issues))
+    embeddings, users = {}, {}
     path = getattr(args, "embeddings", None)
-    if path is not None:
-        if Path(path).exists():
-            embeddings, issues = parse_embeddings(_read_lines(path, stage="embeddings"))
-            _log_issues("embeddings", issues)
-            counts["embeddings"] = len(embeddings)
-            counts["embeddings_parse_issues"] = len(issues)
-        else:
-            logger.warning(
-                "embeddings file %s missing: content edges disabled for this run", path
-            )
-            counts["embeddings"] = 0
-    else:
+    if path is not None and Path(path).exists():
+        embeddings, issues = parse_embeddings(_read_lines(path, stage="embeddings"))
+        _log_issues("embeddings", issues)
+        counts.update(embeddings=len(embeddings), embeddings_parse_issues=len(issues))
+    elif path is not None:
+        logger.warning("embeddings file %s missing: content edges disabled for this run", path)
+        counts["embeddings"] = 0
+    elif hasattr(args, "embeddings"):  # mf-train takes no --embeddings
         logger.warning("no embeddings given: building from behavioral signals only")
         counts["embeddings"] = 0
     upath = getattr(args, "users", None)
@@ -147,24 +140,15 @@ def _prepare_signals(events, jobs, reference_date, config):
 
 
 def _cmd_build(args) -> int:
-    config = _load_engine_config(args.config)
+    config = _load_engine_config(args)
     reference_date = _parse_reference_date(args.reference_date)
     events, jobs, embeddings, _, counts = _load_corpus(args)
     signals, in_window, dropped = _prepare_signals(events, jobs, reference_date, config)
-
-    graph = build_costats(signals, jobs, config.session_gap_minutes)
-    weights = config.score_weights()
-    content = content_edges(embeddings, weights.gamma)
-    active = frozenset(j for j, rec in jobs.items() if rec.is_active)
-    digraph = aggregate(graph, content, weights, active)
-    report = connectivity_report(graph, content, active)
+    digraph, graph, content = build_digraph(signals, jobs, embeddings, config)
+    report = connectivity_report(graph, content, digraph.active_jobs)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "graph_nodes.csv").open("w") as nfh, (out_dir / "graph_edges.csv").open(
-        "w"
-    ) as efh:
-        dump_graph(graph, nfh, efh)
     with (out_dir / "digraph.csv").open("w") as fh:
         dump_digraph(digraph, fh)
 
@@ -176,7 +160,7 @@ def _cmd_build(args) -> int:
             "events_in_window": in_window,
             "events_unknown_job": dropped,
             "signals": len(signals),
-            "active_jobs": len(active),
+            "active_jobs": len(digraph.active_jobs),
             "graph_nodes": graph.num_nodes,
             "graph_edges": graph.num_edges,
             "content_pairs": len(content),
@@ -202,17 +186,16 @@ def _serving_setup(args):
     """What ``recommend`` and ``serve-batch`` share: parse the inputs, load
     the built digraph against today's active jobs and build the profiles.
     Returns the profiles and a function that serves one profile."""
-    config = _load_engine_config(args.config)
+    config = _load_engine_config(args)
     reference_date = _parse_reference_date(args.reference_date)
     events, jobs, embeddings, users, _ = _load_corpus(args)
     signals, _, _ = _prepare_signals(events, jobs, reference_date, config)
     digraph_path = Path(args.graph_dir) / "digraph.csv"
     if not digraph_path.exists():
         raise CliError(EXIT_INPUT, f"digraph dump not found at {digraph_path}")
-    active = frozenset(j for j, rec in jobs.items() if rec.is_active)
     try:
         with digraph_path.open("r") as fh:  # parsed as it is read, in blocks
-            digraph = load_digraph(fh, active)
+            digraph = load_digraph(fh, active_job_ids(jobs))
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"digraph: cannot read {digraph_path}: {exc}") from exc
     except ValueError as exc:
@@ -267,7 +250,7 @@ def _cmd_serve_batch(args) -> int:
 
 
 def _cmd_mf_train(args) -> int:
-    config = _load_engine_config(args.config)
+    config = _load_engine_config(args)
     reference_date = _parse_reference_date(args.reference_date)
     events, jobs, _, _, _ = _load_corpus(args)
     signals, _, _ = _prepare_signals(events, jobs, reference_date, config)
@@ -302,7 +285,7 @@ def _cmd_mf_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = _load_engine_config(args.config)
+    config = _load_engine_config(args)
     reference_date = _parse_reference_date(args.reference_date)
     events, jobs, embeddings, users, _ = _load_corpus(args)
     systems = tuple(s.strip() for s in args.systems.split(",") if s.strip())
@@ -316,15 +299,7 @@ def _cmd_evaluate(args) -> int:
             systems=systems,
             holdout_fraction=args.holdout,
             k=args.k,
-            seed=args.seed if args.seed is not None else config.seed,
-            window_days=config.window_days,
-            weights=config.score_weights(),
-            params=config.recommender_params(),
-            session_gap_minutes=config.session_gap_minutes,
-            mf_k=config.mf_k,
-            mf_reg=config.mf_reg,
-            mf_iterations=config.mf_iterations,
-            mf_implicit=config.mf_implicit,
+            config=config,
         )
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
@@ -384,14 +359,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_connectivity(args) -> int:
-    config = _load_engine_config(args.config)
+    config = _load_engine_config(args)
     reference_date = _parse_reference_date(args.reference_date)
     events, jobs, embeddings, _, _ = _load_corpus(args)
     signals, _, _ = _prepare_signals(events, jobs, reference_date, config)
     graph = build_costats(signals, jobs, config.session_gap_minutes)
     content = content_edges(embeddings, config.gamma)
-    active = frozenset(j for j, rec in jobs.items() if rec.is_active)
-    report = connectivity_report(graph, content, active)
+    report = connectivity_report(graph, content, active_job_ids(jobs))
     print(f"active_jobs,{report.active_count}")
     for label, fraction in report.labeled().items():
         print(f"{label},{fraction:.6f}")

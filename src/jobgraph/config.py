@@ -37,7 +37,8 @@ class EngineConfig:
     min_recs           threshold that triggers the next fallback strategy
                        (defaults to k when unset)
     seed               seed for all randomized stages
-    mf_k, mf_reg, mf_iterations, mf_implicit  factorization baseline
+    mf_k, mf_reg, mf_iterations, mf_implicit  factorization baseline;
+                       mf_reg must be > 0, or rounding decides the factors
     """
 
     window_days: int = 180
@@ -87,8 +88,8 @@ class EngineConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.min_recs is not None and not 1 <= self.min_recs <= self.k:
             raise ConfigError(f"min_recs must lie in [1, k], got {self.min_recs}")
-        if self.mf_k < 1 or self.mf_reg < 0 or self.mf_iterations < 1:
-            raise ConfigError("mf_k/mf_iterations must be >= 1 and mf_reg >= 0")
+        if self.mf_k < 1 or self.mf_reg <= 0 or self.mf_iterations < 1:
+            raise ConfigError("mf_k/mf_iterations must be >= 1 and mf_reg > 0")
 
     def score_weights(self) -> ScoreWeights:
         return ScoreWeights(self.w1, self.w2, self.w3, self.gamma, self.normalize_pmi2)
@@ -220,7 +221,7 @@ min_recs = none
 # seed for all randomized stages
 seed = 0
 
-# factorization baseline
+# factorization baseline; mf_reg must be > 0
 mf_k = 32
 mf_reg = 0.1
 mf_iterations = 10

@@ -22,14 +22,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import JobMultiGraph, build_costats
+from .config import EngineConfig
+from .graph import JobMultiGraph
 from .ingest import (
-    DedupedSignal,
     InteractionEvent,
     JobRecord,
     JobStatus,
     SignalKind,
     UserRecord,
+    active_job_ids,
     dedupe,
     format_timestamp,
     resolve_jobs,
@@ -37,8 +38,8 @@ from .ingest import (
     write_events,
 )
 from .mf import als_train, build_matrix, recommend_mf
-from .recommend import RecommenderParams, build_profiles, recommend
-from .scoring import ScoreWeights, aggregate, content_edges
+from .recommend import build_profiles, recommend
+from .scoring import build_digraph
 
 logger = logging.getLogger(__name__)
 
@@ -533,31 +534,25 @@ def evaluate_systems(
     systems: Sequence[str] = KNOWN_SYSTEMS,
     holdout_fraction: float = 0.3,
     k: int = 10,
-    seed: int = 0,
-    window_days: int = 180,
-    weights: ScoreWeights = ScoreWeights(),
-    params: RecommenderParams | None = None,
-    session_gap_minutes: float = 30.0,
-    mf_k: int = 32,
-    mf_reg: float = 0.1,
-    mf_iterations: int = 10,
-    mf_implicit: bool = False,
+    config: EngineConfig = EngineConfig(),
 ) -> EvalReport:
     """Hold out the latest applies per user and compare systems on the
     identical split.
 
     All systems see the same train events, the same per-user history
     exclusions, the same active-job candidate pool and the same list length
-    ``k``, which overrides ``params.k`` (``min_recs`` is capped at it). Users
-    whose entire holdout is empty are skipped; a system that cannot serve an
-    evaluated user scores zero for that user (macro averaging).
+    ``k``, which overrides ``config.k`` (``min_recs`` is capped at it).
+    Everything else (window, graph build, recommender, factorization and
+    the split's seed) comes from ``config``. Users whose entire holdout is
+    empty are skipped; a system that cannot serve an evaluated user scores
+    zero for that user (macro averaging).
     """
     for name in systems:
         if name not in KNOWN_SYSTEMS:
             raise ValueError(f"unknown system {name!r}; expected subset of {KNOWN_SYSTEMS}")
-    windowed = window_filter(events, reference_date, window_days)
+    windowed = window_filter(events, reference_date, config.window_days)
     resolved, _ = resolve_jobs(windowed, jobs)
-    train_events, test_events = holdout_split(resolved, holdout_fraction, seed)
+    train_events, test_events = holdout_split(resolved, holdout_fraction, config.seed)
 
     heldout: dict[str, set[str]] = {}
     for e in test_events:
@@ -566,23 +561,26 @@ def evaluate_systems(
     signals = dedupe(train_events)
     taxonomy = {j.category for j in jobs.values()}
     profiles = build_profiles(signals, users, taxonomy)
-    active = frozenset(j for j, rec in jobs.items() if rec.is_active)
-    rec_params = params if params is not None else RecommenderParams()
+    active = active_job_ids(jobs)
+    rec_params = config.recommender_params()
     min_recs = None if rec_params.min_recs is None else min(rec_params.min_recs, k)
     rec_params = replace(rec_params, k=k, min_recs=min_recs)
 
     digraph = None
     if "graph" in systems:
-        graph = build_costats(signals, jobs, session_gap_minutes)
-        content = content_edges(embeddings, weights.gamma)
-        digraph = aggregate(graph, content, weights, active)
+        digraph, _, _ = build_digraph(signals, jobs, embeddings, config)
 
     model = None
     if "mf" in systems:
         matrix = build_matrix(signals)
         if matrix.entries:
             model = als_train(
-                matrix, mf_k, mf_reg, mf_iterations, seed=seed, implicit=mf_implicit
+                matrix,
+                config.mf_k,
+                config.mf_reg,
+                config.mf_iterations,
+                seed=config.seed,
+                implicit=config.mf_implicit,
             )
         else:
             logger.warning("no +-1 entries in train split; mf baseline disabled")

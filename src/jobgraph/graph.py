@@ -58,15 +58,9 @@ def _pair(i: str, j: str) -> tuple[str, str]:
 class JobMultiGraph:
     """Sparse multigraph: per-job stats plus co-stats keyed by unordered pair."""
 
-    def __init__(
-        self,
-        nodes: dict[str, NodeStats],
-        edges: dict[tuple[str, str], CoStats],
-        jobs: Mapping[str, JobRecord] | None = None,
-    ):
+    def __init__(self, nodes: dict[str, NodeStats], edges: dict[tuple[str, str], CoStats]):
         self.nodes = nodes
         self.edges = edges
-        self.jobs = dict(jobs) if jobs is not None else {}
 
     def __contains__(self, job_id: str) -> bool:
         return job_id in self.nodes
@@ -169,7 +163,7 @@ def build_costats(
     edges: dict[tuple[str, str], CoStats] = {}
     for key in set(co_apps) | set(co_clicks):
         edges[key] = CoStats(co_apps.get(key, 0), co_clicks.get(key, 0))
-    return JobMultiGraph(nodes, edges, jobs)
+    return JobMultiGraph(nodes, edges)
 
 
 def dump_graph(graph: JobMultiGraph, nodes_fh: TextIO, edges_fh: TextIO) -> None:
@@ -185,11 +179,7 @@ def dump_graph(graph: JobMultiGraph, nodes_fh: TextIO, edges_fh: TextIO) -> None
         edges.writerow([i, j, cs.co_apps, cs.co_clicks])
 
 
-def load_graph(
-    nodes_fh: Iterable[str],
-    edges_fh: Iterable[str],
-    jobs: Mapping[str, JobRecord] | None = None,
-) -> JobMultiGraph:
+def load_graph(nodes_fh: Iterable[str], edges_fh: Iterable[str]) -> JobMultiGraph:
     nodes: dict[str, NodeStats] = {}
     for row in csv.reader(nodes_fh):
         if row:
@@ -200,4 +190,4 @@ def load_graph(
         if row:
             i, j, co_a, co_c = row
             edges[_pair(i, j)] = CoStats(int(co_a), int(co_c))
-    return JobMultiGraph(nodes, edges, jobs)
+    return JobMultiGraph(nodes, edges)

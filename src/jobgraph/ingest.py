@@ -327,6 +327,11 @@ def resolve_jobs(
     return kept, dropped
 
 
+def active_job_ids(jobs: Mapping[str, JobRecord]) -> frozenset[str]:
+    """Ids of the jobs that may be served."""
+    return frozenset(j for j, rec in jobs.items() if rec.is_active)
+
+
 def dedupe(events: Iterable[InteractionEvent]) -> list[DedupedSignal]:
     """Collapse events to distinct (user, job, kind) triples.
 

@@ -21,15 +21,17 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .graph import JobMultiGraph
+from .graph import JobMultiGraph, build_costats
+from .ingest import DedupedSignal, JobRecord, active_job_ids
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import EngineConfig
 
 logger = logging.getLogger(__name__)
-
-SIGNALS = ("apps", "clicks")
 
 
 @dataclass(frozen=True)
@@ -312,6 +314,24 @@ def aggregate(
     src, dst, scores = (np.concatenate(column) for column in zip(*scored))
     del scored  # the blocks are freed before the digraph is built
     return RecDigraph(ids, src, dst, scores, active)
+
+
+def build_digraph(
+    signals: Iterable[DedupedSignal],
+    jobs: Mapping[str, JobRecord],
+    embeddings: Mapping[str, np.ndarray],
+    config: EngineConfig,
+) -> tuple[RecDigraph, JobMultiGraph, dict[tuple[str, str], float]]:
+    """The build pipeline: the co-stat multigraph of the windowed, deduped
+    ``signals``, the content pairs of ``embeddings`` at ``config.gamma``,
+    and their aggregate into the digraph over the active ``jobs``.
+
+    Returns the digraph, the multigraph and the content pairs.
+    """
+    graph = build_costats(signals, jobs, config.session_gap_minutes)
+    content = content_edges(embeddings, config.gamma)
+    digraph = aggregate(graph, content, config.score_weights(), active_job_ids(jobs))
+    return digraph, graph, content
 
 
 class _NodeArrays(NamedTuple):

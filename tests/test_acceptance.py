@@ -14,8 +14,9 @@ from itertools import combinations
 
 import numpy as np
 
-from helpers import REF, brute_force_levels, dense_pagerank, make_job, random_digraph
+from helpers import REF, brute_force_levels, dense_pagerank, random_digraph
 from jobgraph import cli
+from jobgraph.config import EngineConfig
 from jobgraph.evaluation import (
     EDGE_TYPES,
     connectivity_report,
@@ -73,11 +74,10 @@ def criterion(number, label, limit_s):
     assert elapsed < limit_s, f"{label}: {elapsed:.2f}s exceeded the {limit_s:.0f}s budget"
 
 
-def graph_of(nodes, edges, jobs=None):
+def graph_of(nodes, edges):
     return JobMultiGraph(
         {j: NodeStats(*t) for j, t in nodes.items()},
         {pair: CoStats(*c) for pair, c in edges.items()},
-        jobs,
     )
 
 
@@ -124,7 +124,6 @@ def test_criterion_1_score_formula_suite():
             assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
             assert abs(embed_sim(5.5 * a, 0.25 * b) - s) < 1e-10
 
-        jobs = {"i": make_job("i"), "j": make_job("j")}
         fixtures = [
             # (node stats, edge co-stats, content sim, weights, src, dst, expected)
             ({"i": (0, 0), "j": (0, 0)}, None, 0.8, ScoreWeights(), "i", "j", 0.16),
@@ -159,7 +158,7 @@ def test_criterion_1_score_formula_suite():
             ({"i": (0, 3), "j": (0, 3)}, (0, 3), None, ScoreWeights(), "i", "j", 0.5),
         ]
         for nodes, co, sim, weights, src, dst, expected in fixtures:
-            g = graph_of(nodes, {("i", "j"): co} if co else {}, jobs)
+            g = graph_of(nodes, {("i", "j"): co} if co else {})
             content = {("i", "j"): sim} if sim is not None else {}
             digraph = aggregate(g, content, weights, ["i", "j"])
             got = digraph.corr(src, dst)
@@ -319,7 +318,7 @@ def test_criterion_6_holdout_win_rate_over_cf():
                 systems=("graph", "cf"),
                 holdout_fraction=0.3,
                 k=10,
-                seed=seed,
+                config=EngineConfig(seed=seed),
             )
             if report.systems["graph"].precision > report.systems["cf"].precision:
                 wins += 1
@@ -394,5 +393,5 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path):
                 for path in sorted(directory.iterdir()):
                     digest[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             hashes.append(digest)
-        assert len(hashes[0]) == 8  # 4 corpus files + 4 build artifacts
+        assert len(hashes[0]) == 6  # 4 corpus files + digraph.csv and manifest.json
         assert hashes[0] == hashes[1] == hashes[2]

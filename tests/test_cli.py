@@ -131,35 +131,65 @@ def test_build_is_deterministic(tmp_path, corpus_dir, graph_dir):
         ]
     )
     assert rc == 0
-    for name in ("graph_nodes.csv", "graph_edges.csv", "digraph.csv", "manifest.json"):
+    assert sorted(p.name for p in again.iterdir()) == ["digraph.csv", "manifest.json"]
+    for name in ("digraph.csv", "manifest.json"):
         assert (again / name).read_bytes() == (graph_dir / name).read_bytes()
 
 
-# sha256 of digraph.csv built from synth_corpus(4, 25, 200, noise=0.1, seed=0)
-# (16-dim embeddings, 2593 edges) with reference date 2017-06-01. Computed at
-# commit 2b6a421, whose aggregate scored one edge at a time in scalar floats;
-# the array scorer must write the same bytes. A change of term order, of
-# float formatting or of quoting changes this digest. The co-counts here are
-# too small for numpy's log to round differently from math's; the oracle
-# tests in test_scoring.py use counts that are not.
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    """synth_corpus(4, 25, 200, noise=0.1, seed=0) (16-dim embeddings, 200
+    users) written out, and built with reference date 2017-06-01 under
+    ``build``."""
+    out = tmp_path_factory.mktemp("golden")
+    write_corpus(synth_corpus(4, 25, 200, 0.1, 0), out)
+    rc = cli.main(
+        ["build", *corpus_flags(out), "--reference-date", REF_ARG, "--out-dir", str(out / "build")]
+    )
+    assert rc == 0
+    return out
+
+
+# sha256 of digraph.csv in the golden_dir build (2593 edges).
+# Computed at commit 2b6a421, whose aggregate scored one edge at a time in
+# scalar floats; the array scorer must write the same bytes. A change of
+# term order, of float formatting or of quoting changes this digest. The
+# co-counts here are too small for numpy's log to round differently from
+# math's; the oracle tests in test_scoring.py use counts that are not.
 GOLDEN_DIGRAPH_SHA256 = "539b833e6438b5c561a659b1e696b3e127519e2c81514fed7377509b51b511ec"
+# sha256 of that build's manifest.json and of the `evaluate --systems
+# graph,cf,mf --out` report on the same corpus, computed at commit 2ab414b,
+# before build and evaluate shared build_digraph.
+GOLDEN_MANIFEST_SHA256 = "ccacdedee4a0a2364a3b1667732e2f52f7b6b90d55c91ab576f04e8948931de9"
+GOLDEN_EVALUATE_SHA256 = "19cda8366e6fbcee7fa127607fc87dbc857b043e664881ce1841a374979f6c2c"
 
 
-def test_build_digraph_matches_the_golden_digest(tmp_path):
-    paths = write_corpus(synth_corpus(4, 25, 200, 0.1, 0), tmp_path / "corpus")
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_build_digraph_matches_the_golden_digest(golden_dir):
+    assert sha256_of(golden_dir / "build" / "digraph.csv") == GOLDEN_DIGRAPH_SHA256
+
+
+def test_build_manifest_matches_the_golden_digest(golden_dir):
+    assert sha256_of(golden_dir / "build" / "manifest.json") == GOLDEN_MANIFEST_SHA256
+
+
+def test_evaluate_report_matches_the_golden_digest(tmp_path, golden_dir):
+    report = tmp_path / "report.json"
     rc = cli.main(
         [
-            "build",
-            "--events", str(paths["events"]),
-            "--jobs", str(paths["jobs"]),
-            "--embeddings", str(paths["embeddings"]),
+            "evaluate",
+            *corpus_flags(golden_dir),
+            "--users", str(golden_dir / "users.csv"),
             "--reference-date", REF_ARG,
-            "--out-dir", str(tmp_path / "build"),
+            "--systems", "graph,cf,mf",
+            "--out", str(report),
         ]
     )
     assert rc == 0
-    digest = hashlib.sha256((tmp_path / "build" / "digraph.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_DIGRAPH_SHA256
+    assert sha256_of(report) == GOLDEN_EVALUATE_SHA256
 
 
 def test_build_without_embeddings_degrades(tmp_path, corpus_dir, caplog):
@@ -174,6 +204,7 @@ def test_build_without_embeddings_degrades(tmp_path, corpus_dir, caplog):
             ]
         )
     assert rc == 0
+    assert "no embeddings given" in caplog.text
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["embeddings"] == 0
     assert manifest["content_pairs"] == 0
@@ -498,6 +529,49 @@ def test_mf_train_without_ratable_signals_fails(tmp_path, corpus_dir):
         ]
     )
     assert rc == 1
+
+
+def mf_train(corpus_dir, out, *flags):
+    return cli.main(
+        [
+            "mf-train",
+            *flags,
+            "--events", str(corpus_dir / "events.csv"),
+            "--jobs", str(corpus_dir / "jobs.csv"),
+            "--reference-date", REF_ARG,
+            "--out", str(out),
+        ]
+    )
+
+
+def test_mf_train_seed_flag_overrides_the_config_seed(tmp_path, corpus_dir):
+    conf = tmp_path / "mf.conf"
+    conf.write_text("mf_k = 4\nmf_iterations = 3\n")
+    seeded = tmp_path / "seeded.conf"
+    seeded.write_text("mf_k = 4\nmf_iterations = 3\nseed = 5\n")
+    runs = {
+        "flag0": ["--config", str(conf), "--seed", "0"],
+        "flag5": ["--config", str(conf), "--seed", "5"],
+        "conf5": ["--config", str(seeded)],
+    }
+    models = {}
+    for name, flags in runs.items():
+        assert mf_train(corpus_dir, tmp_path / f"{name}.txt", *flags) == 0
+        models[name] = (tmp_path / f"{name}.txt").read_bytes()
+    assert models["flag0"] != models["flag5"]
+    assert models["flag5"] == models["conf5"]
+
+
+def test_mf_train_does_not_warn_about_embeddings(tmp_path, corpus_dir, caplog):
+    with caplog.at_level("WARNING"):
+        assert mf_train(corpus_dir, tmp_path / "model.txt") == 0
+    assert "embeddings" not in caplog.text
+
+
+def test_zero_mf_reg_is_config_error(tmp_path, corpus_dir):
+    conf = tmp_path / "noreg.conf"
+    conf.write_text("mf_reg = 0\n")
+    assert mf_train(corpus_dir, tmp_path / "model.txt", "--config", str(conf)) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,7 @@ def test_load_config_rejects_duplicate_keys():
         {"mf_k": 0},
         {"mf_reg": -1.0},
         {"mf_iterations": 0},
+        {"mf_reg": 0.0},  # unregularized ALS factors are decided by rounding
     ],
 )
 def test_out_of_range_values_rejected(kwargs):

@@ -27,7 +27,7 @@ from jobgraph.evaluation import (
 )
 from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
 from jobgraph.ingest import SignalKind
-from jobgraph.recommend import RecommenderParams
+from jobgraph.config import EngineConfig
 from jobgraph.scoring import embed_sim
 
 
@@ -552,9 +552,7 @@ def test_evaluate_systems_smoke_and_bounds():
         systems=KNOWN_SYSTEMS,
         holdout_fraction=0.3,
         k=5,
-        seed=0,
-        mf_k=4,
-        mf_iterations=3,
+        config=EngineConfig(mf_k=4, mf_iterations=3),
     )
     assert report.num_users > 0
     assert set(report.systems) == set(KNOWN_SYSTEMS)
@@ -590,8 +588,9 @@ def test_evaluate_systems_same_split_for_subset_runs():
         corpus.users,
         corpus.reference_date,
     )
-    both = evaluate_systems(*args, systems=("graph", "cf"), k=5, seed=4)
-    only_graph = evaluate_systems(*args, systems=("graph",), k=5, seed=4)
+    config = EngineConfig(seed=4)
+    both = evaluate_systems(*args, systems=("graph", "cf"), k=5, config=config)
+    only_graph = evaluate_systems(*args, systems=("graph",), k=5, config=config)
     assert both.systems["graph"] == only_graph.systems["graph"]
     assert both.num_users == only_graph.num_users
 
@@ -614,13 +613,13 @@ def test_evaluate_k_sets_the_graph_list_length(monkeypatch):
         corpus.reference_date,
     )
     report = evaluate_systems(
-        *args, systems=("graph",), k=5, seed=4, params=RecommenderParams(k=15, min_recs=12)
+        *args, systems=("graph",), k=5, config=EngineConfig(k=15, min_recs=12, seed=4)
     )
     assert seen and set(seen) == {(5, 5)}
     seen.clear()
-    evaluate_systems(*args, systems=("graph",), k=5, seed=4, params=RecommenderParams(min_recs=3))
+    evaluate_systems(*args, systems=("graph",), k=5, config=EngineConfig(min_recs=3, seed=4))
     assert set(seen) == {(5, 3)}
     same = evaluate_systems(
-        *args, systems=("graph",), k=5, seed=4, params=RecommenderParams(k=5, min_recs=5)
+        *args, systems=("graph",), k=5, config=EngineConfig(k=5, min_recs=5, seed=4)
     )
     assert report.systems["graph"] == same.systems["graph"]

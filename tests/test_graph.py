@@ -190,12 +190,9 @@ def test_dump_load_round_trip(tmp_path):
     edges_path = tmp_path / "edges.csv"
     with nodes_path.open("w") as nfh, edges_path.open("w") as efh:
         dump_graph(graph, nfh, efh)
-    reloaded = load_graph(
-        nodes_path.read_text().splitlines(), edges_path.read_text().splitlines(), jobs
-    )
+    reloaded = load_graph(nodes_path.read_text().splitlines(), edges_path.read_text().splitlines())
     assert reloaded.nodes == graph.nodes
     assert reloaded.edges == graph.edges
-    assert reloaded.jobs == graph.jobs
 
 
 def test_dump_load_round_trip_quotes_job_ids():

@@ -9,7 +9,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from helpers import digraph_of_scores, edge_map, make_job, reference_aggregate
+from helpers import digraph_of_scores, edge_map, reference_aggregate
 from jobgraph import scoring
 from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
 from jobgraph.recommend import global_pagerank, personalized_pagerank
@@ -26,11 +26,10 @@ from jobgraph.scoring import (
 )
 
 
-def graph_of(nodes, edges, jobs=None):
+def graph_of(nodes, edges):
     return JobMultiGraph(
         {j: NodeStats(*t) for j, t in nodes.items()},
         {pair: CoStats(*c) for pair, c in edges.items()},
-        jobs,
     )
 
 
@@ -183,12 +182,8 @@ def test_score_weights_validation():
 # aggregation
 
 
-def both_active():
-    return {"i": make_job("i"), "j": make_job("j")}
-
-
 def test_aggregate_content_only_hand_value():
-    g = graph_of({"i": (0, 0), "j": (0, 0)}, {}, both_active())
+    g = graph_of({"i": (0, 0), "j": (0, 0)}, {})
     digraph = aggregate(g, {("i", "j"): 0.8}, ScoreWeights(), ["i", "j"])
     assert digraph.corr("i", "j") == pytest.approx(0.16, abs=1e-15)
     assert digraph.corr("j", "i") == pytest.approx(0.16, abs=1e-15)
@@ -199,14 +194,14 @@ def test_aggregate_content_only_hand_value():
 
 
 def test_aggregate_perfect_cooccurrence_hand_value():
-    g = graph_of({"i": (2, 2), "j": (2, 2)}, {("i", "j"): (2, 2)}, both_active())
+    g = graph_of({"i": (2, 2), "j": (2, 2)}, {("i", "j"): (2, 2)})
     digraph = aggregate(g, {("i", "j"): 1.0}, ScoreWeights(), ["i", "j"])
     # both probabilities 1.0, both co-information terms ln(1) = 0, sim 1.0
     assert digraph.corr("i", "j") == pytest.approx(1.2, abs=1e-12)
 
 
 def test_aggregate_normalized_pmi2_hand_value():
-    g = graph_of({"i": (2, 2), "j": (2, 2)}, {("i", "j"): (2, 2)}, both_active())
+    g = graph_of({"i": (2, 2), "j": (2, 2)}, {("i", "j"): (2, 2)})
     weights = ScoreWeights(normalize_pmi2=True)
     digraph = aggregate(g, {("i", "j"): 1.0}, weights, ["i", "j"])
     # exp(0) = 1 for each of the two co-information terms
@@ -214,7 +209,7 @@ def test_aggregate_normalized_pmi2_hand_value():
 
 
 def test_aggregate_apps_only_hand_value():
-    g = graph_of({"i": (4, 0), "j": (8, 0)}, {("i", "j"): (2, 0)}, both_active())
+    g = graph_of({"i": (4, 0), "j": (8, 0)}, {("i", "j"): (2, 0)})
     digraph = aggregate(g, {}, ScoreWeights(), ["i", "j"])
     expected = 0.5 * (2 / 8) + 0.3 * math.log(4 / 32)
     assert digraph.corr("j", "i") == pytest.approx(expected, abs=1e-12)
@@ -224,21 +219,20 @@ def test_aggregate_apps_only_hand_value():
 
 
 def test_aggregate_skips_expired_destinations():
-    jobs = {"i": make_job("i", active=True), "j": make_job("j", active=False)}
-    g = graph_of({"i": (3, 0), "j": (3, 0)}, {("i", "j"): (2, 0)}, jobs)
+    g = graph_of({"i": (3, 0), "j": (3, 0)}, {("i", "j"): (2, 0)})
     digraph = aggregate(g, {}, ScoreWeights(), ["i"])
     assert digraph.corr("j", "i") is not None  # expired source feeds active dst
     assert digraph.corr("i", "j") is None
 
 
 def test_aggregate_requires_some_signal():
-    g = graph_of({"i": (3, 0), "j": (5, 0)}, {}, both_active())
+    g = graph_of({"i": (3, 0), "j": (5, 0)}, {})
     digraph = aggregate(g, {}, ScoreWeights(), ["i", "j"])
     assert digraph.num_edges == 0
 
 
 def test_aggregate_ignores_content_for_unknown_nodes():
-    g = graph_of({"i": (0, 0), "j": (0, 0)}, {}, both_active())
+    g = graph_of({"i": (0, 0), "j": (0, 0)}, {})
     digraph = aggregate(g, {("i", "ghost"): 0.9}, ScoreWeights(), ["i", "j", "ghost"])
     assert digraph.num_edges == 0
 
@@ -256,8 +250,7 @@ def test_digraph_dump_reload_is_bit_exact():
                     rng.randint(0, min(na[0], nb[0])),
                     rng.randint(0, min(na[1], nb[1])),
                 )
-    jobs = {j: make_job(j) for j in nodes}
-    g = graph_of(nodes, edges, jobs)
+    g = graph_of(nodes, edges)
     content = {}
     for a_pos, a in enumerate(ids):
         for b in ids[a_pos + 1:]:
@@ -303,8 +296,7 @@ def random_scoring_inputs(rng, num_nodes, pair_prob, content_prob):
         if rng.random() < 0.05:  # out of (i, j) with i <= j order: never looked up
             content[(b, a)] = rng.uniform(-1.0, 1.0)
     active = {j for j in ids + ghosts if rng.random() < 0.8}
-    jobs = {j: make_job(j, active=j in active) for j in ids}
-    return graph_of(nodes, edges, jobs), content, active
+    return graph_of(nodes, edges), content, active
 
 
 def assert_matches_reference(digraph, graph, content, weights, active):
@@ -347,7 +339,7 @@ def test_aggregate_matches_scalar_reference_across_full_blocks():
 
 
 def test_aggregate_without_candidate_pairs_is_empty():
-    g = graph_of({"i": (1, 1)}, {}, {"i": make_job("i")})
+    g = graph_of({"i": (1, 1)}, {})
     digraph = aggregate(g, {}, ScoreWeights(), ["i"])
     assert digraph.num_edges == 0 and edge_map(digraph) == {}
 
