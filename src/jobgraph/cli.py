@@ -75,7 +75,7 @@ def _read_lines(path: str, *, stage: str) -> list[str]:
 
 
 def _load_engine_config(args) -> EngineConfig:
-    """The ``--config`` file (defaults without one), with ``--seed`` applied."""
+    """The ``--config`` file (defaults without one), with any ``--seed`` applied."""
     config = EngineConfig()
     if args.config is not None:
         try:
@@ -83,7 +83,7 @@ def _load_engine_config(args) -> EngineConfig:
                 config = load_config(fh)
         except OSError as exc:
             raise CliError(EXIT_CONFIG, f"config: cannot read {args.config}: {exc}") from exc
-    return config if args.seed is None else replace(config, seed=args.seed)
+    return config if getattr(args, "seed", None) is None else replace(config, seed=args.seed)
 
 
 def _parse_reference_date(token: str) -> datetime:
@@ -388,8 +388,9 @@ def _cmd_init_config(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
-    common.add_argument("--seed", type=int, default=None, help="seed override")
     common.add_argument("--quiet", action="store_true", help="warnings and errors only")
+    seeded = argparse.ArgumentParser(add_help=False)  # for the commands that run seeded stages
+    seeded.add_argument("--seed", type=int, default=None, help="seed override")
 
     ref = argparse.ArgumentParser(add_help=False)
     ref.add_argument(
@@ -438,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve_batch)
 
     p = sub.add_parser(
-        "mf-train", parents=[common, ref], help="train the factorization baseline"
+        "mf-train", parents=[common, seeded, ref], help="train the factorization baseline"
     )
     p.add_argument("--events", required=True)
     p.add_argument("--jobs", required=True)
@@ -447,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "evaluate",
-        parents=[common, ref, inputs],
+        parents=[common, seeded, ref, inputs],
         help="offline comparison on a per-user temporal holdout",
     )
     p.add_argument("--users", help="users corpus CSV (optional)")
@@ -457,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the report as JSON here")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
+    p = sub.add_parser("synth", parents=[common, seeded], help="generate a synthetic corpus")
     p.add_argument("--clusters", type=int, required=True)
     p.add_argument("--jobs-per-cluster", type=int, required=True)
     p.add_argument("--users", type=int, required=True)

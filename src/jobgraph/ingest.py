@@ -9,18 +9,20 @@ Input files are headerless UTF-8 text:
 * users:      ``user_id,resume_category,lat,lon,registered`` (CSV)
 
 Parsers are recoverable: malformed lines become :class:`ParseIssue` records
-carrying the line number, and the remaining lines are still parsed.
+carrying the line number, and the remaining lines are still parsed. Only a
+CSV line with quotes, line breaks or NULs goes through ``csv.reader``.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from io import StringIO
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -113,12 +115,12 @@ _FALSE_TOKENS = {"false", "0", "no"}
 def parse_timestamp(token: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
     token = token.strip()
-    if token.endswith("Z") or token.endswith("z"):
+    if token.endswith(("Z", "z")):
         token = token[:-1] + "+00:00"
     ts = datetime.fromisoformat(token)
     if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+        return ts.replace(tzinfo=timezone.utc)
+    return ts if ts.tzinfo is timezone.utc else ts.astimezone(timezone.utc)
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -131,8 +133,8 @@ def _csv_rows(lines: Iterable[str]):
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue
-        row = next(csv.reader([line]))
-        yield line_no, row
+        plain = '"' not in line and "\r" not in line and "\n" not in line and "\0" not in line
+        yield line_no, line.split(",") if plain else next(csv.reader([line]))
 
 
 def parse_events(lines: Iterable[str]) -> tuple[list[InteractionEvent], list[ParseIssue]]:
@@ -147,7 +149,7 @@ def parse_events(lines: Iterable[str]) -> tuple[list[InteractionEvent], list[Par
         if len(row) not in (4, 5):
             issues.append(ParseIssue(line_no, f"expected 4 or 5 fields, got {len(row)}"))
             continue
-        user_id, job_id, kind_tok, ts_tok = (f.strip() for f in row[:4])
+        user_id, job_id, kind_tok, ts_tok = map(str.strip, row[:4])
         query_id = row[4].strip() if len(row) == 5 else ""
         if not user_id or not job_id:
             issues.append(ParseIssue(line_no, "empty user_id or job_id"))
@@ -228,7 +230,23 @@ def parse_embeddings(lines: Iterable[str]) -> tuple[dict[str, np.ndarray], list[
 
     All vectors must share the dimensionality of the first valid line;
     vectors with NaN/inf components or zero norm are rejected per line.
+    A file with unique job ids and no rejected line is parsed as one matrix.
     """
+    lines = list(lines)
+    # components go straight into one float buffer: no line's tokens outlive it
+    ids, widths, values = [], set(), array("d")
+    try:
+        for tokens in filter(None, map(str.split, lines)):
+            ids.append(tokens[0])
+            widths.add(len(tokens))
+            values.extend(map(float, tokens[1:]))
+    except ValueError:  # a non-numeric component
+        widths = set()
+    if len(widths) == 1 and widths != {1} and len(set(ids)) == len(ids):
+        mat = np.frombuffer(values).reshape(len(ids), -1)
+        # a norm is zero just where every square underflows, by row as by line below
+        if np.isfinite(mat).all() and np.linalg.norm(mat, axis=1).all():
+            return dict(zip(ids, mat)), []
     vectors: dict[str, np.ndarray] = {}
     issues: list[ParseIssue] = []
     dim: int | None = None
@@ -308,20 +326,15 @@ def window_filter(
 
 
 def resolve_jobs(
-    events: Iterable[InteractionEvent], jobs: Mapping[str, JobRecord]
+    events: Sequence[InteractionEvent], jobs: Mapping[str, JobRecord]
 ) -> tuple[list[InteractionEvent], int]:
     """Drop events whose job_id is absent from the jobs corpus.
 
     Returns the kept events and the dropped count; dropping is a warning,
     not an error.
     """
-    kept: list[InteractionEvent] = []
-    dropped = 0
-    for event in events:
-        if event.job_id in jobs:
-            kept.append(event)
-        else:
-            dropped += 1
+    kept = [event for event in events if event.job_id in jobs]
+    dropped = len(events) - len(kept)
     if dropped:
         logger.warning("dropped %d events referencing unknown jobs", dropped)
     return kept, dropped
@@ -339,19 +352,21 @@ def dedupe(events: Iterable[InteractionEvent]) -> list[DedupedSignal]:
     the union of observed query ids. Output order is (user, job, kind) so
     the result is invariant under input permutation.
     """
-    best_ts: dict[tuple[str, str, SignalKind], datetime] = {}
-    queries: dict[tuple[str, str, SignalKind], set[str]] = {}
+    # keyed on kind.value: a str hashes in C, an Enum member in Python
+    best: dict[tuple[str, str, str], InteractionEvent] = {}
+    queries: dict[tuple[str, str, str], set[str]] = {}
     for event in events:
-        key = (event.user_id, event.job_id, event.kind)
-        prev = best_ts.get(key)
-        if prev is None or event.timestamp > prev:
-            best_ts[key] = event.timestamp
-        if event.kind is SignalKind.CLICK and event.query_id:
+        key = (event.user_id, event.job_id, event.kind.value)
+        prev = best.get(key)
+        if prev is None or event.timestamp > prev.timestamp:
+            best[key] = event
+        if event.query_id and event.kind is SignalKind.CLICK:
             queries.setdefault(key, set()).add(event.query_id)
-    out = [
-        DedupedSignal(u, j, k, ts, frozenset(queries.get((u, j, k), ())))
-        for (u, j, k), ts in best_ts.items()
-    ]
-    out.sort(key=lambda s: (s.user_id, s.job_id, s.kind.value))
-    return out
-
+    # one shared empty query set and no (key, event) pairs: fewer objects for the GC to scan
+    no_queries: frozenset[str] = frozenset()
+    signals = []
+    for key in sorted(best):
+        e = best[key]
+        query_ids = frozenset(queries[key]) if key in queries else no_queries
+        signals.append(DedupedSignal(e.user_id, e.job_id, e.kind, e.timestamp, query_ids))
+    return signals

@@ -339,7 +339,6 @@ def preference_vector(
     history) get (b) only; an empty result tells the caller to degrade to
     global recommendations.
     """
-    active_ids = sorted(j for j, rec in jobs.items() if rec.is_active)
     prefs: set[str] = set()
 
     expired_history = sorted(
@@ -349,7 +348,9 @@ def preference_vector(
             if i.job_id in jobs and not jobs[i.job_id].is_active and i.job_id in embeddings
         }
     )
-    embeddable = [j for j in active_ids if j in embeddings] if expired_history else []
+    embeddable: list[str] = []
+    if expired_history:  # only then are the active jobs sorted
+        embeddable = sorted(j for j, rec in jobs.items() if rec.is_active and j in embeddings)
     if embeddable:
         # embed_sim's cosine, one matrix-vector product per expired job. The
         # row sums reduce every row alike (BLAS mat-vec does not), so equal
@@ -369,7 +370,7 @@ def preference_vector(
             prefs.update(embeddable[i] for i in top.tolist())
 
     if profile.resume_category is not None:
-        prefs.update(j for j in active_ids if jobs[j].category == profile.resume_category)
+        prefs.update(j for j, rec in jobs.items() if rec.is_active and rec.category == profile.resume_category)
 
     return sorted(prefs)
 

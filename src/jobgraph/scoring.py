@@ -142,8 +142,8 @@ def content_edges(
         unit = mat / norms[:, None]
         sims = unit @ unit.T
         hit_i, hit_j = np.nonzero(np.triu(sims >= gamma, k=1))
-        for a, b in zip(hit_i.tolist(), hit_j.tolist()):
-            edges[(ids[a], ids[b])] = float(sims[a, b])
+        for a, b, sim in zip(hit_i.tolist(), hit_j.tolist(), sims[hit_i, hit_j].tolist()):
+            edges[(ids[a], ids[b])] = sim
     return edges
 
 
@@ -447,31 +447,33 @@ def _csv_fields(values: Iterable[str]) -> list[str]:
     return fields
 
 
+# Dump rows formatted per block by dump_digraph: a larger block shares more
+# reprs, a smaller one holds fewer strings at once
+DUMP_BLOCK = 4096
+
+
 def dump_digraph(digraph: RecDigraph, fh: TextIO) -> None:
     """Write one edge per line with audit components; deterministic order.
 
     The bytes are those of ``csv.writer``: each job id is quoted once,
-    floats are ``repr``s, absent components empty. One write per source.
+    floats are ``repr``s, absent components empty. Rows are formatted
+    :data:`DUMP_BLOCK` at a time, column by column, with one ``repr`` per
+    distinct float bit pattern of a column of the block.
     """
-    quoted = _csv_fields(digraph.nodes)
-    bounds = digraph.indptr.tolist()
-    for q_src, lo, hi in zip(quoted, bounds, bounds[1:]):
-        if lo == hi:
-            continue
-        rows = zip(digraph.dst[lo:hi].tolist(), digraph.scores[lo:hi].tolist())
-        fh.write(
-            "".join(
-                [
-                    f"{q_src},{quoted[dst]},{corr!r},"
-                    f"{'' if pa != pa else repr(pa)},"
-                    f"{'' if pc != pc else repr(pc)},"
-                    f"{'' if ma != ma else repr(ma)},"
-                    f"{'' if mc != mc else repr(mc)},"
-                    f"{'' if se != se else repr(se)}\n"
-                    for dst, (corr, pa, pc, ma, mc, se) in rows
-                ]
-            )
-        )
+    quoted = np.array(_csv_fields(digraph.nodes), dtype=object)
+    for lo in range(0, digraph.num_edges, DUMP_BLOCK):
+        dst = digraph.dst[lo : lo + DUMP_BLOCK]
+        src = np.searchsorted(digraph.indptr, np.arange(lo, lo + len(dst)), side="right") - 1
+        columns = [quoted[src].tolist(), quoted[dst].tolist()]
+        for scores in digraph.scores[lo : lo + DUMP_BLOCK].T:
+            # by bit pattern, so -0.0 and 0.0 keep their own reprs
+            bits, where = np.unique(scores.view(np.int64), return_inverse=True)
+            texts = np.array([repr(v) if v == v else "" for v in bits.view(np.float64).tolist()], dtype=object)
+            columns.append(texts[where].tolist())
+        # 512 rows a write: joining a whole block at once left the build's
+        # peak RSS about 0.7 MB higher
+        for s in range(0, len(dst), 512):
+            fh.write("\n".join([*map(",".join, zip(*(c[s : s + 512] for c in columns))), ""]))
 
 
 # Dump rows parsed per numpy block by load_digraph

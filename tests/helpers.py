@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from jobgraph.graph import _pair
-from jobgraph.ingest import InteractionEvent, JobRecord, JobStatus, SignalKind
+from jobgraph.ingest import InteractionEvent, JobRecord, JobStatus, ParseIssue, SignalKind
 from jobgraph.mf import FactorModel, RatingsMatrix, _implicit_offsets
 from jobgraph.recommend import PageRankResult
 from jobgraph.scoring import EdgeScores, RecDigraph, mle, pmi2
@@ -40,6 +40,42 @@ def make_job(job_id, category="sales", active=True, location=None, posted_age_da
 
 def make_jobs(*job_ids, category="sales", active=True):
     return {j: make_job(j, category=category, active=active) for j in job_ids}
+
+
+def reference_parse_embeddings(lines):
+    """parse_embeddings one line at a time, as it was before its one-matrix
+    path: the oracle for both its vectors and its issues."""
+    vectors: dict[str, np.ndarray] = {}
+    issues: list[ParseIssue] = []
+    dim = None
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        job_id = tokens[0]
+        try:
+            vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
+        except ValueError:
+            issues.append(ParseIssue(line_no, "non-numeric component"))
+            continue
+        if vec.size == 0:
+            issues.append(ParseIssue(line_no, "no vector components"))
+            continue
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            issues.append(ParseIssue(line_no, f"dimension {vec.size} != corpus dimension {dim}"))
+            continue
+        if not np.all(np.isfinite(vec)):
+            issues.append(ParseIssue(line_no, "non-finite component"))
+            continue
+        if float(np.linalg.norm(vec)) == 0.0:
+            issues.append(ParseIssue(line_no, "zero-norm vector"))
+            continue
+        if job_id in vectors:
+            issues.append(ParseIssue(line_no, f"duplicate job_id {job_id!r}"))
+        vectors[job_id] = vec
+    return vectors, issues
 
 
 def random_digraph(rng: random.Random, max_nodes: int = 12, *, edge_prob=0.3, negatives=True):

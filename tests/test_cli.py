@@ -680,3 +680,27 @@ def test_missing_required_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["build", "--out-dir", "/tmp/x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["build", "recommend", "serve-batch", "connectivity", "init-config"])
+def test_seed_flag_is_a_usage_error_where_nothing_is_seeded(
+    command, corpus_dir, graph_dir, tmp_path, capsys
+):
+    flags = {
+        "build": [*corpus_flags(corpus_dir), "--reference-date", REF_ARG, "--out-dir", str(tmp_path)],
+        "recommend": [
+            *corpus_flags(corpus_dir), "--reference-date", REF_ARG,
+            "--graph-dir", str(graph_dir), "--user-id", "u0000",
+        ],
+        "serve-batch": [
+            *corpus_flags(corpus_dir), "--reference-date", REF_ARG, "--graph-dir", str(graph_dir),
+            "--user-ids", str(tmp_path / "ids.txt"), "--out", str(tmp_path / "recs.csv"),
+        ],
+        "connectivity": [*corpus_flags(corpus_dir), "--reference-date", REF_ARG],
+        "init-config": ["--out", str(tmp_path / "jobgraph.conf")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *flags, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

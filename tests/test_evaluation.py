@@ -2,9 +2,13 @@
 synthetic corpus generator, and the multi-system comparison harness."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from datetime import timedelta
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +243,30 @@ def test_cf_index_reuse_equals_one_shot():
     index = build_cf_index(events)
     for user in {e.user_id for e in events}:
         assert cf_recommend(index, user, 6, REF) == classic_cf(events, user, 6, REF)
+
+
+CF_SCORES_SCRIPT = """
+from jobgraph.evaluation import build_cf_index, cf_recommend, synth_corpus
+index = build_cf_index(synth_corpus(3, 10, 60, 0.1, 3, events_per_user=12).events)
+for user in sorted(index.applied_by):
+    for job, score in cf_recommend(index, user, 10):
+        print(user, job, score.hex())
+"""
+
+
+def test_cf_scores_do_not_depend_on_the_string_hash_seed():
+    src = str(Path(evaluation.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", CF_SCORES_SCRIPT],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True, check=True, text=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0].count("\n") > 100
+    assert outputs[0] == outputs[1]
 
 
 def test_classic_cf_matches_replay_oracle():

@@ -1,13 +1,16 @@
 """Parsing, windowing and deduplication tests."""
 
+import csv
 import random
 from datetime import timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import REF, ev, make_job, ts
+from helpers import REF, ev, make_job, reference_parse_embeddings, ts
+from jobgraph import ingest
 from jobgraph.ingest import (
     InteractionEvent,
     SignalKind,
@@ -164,6 +167,77 @@ def test_parse_embeddings_rejects_bad_vectors():
     assert set(vectors) == {"j1", "j2"}
     assert vectors["j1"].shape == (3,)
     assert len(issues) == 4
+
+
+def _csv_reader_row(line):
+    """The fields of one input line as the per-line csv.reader parsed them;
+    None for a blank line."""
+    line = line.rstrip("\n").rstrip("\r")
+    return next(csv.reader([line])) if line.strip() else None
+
+
+def test_csv_rows_split_as_one_csv_reader_per_line():
+    rng = random.Random(9)
+    alphabet = ["a", "b", " ", ",", ",", '"', '"', "\r", "\0", "\n", "\t", "é"]
+    lines = ["", "   ", "\n", "\r\n", ",", ",,", '""', 'a,"b,c"', 'a,"b""c",d', "a\0b,c"]
+    for _ in range(3000):
+        body = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        lines.append(body + rng.choice(["", "\n", "\r\n"]))
+    parsed = []
+    for line in lines:
+        try:
+            parsed.append((line, _csv_reader_row(line)))
+        except csv.Error:  # a bare \r or \n inside the line
+            with pytest.raises(csv.Error):
+                list(ingest._csv_rows([line]))
+    assert sum(row is None for _, row in parsed) > 100 and len(parsed) > 1000
+    want = [(line_no, row) for line_no, (_, row) in enumerate(parsed, start=1) if row is not None]
+    assert list(ingest._csv_rows(line for line, _ in parsed)) == want
+
+
+def _embedding_bits(vectors):
+    return {job_id: vec.view(np.int64).tolist() for job_id, vec in vectors.items()}
+
+
+def test_parse_embeddings_matches_the_line_by_line_oracle():
+    rng = random.Random(4)
+    defects = [
+        lambda dim: "j00 " + " ".join(["0.5"] * dim),  # duplicate id
+        lambda dim: f"w{rng.randint(0, 99)} " + " ".join(["0.5"] * (dim + 1)),  # wrong width
+        lambda dim: f"w{rng.randint(0, 99)}",  # no components
+        lambda dim: f"n{rng.randint(0, 99)} " + " ".join(["inf"] + ["1"] * (dim - 1)),
+        lambda dim: f"n{rng.randint(0, 99)} " + " ".join(["nan"] * dim),
+        lambda dim: f"z{rng.randint(0, 99)} " + " ".join(["0.0"] * dim),  # zero norm
+        lambda dim: f"z{rng.randint(0, 99)} " + " ".join(["1e-200"] * dim),  # norm underflows
+        lambda dim: f"x{rng.randint(0, 99)} " + " ".join(["one"] * dim),  # non-numeric
+    ]
+    values = ["0.0", "-0.0", "1", "1e16", "5e-324", "2.5e-310", "0.30000000000000004", "-7.25", "1_0"]
+
+    def component():
+        return rng.choice(values) if rng.random() < 0.5 else repr(rng.gauss(0, 1))
+
+    for trial in range(60):
+        dim = rng.randint(1, 6)
+        # a valid row: a nonzero first component, then any finite ones
+        lines = [
+            f"j{i:02d} {rng.uniform(0.5, 2.0)!r} " + " ".join(component() for _ in range(dim - 1))
+            for i in range(rng.randint(1, 12))
+        ]
+        clean = trial % 2 == 0
+        if not clean:
+            for _ in range(rng.randint(1, 3)):
+                lines.insert(rng.randint(0, len(lines)), rng.choice(defects)(dim))
+        lines.insert(rng.randint(0, len(lines)), "   \n")  # a blank line
+        want_vectors, want_issues = reference_parse_embeddings(lines)
+        got_vectors, got_issues = parse_embeddings(iter(lines))
+        assert list(got_vectors) == list(want_vectors)
+        assert _embedding_bits(got_vectors) == _embedding_bits(want_vectors)
+        assert got_issues == want_issues
+        # a clean file takes the one-matrix path: its vectors are rows of one array
+        assert clean == (not got_issues) == all(vec.base is not None for vec in got_vectors.values())
+    # files of one width with no components, or with no lines at all
+    for lines in (["j1", "j2 \n"], [], ["\n", "  "]):
+        assert parse_embeddings(lines) == reference_parse_embeddings(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
 from jobgraph.recommend import global_pagerank, personalized_pagerank
 from jobgraph.scoring import (
     EdgeScores,
+    RecDigraph,
     ScoreWeights,
     aggregate,
     content_edges,
@@ -368,6 +369,42 @@ def test_dump_digraph_quotes_job_ids_as_csv_writer_does():
 
     reloaded = load_digraph(StringIO(buf.getvalue()), ids)
     assert edge_map(reloaded) == edge_map(digraph)
+
+
+def _csv_writer_dump(digraph):
+    """The dump as csv.writer writes it, one row per edge of the CSR."""
+    want = StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    bounds = digraph.indptr.tolist()
+    for src, lo, hi in zip(digraph.nodes, bounds, bounds[1:]):
+        for dst, row in zip(digraph.dst[lo:hi].tolist(), digraph.scores[lo:hi].tolist()):
+            writer.writerow([src, digraph.nodes[dst], *("" if v != v else repr(v) for v in row)])
+    return want.getvalue()
+
+
+@pytest.mark.parametrize("block", [1, 3, scoring.DUMP_BLOCK])
+def test_dump_digraph_matches_csv_writer_on_random_scores(monkeypatch, block):
+    monkeypatch.setattr(scoring, "DUMP_BLOCK", block)
+    rng = random.Random(block)
+    other_nan = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(np.float64)
+    pool = [-0.0, 0.0, math.nan, *other_nan.tolist(), 5e-324, 2.5e-310, 1e16, 1.0, -1.0, 0.1 + 0.2, 1e-5]
+    odd_ids = ["plain", "with,comma", 'with"quote', '"quoted, both"', "", "a b"]
+    ids = odd_ids + [f"j{i:02d}" for i in range(64)]
+    pairs = list(itertools.permutations(ids, 2))
+    index = {job_id: i for i, job_id in enumerate(ids)}
+    for trial in range(4):
+        # the last trial spans more than one default block
+        chosen = pairs if trial == 3 else rng.sample(pairs, rng.randint(0, 40))
+        values = [rng.choice(pool) if rng.random() < 0.7 else rng.uniform(-2, 2) for _ in range(len(chosen) * 6)]
+        scores = np.array(values, dtype=np.float64).reshape(len(chosen), 6)
+        src = np.array([index[a] for a, _ in chosen], dtype=np.intp)
+        dst = np.array([index[b] for _, b in chosen], dtype=np.intp)
+        active = ids if trial == 3 else rng.sample(ids, len(ids) * 3 // 4)
+        digraph = RecDigraph(ids, src, dst, scores, active)
+        buf = StringIO()
+        dump_digraph(digraph, buf)
+        assert buf.getvalue() == _csv_writer_dump(digraph)
+    assert digraph.num_edges > scoring.DUMP_BLOCK
 
 
 def test_load_digraph_sorts_and_filters_rows_in_any_order():
