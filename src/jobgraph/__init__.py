@@ -27,7 +27,6 @@ from .ingest import (
 from .mf import als_train, build_matrix, recommend_mf
 from .recommend import (
     Recommendation,
-    RecommenderParams,
     UserProfile,
     build_profiles,
     classify_user,
@@ -35,7 +34,7 @@ from .recommend import (
     personalized_pagerank,
     recommend,
 )
-from .scoring import RecDigraph, ScoreWeights, aggregate, build_digraph, content_edges
+from .scoring import RecDigraph, aggregate, build_digraph, content_edges
 
 __all__ = [
     "ConfigError",
@@ -45,8 +44,6 @@ __all__ = [
     "JobRecord",
     "RecDigraph",
     "Recommendation",
-    "RecommenderParams",
-    "ScoreWeights",
     "SignalKind",
     "UserProfile",
     "__version__",

@@ -202,10 +202,9 @@ def _serving_setup(args):
         raise CliError(EXIT_INPUT, f"{digraph_path}: {exc}") from exc
     taxonomy = {j.category for j in jobs.values()}
     profiles = build_profiles(signals, users, taxonomy)
-    params = config.recommender_params()
 
     def serve(profile):
-        return recommend(profile, digraph, jobs, embeddings, reference_date, params)
+        return recommend(profile, digraph, jobs, embeddings, reference_date, config)
 
     return profiles, serve
 

@@ -546,6 +546,8 @@ def evaluate_systems(
     empty are skipped; a system that cannot serve an evaluated user scores
     zero for that user (macro averaging).
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     for name in systems:
         if name not in KNOWN_SYSTEMS:
             raise ValueError(f"unknown system {name!r}; expected subset of {KNOWN_SYSTEMS}")
@@ -561,9 +563,8 @@ def evaluate_systems(
     taxonomy = {j.category for j in jobs.values()}
     profiles = build_profiles(signals, users, taxonomy)
     active = active_job_ids(jobs)
-    rec_params = config.recommender_params()
-    min_recs = None if rec_params.min_recs is None else min(rec_params.min_recs, k)
-    rec_params = replace(rec_params, k=k, min_recs=min_recs)
+    min_recs = None if config.min_recs is None else min(config.min_recs, k)
+    rec_params = replace(config, k=k, min_recs=min_recs)
 
     digraph = None
     if "graph" in systems:

@@ -42,7 +42,7 @@ class JobStatus(Enum):
     EXPIRED = "expired"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionEvent:
     """One behavioral signal: a user applied to / clicked / ignored a job.
 
@@ -57,7 +57,7 @@ class InteractionEvent:
     query_id: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobRecord:
     job_id: str
     title: str
@@ -71,7 +71,7 @@ class JobRecord:
         return self.status is JobStatus.ACTIVE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserRecord:
     user_id: str
     resume_category: str | None
@@ -79,7 +79,7 @@ class UserRecord:
     registered: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DedupedSignal:
     """One distinct (user, job, kind) triple surviving deduplication.
 
@@ -95,7 +95,7 @@ class DedupedSignal:
     query_ids: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseIssue:
     """A recoverable per-line parse failure."""
 

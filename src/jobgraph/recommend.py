@@ -22,8 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import EngineConfig
 from .ingest import DedupedSignal, JobRecord, SignalKind, UserRecord
-from .scoring import RecDigraph, Transitions
+from .scoring import RecDigraph, Walk
 
 logger = logging.getLogger(__name__)
 
@@ -46,18 +47,11 @@ class Provenance(Enum):
 
 
 @dataclass(frozen=True)
-class Interaction:
-    job_id: str
-    kind: SignalKind
-    timestamp: datetime
-
-
-@dataclass(frozen=True)
 class UserProfile:
-    """A user's windowed interactions plus resume category and location."""
+    """A user's windowed, deduped signals plus resume category and location."""
 
     user_id: str
-    interactions: tuple[Interaction, ...] = ()
+    interactions: tuple[DedupedSignal, ...] = ()
     resume_category: str | None = None
     location: tuple[float, float] | None = None
 
@@ -104,11 +98,9 @@ def build_profiles(
     """
     users = users or {}
     tax = set(taxonomy) if taxonomy is not None else None
-    interactions: dict[str, list[Interaction]] = {}
+    interactions: dict[str, list[DedupedSignal]] = {}
     for s in signals:
-        interactions.setdefault(s.user_id, []).append(
-            Interaction(s.job_id, s.kind, s.timestamp)
-        )
+        interactions.setdefault(s.user_id, []).append(s)
     profiles: dict[str, UserProfile] = {}
     for user_id in sorted(set(interactions) | set(users)):
         record = users.get(user_id)
@@ -210,22 +202,23 @@ def level2(
     return _hop(digraph, level1_results, k, exclude)
 
 
-def _span_rows(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Edge rows of the CSR spans of ``nodes``, span after span, in order."""
+def _span_rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge rows of the CSR spans of ``nodes``, span after span, in order,
+    and the length of each span."""
     lo = indptr[nodes]
     counts = indptr[nodes + 1] - lo
     starts = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum())) + np.repeat(lo - starts, counts)
+    return np.arange(int(counts.sum())) + np.repeat(lo - starts, counts), counts
 
 
-def _reached(walk: Transitions, seeds: np.ndarray) -> np.ndarray:
+def _reached(walk: Walk, seeds: np.ndarray) -> np.ndarray:
     """Sorted indices of the jobs out-reachable from ``seeds`` over the
     walk's edges, the seeds included."""
-    reached = np.zeros(len(walk.nodes), dtype=bool)
+    reached = np.zeros(len(walk.indptr) - 1, dtype=bool)
     reached[seeds] = True
     frontier = seeds
     while frontier.size:
-        dst = walk.dst[_span_rows(walk.indptr, frontier)]
+        dst = walk.dst[_span_rows(walk.indptr, frontier)[0]]
         frontier = np.unique(dst[~reached[dst]])
         reached[frontier] = True
     return np.flatnonzero(reached)
@@ -248,17 +241,14 @@ def _pagerank(
     the flow; the vectors stay full-length, so every sum, the iteration
     count and the scores are those of a walk over all edges.
     """
-    walk = digraph.transitions
-    n = len(walk.nodes)
-    seeds = np.array([walk.index[j] for j in restart_jobs], dtype=np.intp)
+    walk = digraph.walk
+    n = len(digraph.nodes)
+    seeds = np.array([digraph.index[j] for j in restart_jobs], dtype=np.intp)
     restart = np.zeros(n)
     restart[seeds] = 1.0 / len(restart_jobs)
     reached = _reached(walk, seeds)
-    src, dst, prob = walk.src, walk.dst, walk.prob
-    if len(reached) < n:  # with all reached, a gathered copy would only double the walk
-        rows = _span_rows(walk.indptr, reached)
-        src, dst, prob = src[rows], dst[rows], prob[rows]
-    dangling = np.flatnonzero(walk.dangling)
+    rows, counts = _span_rows(walk.indptr, reached)
+    src, dst, prob = np.repeat(reached, counts), walk.dst[rows], walk.prob[rows]
     teleport = (1.0 - damping) * restart
 
     x = restart.copy()
@@ -266,7 +256,7 @@ def _pagerank(
     iterations = 0
     for iterations in range(1, max_iters + 1):
         flow = np.bincount(dst, weights=x[src] * prob, minlength=n)
-        dangling_mass = float(x[dangling].sum())
+        dangling_mass = float(x[walk.dangling].sum())
         x_next = damping * (flow + dangling_mass * restart) + teleport
         delta = float(np.abs(x_next - x).sum())
         x = x_next
@@ -276,7 +266,7 @@ def _pagerank(
     if not converged:
         logger.warning("pagerank did not converge within %d iterations", max_iters)
     scores = {
-        walk.nodes[i]: score for i, score in zip(reached.tolist(), x[reached].tolist()) if score > 0.0
+        digraph.nodes[i]: score for i, score in zip(reached.tolist(), x[reached].tolist()) if score > 0.0
     }
     return PageRankResult(scores, converged, iterations)
 
@@ -300,7 +290,7 @@ def global_pagerank(
     results = digraph.global_pagerank_results
     key = (damping, epsilon, max_iters)
     if key not in results:
-        results[key] = _pagerank(digraph, digraph.transitions.nodes, damping, epsilon, max_iters)
+        results[key] = _pagerank(digraph, sorted(digraph.active_jobs), damping, epsilon, max_iters)
     return results[key]
 
 
@@ -414,21 +404,6 @@ def location_rerank(
     return rescored
 
 
-@dataclass(frozen=True)
-class RecommenderParams:
-    """Knobs of the recommendation pipeline (see the engine config)."""
-
-    k: int = 15
-    min_recs: int | None = None
-    activity_decay: float = 0.05
-    damping: float = 0.85
-    pagerank_epsilon: float = 1e-10
-    pagerank_max_iters: int = 100
-    m_similar: int = 5
-    location_radius_km: float = 80.0
-    location_boost: float = 1.25
-
-
 def _pagerank_fill(
     result: PageRankResult, banned: set[str], slots: int
 ) -> list[tuple[str, float]]:
@@ -442,7 +417,7 @@ def recommend(
     jobs: Mapping[str, JobRecord],
     embeddings: Mapping[str, np.ndarray],
     reference_date: datetime,
-    params: RecommenderParams = RecommenderParams(),
+    params: EngineConfig = EngineConfig(),
 ) -> list[Recommendation]:
     """Produce the ranked top-k list for one user (any type).
 
@@ -452,8 +427,6 @@ def recommend(
     """
     k = params.k
     min_recs = params.min_recs if params.min_recs is not None else k
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if not digraph.active_jobs:
         logger.warning("empty digraph: no recommendations possible")
         return []
@@ -472,7 +445,7 @@ def recommend(
 
     def fill_with_pagerank(taken: set[str], slots: int) -> None:
         """Personalized fill via the preference set, else global."""
-        prefs = preference_vector(profile, jobs, embeddings, params.m_similar)
+        prefs = preference_vector(profile, jobs, embeddings, params.similar_actives_per_expired)
         banned = taken | history
         if prefs:
             ppr = personalized_pagerank(

@@ -20,42 +20,15 @@ import functools
 import io
 import logging
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
+from .config import EngineConfig
 from .graph import JobMultiGraph, build_costats
 from .ingest import DedupedSignal, JobRecord, active_job_ids
 
-if TYPE_CHECKING:  # config imports this module
-    from .config import EngineConfig
-
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ScoreWeights:
-    """Weights of the aggregate score plus the content-similarity cutoff.
-
-    ``normalize_pmi2`` replaces the raw (non-positive) PMI^2 term with
-    ``exp(pmi2)`` in (0, 1] so all three terms share a common scale;
-    off by default.
-    """
-
-    w1: float = 0.5
-    w2: float = 0.3
-    w3: float = 0.2
-    gamma: float = 0.4
-    normalize_pmi2: bool = False
-
-    def __post_init__(self):
-        if min(self.w1, self.w2, self.w3) < 0:
-            raise ValueError("weights must be non-negative")
-        if max(self.w1, self.w2, self.w3) <= 0:
-            raise ValueError("at least one weight must be positive")
-        if not -1.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [-1, 1], got {self.gamma}")
 
 
 class EdgeScores(NamedTuple):
@@ -147,17 +120,13 @@ def content_edges(
     return edges
 
 
-class Transitions(NamedTuple):
-    """Random walk over the sorted active jobs: edge ``e`` moves ``prob[e]``
-    of the mass of job ``src[e]`` to job ``dst[e]``. Only positive-corr edges
-    between active jobs carry mass; a ``dangling`` job has none of them. The
-    edges are in (src, dst) order, those of job ``i`` at rows
-    ``indptr[i]:indptr[i+1]``."""
+class Walk(NamedTuple):
+    """Random walk over the nodes of a :class:`RecDigraph`: edge ``e`` of
+    the rows ``indptr[i]:indptr[i+1]`` moves ``prob[e]`` of the mass of
+    job ``i`` to job ``dst[e]``. Only positive-corr edges carry mass; the
+    ``dangling`` jobs are the active ones with none of them."""
 
-    nodes: list[str]
-    index: dict[str, int]
     indptr: np.ndarray
-    src: np.ndarray
     dst: np.ndarray
     prob: np.ndarray
     dangling: np.ndarray
@@ -245,21 +214,20 @@ class RecDigraph:
         return next((es.corr for d, es in self.out_edges(src) if d == dst), None)
 
     @functools.cached_property
-    def transitions(self) -> Transitions:
-        """The walk PageRank runs on, built on first use: masks over the
-        CSR arrays keep the positive-corr edges from active jobs, in (src,
-        dst) order, renumbered over the sorted active jobs."""
-        is_active = np.array([j in self.active_jobs for j in self.nodes], dtype=bool)
-        position = np.cumsum(is_active) - 1  # walk index of an active node
-        src = np.repeat(np.arange(len(self.nodes)), np.diff(self.indptr))
+    def walk(self) -> Walk:
+        """The walk PageRank runs on, built on first use from the
+        positive-corr rows of the CSR. No edge leads into an expired job,
+        so a walk restarting from active jobs never reaches one."""
+        n = len(self.nodes)
+        src = np.repeat(np.arange(n), np.diff(self.indptr))
         corr = self.scores[:, 0]
-        hop = is_active[src] & (corr > 0.0)
-        src, dst, weight = position[src[hop]], position[self.dst[hop]], corr[hop]
-        nodes = sorted(self.active_jobs)
-        out_sum = np.bincount(src, weights=weight, minlength=len(nodes))
-        index = {job_id: i for i, job_id in enumerate(nodes)}
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=len(nodes)))))
-        return Transitions(nodes, index, indptr, src, dst, weight / out_sum[src], out_sum == 0.0)
+        hop = corr > 0.0
+        src, weight = src[hop], corr[hop]
+        out_sum = np.bincount(src, weights=weight, minlength=n)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        is_active = np.array([j in self.active_jobs for j in self.nodes], dtype=bool)
+        dangling = np.flatnonzero(is_active & (out_sum == 0.0))
+        return Walk(indptr, self.dst[hop], weight / out_sum[src], dangling)
 
 
 # Candidate pairs scored per numpy block: large enough that the array work
@@ -271,14 +239,17 @@ AGGREGATE_BLOCK = 4096
 def aggregate(
     graph: JobMultiGraph,
     content: Mapping[tuple[str, str], float],
-    weights: ScoreWeights,
+    config: EngineConfig,
     active_set: Iterable[str],
 ) -> RecDigraph:
     """Aggregate all signals into directed weighted edges.
 
     Both directions of every candidate pair are scored independently; an
     edge is created only when at least one signal contributes and the
-    destination job is active. Sources may be expired. The candidate pairs
+    destination job is active. Sources may be expired. ``config`` gives
+    the weights ``w1``/``w2``/``w3`` and ``normalize_pmi2``, which replaces
+    the raw (non-positive) PMI^2 term with ``exp(pmi2)`` in (0, 1] so all
+    three terms share a common scale. The candidate pairs
     are the multigraph's pairs plus the content pairs between its nodes,
     scored as arrays in blocks of :data:`AGGREGATE_BLOCK` pairs.
     """
@@ -304,11 +275,11 @@ def aggregate(
         co_apps = [cs.co_apps for cs in stats]
         co_clicks = [cs.co_clicks for cs in stats]
         sims = [content.get(k) for k in keys]
-        scored += _score_block(keys, co_apps, co_clicks, sims, index, nodes, weights)
+        scored += _score_block(keys, co_apps, co_clicks, sims, index, nodes, config)
     for lo in range(0, len(content_keys), AGGREGATE_BLOCK):
         keys = content_keys[lo : lo + AGGREGATE_BLOCK]
         zeros = [0] * len(keys)
-        scored += _score_block(keys, zeros, zeros, [content[k] for k in keys], index, nodes, weights)
+        scored += _score_block(keys, zeros, zeros, [content[k] for k in keys], index, nodes, config)
     if not scored:
         return RecDigraph.from_corr({}, active)
     src, dst, scores = (np.concatenate(column) for column in zip(*scored))
@@ -330,7 +301,7 @@ def build_digraph(
     """
     graph = build_costats(signals, jobs, config.session_gap_minutes)
     content = content_edges(embeddings, config.gamma)
-    digraph = aggregate(graph, content, config.score_weights(), active_job_ids(jobs))
+    digraph = aggregate(graph, content, config, active_job_ids(jobs))
     return digraph, graph, content
 
 
@@ -349,7 +320,7 @@ def _score_block(
     sims: list[float | None],
     index: Mapping[str, int],
     nodes: _NodeArrays,
-    weights: ScoreWeights,
+    config: EngineConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Score both directions of a block of pairs (a, b), given as parallel
     columns, as one (src, dst, scores) entry per direction, scores in
@@ -372,16 +343,16 @@ def _score_block(
     has_clicks = co_clicks > 0
     evidence = has_apps | has_clicks | has_sim
     # PMI^2 is symmetric in the pair: one value serves both directions
-    pm_apps, has_pm_apps, term_apps = _pmi2_block(co_apps, nodes.total_apps[a], nodes.total_apps[b], weights)
+    pm_apps, has_pm_apps, term_apps = _pmi2_block(co_apps, nodes.total_apps[a], nodes.total_apps[b], config)
     pm_clicks, has_pm_clicks, term_clicks = _pmi2_block(
-        co_clicks, nodes.total_clicks[a], nodes.total_clicks[b], weights
+        co_clicks, nodes.total_clicks[a], nodes.total_clicks[b], config
     )
     pmi_sum = term_apps + term_clicks
     scored = []
     for src, dst in ((a, b), (b, a)):
         p_apps = _mle_block(co_apps, nodes.total_apps[src], has_apps)
         p_clicks = _mle_block(co_clicks, nodes.total_clicks[src], has_clicks)
-        corr = weights.w1 * (p_apps + p_clicks) + weights.w2 * pmi_sum + weights.w3 * sim
+        corr = config.w1 * (p_apps + p_clicks) + config.w2 * pmi_sum + config.w3 * sim
         columns = (
             corr,
             np.where(has_apps, p_apps, np.nan),
@@ -405,7 +376,7 @@ def _mle_block(co: np.ndarray, src_total: np.ndarray, present: np.ndarray) -> np
 
 
 def _pmi2_block(
-    co: np.ndarray, total_a: np.ndarray, total_b: np.ndarray, weights: ScoreWeights
+    co: np.ndarray, total_a: np.ndarray, total_b: np.ndarray, config: EngineConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`pmi2` per pair with its presence mask and its aggregate term
     (``exp(pmi2)`` under ``normalize_pmi2``; 0.0 where absent).
@@ -422,7 +393,7 @@ def _pmi2_block(
         c = co[present]
         ratio = (c * c) / (total_a[present] * total_b[present])
         value[present] = list(map(math.log, ratio.tolist()))
-    if not weights.normalize_pmi2:
+    if not config.normalize_pmi2:
         return value, present, value
     term = np.zeros(len(co))
     if present.any():

@@ -175,26 +175,42 @@ def reference_pagerank(
 ) -> PageRankResult:
     """The power iteration as it was before it walked only reached edges:
     every iteration walks every positive edge of the digraph, whatever the
-    restart set. recommend._pagerank must return the same result, bit for
+    restart set, over arrays built here from ``out_edges``. The vectors run
+    over ``digraph.nodes``; an active job without a positive out-edge is
+    dangling. recommend._pagerank must return the same result, bit for
     bit."""
-    walk = digraph.transitions
-    n = len(walk.nodes)
+    nodes = digraph.nodes
+    n = len(nodes)
+    index = {job_id: i for i, job_id in enumerate(nodes)}
+    edges = [
+        (index[src], index[dst], es.corr)
+        for src in nodes
+        for dst, es in digraph.out_edges(src)
+        if es.corr > 0.0
+    ]
+    out_sum = [0.0] * n
+    for src, _, corr in edges:
+        out_sum[src] += corr
+    src = np.array([e[0] for e in edges], dtype=np.intp)
+    dst = np.array([e[1] for e in edges], dtype=np.intp)
+    prob = np.array([corr / out_sum[s] for s, _, corr in edges])
+    dangling = [i for i, job_id in enumerate(nodes) if job_id in digraph.active_jobs and out_sum[i] == 0.0]
     restart = np.zeros(n)
-    restart[[walk.index[j] for j in restart_jobs]] = 1.0 / len(restart_jobs)
+    restart[[index[j] for j in restart_jobs]] = 1.0 / len(restart_jobs)
 
     x = restart.copy()
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        flow = np.bincount(walk.dst, weights=x[walk.src] * walk.prob, minlength=n)
-        dangling_mass = float(x[walk.dangling].sum())
+        flow = np.bincount(dst, weights=x[src] * prob, minlength=n)
+        dangling_mass = float(x[dangling].sum())
         x_next = damping * (flow + dangling_mass * restart) + (1.0 - damping) * restart
         delta = float(np.abs(x_next - x).sum())
         x = x_next
         if delta < epsilon:
             converged = True
             break
-    scores = {job_id: score for job_id, score in zip(walk.nodes, x.tolist()) if score > 0.0}
+    scores = {job_id: score for job_id, score in zip(nodes, x.tolist()) if score > 0.0}
     return PageRankResult(scores, converged, iterations)
 
 

@@ -34,7 +34,6 @@ from jobgraph.mf import (
     recommend_mf,
 )
 from jobgraph.recommend import (
-    RecommenderParams,
     UserProfile,
     build_profiles,
     global_pagerank,
@@ -45,7 +44,6 @@ from jobgraph.recommend import (
 )
 from jobgraph.scoring import (
     RecDigraph,
-    ScoreWeights,
     aggregate,
     content_edges,
     embed_sim,
@@ -81,7 +79,7 @@ def graph_of(nodes, edges):
     )
 
 
-def built_pipeline(corpus, weights=ScoreWeights()):
+def built_pipeline(corpus, weights=EngineConfig()):
     """Corpus -> (signals, digraph, active set, profiles), the serving path."""
     windowed = window_filter(corpus.events, corpus.reference_date, corpus.window_days)
     resolved, _ = resolve_jobs(windowed, corpus.jobs)
@@ -126,13 +124,13 @@ def test_criterion_1_score_formula_suite():
 
         fixtures = [
             # (node stats, edge co-stats, content sim, weights, src, dst, expected)
-            ({"i": (0, 0), "j": (0, 0)}, None, 0.8, ScoreWeights(), "i", "j", 0.16),
-            ({"i": (2, 2), "j": (2, 2)}, (2, 2), 1.0, ScoreWeights(), "i", "j", 1.2),
+            ({"i": (0, 0), "j": (0, 0)}, None, 0.8, EngineConfig(), "i", "j", 0.16),
+            ({"i": (2, 2), "j": (2, 2)}, (2, 2), 1.0, EngineConfig(), "i", "j", 1.2),
             (
                 {"i": (2, 2), "j": (2, 2)},
                 (2, 2),
                 1.0,
-                ScoreWeights(normalize_pmi2=True),
+                EngineConfig(normalize_pmi2=True),
                 "i",
                 "j",
                 1.8,
@@ -141,7 +139,7 @@ def test_criterion_1_score_formula_suite():
                 {"i": (4, 0), "j": (8, 0)},
                 (2, 0),
                 None,
-                ScoreWeights(),
+                EngineConfig(),
                 "i",
                 "j",
                 0.5 * (2 / 4) + 0.3 * math.log(4 / 32),
@@ -150,12 +148,12 @@ def test_criterion_1_score_formula_suite():
                 {"i": (4, 0), "j": (8, 0)},
                 (2, 0),
                 None,
-                ScoreWeights(),
+                EngineConfig(),
                 "j",
                 "i",
                 0.5 * (2 / 8) + 0.3 * math.log(4 / 32),
             ),
-            ({"i": (0, 3), "j": (0, 3)}, (0, 3), None, ScoreWeights(), "i", "j", 0.5),
+            ({"i": (0, 3), "j": (0, 3)}, (0, 3), None, EngineConfig(), "i", "j", 0.5),
         ]
         for nodes, co, sim, weights, src, dst, expected in fixtures:
             g = graph_of(nodes, {("i", "j"): co} if co else {})
@@ -272,7 +270,7 @@ def test_criterion_5_cold_start_contrast():
         assert cold and not {e.job_id for e in corpus.events} & cold
 
         signals, digraph, active, profiles = built_pipeline(corpus)
-        params = RecommenderParams(k=15)
+        params = EngineConfig(k=15)
         reached = 0
         for user_id in sorted(corpus.users):
             profile = profiles.get(user_id) or UserProfile(user_id)

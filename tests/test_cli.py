@@ -614,6 +614,11 @@ def test_evaluate_unknown_system_is_input_error(corpus_dir):
     assert rc == 1
 
 
+def test_evaluate_k_below_one_is_input_error(corpus_dir):
+    rc = cli.main(["evaluate", *corpus_flags(corpus_dir), "--reference-date", REF_ARG, "--k", "0"])
+    assert rc == 1
+
+
 def test_connectivity_output_format(corpus_dir, capsys):
     rc = cli.main(
         [

@@ -10,8 +10,6 @@ from jobgraph.config import (
     dump_config,
     load_config,
 )
-from jobgraph.recommend import RecommenderParams
-from jobgraph.scoring import ScoreWeights
 
 
 def test_defaults_match_published_knobs():
@@ -85,6 +83,7 @@ def test_load_config_rejects_duplicate_keys():
         {"session_gap_minutes": -1.0},
         {"activity_decay": -0.05},
         {"location_boost": 0.9},
+        {"damping": 0.0},
         {"damping": 1.0},
         {"pagerank_epsilon": 0.0},
         {"pagerank_max_iters": 0},
@@ -117,34 +116,3 @@ def test_config_hash_is_stable_and_sensitive():
     assert base == config_hash(EngineConfig())
     assert len(base) == 64
     assert config_hash(EngineConfig(k=14)) != base
-
-
-def test_score_weights_and_recommender_params_mapping():
-    cfg = EngineConfig(
-        w1=0.6,
-        w2=0.25,
-        w3=0.15,
-        gamma=0.3,
-        normalize_pmi2=True,
-        k=9,
-        min_recs=3,
-        activity_decay=0.07,
-        damping=0.9,
-        pagerank_epsilon=1e-9,
-        pagerank_max_iters=250,
-        similar_actives_per_expired=2,
-        location_radius_km=40.0,
-        location_boost=1.5,
-    )
-    assert cfg.score_weights() == ScoreWeights(0.6, 0.25, 0.15, 0.3, True)
-    assert cfg.recommender_params() == RecommenderParams(
-        k=9,
-        min_recs=3,
-        activity_decay=0.07,
-        damping=0.9,
-        pagerank_epsilon=1e-9,
-        pagerank_max_iters=250,
-        m_similar=2,
-        location_radius_km=40.0,
-        location_boost=1.5,
-    )

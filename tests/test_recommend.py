@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from helpers import REF, brute_force_levels, edge_map, ev, make_job, random_digraph, ts
-from jobgraph.ingest import SignalKind, UserRecord, dedupe
+from jobgraph.config import ConfigError, EngineConfig
+from jobgraph.ingest import DedupedSignal, SignalKind, UserRecord, dedupe
 from jobgraph.recommend import (
-    Interaction,
     Provenance,
-    RecommenderParams,
     UserProfile,
     UserType,
     activity_score,
@@ -32,12 +31,12 @@ from jobgraph.recommend import (
 from jobgraph.scoring import RecDigraph, dump_digraph, embed_sim, load_digraph
 
 
-def interactions(*triples):
-    return tuple(Interaction(job, kind, ts(age)) for job, kind, age in triples)
+def interactions(user_id, *triples):
+    return tuple(DedupedSignal(user_id, job, kind, ts(age)) for job, kind, age in triples)
 
 
 def profile(user_id="u1", triples=(), category=None, location=None):
-    return UserProfile(user_id, interactions(*triples), category, location)
+    return UserProfile(user_id, interactions(user_id, *triples), category, location)
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +469,11 @@ def test_recommend_k_truncates_and_min_recs_stops_early():
         ["h", "a", "b", "c"],
     )
     p = profile(triples=[("h", SignalKind.APPLY, 0)])
-    short = recommend(p, digraph, pipeline_jobs(digraph), {}, REF, RecommenderParams(k=1))
+    short = recommend(p, digraph, pipeline_jobs(digraph), {}, REF, EngineConfig(k=1))
     assert [r.job_id for r in short] == ["a"]
     # min_recs=2 is satisfied by level 1 alone, so no level-2 tier appears
     capped = recommend(
-        p, digraph, pipeline_jobs(digraph), {}, REF, RecommenderParams(k=5, min_recs=2)
+        p, digraph, pipeline_jobs(digraph), {}, REF, EngineConfig(k=5, min_recs=2)
     )
     assert {r.provenance for r in capped} == {Provenance.LEVEL1}
 
@@ -525,8 +524,8 @@ def test_recommend_empty_digraph_yields_nothing():
 
 def test_recommend_rejects_bad_k():
     digraph = RecDigraph.from_corr({("a", "b"): 1.0}, ["a", "b"])
-    with pytest.raises(ValueError):
-        recommend(profile(), digraph, {}, {}, REF, RecommenderParams(k=0))
+    with pytest.raises(ConfigError):
+        recommend(profile(), digraph, {}, {}, REF, EngineConfig(k=0))
 
 
 def test_recommend_invariants_on_random_inputs():
@@ -557,7 +556,7 @@ def test_recommend_invariants_on_random_inputs():
             else None,
         )
         k = rng.randint(1, 8)
-        recs = recommend(p, digraph, jobs, {}, REF, RecommenderParams(k=k))
+        recs = recommend(p, digraph, jobs, {}, REF, EngineConfig(k=k))
 
         ids = [r.job_id for r in recs]
         assert len(recs) <= k
@@ -613,6 +612,6 @@ def test_stale_artifact_never_serves_a_job_expired_after_the_build():
         profile(),
     ]
     for p in users:
-        recs = recommend(p, served, jobs, {}, REF, RecommenderParams(k=10))
+        recs = recommend(p, served, jobs, {}, REF, EngineConfig(k=10))
         assert recs
         assert "x" not in {r.job_id for r in recs}

@@ -11,12 +11,12 @@ import pytest
 
 from helpers import digraph_of_scores, edge_map, reference_aggregate
 from jobgraph import scoring
+from jobgraph.config import EngineConfig
 from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
 from jobgraph.recommend import global_pagerank, personalized_pagerank
 from jobgraph.scoring import (
     EdgeScores,
     RecDigraph,
-    ScoreWeights,
     aggregate,
     content_edges,
     dump_digraph,
@@ -166,26 +166,12 @@ def test_content_edges_category_blocking():
 
 
 # ---------------------------------------------------------------------------
-# weights
-
-
-def test_score_weights_validation():
-    ScoreWeights()
-    with pytest.raises(ValueError):
-        ScoreWeights(w1=-0.1)
-    with pytest.raises(ValueError):
-        ScoreWeights(w1=0, w2=0, w3=0)
-    with pytest.raises(ValueError):
-        ScoreWeights(gamma=1.5)
-
-
-# ---------------------------------------------------------------------------
 # aggregation
 
 
 def test_aggregate_content_only_hand_value():
     g = graph_of({"i": (0, 0), "j": (0, 0)}, {})
-    digraph = aggregate(g, {("i", "j"): 0.8}, ScoreWeights(), ["i", "j"])
+    digraph = aggregate(g, {("i", "j"): 0.8}, EngineConfig(), ["i", "j"])
     assert digraph.corr("i", "j") == pytest.approx(0.16, abs=1e-15)
     assert digraph.corr("j", "i") == pytest.approx(0.16, abs=1e-15)
     es = edge_map(digraph)[("i", "j")]
@@ -196,14 +182,14 @@ def test_aggregate_content_only_hand_value():
 
 def test_aggregate_perfect_cooccurrence_hand_value():
     g = graph_of({"i": (2, 2), "j": (2, 2)}, {("i", "j"): (2, 2)})
-    digraph = aggregate(g, {("i", "j"): 1.0}, ScoreWeights(), ["i", "j"])
+    digraph = aggregate(g, {("i", "j"): 1.0}, EngineConfig(), ["i", "j"])
     # both probabilities 1.0, both co-information terms ln(1) = 0, sim 1.0
     assert digraph.corr("i", "j") == pytest.approx(1.2, abs=1e-12)
 
 
 def test_aggregate_normalized_pmi2_hand_value():
     g = graph_of({"i": (2, 2), "j": (2, 2)}, {("i", "j"): (2, 2)})
-    weights = ScoreWeights(normalize_pmi2=True)
+    weights = EngineConfig(normalize_pmi2=True)
     digraph = aggregate(g, {("i", "j"): 1.0}, weights, ["i", "j"])
     # exp(0) = 1 for each of the two co-information terms
     assert digraph.corr("i", "j") == pytest.approx(1.8, abs=1e-12)
@@ -211,7 +197,7 @@ def test_aggregate_normalized_pmi2_hand_value():
 
 def test_aggregate_apps_only_hand_value():
     g = graph_of({"i": (4, 0), "j": (8, 0)}, {("i", "j"): (2, 0)})
-    digraph = aggregate(g, {}, ScoreWeights(), ["i", "j"])
+    digraph = aggregate(g, {}, EngineConfig(), ["i", "j"])
     expected = 0.5 * (2 / 8) + 0.3 * math.log(4 / 32)
     assert digraph.corr("j", "i") == pytest.approx(expected, abs=1e-12)
     reverse = 0.5 * (2 / 4) + 0.3 * math.log(4 / 32)
@@ -221,20 +207,20 @@ def test_aggregate_apps_only_hand_value():
 
 def test_aggregate_skips_expired_destinations():
     g = graph_of({"i": (3, 0), "j": (3, 0)}, {("i", "j"): (2, 0)})
-    digraph = aggregate(g, {}, ScoreWeights(), ["i"])
+    digraph = aggregate(g, {}, EngineConfig(), ["i"])
     assert digraph.corr("j", "i") is not None  # expired source feeds active dst
     assert digraph.corr("i", "j") is None
 
 
 def test_aggregate_requires_some_signal():
     g = graph_of({"i": (3, 0), "j": (5, 0)}, {})
-    digraph = aggregate(g, {}, ScoreWeights(), ["i", "j"])
+    digraph = aggregate(g, {}, EngineConfig(), ["i", "j"])
     assert digraph.num_edges == 0
 
 
 def test_aggregate_ignores_content_for_unknown_nodes():
     g = graph_of({"i": (0, 0), "j": (0, 0)}, {})
-    digraph = aggregate(g, {("i", "ghost"): 0.9}, ScoreWeights(), ["i", "j", "ghost"])
+    digraph = aggregate(g, {("i", "ghost"): 0.9}, EngineConfig(), ["i", "j", "ghost"])
     assert digraph.num_edges == 0
 
 
@@ -257,7 +243,7 @@ def test_digraph_dump_reload_is_bit_exact():
         for b in ids[a_pos + 1:]:
             if rng.random() < 0.3:
                 content[(a, b)] = rng.uniform(0.4, 1.0)
-    digraph = aggregate(g, content, ScoreWeights(), ids)
+    digraph = aggregate(g, content, EngineConfig(), ids)
 
     buf = StringIO()
     dump_digraph(digraph, buf)
@@ -317,7 +303,7 @@ def test_aggregate_matches_scalar_reference_on_random_multigraphs(monkeypatch, n
         graph, content, active = random_scoring_inputs(
             rng, rng.randint(2, 14), rng.uniform(0.1, 0.9), rng.uniform(0.0, 0.6)
         )
-        weights = ScoreWeights(
+        weights = EngineConfig(
             w1=rng.choice([0.0, rng.uniform(0.1, 1.0)]),
             w2=rng.choice([0.0, rng.uniform(0.1, 1.0)]),
             w3=rng.uniform(0.1, 1.0),
@@ -334,14 +320,14 @@ def test_aggregate_matches_scalar_reference_across_full_blocks():
     graph, content, active = random_scoring_inputs(rng, 110, 0.3, 0.7)
     candidates = set(graph.edges) | {p for p in content if p[0] in graph.nodes and p[1] in graph.nodes}
     assert len(candidates) > scoring.AGGREGATE_BLOCK
-    for weights in (ScoreWeights(), ScoreWeights(normalize_pmi2=True)):
+    for weights in (EngineConfig(), EngineConfig(normalize_pmi2=True)):
         digraph = aggregate(graph, content, weights, active)
         assert_matches_reference(digraph, graph, content, weights, active)
 
 
 def test_aggregate_without_candidate_pairs_is_empty():
     g = graph_of({"i": (1, 1)}, {})
-    digraph = aggregate(g, {}, ScoreWeights(), ["i"])
+    digraph = aggregate(g, {}, EngineConfig(), ["i"])
     assert digraph.num_edges == 0 and edge_map(digraph) == {}
 
 
@@ -410,7 +396,7 @@ def test_dump_digraph_matches_csv_writer_on_random_scores(monkeypatch, block):
 def test_load_digraph_sorts_and_filters_rows_in_any_order():
     rng = random.Random(8)
     graph, content, active = random_scoring_inputs(rng, 40, 0.3, 0.4)
-    built = aggregate(graph, content, ScoreWeights(), active)
+    built = aggregate(graph, content, EngineConfig(), active)
     buf = StringIO()
     dump_digraph(built, buf)
     rows = buf.getvalue().splitlines(keepends=True)
@@ -439,7 +425,7 @@ def test_load_digraph_keeps_the_last_of_repeated_rows():
 def test_pagerank_of_a_reloaded_dump_equals_the_built_digraph():
     rng = random.Random(12)
     graph, content, active = random_scoring_inputs(rng, 40, 0.3, 0.4)
-    built = aggregate(graph, content, ScoreWeights(w2=0.05), active)
+    built = aggregate(graph, content, EngineConfig(w2=0.05), active)
     buf = StringIO()
     dump_digraph(built, buf)
     reloaded = load_digraph(StringIO(buf.getvalue()), active)
