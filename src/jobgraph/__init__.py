@@ -12,7 +12,7 @@ offline baselines.
 __version__ = "0.1.0"
 
 from .config import ConfigError, EngineConfig, load_config
-from .evaluation import classic_cf, evaluate_systems, synth_corpus
+from .evaluation import build_cf_index, cf_recommend, evaluate_systems, synth_corpus
 from .graph import JobMultiGraph, build_costats
 from .ingest import (
     InteractionEvent,
@@ -49,11 +49,12 @@ __all__ = [
     "__version__",
     "aggregate",
     "als_train",
+    "build_cf_index",
     "build_costats",
     "build_digraph",
     "build_matrix",
     "build_profiles",
-    "classic_cf",
+    "cf_recommend",
     "classify_user",
     "content_edges",
     "dedupe",

@@ -29,7 +29,8 @@ class EngineConfig:
     similar_actives_per_expired  replacement fan-out when building the
                        preference set from expired history jobs
     location_radius_km / location_boost  nearby-job re-ranking
-    damping, pagerank_epsilon, pagerank_max_iters  random-walk settings
+    damping, pagerank_epsilon  random-walk settings; the iteration cap
+                       is derived from them
     k                  list length served to a user
     min_recs           threshold that triggers the next fallback strategy
                        (defaults to k when unset)
@@ -51,7 +52,6 @@ class EngineConfig:
     location_boost: float = 1.25
     damping: float = 0.85
     pagerank_epsilon: float = 1e-10
-    pagerank_max_iters: int = 100
     k: int = 15
     min_recs: int | None = None
     seed: int = 0
@@ -79,8 +79,8 @@ class EngineConfig:
             raise ConfigError(f"location_boost must be >= 1, got {self.location_boost}")
         if not 0.0 < self.damping < 1.0:
             raise ConfigError(f"damping must lie in (0, 1), got {self.damping}")
-        if self.pagerank_epsilon <= 0 or self.pagerank_max_iters < 1:
-            raise ConfigError("pagerank_epsilon must be positive, max_iters >= 1")
+        if self.pagerank_epsilon <= 0:
+            raise ConfigError(f"pagerank_epsilon must be positive, got {self.pagerank_epsilon}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.min_recs is not None and not 1 <= self.min_recs <= self.k:
@@ -137,12 +137,7 @@ def load_config(lines: Iterable[str]) -> EngineConfig:
         if key in overrides:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
         overrides[key] = _coerce(key, raw)
-    try:
-        return EngineConfig(**overrides)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # pragma: no cover - defensive
-        raise ConfigError(str(exc)) from exc
+    return EngineConfig(**overrides)
 
 
 def dump_config(config: EngineConfig) -> str:
@@ -195,10 +190,10 @@ similar_actives_per_expired = 5
 location_radius_km = 80.0
 location_boost = 1.25
 
-# random-walk settings
+# random-walk settings; a walk stops once a step changes the scores by less
+# than pagerank_epsilon, within 2 + ceil(log(epsilon/2) / log(damping)) steps
 damping = 0.85
 pagerank_epsilon = 1e-10
-pagerank_max_iters = 100
 
 # list length and the fallback trigger threshold (defaults to k)
 k = 15

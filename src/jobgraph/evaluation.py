@@ -115,7 +115,7 @@ def connectivity_report(
 
 @dataclass
 class CfIndex:
-    """Prebuilt apply-history index shared across classic_cf queries.
+    """Prebuilt apply-history index shared across cf_recommend queries.
 
     ``appliers_of`` lists each job's distinct appliers newest-first;
     ``applied_by`` maps a user to their distinct applied jobs with the
@@ -124,7 +124,6 @@ class CfIndex:
 
     appliers_of: dict[str, list[tuple[datetime, str]]]
     applied_by: dict[str, list[tuple[str, datetime]]]
-    latest_apply: datetime | None
 
 
 def build_cf_index(events: Iterable[InteractionEvent]) -> CfIndex:
@@ -142,27 +141,31 @@ def build_cf_index(events: Iterable[InteractionEvent]) -> CfIndex:
         applied_by.setdefault(u, []).append((j, ts))
     for entries in appliers_of.values():
         entries.sort(key=lambda p: (-p[0].timestamp(), p[1]))
-    return CfIndex(appliers_of, applied_by, max(latest.values(), default=None))
+    return CfIndex(appliers_of, applied_by)
 
 
 def cf_recommend(
     index: CfIndex,
     user_id: str,
     k: int,
-    reference_date: datetime | None = None,
+    reference_date: datetime,
     *,
     window_applicants: int = 50,
     decay: float = 0.05,
     exclude: Iterable[str] = (),
     active_jobs: Iterable[str] | None = None,
 ) -> list[tuple[str, float]]:
-    """classic_cf against a prebuilt index (see classic_cf for semantics)."""
+    """User-based CF over applications only.
+
+    For each job the user applied to, take that job's most recent
+    ``window_applicants`` distinct appliers; candidate jobs are everything
+    those appliers applied to, scored by recency-weighted frequency
+    ``sum(exp(-decay * age_days))`` over the contributing applies, ages
+    taken at ``reference_date``. The user's own applied jobs (and any extra
+    ``exclude`` ids) never appear. A user with no applies gets an empty list.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if reference_date is None:
-        reference_date = index.latest_apply
-    if reference_date is None:
-        return []
     own = {j for j, _ in index.applied_by.get(user_id, ())}
     if not own:
         return []
@@ -190,38 +193,6 @@ def cf_recommend(
             scores[job_id] = scores.get(job_id, 0.0) + math.exp(-decay * age)
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:k]
-
-
-def classic_cf(
-    events: Sequence[InteractionEvent],
-    user_id: str,
-    k: int,
-    reference_date: datetime | None = None,
-    *,
-    window_applicants: int = 50,
-    decay: float = 0.05,
-    exclude: Iterable[str] = (),
-    active_jobs: Iterable[str] | None = None,
-) -> list[tuple[str, float]]:
-    """User-based CF over applications only.
-
-    For each job the user applied to, take that job's most recent
-    ``window_applicants`` distinct appliers; candidate jobs are everything
-    those appliers applied to, scored by recency-weighted frequency
-    ``sum(exp(-decay * age_days))`` over the contributing applies. The
-    user's own applied jobs (and any extra ``exclude`` ids) never appear.
-    A user with no applies gets an empty list.
-    """
-    return cf_recommend(
-        build_cf_index(events),
-        user_id,
-        k,
-        reference_date,
-        window_applicants=window_applicants,
-        decay=decay,
-        exclude=exclude,
-        active_jobs=active_jobs,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +586,13 @@ def evaluate_systems(
                     )
                 ]
             elif name == "mf" and model is not None and user_id in model.user_index:
+                clicks = None
+                if config.mf_implicit:  # the clicks als_train fit the implicit term over
+                    clicks = sorted({i.job_id for i in profile.interactions if i.kind is SignalKind.CLICK})
                 ranked = [
                     j
                     for j, _ in recommend_mf(
-                        model, user_id, k, exclusions=history, active_jobs=active
+                        model, user_id, k, exclusions=history, active_jobs=active, implicit_items=clicks
                     )
                 ]
             if ranked:

@@ -12,7 +12,6 @@ import csv
 import logging
 from dataclasses import dataclass
 from datetime import timedelta
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, TextIO
 
@@ -28,13 +27,6 @@ class NodeStats:
     total_apps: int = 0
     total_clicks: int = 0
 
-    def total(self, signal: str) -> int:
-        if signal == "apps":
-            return self.total_apps
-        if signal == "clicks":
-            return self.total_clicks
-        raise ValueError(f"unknown signal {signal!r}")
-
 
 @dataclass(frozen=True)
 class CoStats:
@@ -42,13 +34,6 @@ class CoStats:
 
     co_apps: int = 0
     co_clicks: int = 0
-
-    def count(self, signal: str) -> int:
-        if signal == "apps":
-            return self.co_apps
-        if signal == "clicks":
-            return self.co_clicks
-        raise ValueError(f"unknown signal {signal!r}")
 
 
 def _pair(i: str, j: str) -> tuple[str, str]:
@@ -61,9 +46,6 @@ class JobMultiGraph:
     def __init__(self, nodes: dict[str, NodeStats], edges: dict[tuple[str, str], CoStats]):
         self.nodes = nodes
         self.edges = edges
-
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self.nodes
 
     @property
     def num_nodes(self) -> int:
@@ -79,23 +61,6 @@ class JobMultiGraph:
     def costats(self, i: str, j: str) -> CoStats:
         """Co-statistics for (i, j); order-independent, zero pair if absent."""
         return self.edges.get(_pair(i, j), CoStats())
-
-    @cached_property
-    def _adjacency(self) -> dict[str, list[str]]:
-        """Each node's partners ordered by job_id, built on first use."""
-        adjacency: dict[str, list[str]] = {}
-        for a, b in self.edges:
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        for partners in adjacency.values():
-            partners.sort()
-        return adjacency
-
-    def neighbors(self, job_id: str) -> list[tuple[str, CoStats]]:
-        """All partners with nonzero co-statistics, ordered by job_id."""
-        if job_id not in self.nodes:
-            raise KeyError(f"unknown job {job_id!r}")
-        return [(other, self.edges[_pair(job_id, other)]) for other in self._adjacency.get(job_id, [])]
 
 
 def _clicks_cooccur(a: DedupedSignal, b: DedupedSignal, gap: timedelta) -> bool:

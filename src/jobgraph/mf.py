@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable, Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -94,7 +94,6 @@ class FactorModel:
     job_bias: np.ndarray  # (n,)
     implicit_factors: np.ndarray  # (n, k), zeros unless implicit training ran
     mu: float
-    reg: float
     user_ids: list[str]
     job_ids: list[str]
     loss_trace: list[tuple[str, float]] = field(default_factory=list)
@@ -339,7 +338,7 @@ def als_train(
         logger.info("als iteration %d: observed MSE %.6g", it, mse)
 
     return FactorModel(
-        U, J, b_u, b_j, Y, mu, reg, list(matrix.user_ids), list(matrix.job_ids),
+        U, J, b_u, b_j, Y, mu, list(matrix.user_ids), list(matrix.job_ids),
         loss_trace, mse_trace,
     )
 
@@ -442,14 +441,9 @@ def save_model(model: FactorModel, fh: TextIO) -> None:
         fh.write(" ".join(repr(x) for x in row.tolist()) + "\n")
 
 
-def load_model(
-    lines: Iterable[str],
-    user_ids: Sequence[str] | None = None,
-    job_ids: Sequence[str] | None = None,
-    reg: float = 0.0,
-) -> FactorModel:
-    """Reload a model dump; id sequences restore id-based lookups (falling
-    back to positional string indices when omitted)."""
+def load_model(lines: Iterable[str], user_ids: Sequence[str], job_ids: Sequence[str]) -> FactorModel:
+    """Reload a model dump; the id sequences, in the model's row order,
+    restore id-based lookups."""
     it = iter(lines)
     m, n, k, mu = next(it).split()
     m, n, k = int(m), int(n), int(k)
@@ -464,8 +458,6 @@ def load_model(
     J = read_block(n, k)
     b_j = read_block(n, 1).ravel()
     Y = read_block(n, k)
-    users = list(user_ids) if user_ids is not None else [str(i) for i in range(m)]
-    jobs = list(job_ids) if job_ids is not None else [str(i) for i in range(n)]
-    if len(users) != m or len(jobs) != n:
+    if len(user_ids) != m or len(job_ids) != n:
         raise ValueError("id list lengths do not match the dump header")
-    return FactorModel(U, J, b_u, b_j, Y, float(mu), reg, users, jobs)
+    return FactorModel(U, J, b_u, b_j, Y, float(mu), list(user_ids), list(job_ids))

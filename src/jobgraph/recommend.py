@@ -224,23 +224,40 @@ def _reached(walk: Walk, seeds: np.ndarray) -> np.ndarray:
     return np.flatnonzero(reached)
 
 
+def _iteration_cap(damping: float, epsilon: float) -> int:
+    """Steps that always bring the L1 change of a step below ``epsilon``.
+
+    The first step changes at most 2 (both vectors sum to 1), and each later
+    change is at most ``damping`` times the one before, so step
+    ``2 + ceil(log(epsilon/2) / log(damping))`` changes less than
+    ``epsilon``: 148 steps at damping 0.85 and epsilon 1e-10.
+    """
+    return 2 + max(0, math.ceil(math.log(epsilon / 2.0) / math.log(damping)))
+
+
 def _pagerank(
     digraph: RecDigraph,
     restart_jobs: Sequence[str],
     damping: float,
     epsilon: float,
-    max_iters: int,
+    max_iters: int | None = None,
 ) -> PageRankResult:
     """Power iteration with restart mass uniform over ``restart_jobs``;
     dangling mass teleports to the restart distribution (so restarting from
     every active job is plain PageRank). Lists the jobs that hold mass,
     which are those out-reachable from the restart jobs over positive edges.
 
+    The walk stops once a step changes less than ``epsilon`` in L1, or
+    after ``max_iters`` steps, by default :func:`_iteration_cap`; at that
+    cap only floating-point rounding can leave it unconverged.
+
     Only the edges out of reached jobs are walked. Every other edge moves
     the mass of a job that holds none, so it would add exactly ``+0.0`` to
     the flow; the vectors stay full-length, so every sum, the iteration
     count and the scores are those of a walk over all edges.
     """
+    if max_iters is None:
+        max_iters = _iteration_cap(damping, epsilon)
     walk = digraph.walk
     n = len(digraph.nodes)
     seeds = np.array([digraph.index[j] for j in restart_jobs], dtype=np.intp)
@@ -275,7 +292,6 @@ def global_pagerank(
     digraph: RecDigraph,
     damping: float = 0.85,
     epsilon: float = 1e-10,
-    max_iters: int = 100,
 ) -> PageRankResult:
     """Popularity scores over all active jobs; scores sum to 1.
 
@@ -288,9 +304,9 @@ def global_pagerank(
         logger.warning("global pagerank on empty digraph")
         return PageRankResult({}, True, 0)
     results = digraph.global_pagerank_results
-    key = (damping, epsilon, max_iters)
+    key = (damping, epsilon)
     if key not in results:
-        results[key] = _pagerank(digraph, sorted(digraph.active_jobs), damping, epsilon, max_iters)
+        results[key] = _pagerank(digraph, sorted(digraph.active_jobs), damping, epsilon)
     return results[key]
 
 
@@ -299,7 +315,6 @@ def personalized_pagerank(
     preference_jobs: Iterable[str],
     damping: float = 0.85,
     epsilon: float = 1e-10,
-    max_iters: int = 100,
 ) -> PageRankResult:
     """PageRank whose restart mass is uniform over the preference jobs.
 
@@ -312,7 +327,7 @@ def personalized_pagerank(
     if not prefs:
         logger.warning("preference set shares no jobs with the digraph")
         return PageRankResult({}, True, 0)
-    return _pagerank(digraph, prefs, damping, epsilon, max_iters)
+    return _pagerank(digraph, prefs, damping, epsilon)
 
 
 def preference_vector(
@@ -436,9 +451,7 @@ def recommend(
     user_type = classify_user(profile)
 
     def fill_with_global(banned: set[str], slots: int) -> None:
-        gpr = global_pagerank(
-            digraph, params.damping, params.pagerank_epsilon, params.pagerank_max_iters
-        )
+        gpr = global_pagerank(digraph, params.damping, params.pagerank_epsilon)
         picked = _pagerank_fill(gpr, banned, slots)
         if picked:
             tiers.append((Provenance.GLOBAL_PAGERANK, picked))
@@ -448,9 +461,7 @@ def recommend(
         prefs = preference_vector(profile, jobs, embeddings, params.similar_actives_per_expired)
         banned = taken | history
         if prefs:
-            ppr = personalized_pagerank(
-                digraph, prefs, params.damping, params.pagerank_epsilon, params.pagerank_max_iters
-            )
+            ppr = personalized_pagerank(digraph, prefs, params.damping, params.pagerank_epsilon)
             picked = _pagerank_fill(ppr, banned, slots)
             if picked:
                 tiers.append((Provenance.PERSONALIZED_PAGERANK, picked))

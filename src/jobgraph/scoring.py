@@ -48,16 +48,24 @@ class EdgeScores(NamedTuple):
     sim_e: float | None = None
 
 
+def _counts(graph: JobMultiGraph, i: str, j: str, signal: str) -> tuple[int, int, int]:
+    """``(c(i,j), c(i), c(j))`` of the signal ``"apps"`` or ``"clicks"``."""
+    co, si, sj = graph.costats(i, j), graph.stats(i), graph.stats(j)
+    if signal == "apps":
+        return co.co_apps, si.total_apps, sj.total_apps
+    if signal == "clicks":
+        return co.co_clicks, si.total_clicks, sj.total_clicks
+    raise ValueError(f"unknown signal {signal!r}")
+
+
 def mle(graph: JobMultiGraph, i: str, j: str, signal: str) -> float:
     """Conditional probability estimate of interacting with i given j.
 
     Returns ``c(i,j) / c(j)`` for the requested signal; a zero denominator
     means no evidence and yields 0.0 rather than an error.
     """
-    total = graph.stats(j).total(signal)
-    if total == 0:
-        return 0.0
-    return graph.costats(i, j).count(signal) / total
+    co, _, total = _counts(graph, i, j, signal)
+    return co / total if total else 0.0
 
 
 def pmi2(graph: JobMultiGraph, i: str, j: str, signal: str) -> float | None:
@@ -66,9 +74,7 @@ def pmi2(graph: JobMultiGraph, i: str, j: str, signal: str) -> float | None:
     Returns ``None`` when any involved count is zero (no evidence for this
     signal on this pair).
     """
-    co = graph.costats(i, j).count(signal)
-    ci = graph.stats(i).total(signal)
-    cj = graph.stats(j).total(signal)
+    co, ci, cj = _counts(graph, i, j, signal)
     if co == 0 or ci == 0 or cj == 0:
         return None
     return math.log(co * co / (ci * cj))
@@ -166,9 +172,9 @@ class RecDigraph:
         in_order = len(rows) == len(scores) and (rows == np.arange(len(rows))).all()
         self.scores = scores if in_order else scores[rows]
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src[last], minlength=len(self.nodes)))))
-        # global PageRank results per (damping, epsilon, max_iters), filled
-        # by recommend.global_pagerank
-        self.global_pagerank_results: dict[tuple[float, float, int], object] = {}
+        # global PageRank results per (damping, epsilon), filled by
+        # recommend.global_pagerank
+        self.global_pagerank_results: dict[tuple[float, float], object] = {}
 
     @classmethod
     def from_corr(
@@ -451,14 +457,12 @@ def dump_digraph(digraph: RecDigraph, fh: TextIO) -> None:
 LOAD_BLOCK = 4096
 
 
-def load_digraph(lines: Iterable[str], active_jobs: Iterable[str] | None = None) -> RecDigraph:
+def load_digraph(lines: Iterable[str], active_jobs: Iterable[str]) -> RecDigraph:
     """Reload a digraph dump; bit-exact inverse of :func:`dump_digraph`.
 
-    When ``active_jobs`` is supplied, edges into jobs outside it (expired
-    since the build) are dropped. Otherwise the destination set of the dump
-    is used (active jobs without incoming edges are then unknown). A row
-    with other than 8 fields, an empty ``corr``, or a non-numeric or
-    non-finite value raises ``ValueError`` naming its line.
+    Edges into jobs outside ``active_jobs`` (expired since the build) are
+    dropped. A row with other than 8 fields, an empty ``corr``, or a
+    non-numeric or non-finite value raises ``ValueError`` naming its line.
     """
     index: dict[str, int] = {}
     blocks, block = [], []
@@ -472,10 +476,7 @@ def load_digraph(lines: Iterable[str], active_jobs: Iterable[str] | None = None)
     blocks.append(_parse_rows(block, index))
     src, dst, scores = (np.concatenate(column) for column in zip(*blocks))
     del blocks  # the blocks are freed before the digraph is built
-    ids = list(index)
-    if active_jobs is None:
-        active_jobs = [ids[i] for i in np.unique(dst).tolist()]
-    return RecDigraph(ids, src, dst, scores, active_jobs)
+    return RecDigraph(list(index), src, dst, scores, active_jobs)
 
 
 def _parse_rows(block: list[tuple[int, list[str]]], index: dict[str, int]) -> tuple[np.ndarray, ...]:

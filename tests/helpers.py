@@ -400,7 +400,7 @@ def reference_als_train(
         mse_trace.append(mse)
 
     return FactorModel(
-        U, J, b_u, b_j, Y, mu, reg, list(matrix.user_ids), list(matrix.job_ids),
+        U, J, b_u, b_j, Y, mu, list(matrix.user_ids), list(matrix.job_ids),
         loss_trace, mse_trace,
     )
 

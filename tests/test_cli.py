@@ -159,8 +159,10 @@ def golden_dir(tmp_path_factory):
 GOLDEN_DIGRAPH_SHA256 = "539b833e6438b5c561a659b1e696b3e127519e2c81514fed7377509b51b511ec"
 # sha256 of that build's manifest.json and of the `evaluate --systems
 # graph,cf,mf --out` report on the same corpus, computed at commit 2ab414b,
-# before build and evaluate shared build_digraph.
-GOLDEN_MANIFEST_SHA256 = "ccacdedee4a0a2364a3b1667732e2f52f7b6b90d55c91ab576f04e8948931de9"
+# before build and evaluate shared build_digraph. The manifest digest was
+# taken again when the config lost `pagerank_max_iters`: only its
+# `config_hash` changed.
+GOLDEN_MANIFEST_SHA256 = "3a96659221e89ac78c1f47174ae0f2d66318b34a7a00c12deb8c83cb02c757d1"
 GOLDEN_EVALUATE_SHA256 = "19cda8366e6fbcee7fa127607fc87dbc857b043e664881ce1841a374979f6c2c"
 
 
@@ -249,6 +251,23 @@ def test_unknown_config_key_is_config_error(tmp_path, corpus_dir):
         ]
     )
     assert rc == 2
+
+
+def test_pagerank_max_iters_is_an_unknown_key(tmp_path, corpus_dir):
+    # the walk's iteration cap is derived from damping and pagerank_epsilon
+    conf = tmp_path / "capped.conf"
+    conf.write_text("pagerank_max_iters = 100\n")
+    rc = cli.main(
+        [
+            "build",
+            "--config", str(conf),
+            *corpus_flags(corpus_dir),
+            "--reference-date", REF_ARG,
+            "--out-dir", str(tmp_path / "x"),
+        ]
+    )
+    assert rc == 2
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

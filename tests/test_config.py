@@ -86,7 +86,7 @@ def test_load_config_rejects_duplicate_keys():
         {"damping": 0.0},
         {"damping": 1.0},
         {"pagerank_epsilon": 0.0},
-        {"pagerank_max_iters": 0},
+        {"location_radius_km": -1.0},
         {"k": 0},
         {"min_recs": 0},
         {"min_recs": 16},  # default k is 15
@@ -94,6 +94,7 @@ def test_load_config_rejects_duplicate_keys():
         {"mf_reg": -1.0},
         {"mf_iterations": 0},
         {"mf_reg": 0.0},  # unregularized ALS factors are decided by rounding
+        {"similar_actives_per_expired": -1},
     ],
 )
 def test_out_of_range_values_rejected(kwargs):

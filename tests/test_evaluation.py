@@ -13,14 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import REF, ev, ts
+from helpers import REF, ev
 from jobgraph import evaluation
 from jobgraph.evaluation import (
     EDGE_TYPES,
     KNOWN_SYSTEMS,
     build_cf_index,
     cf_recommend,
-    classic_cf,
     connectivity_report,
     evaluate_systems,
     format_report,
@@ -32,6 +31,7 @@ from jobgraph.evaluation import (
 from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
 from jobgraph.ingest import SignalKind
 from jobgraph.config import EngineConfig
+from jobgraph.mf import predict_implicit
 from jobgraph.scoring import embed_sim
 
 
@@ -163,7 +163,7 @@ def test_classic_cf_recommends_neighbor_jobs():
         ev("u2", "j2", age_days=4),
         ev("u2", "j3", age_days=2),
     ]
-    recs = classic_cf(events, "u1", k=5, reference_date=REF)
+    recs = cf_recommend(build_cf_index(events), "u1", 5, REF)
     assert [j for j, _ in recs] == ["j3", "j2"]  # newer apply scores higher
     scores = dict(recs)
     assert scores["j2"] == pytest.approx(math.exp(-0.05 * 4))
@@ -179,7 +179,7 @@ def test_classic_cf_frequency_stacks_across_neighbors():
         ev("u3", "shared", age_days=5),
         ev("u2", "solo", age_days=5),
     ]
-    recs = classic_cf(events, "u1", k=5, reference_date=REF)
+    recs = cf_recommend(build_cf_index(events), "u1", 5, REF)
     scores = dict(recs)
     assert scores["shared"] == pytest.approx(2 * scores["solo"])
     assert recs[0][0] == "shared"
@@ -187,12 +187,12 @@ def test_classic_cf_frequency_stacks_across_neighbors():
 
 def test_classic_cf_user_without_applies_gets_nothing():
     events = [ev("u1", "j1", SignalKind.CLICK), ev("u2", "j1"), ev("u2", "j2")]
-    assert classic_cf(events, "u1", k=5, reference_date=REF) == []
+    assert cf_recommend(build_cf_index(events), "u1", 5, REF) == []
 
 
 def test_classic_cf_sole_applicant_gets_nothing():
     events = [ev("u1", "j1"), ev("u1", "j2")]
-    assert classic_cf(events, "u1", k=5, reference_date=REF) == []
+    assert cf_recommend(build_cf_index(events), "u1", 5, REF) == []
 
 
 def test_classic_cf_excludes_own_history_and_respects_filters():
@@ -202,11 +202,11 @@ def test_classic_cf_excludes_own_history_and_respects_filters():
         ev("u2", "j2", age_days=5),
         ev("u2", "j3", age_days=5),
     ]
-    recs = classic_cf(events, "u1", k=5, reference_date=REF)
+    recs = cf_recommend(build_cf_index(events), "u1", 5, REF)
     assert "j1" not in dict(recs)
-    only_j3 = classic_cf(events, "u1", k=5, reference_date=REF, exclude=["j2"])
+    only_j3 = cf_recommend(build_cf_index(events), "u1", 5, REF, exclude=["j2"])
     assert [j for j, _ in only_j3] == ["j3"]
-    pooled = classic_cf(events, "u1", k=5, reference_date=REF, active_jobs=["j2"])
+    pooled = cf_recommend(build_cf_index(events), "u1", 5, REF, active_jobs=["j2"])
     assert [j for j, _ in pooled] == ["j2"]
 
 
@@ -218,38 +218,15 @@ def test_classic_cf_applier_window_keeps_newest():
         ev("old", "from_old", age_days=10),
         ev("new", "from_new", age_days=10),
     ]
-    recs = classic_cf(events, "u1", k=5, reference_date=REF, window_applicants=1)
+    recs = cf_recommend(build_cf_index(events), "u1", 5, REF, window_applicants=1)
     assert [j for j, _ in recs] == ["from_new"]
 
 
-def test_classic_cf_defaults_reference_to_latest_apply():
-    events = [
-        ev("u1", "j1", age_days=10),
-        ev("u2", "j1", age_days=9),
-        ev("u2", "j2", age_days=4),
-    ]
-    implicit_ref = classic_cf(events, "u1", k=5)
-    explicit = classic_cf(events, "u1", k=5, reference_date=ts(4))
-    assert implicit_ref == explicit
-    assert implicit_ref[0][1] == pytest.approx(1.0)  # age zero at reference
-
-
-def test_cf_index_reuse_equals_one_shot():
-    rng = random.Random(77)
-    events = [
-        ev(f"u{rng.randint(0, 8)}", f"j{rng.randint(0, 12)}", age_days=rng.uniform(0, 90))
-        for _ in range(200)
-    ]
-    index = build_cf_index(events)
-    for user in {e.user_id for e in events}:
-        assert cf_recommend(index, user, 6, REF) == classic_cf(events, user, 6, REF)
-
-
 CF_SCORES_SCRIPT = """
-from jobgraph.evaluation import build_cf_index, cf_recommend, synth_corpus
+from jobgraph.evaluation import DEFAULT_REFERENCE_DATE, build_cf_index, cf_recommend, synth_corpus
 index = build_cf_index(synth_corpus(3, 10, 60, 0.1, 3, events_per_user=12).events)
 for user in sorted(index.applied_by):
-    for job, score in cf_recommend(index, user, 10):
+    for job, score in cf_recommend(index, user, 10, DEFAULT_REFERENCE_DATE):
         print(user, job, score.hex())
 """
 
@@ -304,13 +281,13 @@ def test_classic_cf_matches_replay_oracle():
                 age = max((REF - t).total_seconds() / 86400.0, 0.0)
                 want[j] = want.get(j, 0.0) + math.exp(-0.05 * age)
 
-        got = classic_cf(events, user, k=100, reference_date=REF, window_applicants=window)
+        got = cf_recommend(build_cf_index(events), user, 100, REF, window_applicants=window)
         assert dict(got) == pytest.approx(want)
 
 
 def test_cf_rejects_bad_k():
     with pytest.raises(ValueError):
-        classic_cf([], "u", k=0)
+        cf_recommend(build_cf_index([]), "u", 0, REF)
 
 
 # ---------------------------------------------------------------------------
@@ -651,3 +628,44 @@ def test_evaluate_k_sets_the_graph_list_length(monkeypatch):
         *args, systems=("graph",), k=5, config=EngineConfig(k=5, min_recs=5, seed=4)
     )
     assert report.systems["graph"] == same.systems["graph"]
+
+
+def test_evaluate_mf_ranks_by_the_implicit_model(monkeypatch):
+    # with mf_implicit, als_train fits (U[u] + |N(u)|^-1/2 sum Y[N(u)]) . J[j]
+    # over the user's clicked jobs N(u); the mf lists must rank by that
+    calls = []
+    serve = evaluation.recommend_mf
+
+    def spy(model, user_id, k, **kwargs):
+        ranked = serve(model, user_id, k, **kwargs)
+        calls.append((model, user_id, kwargs, ranked))
+        return ranked
+
+    monkeypatch.setattr(evaluation, "recommend_mf", spy)
+    corpus = synth_corpus(4, 20, 200, 0.1, seed=5)
+    config = EngineConfig(mf_k=8, mf_reg=0.1, mf_iterations=5, mf_implicit=True)
+    evaluate_systems(
+        corpus.events,
+        corpus.jobs,
+        corpus.embeddings,
+        corpus.users,
+        corpus.reference_date,
+        systems=("mf",),
+        k=10,
+        config=config,
+    )
+    # clicks are never held out, and every synth event lies in the window
+    clicks = {}
+    for e in corpus.events:
+        if e.kind is SignalKind.CLICK:
+            clicks.setdefault(e.user_id, set()).add(e.job_id)
+    assert len(calls) > 100
+    for model, user_id, kwargs, ranked in calls:
+        implicit = sorted(j for j in clicks.get(user_id, ()) if j in model.job_index)
+        pool = [j for j in model.job_ids if j in kwargs["active_jobs"] and j not in kwargs["exclusions"]]
+        want = {j: predict_implicit(model, user_id, j, implicit) for j in pool}
+        assert len(ranked) == min(10, len(pool))
+        for job_id, score in ranked:
+            assert score == pytest.approx(want[job_id], abs=1e-9)
+        listed = {job_id for job_id, _ in ranked}
+        assert all(want[j] <= ranked[-1][1] + 1e-9 for j in pool if j not in listed)

@@ -37,18 +37,12 @@ def test_every_listed_job_becomes_a_node():
     graph = build_costats([sig("u1", "j1")], jobs)
     assert set(graph.nodes) == {"j1", "j2", "lonely"}
     assert graph.stats("lonely") == NodeStats()
-    assert graph.neighbors("lonely") == []
+    assert not any("lonely" in pair for pair in graph.edges)
 
 
 def test_signal_for_unknown_job_raises():
     with pytest.raises(KeyError):
         build_costats([sig("u1", "ghost")], make_jobs("j1"))
-
-
-def test_neighbors_unknown_job_raises():
-    graph = build_costats([], make_jobs("j1"))
-    with pytest.raises(KeyError):
-        graph.neighbors("ghost")
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +159,6 @@ def test_signal_order_does_not_matter():
     backward = build_costats(list(reversed(signals)), jobs)
     assert forward.nodes == backward.nodes
     assert forward.edges == backward.edges
-
-
-def test_neighbors_cover_exactly_the_incident_edges():
-    rng = random.Random(8)
-    signals = _random_signals(rng, users=25, jobs=10)
-    jobs = make_jobs(*[f"j{j:02d}" for j in range(10)])
-    graph = build_costats(signals, jobs)
-    for node in graph.nodes:
-        partners = {other for other, _ in graph.neighbors(node)}
-        expected = {
-            (set(pair) - {node}).pop() for pair in graph.edges if node in pair
-        }
-        assert partners == expected
-        assert [p for p, _ in graph.neighbors(node)] == sorted(partners)
 
 
 def test_dump_load_round_trip(tmp_path):

@@ -341,7 +341,6 @@ def tiny_model():
         job_bias=np.array([0.2, 0.3]),
         implicit_factors=np.array([[0.0, 0.0], [1.0, -1.0]]),
         mu=0.05,
-        reg=0.0,
         user_ids=["ua"],
         job_ids=["ja", "jb"],
     )
@@ -443,7 +442,6 @@ def test_recommend_mf_matches_sort_reference_with_exact_ties():
         job_bias=np.zeros(n),
         implicit_factors=np.zeros((n, 2)),
         mu=0.0,
-        reg=0.1,
         user_ids=["u0", "u1", "u2"],
         job_ids=[f"j{i:02d}" for i in range(n)],
     )
@@ -463,7 +461,6 @@ def test_recommend_mf_matches_sort_reference_on_zero_scores():
         job_bias=np.array([0.0, 0.0, 0.0, -1.0, 0.0, 1.0, -0.0]),
         implicit_factors=np.zeros((7, 1)),
         mu=0.25,
-        reg=0.0,
         user_ids=["u"],
         job_ids=["g", "f", "e", "d", "c", "b", "a"],
     )
@@ -481,7 +478,7 @@ def test_recommend_mf_matches_sort_reference_after_load_with_unsorted_ids():
     buf = StringIO()
     save_model(model, buf)
     shuffled = ["j7", "j2", "j0", "j8", "j5", "j1", "j3", "j6", "j4"]
-    clone = load_model(StringIO(buf.getvalue()), model.user_ids, shuffled, reg=model.reg)
+    clone = load_model(StringIO(buf.getvalue()), model.user_ids, shuffled)
     # a duplicated factor row ties two ids whose order differs from index order
     clone.job_factors[8] = clone.job_factors[0]
     clone.job_bias[8] = clone.job_bias[0]
@@ -529,9 +526,7 @@ def test_save_load_round_trip_preserves_predictions_bitwise():
     model = als_train(matrix, k=3, reg=0.1, iterations=5, seed=5, implicit=True)
     buf = StringIO()
     save_model(model, buf)
-    clone = load_model(
-        StringIO(buf.getvalue()), model.user_ids, model.job_ids, reg=model.reg
-    )
+    clone = load_model(StringIO(buf.getvalue()), model.user_ids, model.job_ids)
     for u in model.user_ids:
         for j in model.job_ids:
             assert predict_biased(clone, u, j) == predict_biased(model, u, j)

@@ -65,7 +65,7 @@ def test_global_matches_dense_solve_on_random_graphs():
     for _ in range(60):
         digraph = random_digraph(rng, 12)
         nodes = sorted(digraph.active_jobs)
-        result = global_pagerank(digraph, epsilon=1e-14, max_iters=3000)
+        result = global_pagerank(digraph, epsilon=1e-14)
         assert result.converged
         restart = {j: 1.0 / len(nodes) for j in nodes}
         want = dense_pagerank(digraph, restart, 0.85)
@@ -90,8 +90,8 @@ def test_full_preference_set_reproduces_global_ranking():
     for _ in range(30):
         digraph = random_digraph(rng, 12)
         nodes = sorted(digraph.active_jobs)
-        g = global_pagerank(digraph, epsilon=1e-14, max_iters=3000)
-        p = personalized_pagerank(digraph, nodes, epsilon=1e-14, max_iters=3000)
+        g = global_pagerank(digraph, epsilon=1e-14)
+        p = personalized_pagerank(digraph, nodes, epsilon=1e-14)
         for j in nodes:
             assert p.scores[j] == pytest.approx(g.scores[j], abs=1e-10)
 
@@ -114,7 +114,7 @@ def test_personalized_matches_dense_solve_on_reachable_subgraph():
         digraph = random_digraph(rng, 12)
         nodes = sorted(digraph.active_jobs)
         prefs = rng.sample(nodes, rng.randint(1, len(nodes)))
-        result = personalized_pagerank(digraph, prefs, epsilon=1e-14, max_iters=3000)
+        result = personalized_pagerank(digraph, prefs, epsilon=1e-14)
         assert result.converged
         members = sorted(result.scores)
         assert set(prefs) <= set(members)
@@ -151,9 +151,44 @@ def test_unconverged_run_is_flagged():
     digraph = RecDigraph.from_corr(
         {("a", "b"): 1.0, ("b", "c"): 1.0}, ["a", "b", "c"]
     )
-    result = global_pagerank(digraph, epsilon=1e-15, max_iters=2)
+    result = recommend_module._pagerank(digraph, sorted(digraph.active_jobs), 0.85, 1e-15, 2)
     assert not result.converged
     assert result.iterations == 2
+
+
+def test_iteration_cap_follows_from_damping_and_epsilon():
+    cap = recommend_module._iteration_cap
+    assert cap(0.85, 1e-10) == 148
+    assert cap(0.85, 1e-14) == 205
+    assert cap(0.5, 10.0) == 2
+
+
+def test_personalized_walk_on_a_two_cycle_converges_at_the_defaults():
+    # the slowest walk there is: the L1 change of a step is exactly
+    # 2 * damping**t, so epsilon 1e-10 takes 146 steps
+    d = EngineConfig().damping
+    digraph = RecDigraph.from_corr({("a", "b"): 1.0, ("b", "a"): 1.0}, ["a", "b"])
+    result = personalized_pagerank(digraph, ["a"], d, EngineConfig().pagerank_epsilon)
+    assert result.converged
+    assert result.iterations == 146
+    assert result.scores["a"] == pytest.approx(1 / (1 + d), abs=1e-9)
+    assert result.scores["b"] == pytest.approx(d / (1 + d), abs=1e-9)
+
+
+def test_walks_converge_within_the_derived_cap():
+    rng = np.random.default_rng(47)
+    for _ in range(80):
+        digraph = bridged_digraph(rng)
+        damping = float(rng.uniform(0.5, 0.99))
+        epsilon = float(10.0 ** rng.uniform(-12, -4))
+        nodes = sorted(digraph.active_jobs)
+        restart = sorted(rng.choice(nodes, int(rng.integers(1, len(nodes) + 1)), replace=False).tolist())
+        for result in (
+            global_pagerank(digraph, damping, epsilon),
+            personalized_pagerank(digraph, restart, damping, epsilon),
+        ):
+            assert result.converged
+            assert result.iterations <= recommend_module._iteration_cap(damping, epsilon)
 
 
 def test_global_pagerank_iterates_once_per_digraph_and_settings(monkeypatch):
