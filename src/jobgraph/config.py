@@ -79,8 +79,10 @@ class EngineConfig:
             raise ConfigError(f"location_boost must be >= 1, got {self.location_boost}")
         if not 0.0 < self.damping < 1.0:
             raise ConfigError(f"damping must lie in (0, 1), got {self.damping}")
-        if self.pagerank_epsilon <= 0:
-            raise ConfigError(f"pagerank_epsilon must be positive, got {self.pagerank_epsilon}")
+        if not 0.0 < self.pagerank_epsilon < 2.0:
+            # the first step changes the scores by at most 2: at epsilon >= 2
+            # every walk would stop there, reported as converged
+            raise ConfigError(f"pagerank_epsilon must lie in (0, 2), got {self.pagerank_epsilon}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.min_recs is not None and not 1 <= self.min_recs <= self.k:
@@ -191,7 +193,8 @@ location_radius_km = 80.0
 location_boost = 1.25
 
 # random-walk settings; a walk stops once a step changes the scores by less
-# than pagerank_epsilon, within 2 + ceil(log(epsilon/2) / log(damping)) steps
+# than pagerank_epsilon, within 2 + ceil(log(epsilon/2) / log(damping)) steps.
+# damping lies in (0, 1) and pagerank_epsilon in (0, 2)
 damping = 0.85
 pagerank_epsilon = 1e-10
 

@@ -10,6 +10,7 @@ experiments.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 import random
@@ -437,6 +438,10 @@ def synth_corpus(
     )
 
 
+def _latlon_fields(location: tuple[float, float] | None) -> tuple[str, str]:
+    return (repr(location[0]), repr(location[1])) if location else ("", "")
+
+
 def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> dict[str, Path]:
     """Write events.csv, jobs.csv, embeddings.txt and users.csv under
     ``out_dir`` in the ingest file formats; returns the paths written."""
@@ -451,23 +456,20 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> dict[str, Path]:
     with paths["events"].open("w") as fh:
         write_events(corpus.events, fh)
     with paths["jobs"].open("w") as fh:
-        for job_id, job in corpus.jobs.items():
-            lat = repr(job.location[0]) if job.location else ""
-            lon = repr(job.location[1]) if job.location else ""
-            fh.write(
-                f"{job_id},{job.title},{job.category},{lat},{lon},"
-                f"{format_timestamp(job.posted_at)},{job.status.value}\n"
-            )
+        csv.writer(fh, lineterminator="\n").writerows(
+            (job_id, job.title, job.category, *_latlon_fields(job.location),
+             format_timestamp(job.posted_at), job.status.value)
+            for job_id, job in corpus.jobs.items()
+        )
     with paths["embeddings"].open("w") as fh:
         for job_id, vec in corpus.embeddings.items():
             fh.write(job_id + " " + " ".join(repr(x) for x in vec.tolist()) + "\n")
     with paths["users"].open("w") as fh:
-        for user_id, u in corpus.users.items():
-            lat = repr(u.location[0]) if u.location else ""
-            lon = repr(u.location[1]) if u.location else ""
-            category = u.resume_category or ""
-            flag = "true" if u.registered else "false"
-            fh.write(f"{user_id},{category},{lat},{lon},{flag}\n")
+        csv.writer(fh, lineterminator="\n").writerows(
+            (user_id, u.resume_category or "", *_latlon_fields(u.location),
+             "true" if u.registered else "false")
+            for user_id, u in corpus.users.items()
+        )
     return paths
 
 

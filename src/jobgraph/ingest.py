@@ -21,7 +21,6 @@ from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from io import StringIO
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -167,24 +166,12 @@ def parse_events(lines: Iterable[str]) -> tuple[list[InteractionEvent], list[Par
     return events, issues
 
 
-def format_event(event: InteractionEvent) -> str:
-    """Serialize one event back to its file line (inverse of parse_events)."""
-    buf = StringIO()
-    csv.writer(buf, lineterminator="").writerow(
-        [
-            event.user_id,
-            event.job_id,
-            event.kind.value,
-            format_timestamp(event.timestamp),
-            event.query_id or "",
-        ]
-    )
-    return buf.getvalue()
-
-
 def write_events(events: Iterable[InteractionEvent], fh) -> None:
-    for event in events:
-        fh.write(format_event(event) + "\n")
+    """Write events in the file format that :func:`parse_events` reads."""
+    csv.writer(fh, lineterminator="\n").writerows(
+        (e.user_id, e.job_id, e.kind.value, format_timestamp(e.timestamp), e.query_id or "")
+        for e in events
+    )
 
 
 def _parse_latlon(lat_tok: str, lon_tok: str) -> tuple[float, float] | None:
@@ -228,55 +215,50 @@ def parse_jobs(lines: Iterable[str]) -> tuple[dict[str, JobRecord], list[ParseIs
 def parse_embeddings(lines: Iterable[str]) -> tuple[dict[str, np.ndarray], list[ParseIssue]]:
     """Parse the embeddings file into a job_id -> float64 vector mapping.
 
-    All vectors must share the dimensionality of the first valid line;
-    vectors with NaN/inf components or zero norm are rejected per line.
-    A file with unique job ids and no rejected line is parsed as one matrix.
+    All vectors must share the dimensionality of the first line with
+    numeric components; vectors with NaN/inf components or zero norm are
+    rejected per line. The kept vectors are rows of one matrix.
     """
-    lines = list(lines)
     # components go straight into one float buffer: no line's tokens outlive it
-    ids, widths, values = [], set(), array("d")
-    try:
-        for tokens in filter(None, map(str.split, lines)):
-            ids.append(tokens[0])
-            widths.add(len(tokens))
-            values.extend(map(float, tokens[1:]))
-    except ValueError:  # a non-numeric component
-        widths = set()
-    if len(widths) == 1 and widths != {1} and len(set(ids)) == len(ids):
-        mat = np.frombuffer(values).reshape(len(ids), -1)
-        # a norm is zero just where every square underflows, by row as by line below
-        if np.isfinite(mat).all() and np.linalg.norm(mat, axis=1).all():
-            return dict(zip(ids, mat)), []
-    vectors: dict[str, np.ndarray] = {}
+    ids, line_nos, values = [], [], array("d")
     issues: list[ParseIssue] = []
     dim: int | None = None
-    for line_no, line in enumerate(lines, start=1):
-        tokens = line.split()
+    for line_no, tokens in enumerate(map(str.split, lines), start=1):
         if not tokens:
             continue
-        job_id = tokens[0]
+        mark = len(values)
         try:
-            vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
+            values.extend(map(float, tokens[1:]))
         except ValueError:
-            issues.append(ParseIssue(line_no, "non-numeric component"))
-            continue
-        if vec.size == 0:
-            issues.append(ParseIssue(line_no, "no vector components"))
-            continue
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            issues.append(ParseIssue(line_no, f"dimension {vec.size} != corpus dimension {dim}"))
-            continue
-        if not np.all(np.isfinite(vec)):
+            message = "non-numeric component"
+        else:
+            width = len(values) - mark
+            if dim is None and width:
+                dim = width
+            if width == dim:
+                ids.append(tokens[0])
+                line_nos.append(line_no)
+                continue
+            message = f"dimension {width} != corpus dimension {dim}" if width else "no vector components"
+        del values[mark:]
+        issues.append(ParseIssue(line_no, message))
+    mat = np.frombuffer(values).reshape(len(ids), dim or 0)
+    finite = np.isfinite(mat).all(axis=1).tolist()
+    # a norm is zero just where every square underflows; a square that
+    # overflows leaves it infinite, so nonzero
+    with np.errstate(over="ignore"):
+        nonzero = np.linalg.norm(mat, axis=1).astype(bool).tolist()
+    vectors: dict[str, np.ndarray] = {}
+    for job_id, line_no, vec, ok, nonzero_norm in zip(ids, line_nos, mat, finite, nonzero):
+        if not ok:
             issues.append(ParseIssue(line_no, "non-finite component"))
-            continue
-        if float(np.linalg.norm(vec)) == 0.0:
+        elif not nonzero_norm:
             issues.append(ParseIssue(line_no, "zero-norm vector"))
-            continue
-        if job_id in vectors:
-            issues.append(ParseIssue(line_no, f"duplicate job_id {job_id!r}"))
-        vectors[job_id] = vec
+        else:
+            if job_id in vectors:
+                issues.append(ParseIssue(line_no, f"duplicate job_id {job_id!r}"))
+            vectors[job_id] = vec
+    issues.sort(key=lambda issue: issue.line_no)
     return vectors, issues
 
 

@@ -461,8 +461,9 @@ def load_digraph(lines: Iterable[str], active_jobs: Iterable[str]) -> RecDigraph
     """Reload a digraph dump; bit-exact inverse of :func:`dump_digraph`.
 
     Edges into jobs outside ``active_jobs`` (expired since the build) are
-    dropped. A row with other than 8 fields, an empty ``corr``, or a
-    non-numeric or non-finite value raises ``ValueError`` naming its line.
+    dropped. A row with other than 8 fields, an empty job id or ``corr``,
+    or a non-numeric or non-finite value raises ``ValueError`` naming its
+    line.
     """
     index: dict[str, int] = {}
     blocks, block = [], []
@@ -483,9 +484,9 @@ def _parse_rows(block: list[tuple[int, list[str]]], index: dict[str, int]) -> tu
     """(line number, row) pairs of the dump as (src, dst, scores), job ids
     interned into ``index``.
 
-    The block is checked at once: 8 fields a row, a finite ``corr``, no
-    infinity, and NaN only where a field is empty. A block that fails (as
-    one with an empty job id does) is checked row by row for a line to name.
+    The block is checked at once: 8 fields a row, two nonempty job ids, a
+    finite ``corr``, no infinity, and NaN only where a field is empty. A
+    block that fails is checked row by row for a line to name.
     """
     rows = [row for _, row in block]
     try:
@@ -496,6 +497,7 @@ def _parse_rows(block: list[tuple[int, list[str]]], index: dict[str, int]) -> tu
     if (
         scores is None
         or set(map(len, rows)) != {8}
+        or not all(row[0] and row[1] for row in rows)
         or not np.isfinite(scores[:, 0]).all()
         or np.isinf(scores).any()
         or np.count_nonzero(np.isnan(scores)) != sum(row.count("") for row in rows)
@@ -512,6 +514,8 @@ def _row_problem(row: list[str]) -> str | None:
     """What makes a dump row malformed, or None."""
     if len(row) != 8:
         return f"expected 8 fields, got {len(row)}"
+    if not row[0] or not row[1]:
+        return "empty job id"
     if not row[2]:
         return "empty corr"
     for name, field in zip(EdgeScores._fields, row[2:]):

@@ -350,6 +350,8 @@ MALFORMED_ROWS = [
     ("j1,j2,inf,,,,,", "non-finite corr 'inf'"),
     ("j1,j2,0.5,-inf,,,,", "non-finite p_apps '-inf'"),
     ("j1,j2,0.5,,,nan,,", "non-finite pmi2_apps 'nan'"),
+    (",j2,0.5,,,,,", "empty job id"),
+    ("j1,,0.5,,,,,", "empty job id"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Configuration parsing, validation, canonical serialization, hashing."""
 
+from dataclasses import fields
+
 import pytest
 
 from jobgraph.config import (
@@ -95,6 +97,7 @@ def test_load_config_rejects_duplicate_keys():
         {"mf_iterations": 0},
         {"mf_reg": 0.0},  # unregularized ALS factors are decided by rounding
         {"similar_actives_per_expired": -1},
+        {"pagerank_epsilon": 2.0},  # the first step's change is at most 2
     ],
 )
 def test_out_of_range_values_rejected(kwargs):
@@ -110,6 +113,13 @@ def test_dump_then_load_is_identity():
 
 def test_default_config_text_loads_to_defaults():
     assert load_config(DEFAULT_CONFIG_TEXT.splitlines()) == EngineConfig()
+
+
+def test_default_config_text_sets_every_field_once():
+    # a key left out would still load to its default, so count the keys
+    settings = [line.split("#", 1)[0] for line in DEFAULT_CONFIG_TEXT.splitlines()]
+    keys = [setting.split("=", 1)[0].strip() for setting in settings if "=" in setting]
+    assert sorted(keys) == sorted(f.name for f in fields(EngineConfig))
 
 
 def test_config_hash_is_stable_and_sensitive():

@@ -29,7 +29,15 @@ from jobgraph.evaluation import (
     write_corpus,
 )
 from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
-from jobgraph.ingest import SignalKind
+from jobgraph.ingest import (
+    JobRecord,
+    JobStatus,
+    SignalKind,
+    UserRecord,
+    parse_events,
+    parse_jobs,
+    parse_users,
+)
 from jobgraph.config import EngineConfig
 from jobgraph.mf import predict_implicit
 from jobgraph.scoring import embed_sim
@@ -431,6 +439,23 @@ def test_synth_is_deterministic_across_calls(tmp_path):
         assert pa[name].read_bytes() == pb[name].read_bytes()
     c = synth_corpus(3, 10, 20, 0.2, seed=43)
     assert [e.job_id for e in c.events] != [e.job_id for e in a.events]
+
+
+def test_corpus_files_round_trip_fields_that_need_quoting(tmp_path):
+    jobs = {
+        "j1": JobRecord("j1", 'Sales, "senior"', 'retail, "b2b"', (40.5, -74.25), REF, JobStatus.ACTIVE),
+        "j2": JobRecord("j2", "Driver", "transport", None, REF - timedelta(days=3), JobStatus.EXPIRED),
+    }
+    users = {
+        "u1": UserRecord("u1", "retail, wholesale", (1.5, 2.0), True),
+        "u2": UserRecord("u2", None, None, False),
+    }
+    events = [ev("u1", "j1", SignalKind.CLICK, query_id='q,"1"'), ev("u2", "j2")]
+    corpus = evaluation.SynthCorpus(events, jobs, {"j1": np.array([1.0, 0.5])}, users)
+    paths = write_corpus(corpus, tmp_path)
+    assert parse_jobs(paths["jobs"].read_text().splitlines()) == (jobs, [])
+    assert parse_users(paths["users"].read_text().splitlines()) == (users, [])
+    assert parse_events(paths["events"].read_text().splitlines()) == (events, [])
 
 
 def test_synth_zero_noise_confines_events_to_home_cluster():

@@ -8,6 +8,8 @@ from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import digraph_of_scores, edge_map, reference_aggregate
 from jobgraph import scoring
@@ -420,6 +422,62 @@ def test_load_digraph_keeps_the_last_of_repeated_rows():
     rows = ["a,b,0.5,,,,,\n", "a,c,0.25,,,,,\n", "a,b,0.75,,,,,0.5\n"]
     digraph = load_digraph(rows, ["b", "c"])
     assert digraph.out_edges("a") == [("b", EdgeScores(0.75, sim_e=0.5)), ("c", EdgeScores(0.25))]
+
+
+def test_load_digraph_rejects_an_empty_job_id():
+    for rows, line_no in (
+        ([",b,0.25,,,,,\n"], 1),
+        (["a,b,0.5,,,,,\n", "a,,0.25,,,,,\n"], 2),
+        # a literal nan elsewhere in the block evens out the count of empty fields
+        ([",b,0.25,,,,,\n", "a,b,0.25,,,,,nan\n"], 1),
+    ):
+        with pytest.raises(ValueError, match=f"digraph line {line_no}: empty job id"):
+            load_digraph(rows, {"b"})
+
+
+LOADABLE_FIELDS = ["0.5", "-2.25", "1e-300", "-0.0", " 3", "1_0", ""]
+
+
+def _dump_row(ids, scores, edits, width):
+    """8 fields that load, with ``edits`` applied, cut or padded to ``width``."""
+    row = [*ids, *scores]
+    for position, field in edits:
+        row[position] = field
+    return row[:width] + ["0"] * (width - len(row))
+
+
+dump_rows = st.lists(
+    st.builds(
+        _dump_row,
+        st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(["b", "c"])),
+        st.tuples(st.sampled_from(["0.5", "-1e-9"]), *[st.sampled_from(LOADABLE_FIELDS)] * 5),
+        # at most one field made empty, non-finite or non-numeric
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from(["", "nan", "-inf", "x"])), max_size=1),
+        st.sampled_from([8, 8, 8, 7, 9]),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dump_rows)
+# an empty job id and a literal nan: as many NaNs as empty fields in the block
+@example([["", "b", "0.5", "", "", "", "", ""], ["a", "b", "0.5", "nan", "", "", "", ""]])
+def test_block_check_agrees_with_the_row_check(rows):
+    block = list(enumerate(rows, start=1))
+    problems = [(line_no, problem) for line_no, row in block if (problem := scoring._row_problem(row))]
+    if problems:
+        with pytest.raises(ValueError) as raised:
+            scoring._parse_rows(block, {})
+        line_no, problem = problems[0]
+        assert str(raised.value) == f"digraph line {line_no}: {problem}"
+    else:
+        index: dict[str, int] = {}
+        src, dst, scores = scoring._parse_rows(block, index)
+        nodes = list(index)
+        assert [[nodes[s], nodes[d]] for s, d in zip(src, dst)] == [row[:2] for row in rows]
+        want = [[float(f) if f else math.nan for f in row[2:]] for row in rows]
+        assert np.array_equal(scores, np.array(want).reshape(-1, 6), equal_nan=True)
 
 
 def test_pagerank_of_a_reloaded_dump_equals_the_built_digraph():
