@@ -20,7 +20,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -66,23 +66,23 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_lines(path: str, *, stage: str) -> list[str]:
+def _read(path: str | Path, parse, stage: str, code: int = EXIT_INPUT):
+    """``parse`` applied to the file at ``path``, opened as UTF-8 and read
+    line by line as ``parse`` iterates it. A file that cannot be opened or
+    decoded exits with ``code``; a decode error is a ``ValueError``, so it is
+    mapped here before a caller's handler for malformed rows can see it."""
     try:
-        with open(path, "r") as fh:
-            return fh.readlines()
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"{stage}: cannot read {path}: {exc}") from exc
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(code, f"{stage}: cannot read {path}: {exc}") from exc
 
 
 def _load_engine_config(args) -> EngineConfig:
     """The ``--config`` file (defaults without one), with any ``--seed`` applied."""
     config = EngineConfig()
     if args.config is not None:
-        try:
-            with open(args.config, "r") as fh:
-                config = load_config(fh)
-        except OSError as exc:
-            raise CliError(EXIT_CONFIG, f"config: cannot read {args.config}: {exc}") from exc
+        config = _read(args.config, load_config, "config", EXIT_CONFIG)
     return config if getattr(args, "seed", None) is None else replace(config, seed=args.seed)
 
 
@@ -102,29 +102,26 @@ def _log_issues(stage: str, issues) -> None:
 
 def _load_corpus(args):
     """Parse the raw input files named by the common CLI flags."""
-    events, issues = parse_events(_read_lines(args.events, stage="events"))
+    events, issues = _read(args.events, parse_events, "events")
     _log_issues("events", issues)
     counts = {"events_total": len(events), "events_parse_issues": len(issues)}
-    jobs, issues = parse_jobs(_read_lines(args.jobs, stage="jobs"))
+    jobs, issues = _read(args.jobs, parse_jobs, "jobs")
     _log_issues("jobs", issues)
     if not jobs:
         raise CliError(EXIT_INPUT, f"jobs: no valid records in {args.jobs}")
     counts.update(jobs=len(jobs), jobs_parse_issues=len(issues))
     embeddings, users = {}, {}
     path = getattr(args, "embeddings", None)
-    if path is not None and Path(path).exists():
-        embeddings, issues = parse_embeddings(_read_lines(path, stage="embeddings"))
+    if path is not None:
+        embeddings, issues = _read(path, parse_embeddings, "embeddings")
         _log_issues("embeddings", issues)
         counts.update(embeddings=len(embeddings), embeddings_parse_issues=len(issues))
-    elif path is not None:
-        logger.warning("embeddings file %s missing: content edges disabled for this run", path)
-        counts["embeddings"] = 0
     elif hasattr(args, "embeddings"):  # mf-train takes no --embeddings
         logger.warning("no embeddings given: building from behavioral signals only")
         counts["embeddings"] = 0
     upath = getattr(args, "users", None)
     if upath is not None:
-        users, issues = parse_users(_read_lines(upath, stage="users"))
+        users, issues = _read(upath, parse_users, "users")
         _log_issues("users", issues)
     return events, jobs, embeddings, users, counts
 
@@ -149,7 +146,7 @@ def _cmd_build(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "digraph.csv").open("w") as fh:
+    with (out_dir / "digraph.csv").open("w", encoding="utf-8") as fh:
         dump_digraph(digraph, fh)
 
     manifest = dict(counts)
@@ -169,7 +166,7 @@ def _cmd_build(args) -> int:
             "config_hash": config_hash(config),
         }
     )
-    with (out_dir / "manifest.json").open("w") as fh:
+    with (out_dir / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     logger.info(
@@ -191,14 +188,10 @@ def _serving_setup(args):
     events, jobs, embeddings, users, _ = _load_corpus(args)
     signals, _, _ = _prepare_signals(events, jobs, reference_date, config)
     digraph_path = Path(args.graph_dir) / "digraph.csv"
-    if not digraph_path.exists():
-        raise CliError(EXIT_INPUT, f"digraph dump not found at {digraph_path}")
-    try:
-        with digraph_path.open("r") as fh:  # parsed as it is read, in blocks
-            digraph = load_digraph(fh, active_job_ids(jobs))
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"digraph: cannot read {digraph_path}: {exc}") from exc
-    except ValueError as exc:
+    active = active_job_ids(jobs)
+    try:  # parsed as it is read, in blocks
+        digraph = _read(digraph_path, lambda fh: load_digraph(fh, active), "digraph")
+    except ValueError as exc:  # a malformed row
         raise CliError(EXIT_INPUT, f"{digraph_path}: {exc}") from exc
     taxonomy = {j.category for j in jobs.values()}
     profiles = build_profiles(signals, users, taxonomy)
@@ -211,10 +204,9 @@ def _serving_setup(args):
 
 def _cmd_recommend(args) -> int:
     profiles, serve = _serving_setup(args)
-    profile = profiles.get(args.user_id)
-    if profile is None:
+    if args.user_id not in profiles:
         logger.warning("user %s has no events and no record: treated as anonymous", args.user_id)
-        profile = UserProfile(args.user_id)
+    profile = profiles.get(args.user_id) or UserProfile(args.user_id)
     recs = serve(profile)
     for rank, rec in enumerate(recs, start=1):
         print(f"{rank},{rec.job_id},{rec.score!r},{rec.provenance.value}")
@@ -224,25 +216,19 @@ def _cmd_recommend(args) -> int:
 
 def _cmd_serve_batch(args) -> int:
     profiles, serve = _serving_setup(args)
-    requested = [line.strip() for line in _read_lines(args.user_ids, stage="user-ids")]
-    requested = [u for u in requested if u]
-    skipped = 0
+    requested = _read(args.user_ids, lambda fh: [u for u in map(str.strip, fh) if u], "user-ids")
+    unknown = 0
     provenance_counts: dict[str, int] = {}
-    out_path = Path(args.out)
-    with out_path.open("w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         for user_id in requested:
-            profile = profiles.get(user_id)
-            if profile is None:
-                skipped += 1
-                continue
-            recs = serve(profile)
+            unknown += user_id not in profiles
+            recs = serve(profiles.get(user_id) or UserProfile(user_id))
             for rank, rec in enumerate(recs, start=1):
                 fh.write(f"{user_id},{rank},{rec.job_id},{rec.score!r},{rec.provenance.value}\n")
                 key = rec.provenance.value
                 provenance_counts[key] = provenance_counts.get(key, 0) + 1
-    served = len(requested) - skipped
-    logger.info("served %d users, skipped %d unknown ids", served, skipped)
-    print(f"served={served} skipped_unknown={skipped}")
+    logger.info("served %d users, %d unknown ids as anonymous", len(requested), unknown)
+    print(f"served={len(requested)} unknown={unknown}")
     for key in sorted(provenance_counts):
         print(f"provenance,{key},{provenance_counts[key]}")
     return EXIT_OK
@@ -266,10 +252,10 @@ def _cmd_mf_train(args) -> int:
     )
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w") as fh:
+    with out_path.open("w", encoding="utf-8") as fh:
         save_model(model, fh)
     ids_path = out_path.with_suffix(out_path.suffix + ".ids.json")
-    with ids_path.open("w") as fh:
+    with ids_path.open("w", encoding="utf-8") as fh:
         json.dump({"user_ids": model.user_ids, "job_ids": model.job_ids}, fh, indent=2)
         fh.write("\n")
     logger.info(
@@ -304,20 +290,8 @@ def _cmd_evaluate(args) -> int:
         raise CliError(EXIT_INPUT, str(exc)) from exc
     print(format_report(report))
     if args.out:
-        payload = {
-            "k": report.k,
-            "num_users": report.num_users,
-            "systems": {
-                name: {
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "users_served": s.users_served,
-                }
-                for name, s in report.systems.items()
-            },
-        }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return EXIT_OK
 
@@ -373,9 +347,11 @@ def _cmd_connectivity(args) -> int:
 
 def _cmd_init_config(args) -> int:
     path = Path(args.out)
-    if path.exists() and not args.force:
-        raise CliError(EXIT_INPUT, f"{path} exists; pass --force to overwrite")
-    path.write_text(DEFAULT_CONFIG_TEXT)
+    try:
+        with path.open("w" if args.force else "x", encoding="utf-8") as fh:
+            fh.write(DEFAULT_CONFIG_TEXT)
+    except FileExistsError as exc:
+        raise CliError(EXIT_INPUT, f"{path} exists; pass --force to overwrite") from exc
     print(path)
     return EXIT_OK
 

@@ -10,7 +10,6 @@ experiments.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import random
@@ -38,6 +37,7 @@ from .ingest import (
     resolve_jobs,
     window_filter,
     write_events,
+    write_rows,
 )
 from .mf import als_train, build_matrix, recommend_mf
 from .recommend import build_profiles, recommend
@@ -444,7 +444,8 @@ def _latlon_fields(location: tuple[float, float] | None) -> tuple[str, str]:
 
 def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> dict[str, Path]:
     """Write events.csv, jobs.csv, embeddings.txt and users.csv under
-    ``out_dir`` in the ingest file formats; returns the paths written."""
+    ``out_dir`` in the ingest file formats; returns the paths written.
+    A CSV field with leading or trailing whitespace raises ``ValueError``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -453,22 +454,24 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> dict[str, Path]:
         "embeddings": out / "embeddings.txt",
         "users": out / "users.csv",
     }
-    with paths["events"].open("w") as fh:
+    with paths["events"].open("w", encoding="utf-8") as fh:
         write_events(corpus.events, fh)
-    with paths["jobs"].open("w") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(
-            (job_id, job.title, job.category, *_latlon_fields(job.location),
-             format_timestamp(job.posted_at), job.status.value)
-            for job_id, job in corpus.jobs.items()
+    with paths["jobs"].open("w", encoding="utf-8") as fh:
+        write_rows(
+            ((job_id, job.title, job.category, *_latlon_fields(job.location),
+              format_timestamp(job.posted_at), job.status.value)
+             for job_id, job in corpus.jobs.items()),
+            fh,
         )
-    with paths["embeddings"].open("w") as fh:
+    with paths["embeddings"].open("w", encoding="utf-8") as fh:
         for job_id, vec in corpus.embeddings.items():
             fh.write(job_id + " " + " ".join(repr(x) for x in vec.tolist()) + "\n")
-    with paths["users"].open("w") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(
-            (user_id, u.resume_category or "", *_latlon_fields(u.location),
-             "true" if u.registered else "false")
-            for user_id, u in corpus.users.items()
+    with paths["users"].open("w", encoding="utf-8") as fh:
+        write_rows(
+            ((user_id, u.resume_category or "", *_latlon_fields(u.location),
+              "true" if u.registered else "false")
+             for user_id, u in corpus.users.items()),
+            fh,
         )
     return paths
 

@@ -166,11 +166,26 @@ def parse_events(lines: Iterable[str]) -> tuple[list[InteractionEvent], list[Par
     return events, issues
 
 
+def write_rows(rows: Iterable[Sequence[str]], fh) -> None:
+    """Write CSV rows that the parsers read back field for field.
+
+    The parsers strip every field, so a field with leading or trailing
+    whitespace would come back changed: it raises ``ValueError`` naming it.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    for row in rows:
+        for field in row:
+            if field != field.strip():
+                raise ValueError(f"field {field!r} has leading or trailing whitespace")
+        writer.writerow(row)
+
+
 def write_events(events: Iterable[InteractionEvent], fh) -> None:
     """Write events in the file format that :func:`parse_events` reads."""
-    csv.writer(fh, lineterminator="\n").writerows(
-        (e.user_id, e.job_id, e.kind.value, format_timestamp(e.timestamp), e.query_id or "")
-        for e in events
+    write_rows(
+        ((e.user_id, e.job_id, e.kind.value, format_timestamp(e.timestamp), e.query_id or "")
+         for e in events),
+        fh,
     )
 
 

@@ -340,6 +340,59 @@ def test_unreadable_digraph_dump_is_input_error(tmp_path, corpus_dir, caplog):
     assert "digraph: cannot read" in caplog.text
 
 
+# every file serve-batch reads, by the stage its log names
+READ_STAGES = ["events", "jobs", "embeddings", "users", "user-ids", "config", "digraph"]
+
+
+@pytest.mark.parametrize("stage", READ_STAGES)
+def test_undecodable_input_is_an_input_error(graph_dir, corpus_dir, tmp_path, caplog, stage):
+    conf = tmp_path / "engine.conf"
+    conf.write_text("k = 15\n")
+    ids = tmp_path / "ids.txt"
+    ids.write_text("u00000\n")
+    files = {
+        "events": corpus_dir / "events.csv",
+        "jobs": corpus_dir / "jobs.csv",
+        "embeddings": corpus_dir / "embeddings.txt",
+        "users": corpus_dir / "users.csv",
+        "user-ids": ids,
+        "config": conf,
+        "digraph": graph_dir / "digraph.csv",
+    }
+    bad = tmp_path / "bad" / files[stage].name
+    bad.parent.mkdir()
+    bad.write_bytes(files[stage].read_bytes() + b"\xff\n")  # no UTF-8 sequence starts with 0xff
+    files[stage] = bad
+    flags = [arg for name in READ_STAGES[:-1] for arg in (f"--{name}", str(files[name]))]
+    rc = cli.main(
+        [
+            "serve-batch",
+            *flags,
+            "--graph-dir", str(files["digraph"].parent),
+            "--reference-date", REF_ARG,
+            "--out", str(tmp_path / "recs.csv"),
+        ]
+    )
+    assert rc == (2 if stage == "config" else 1)
+    assert f"{stage}: cannot read {bad}" in caplog.text
+
+
+def test_missing_embeddings_file_is_input_error(tmp_path, corpus_dir, caplog):
+    missing = corpus_dir / "no_such.txt"
+    rc = cli.main(
+        [
+            "build",
+            *corpus_flags(corpus_dir, with_embeddings=False),
+            "--embeddings", str(missing),
+            "--reference-date", REF_ARG,
+            "--out-dir", str(tmp_path / "x"),
+        ]
+    )
+    assert rc == 1
+    assert f"embeddings: cannot read {missing}" in caplog.text
+    assert not (tmp_path / "x").exists()
+
+
 # dump rows that load_digraph rejects, with the reason it names
 MALFORMED_ROWS = [
     ("j1,j2", "expected 8 fields, got 2"),
@@ -386,20 +439,16 @@ def test_serve_batch_counts_and_file_format(graph_dir, corpus_dir, tmp_path, cap
     ids = tmp_path / "ids.txt"
     ids.write_text("u00000\nu00001\nstranger\n\n")
     out = tmp_path / "recs.csv"
-    rc = cli.main(
-        [
-            "serve-batch",
-            *corpus_flags(corpus_dir),
-            "--users", str(corpus_dir / "users.csv"),
-            "--graph-dir", str(graph_dir),
-            "--reference-date", REF_ARG,
-            "--user-ids", str(ids),
-            "--out", str(out),
-        ]
-    )
+    serving_flags = [
+        *corpus_flags(corpus_dir),
+        "--users", str(corpus_dir / "users.csv"),
+        "--graph-dir", str(graph_dir),
+        "--reference-date", REF_ARG,
+    ]
+    rc = cli.main(["serve-batch", *serving_flags, "--user-ids", str(ids), "--out", str(out)])
     printed = capsys.readouterr().out.strip().splitlines()
     assert rc == 0
-    assert printed[0] == "served=2 skipped_unknown=1"
+    assert printed[0] == "served=3 unknown=1"
 
     rows = out.read_text().strip().splitlines()
     assert rows
@@ -407,7 +456,7 @@ def test_serve_batch_counts_and_file_format(graph_dir, corpus_dir, tmp_path, cap
     provenance_total = 0
     for row in rows:
         user_id, rank, job_id, score, provenance = row.split(",")
-        assert user_id in {"u00000", "u00001"}
+        assert user_id in {"u00000", "u00001", "stranger"}
         per_user_ranks.setdefault(user_id, []).append(int(rank))
         float(score)
         assert provenance in PROVENANCE_VALUES
@@ -417,6 +466,12 @@ def test_serve_batch_counts_and_file_format(graph_dir, corpus_dir, tmp_path, cap
 
     counted = sum(int(line.split(",")[2]) for line in printed[1:])
     assert counted == provenance_total
+
+    # an unknown id is served as recommend serves it: anonymous, by global PageRank
+    stranger = [row.split(",", 1)[1] for row in rows if row.startswith("stranger,")]
+    assert stranger and all(row.endswith(",global_pagerank") for row in stranger)
+    assert cli.main(["recommend", *serving_flags, "--user-id", "stranger"]) == 0
+    assert capsys.readouterr().out.splitlines() == stranger
 
 
 @pytest.fixture(scope="module")
@@ -474,10 +529,12 @@ def serving_corpus(tmp_path_factory):
 # sha256 of the serve-batch stdout and --out file for the serving_corpus
 # fixture, computed at commit ec952b9, before PageRank walked only reached
 # edges. Any change of a served id, score repr, provenance or order
-# changes them.
+# changes them. Taken again when serve-batch began to serve unknown ids as
+# anonymous: the --out file gained the rows of `nobody`, which are those
+# of `an_0` under another id, and stdout its new first line and counts.
 GOLDEN_SERVE_SHA256 = {
-    "stdout": "d5e6ba398fdcd81dc15642779755da3e9c727a6138cbee839e46c672ccd4db52",
-    "out": "51077e101f17861a2bef601183432225e9f34a4553ef1adec8ef9f9c7a2bdc9e",
+    "stdout": "fabe57d7305548a5e9c2a0d7d1052ca7e8b603891e7f29996ff80ea373edad2e",
+    "out": "ed464aa87e09e13cb37e3d839b104c7e5b3a0b4a864bd6507faa25ba6f770445",
 }
 
 
@@ -730,3 +787,39 @@ def test_seed_flag_is_a_usage_error_where_nothing_is_seeded(
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# text encoding
+
+
+def test_every_command_names_the_encoding_of_its_files(tmp_path):
+    """Each command in a child interpreter in which opening a text file
+    without an explicit encoding raises instead of using the locale's."""
+    d = tmp_path
+    ref = ["--reference-date", REF_ARG]
+    conf = ["--config", str(d / "engine.conf")]
+    inputs = ["--events", str(d / "events.csv"), "--jobs", str(d / "jobs.csv")]
+    corpus = [*inputs, "--embeddings", str(d / "embeddings.txt")]
+    serving = [*corpus, "--users", str(d / "users.csv"), "--graph-dir", str(d / "build")]
+    (d / "ids.txt").write_text("u00000\nstranger\n")
+    runs = [
+        ["init-config", "--out", str(d / "engine.conf")],
+        ["synth", "--clusters", "3", "--jobs-per-cluster", "10", "--users", "30", "--out-dir", str(d)],
+        ["build", *conf, *corpus, *ref, "--out-dir", str(d / "build")],
+        ["recommend", *conf, *serving, *ref, "--user-id", "u00000"],
+        ["serve-batch", *conf, *serving, *ref, "--user-ids", str(d / "ids.txt"), "--out", str(d / "recs.csv")],
+        ["evaluate", *conf, *corpus, "--users", str(d / "users.csv"), *ref, "--out", str(d / "report.json")],
+        ["mf-train", *conf, *inputs, *ref, "--out", str(d / "model.txt")],
+        ["connectivity", *conf, *corpus, *ref],
+    ]
+    child = "import json, sys\nfrom jobgraph import cli\nprint(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", child, json.dumps(runs)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr

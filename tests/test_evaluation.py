@@ -458,6 +458,21 @@ def test_corpus_files_round_trip_fields_that_need_quoting(tmp_path):
     assert parse_events(paths["events"].read_text().splitlines()) == (events, [])
 
 
+@pytest.mark.parametrize(
+    "title, category, resume_category, padded",
+    [(" Driver", "transport", "transport", " Driver"),
+     ("Driver", "transport\t", "transport", "transport\t"),
+     ("Driver", "transport", "transport ", "transport ")],
+)
+def test_corpus_files_refuse_fields_the_parsers_would_strip(tmp_path, title, category, resume_category, padded):
+    jobs = {"j1": JobRecord("j1", title, category, None, REF, JobStatus.ACTIVE)}
+    users = {"u1": UserRecord("u1", resume_category, None, True)}
+    corpus = evaluation.SynthCorpus([ev("u1", "j1")], jobs, {}, users)
+    with pytest.raises(ValueError, match="whitespace") as exc:
+        write_corpus(corpus, tmp_path)
+    assert repr(padded) in str(exc.value)
+
+
 def test_synth_zero_noise_confines_events_to_home_cluster():
     corpus = synth_corpus(4, 8, 30, 0.0, seed=1)
     for e in corpus.events:

@@ -120,6 +120,16 @@ def test_event_round_trip_is_fixed_point(tmp_path):
     assert reparsed == events
 
 
+@pytest.mark.parametrize(
+    "user_id, query_id, padded", [("u 1 ", "q", "u 1 "), ("u1", " q", " q"), ("\tu1", None, "\tu1")]
+)
+def test_write_events_refuses_a_field_the_parser_would_strip(tmp_path, user_id, query_id, padded):
+    event = ev(user_id, "j1", SignalKind.CLICK, query_id=query_id)
+    with (tmp_path / "events.csv").open("w") as fh, pytest.raises(ValueError, match="whitespace") as exc:
+        write_events([event], fh)
+    assert repr(padded) in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # jobs / users / embeddings files
 
