@@ -141,6 +141,7 @@ def _cmd_build(args) -> int:
     reference_date = _parse_reference_date(args.reference_date)
     events, jobs, embeddings, _, counts = _load_corpus(args)
     signals, in_window, dropped = _prepare_signals(events, jobs, reference_date, config)
+    del events  # the parsed events are not needed past the signals
     digraph, graph, content = build_digraph(signals, jobs, embeddings, config)
     report = connectivity_report(graph, content, digraph.active_jobs)
 
@@ -187,6 +188,7 @@ def _serving_setup(args):
     reference_date = _parse_reference_date(args.reference_date)
     events, jobs, embeddings, users, _ = _load_corpus(args)
     signals, _, _ = _prepare_signals(events, jobs, reference_date, config)
+    del events  # the parsed events are not needed past the signals
     digraph_path = Path(args.graph_dir) / "digraph.csv"
     active = active_job_ids(jobs)
     try:  # parsed as it is read, in blocks

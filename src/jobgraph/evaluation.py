@@ -445,7 +445,9 @@ def _latlon_fields(location: tuple[float, float] | None) -> tuple[str, str]:
 def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> dict[str, Path]:
     """Write events.csv, jobs.csv, embeddings.txt and users.csv under
     ``out_dir`` in the ingest file formats; returns the paths written.
-    A CSV field with leading or trailing whitespace raises ``ValueError``."""
+    A CSV field with leading or trailing whitespace, or a job id that is
+    empty or holds whitespace (the embeddings file splits on it), raises
+    ``ValueError``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -465,6 +467,8 @@ def write_corpus(corpus: SynthCorpus, out_dir: str | Path) -> dict[str, Path]:
         )
     with paths["embeddings"].open("w", encoding="utf-8") as fh:
         for job_id, vec in corpus.embeddings.items():
+            if job_id.split() != [job_id]:
+                raise ValueError(f"embeddings job id {job_id!r} is empty or holds whitespace")
             fh.write(job_id + " " + " ".join(repr(x) for x in vec.tolist()) + "\n")
     with paths["users"].open("w", encoding="utf-8") as fh:
         write_rows(

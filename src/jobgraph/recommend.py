@@ -218,9 +218,12 @@ def _reached(walk: Walk, seeds: np.ndarray) -> np.ndarray:
     reached[seeds] = True
     frontier = seeds
     while frontier.size:
-        dst = walk.dst[_span_rows(walk.indptr, frontier)[0]]
-        frontier = np.unique(dst[~reached[dst]])
-        reached[frontier] = True
+        # a mask, not np.unique, which would import numpy.ma
+        new = np.zeros_like(reached)
+        new[walk.dst[_span_rows(walk.indptr, frontier)[0]]] = True
+        new &= ~reached
+        frontier = np.flatnonzero(new)
+        reached |= new
     return np.flatnonzero(reached)
 
 
@@ -375,7 +378,7 @@ def preference_vector(
             prefs.update(embeddable[i] for i in top.tolist())
 
     if profile.resume_category is not None:
-        prefs.update(j for j, rec in jobs.items() if rec.is_active and rec.category == profile.resume_category)
+        prefs.update(j for j, rec in jobs.items() if rec.category == profile.resume_category and rec.is_active)
 
     return sorted(prefs)
 

@@ -823,3 +823,39 @@ def test_every_command_names_the_encoding_of_its_files(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """``build``, ``serve-batch`` (with a resume-only user, so a
+    personalized walk runs) and ``evaluate`` in a child interpreter leave
+    ``numpy.ma`` unimported. numpy imports it on the first ``np.unique``
+    without ``return_*`` flags, at over 1 MB of every process's memory; a
+    numpy upgrade can bring it back by another call."""
+    d = tmp_path
+    paths = write_corpus(synth_corpus(3, 10, 30, 0.1, 0), d)
+    with paths["users"].open("a", encoding="utf-8") as fh:
+        fh.write("resume_only,cat00,,,true\n")
+    (d / "ids.txt").write_text("u00000\nresume_only\nstranger\n")
+    ref = ["--reference-date", REF_ARG]
+    corpus = corpus_flags(d)
+    users = ["--users", str(paths["users"])]
+    runs = [
+        ["build", *corpus, *ref, "--out-dir", str(d / "build")],
+        ["serve-batch", *corpus, *users, "--graph-dir", str(d / "build"), *ref,
+         "--user-ids", str(d / "ids.txt"), "--out", str(d / "recs.csv")],
+        ["evaluate", *corpus, *users, *ref, "--out", str(d / "report.json")],
+    ]
+    child = (
+        "import json, sys\nfrom jobgraph import cli\n"
+        "codes = [cli.main(a) for a in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy.ma' in sys.modules]))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(runs)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(runs), False]
+    rows = (d / "recs.csv").read_text().splitlines()
+    assert any(r.startswith("resume_only,") and r.endswith(",personalized_pagerank") for r in rows)

@@ -473,6 +473,17 @@ def test_corpus_files_refuse_fields_the_parsers_would_strip(tmp_path, title, cat
     assert repr(padded) in str(exc.value)
 
 
+@pytest.mark.parametrize("job_id", ["j 1", "j\t1", ""])
+def test_embeddings_file_refuses_a_job_id_it_would_split(tmp_path, job_id):
+    # parse_embeddings splits a line on whitespace: 'j 1 1.0 0.5' would read
+    # back as job 'j' with the vector [1.0, 1.0, 0.5]
+    jobs = {job_id: JobRecord(job_id, "Driver", "transport", None, REF, JobStatus.ACTIVE)}
+    corpus = evaluation.SynthCorpus([], jobs, {job_id: np.array([1.0, 0.5])}, {})
+    with pytest.raises(ValueError, match="whitespace") as exc:
+        write_corpus(corpus, tmp_path)
+    assert repr(job_id) in str(exc.value)
+
+
 def test_synth_zero_noise_confines_events_to_home_cluster():
     corpus = synth_corpus(4, 8, 30, 0.0, seed=1)
     for e in corpus.events:

@@ -395,6 +395,40 @@ def test_dump_digraph_matches_csv_writer_on_random_scores(monkeypatch, block):
     assert digraph.num_edges > scoring.DUMP_BLOCK
 
 
+@pytest.mark.parametrize("block", [1, 3, scoring.LOAD_BLOCK])
+def test_load_digraph_across_block_boundaries(monkeypatch, block):
+    monkeypatch.setattr(scoring, "LOAD_BLOCK", block)
+    rng = random.Random(block)
+    pool = [-0.0, 0.0, math.nan, 5e-324, 1e16, 0.1 + 0.2, -1e-5]
+    ids = [f"j{i:02d}" for i in range(60)]
+    chosen = rng.sample(list(itertools.permutations(ids, 2)), 3 * block + 2)
+    scores = np.array([rng.choice(pool) for _ in range(len(chosen) * 6)]).reshape(len(chosen), 6)
+    scores[:, 0] = [rng.uniform(-2, 2) for _ in chosen]  # corr is never absent
+    index = {job_id: i for i, job_id in enumerate(ids)}
+    src = np.array([index[a] for a, _ in chosen], dtype=np.intp)
+    dst = np.array([index[b] for _, b in chosen], dtype=np.intp)
+    digraph = RecDigraph(ids, src, dst, scores, ids)
+    buf = StringIO()
+    dump_digraph(digraph, buf)
+    rows = buf.getvalue().splitlines(keepends=True)
+    assert len(rows) > 3 * block
+
+    reloaded = load_digraph(rows, ids)
+    assert reloaded.nodes == digraph.nodes
+    assert np.array_equal(reloaded.indptr, digraph.indptr)
+    assert np.array_equal(reloaded.dst, digraph.dst)
+    assert np.array_equal(reloaded.scores.view(np.int64), digraph.scores.view(np.int64))
+
+    # a malformed row first and last in the third block, with blank lines
+    # before it that count as lines but not as rows of a block
+    for row_no in (2 * block, 3 * block - 1):
+        lines = rows[:]
+        lines[row_no] = "j00,j01,x,,,,,\n"
+        lines[1:1] = ["\n", "\n"]
+        with pytest.raises(ValueError, match=f"^digraph line {row_no + 3}: non-numeric corr 'x'$"):
+            load_digraph(lines, ids)
+
+
 def test_load_digraph_sorts_and_filters_rows_in_any_order():
     rng = random.Random(8)
     graph, content, active = random_scoring_inputs(rng, 40, 0.3, 0.4)
