@@ -15,6 +15,7 @@ import math
 import random
 import zlib
 from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
@@ -41,7 +42,7 @@ from .ingest import (
 )
 from .mf import als_train, build_matrix, recommend_mf
 from .recommend import build_profiles, recommend
-from .scoring import build_digraph
+from .scoring import ContentPairs, build_digraph
 
 logger = logging.getLogger(__name__)
 
@@ -80,7 +81,7 @@ class ConnectivityReport:
 
 def connectivity_report(
     graph: JobMultiGraph,
-    content: Mapping[tuple[str, str], float],
+    content: ContentPairs,
     active_set: Iterable[str],
 ) -> ConnectivityReport:
     """For every nonempty subset S of edge types, the fraction of active
@@ -94,11 +95,12 @@ def connectivity_report(
     # the jobs an edge of each type touches
     apps = {job_id for pair, stats in graph.edges.items() if stats.co_apps > 0 for job_id in pair}
     clicks = {job_id for pair, stats in graph.edges.items() if stats.co_clicks > 0 for job_id in pair}
-    similar = set()  # content pairs are many: two adds beat a comprehension's inner loop
-    for i, j in content:
-        if i in graph.nodes and j in graph.nodes and i != j:
-            similar.add(i)
-            similar.add(j)
+    in_graph = np.array([j in graph.nodes for j in content.ids], dtype=bool)
+    known = in_graph[content.a] & in_graph[content.b]
+    touched = np.zeros(len(content.ids), dtype=bool)
+    touched[content.a[known]] = True
+    touched[content.b[known]] = True
+    similar = {content.ids[i] for i in np.flatnonzero(touched).tolist()}
     # one mask per active job, bit b set when an edge of type EDGE_TYPES[b] touches it
     jobs_by_mask = Counter((j in apps) | (j in clicks) << 1 | (j in similar) << 2 for j in active)
 
@@ -171,7 +173,9 @@ def cf_recommend(
     if not own:
         return []
     banned = own | set(exclude)
-    allowed = None if active_jobs is None else set(active_jobs)
+    allowed = None
+    if active_jobs is not None:
+        allowed = active_jobs if isinstance(active_jobs, AbstractSet) else set(active_jobs)
 
     neighbors: set[str] = set()
     for job_id in own:

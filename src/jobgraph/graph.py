@@ -10,26 +10,23 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
 from datetime import timedelta
 from itertools import combinations
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Mapping, NamedTuple, TextIO
 
 from .ingest import DedupedSignal, JobRecord, SignalKind
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class NodeStats:
+class NodeStats(NamedTuple):
     """Distinct-user interaction totals for one job."""
 
     total_apps: int = 0
     total_clicks: int = 0
 
 
-@dataclass(frozen=True)
-class CoStats:
+class CoStats(NamedTuple):
     """Distinct-user co-interaction counts for one unordered job pair."""
 
     co_apps: int = 0

@@ -18,9 +18,11 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import logging
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -92,38 +94,79 @@ def embed_sim(v_i: np.ndarray, v_j: np.ndarray) -> float:
     return float(np.dot(v_i, v_j) / denom)
 
 
+@dataclass(frozen=True, eq=False)
+class ContentPairs:
+    """The content pairs of :func:`content_edges` as arrays: jobs
+    ``ids[a[k]]`` and ``ids[b[k]]`` have cosine similarity ``sim[k]``.
+
+    ``ids`` are the embedding ids, sorted; ``a < b`` in every pair, and the
+    pairs are sorted by ``(a, b)``. ``len`` is the number of pairs.
+    """
+
+    ids: list[str]
+    a: np.ndarray
+    b: np.ndarray
+    sim: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sim)
+
+
+# Similarities computed per row block by content_edges: a block of
+# ``max(1, SIM_BLOCK // n)`` rows of n float64 is at most 32 MB, and every
+# corpus of up to 2048 jobs is one block. One block is one matrix product,
+# whose last bits can differ from those of a split product (BLAS picks its
+# kernel by shape), so small corpora are never split.
+SIM_BLOCK = 2**22
+
+
 def content_edges(
     embeddings: Mapping[str, np.ndarray],
     gamma: float,
     categories: Mapping[str, str] | None = None,
-) -> dict[tuple[str, str], float]:
+) -> ContentPairs:
     """All unordered pairs with cosine similarity >= gamma (kept at equality).
 
-    Exhaustive pairwise comparison; when ``categories`` is given, only
-    same-category pairs are compared (a blocking pre-filter for larger
-    corpora).
+    Exhaustive pairwise comparison, one row block of :data:`SIM_BLOCK`
+    similarities at a time, so memory is O(block + pairs) rather than
+    O(n^2). When ``categories`` is given, only same-category pairs are
+    compared (a blocking pre-filter for larger corpora). A vector of zero
+    norm raises ``ValueError`` naming its job.
     """
+    ids = sorted(embeddings)
     if categories is None:
-        groups = [sorted(embeddings)]
+        groups = [np.arange(len(ids))]
     else:
-        by_cat: dict[str, list[str]] = {}
-        for job_id in sorted(embeddings):
+        by_cat: dict[str, list[int]] = {}
+        for i, job_id in enumerate(ids):
             if job_id in categories:
-                by_cat.setdefault(categories[job_id], []).append(job_id)
-        groups = [by_cat[c] for c in sorted(by_cat)]
+                by_cat.setdefault(categories[job_id], []).append(i)
+        groups = [np.array(by_cat[c]) for c in sorted(by_cat)]
 
-    edges: dict[tuple[str, str], float] = {}
-    for ids in groups:
-        if len(ids) < 2:
+    a: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    b: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    sim: list[np.ndarray] = [np.zeros(0)]
+    for group in groups:
+        if len(group) < 2:
             continue
-        mat = np.stack([embeddings[job_id] for job_id in ids])
+        mat = np.stack([embeddings[ids[i]] for i in group.tolist()])
         norms = np.linalg.norm(mat, axis=1)
+        if not norms.all():
+            raise ValueError(f"zero-norm vector for job {ids[group[np.argmin(norms)]]!r}")
         unit = mat / norms[:, None]
-        sims = unit @ unit.T
-        hit_i, hit_j = np.nonzero(np.triu(sims >= gamma, k=1))
-        for a, b, sim in zip(hit_i.tolist(), hit_j.tolist(), sims[hit_i, hit_j].tolist()):
-            edges[(ids[a], ids[b])] = sim
-    return edges
+        rows = max(1, SIM_BLOCK // len(group))
+        for lo in range(0, len(group), rows):
+            sims = unit[lo : lo + rows] @ unit.T
+            # the pairs right of the diagonal: column > row
+            hit_i, hit_j = np.nonzero(np.triu(sims >= gamma, k=lo + 1))
+            a.append(group[hit_i + lo])
+            b.append(group[hit_j])
+            sim.append(sims[hit_i, hit_j])
+    a, b, sim = np.concatenate(a), np.concatenate(b), np.concatenate(sim)
+    if categories is not None:  # the groups' pairs interleave in (a, b) order
+        order = np.lexsort((b, a))
+        a, b, sim = a[order], b[order], sim[order]
+    return ContentPairs(ids, a, b, sim)
 
 
 class Walk(NamedTuple):
@@ -247,7 +290,7 @@ AGGREGATE_BLOCK = 4096
 
 def aggregate(
     graph: JobMultiGraph,
-    content: Mapping[tuple[str, str], float],
+    content: ContentPairs,
     config: EngineConfig,
     active_set: Iterable[str],
 ) -> RecDigraph:
@@ -270,25 +313,9 @@ def aggregate(
         np.array([graph.nodes[j].total_clicks for j in ids], dtype=np.int64),
         np.array([j in active for j in ids], dtype=bool),
     )
-    # a content key not ordered (i, j) with i <= j is never looked up, as
-    # graph.costats orders every pair that way
-    content_keys = [
-        k for k in content if k[0] <= k[1] and k not in graph.edges and k[0] in index and k[1] in index
-    ]
-    pair_keys = list(graph.edges)
-    co_stats = list(graph.edges.values())
     scored: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for lo in range(0, len(pair_keys), AGGREGATE_BLOCK):
-        keys = pair_keys[lo : lo + AGGREGATE_BLOCK]
-        stats = co_stats[lo : lo + AGGREGATE_BLOCK]
-        co_apps = [cs.co_apps for cs in stats]
-        co_clicks = [cs.co_clicks for cs in stats]
-        sims = [content.get(k) for k in keys]
-        scored += _score_block(keys, co_apps, co_clicks, sims, index, nodes, config)
-    for lo in range(0, len(content_keys), AGGREGATE_BLOCK):
-        keys = content_keys[lo : lo + AGGREGATE_BLOCK]
-        zeros = [0] * len(keys)
-        scored += _score_block(keys, zeros, zeros, [content[k] for k in keys], index, nodes, config)
+    for block in _candidate_blocks(graph, content, index):
+        scored += _score_block(*block, nodes, config)
     if not scored:
         return RecDigraph.from_corr({}, active)
     src, dst, scores = (np.concatenate(column) for column in zip(*scored))
@@ -301,7 +328,7 @@ def build_digraph(
     jobs: Mapping[str, JobRecord],
     embeddings: Mapping[str, np.ndarray],
     config: EngineConfig,
-) -> tuple[RecDigraph, JobMultiGraph, dict[tuple[str, str], float]]:
+) -> tuple[RecDigraph, JobMultiGraph, ContentPairs]:
     """The build pipeline: the co-stat multigraph of the windowed, deduped
     ``signals``, the content pairs of ``embeddings`` at ``config.gamma``,
     and their aggregate into the digraph over the active ``jobs``.
@@ -314,6 +341,49 @@ def build_digraph(
     return digraph, graph, content
 
 
+def _candidate_blocks(
+    graph: JobMultiGraph, content: ContentPairs, index: Mapping[str, int]
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The candidate pairs of :func:`aggregate` as column blocks of
+    :data:`AGGREGATE_BLOCK` pairs ``(a, b, co_apps, co_clicks, sim)``, a
+    and b node indices in ``index`` and ``sim`` NaN where there is no
+    content evidence: first the multigraph's pairs, then the content pairs
+    between its nodes that it does not hold. The columns are freed when
+    the last block is taken.
+    """
+    # the multigraph's pairs (i, j), i < j, as node indices and counts
+    n_pairs = len(graph.edges)
+    flat = itertools.chain.from_iterable
+    pairs = np.fromiter(map(index.__getitem__, flat(graph.edges)), dtype=np.int32, count=2 * n_pairs)
+    pair_a, pair_b = pairs.reshape(n_pairs, 2).T
+    co = np.fromiter(flat(graph.edges.values()), dtype=np.int64, count=2 * n_pairs).reshape(n_pairs, 2)
+    # the content pairs between nodes, on node indices: both id lists are
+    # sorted, so the mapping keeps a < b and the (a, b) order
+    remap = np.array([index.get(j, -1) for j in content.ids], dtype=np.int32)
+    content_a, content_b = remap[content.a], remap[content.b]
+    known = (content_a >= 0) & (content_b >= 0)
+    content_a, content_b, content_sim = content_a[known], content_b[known], content.sim[known]
+    # each multigraph pair's content sim by one search of the sorted pair
+    # keys; a sentinel above every key ends them
+    n = np.int64(len(index))
+    content_keys = np.append(n * content_a + content_b, n * n)
+    pair_keys = n * pair_a + pair_b
+    at = np.searchsorted(content_keys, pair_keys)
+    found = content_keys[at] == pair_keys
+    pair_sim = np.full(n_pairs, np.nan)
+    pair_sim[found] = content_sim[at[found]]
+    content_only = np.ones(len(content_sim), dtype=bool)
+    content_only[at[found]] = False
+    del content_keys, pair_keys, at, found
+    zeros = np.broadcast_to(np.int64(0), (np.count_nonzero(content_only),))
+    for columns in (
+        (pair_a, pair_b, co[:, 0], co[:, 1], pair_sim),
+        (content_a[content_only], content_b[content_only], zeros, zeros, content_sim[content_only]),
+    ):
+        for lo in range(0, len(columns[0]), AGGREGATE_BLOCK):
+            yield tuple(column[lo : lo + AGGREGATE_BLOCK] for column in columns)
+
+
 class _NodeArrays(NamedTuple):
     """Per-node columns of the multigraph, indexed like ``sorted(nodes)``."""
 
@@ -323,31 +393,25 @@ class _NodeArrays(NamedTuple):
 
 
 def _score_block(
-    keys: list[tuple[str, str]],
-    co_apps: list[int],
-    co_clicks: list[int],
-    sims: list[float | None],
-    index: Mapping[str, int],
+    a: np.ndarray,
+    b: np.ndarray,
+    co_apps: np.ndarray,
+    co_clicks: np.ndarray,
+    sim: np.ndarray,
     nodes: _NodeArrays,
     config: EngineConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Score both directions of a block of pairs (a, b), given as parallel
-    columns, as one (src, dst, scores) entry per direction, scores in
+    """Score both directions of a block of pairs (a, b) of node indices,
+    given as parallel columns with ``sim`` NaN where there is no content
+    evidence, as one (src, dst, scores) entry per direction, scores in
     :class:`RecDigraph` columns.
 
     ``corr`` keeps the term order of ``w1*(p_apps+p_clicks) +
     w2*(pmi2_apps+pmi2_clicks) + w3*sim`` in float64, so it equals the
-    scalar formula bit for bit. The columns are lists, not one tuple per
-    pair: CPython keeps thousands of freed small tuples for reuse, and made
-    per pair they end up spread over the memory the digraph fills, which
-    then stays resident after the digraph is freed.
+    scalar formula bit for bit.
     """
-    a = np.array([index[i] for i, _ in keys], dtype=np.int32)
-    b = np.array([index[j] for _, j in keys], dtype=np.int32)
-    co_apps = np.array(co_apps, dtype=np.int64)
-    co_clicks = np.array(co_clicks, dtype=np.int64)
-    has_sim = np.array([s is not None for s in sims], dtype=bool)
-    sim = np.where(has_sim, np.array(sims, dtype=np.float64), 0.0)
+    has_sim = ~np.isnan(sim)
+    sim_term = np.where(has_sim, sim, 0.0)
     has_apps = co_apps > 0
     has_clicks = co_clicks > 0
     evidence = has_apps | has_clicks | has_sim
@@ -361,14 +425,14 @@ def _score_block(
     for src, dst in ((a, b), (b, a)):
         p_apps = _mle_block(co_apps, nodes.total_apps[src], has_apps)
         p_clicks = _mle_block(co_clicks, nodes.total_clicks[src], has_clicks)
-        corr = config.w1 * (p_apps + p_clicks) + config.w2 * pmi_sum + config.w3 * sim
+        corr = config.w1 * (p_apps + p_clicks) + config.w2 * pmi_sum + config.w3 * sim_term
         columns = (
             corr,
             np.where(has_apps, p_apps, np.nan),
             np.where(has_clicks, p_clicks, np.nan),
             np.where(has_pm_apps, pm_apps, np.nan),
             np.where(has_pm_clicks, pm_clicks, np.nan),
-            np.where(has_sim, sim, np.nan),
+            sim,
         )
         # the digraph drops edges into inactive jobs anyway; not making them
         # keeps the blocks, and the build's peak memory, smaller

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from datetime import datetime, timedelta, timezone
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from jobgraph.graph import _pair
 from jobgraph.ingest import InteractionEvent, JobRecord, JobStatus, ParseIssue, SignalKind
 from jobgraph.mf import FactorModel, RatingsMatrix, _implicit_offsets
 from jobgraph.recommend import PageRankResult
-from jobgraph.scoring import EdgeScores, RecDigraph, mle, pmi2
+from jobgraph.scoring import ContentPairs, EdgeScores, RecDigraph, mle, pmi2
 
 REF = datetime(2017, 6, 1, tzinfo=timezone.utc)
 
@@ -212,6 +212,27 @@ def reference_pagerank(
             break
     scores = {job_id: score for job_id, score in zip(nodes, x.tolist()) if score > 0.0}
     return PageRankResult(scores, converged, iterations)
+
+
+def content_pairs(sims: Mapping[tuple[str, str], float]) -> ContentPairs:
+    """The :class:`ContentPairs` of a map of job pairs ``(i, j)``, ``i < j``,
+    to cosine similarities, laid out as ``content_edges`` returns them."""
+    ids = sorted({job_id for pair in sims for job_id in pair})
+    index = {job_id: i for i, job_id in enumerate(ids)}
+    rows = sorted((index[i], index[j], sim) for (i, j), sim in sims.items())
+    if any(a >= b for a, b, _ in rows):
+        raise ValueError("content pairs are keyed (i, j) with i < j")
+    a = np.array([a for a, _, _ in rows], dtype=np.intp)
+    b = np.array([b for _, b, _ in rows], dtype=np.intp)
+    return ContentPairs(ids, a, b, np.array([sim for _, _, sim in rows], dtype=float))
+
+
+def content_map(pairs: ContentPairs) -> dict[tuple[str, str], float]:
+    """The content pairs as a map of ``(i, j)`` to cosine similarity."""
+    return {
+        (pairs.ids[a], pairs.ids[b]): sim
+        for a, b, sim in zip(pairs.a.tolist(), pairs.b.tolist(), pairs.sim.tolist())
+    }
 
 
 def reference_edge_scores(graph, content, weights, src, dst):

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from helpers import REF, brute_force_levels, dense_pagerank, random_digraph
+from helpers import REF, brute_force_levels, content_pairs, dense_pagerank, random_digraph
 from jobgraph import cli
 from jobgraph.config import EngineConfig
 from jobgraph.evaluation import (
@@ -157,7 +157,7 @@ def test_criterion_1_score_formula_suite():
         ]
         for nodes, co, sim, weights, src, dst, expected in fixtures:
             g = graph_of(nodes, {("i", "j"): co} if co else {})
-            content = {("i", "j"): sim} if sim is not None else {}
+            content = content_pairs({("i", "j"): sim} if sim is not None else {})
             digraph = aggregate(g, content, weights, ["i", "j"])
             got = digraph.corr(src, dst)
             assert got is not None and abs(got - expected) < 1e-12, (
@@ -256,7 +256,7 @@ def test_criterion_4_connectivity_ordering_and_monotonicity():
                     if rng.random() < 0.3:
                         pairs[(a, b)] = rng.uniform(0.4, 1.0)
             act = [j for j in ids if rng.random() < 0.8]
-            rpt = connectivity_report(graph_of(nodes, edges), pairs, act)
+            rpt = connectivity_report(graph_of(nodes, edges), content_pairs(pairs), act)
             for small in subsets:
                 for big in subsets:
                     if small < big:

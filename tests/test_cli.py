@@ -12,7 +12,9 @@ import pytest
 from jobgraph import cli
 from jobgraph.config import EngineConfig, config_hash, load_config
 from jobgraph.evaluation import synth_corpus, write_corpus
+from jobgraph.ingest import parse_embeddings
 from jobgraph.recommend import Provenance
+from jobgraph.scoring import content_edges
 
 REF_ARG = "2017-06-01T00:00:00Z"
 PROVENANCE_VALUES = {p.value for p in Provenance}
@@ -95,6 +97,14 @@ def test_synth_rejects_bad_parameters(corpus_dir):
         ]
     )
     assert rc == 1
+
+
+def test_manifest_content_pairs_is_the_length_of_the_content_pairs(graph_dir, corpus_dir):
+    with (corpus_dir / "embeddings.txt").open(encoding="utf-8") as fh:
+        embeddings, _ = parse_embeddings(fh)
+    pairs = content_edges(embeddings, EngineConfig().gamma)
+    manifest = json.loads((graph_dir / "manifest.json").read_text())
+    assert len(pairs) == len(pairs.a) == len(pairs.b) == len(pairs.sim) == manifest["content_pairs"] > 0
 
 
 def test_build_manifest_counts(graph_dir, corpus_dir):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import REF, ev
+from helpers import REF, content_pairs, ev
 from jobgraph import evaluation
 from jobgraph.evaluation import (
     EDGE_TYPES,
@@ -56,7 +56,7 @@ def graph_of(nodes, edges):
 
 def test_connectivity_zero_edges_is_all_zero():
     g = graph_of({"a": (1, 1), "b": (1, 1)}, {})
-    report = connectivity_report(g, {}, ["a", "b"])
+    report = connectivity_report(g, content_pairs({}), ["a", "b"])
     assert report.active_count == 2
     assert all(v == 0.0 for v in report.fractions.values())
     assert len(report.fractions) == 7
@@ -65,7 +65,7 @@ def test_connectivity_zero_edges_is_all_zero():
 def test_connectivity_full_content_saturates_content_subsets():
     g = graph_of({"a": (0, 0), "b": (0, 0), "c": (0, 0)}, {})
     content = {("a", "b"): 0.9, ("a", "c"): 0.8, ("b", "c"): 0.7}
-    report = connectivity_report(g, content, ["a", "b", "c"])
+    report = connectivity_report(g, content_pairs(content), ["a", "b", "c"])
     assert report.fraction("content") == 1.0
     assert report.fraction("co_apps", "content") == 1.0
     assert report.fraction("co_apps") == 0.0
@@ -74,7 +74,7 @@ def test_connectivity_full_content_saturates_content_subsets():
 
 def test_connectivity_labeled_view_is_ordered():
     g = graph_of({"a": (1, 1)}, {})
-    labels = list(connectivity_report(g, {}, ["a"]).labeled())
+    labels = list(connectivity_report(g, content_pairs({}), ["a"]).labeled())
     assert labels == [
         "co_apps",
         "co_clicks",
@@ -88,13 +88,13 @@ def test_connectivity_labeled_view_is_ordered():
 
 def test_connectivity_ignores_content_pairs_outside_graph():
     g = graph_of({"a": (0, 0), "b": (0, 0)}, {})
-    report = connectivity_report(g, {("a", "ghost"): 0.9}, ["a", "b"])
+    report = connectivity_report(g, content_pairs({("a", "ghost"): 0.9}), ["a", "b"])
     assert report.fraction("content") == 0.0
 
 
 def test_connectivity_empty_active_set():
     g = graph_of({"a": (1, 0)}, {})
-    report = connectivity_report(g, {}, [])
+    report = connectivity_report(g, content_pairs({}), [])
     assert report.active_count == 0
     assert all(v == 0.0 for v in report.fractions.values())
 
@@ -102,7 +102,7 @@ def test_connectivity_empty_active_set():
 def test_connectivity_rejects_unknown_type():
     g = graph_of({"a": (1, 0)}, {})
     with pytest.raises(ValueError):
-        connectivity_report(g, {}, ["a"]).fraction("telepathy")
+        connectivity_report(g, content_pairs({}), ["a"]).fraction("telepathy")
 
 
 def random_connectivity_case(rng):
@@ -125,7 +125,7 @@ def test_connectivity_matches_incidence_oracle():
     rng = random.Random(71)
     for _ in range(40):
         g, content, active = random_connectivity_case(rng)
-        report = connectivity_report(g, content, active)
+        report = connectivity_report(g, content_pairs(content), active)
         for size in (1, 2, 3):
             for subset in combinations(EDGE_TYPES, size):
                 connected = 0
@@ -152,7 +152,7 @@ def test_connectivity_monotone_under_subset_inclusion():
     rng = random.Random(73)
     for _ in range(40):
         g, content, active = random_connectivity_case(rng)
-        report = connectivity_report(g, content, active)
+        report = connectivity_report(g, content_pairs(content), active)
         subsets = [frozenset(s) for size in (1, 2, 3) for s in combinations(EDGE_TYPES, size)]
         for small in subsets:
             for big in subsets:
@@ -216,6 +216,26 @@ def test_classic_cf_excludes_own_history_and_respects_filters():
     assert [j for j, _ in only_j3] == ["j3"]
     pooled = cf_recommend(build_cf_index(events), "u1", 5, REF, active_jobs=["j2"])
     assert [j for j, _ in pooled] == ["j2"]
+
+
+class UniterableSet(frozenset):
+    """A set that fails if anything iterates over it, as copying it does."""
+
+    def __iter__(self):
+        raise AssertionError("iterated over the active set")
+
+
+def test_classic_cf_uses_a_set_of_active_jobs_as_it_is():
+    events = [
+        ev("u1", "j1", age_days=10),
+        ev("u2", "j1", age_days=9),
+        ev("u2", "j2", age_days=5),
+        ev("u2", "j3", age_days=5),
+    ]
+    index = build_cf_index(events)
+    pooled = cf_recommend(index, "u1", 5, REF, active_jobs=UniterableSet(["j2", "j3"]))
+    assert pooled == cf_recommend(index, "u1", 5, REF, active_jobs=["j3", "j2"])
+    assert [j for j, _ in pooled] == ["j2", "j3"]
 
 
 def test_classic_cf_applier_window_keeps_newest():

@@ -188,3 +188,9 @@ def test_dump_load_round_trip_quotes_job_ids():
     reloaded = load_graph(StringIO(nodes_fh.getvalue()), StringIO(edges_fh.getvalue()))
     assert reloaded.nodes == graph.nodes
     assert reloaded.edges == graph.edges
+
+
+def test_stats_records_are_named_tuples_without_a_dict():
+    for record in (NodeStats(2, 1), CoStats(1, 0)):
+        assert isinstance(record, tuple) and not hasattr(record, "__dict__")
+    assert NodeStats(2, 1).total_clicks == 1 and CoStats(1, 0).co_apps == 1

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import digraph_of_scores, edge_map, reference_aggregate
+from helpers import content_map, content_pairs, digraph_of_scores, edge_map, reference_aggregate
 from jobgraph import scoring
 from jobgraph.config import EngineConfig
 from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
@@ -137,7 +137,7 @@ def test_content_edges_match_all_pairs_oracle():
     rng = np.random.default_rng(4)
     vecs = {f"j{i:03d}": rng.normal(size=8) for i in range(60)}
     gamma = 0.3
-    edges = content_edges(vecs, gamma)
+    edges = content_map(content_edges(vecs, gamma))
     ids = sorted(vecs)
     expected = {}
     for a_pos, a in enumerate(ids):
@@ -153,18 +153,80 @@ def test_content_edges_match_all_pairs_oracle():
 def test_content_edges_keep_equality_and_nest_by_gamma():
     vecs = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 1.0]), "c": np.array([0.0, 1.0])}
     sim_ab = embed_sim(vecs["a"], vecs["b"])
-    at_cutoff = content_edges(vecs, sim_ab)
+    at_cutoff = content_map(content_edges(vecs, sim_ab))
     assert ("a", "b") in at_cutoff
-    loose = content_edges(vecs, 0.1)
-    tight = content_edges(vecs, 0.9)
+    loose = content_map(content_edges(vecs, 0.1))
+    tight = content_map(content_edges(vecs, 0.9))
     assert set(tight) <= set(loose)
 
 
 def test_content_edges_category_blocking():
     vecs = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.1]), "c": np.array([1.0, 0.2])}
     cats = {"a": "x", "b": "x", "c": "y"}
-    edges = content_edges(vecs, 0.4, categories=cats)
+    edges = content_map(content_edges(vecs, 0.4, categories=cats))
     assert set(edges) == {("a", "b")}
+
+
+def all_pairs_oracle(vecs, gamma, categories=None):
+    """Every pair (i, j), i < j, of same-category jobs with cosine >= gamma,
+    by :func:`embed_sim`."""
+    expected = {}
+    for a, b in itertools.combinations(sorted(vecs), 2):
+        if categories is not None and (a not in categories or categories.get(a) != categories.get(b)):
+            continue
+        s = embed_sim(vecs[a], vecs[b])
+        if s >= gamma:
+            expected[(a, b)] = s
+    return expected
+
+
+def assert_pairs_match(pairs, expected):
+    assert pairs.ids == sorted(pairs.ids)
+    assert (pairs.a < pairs.b).all()
+    assert list(zip(pairs.a.tolist(), pairs.b.tolist())) == sorted(zip(pairs.a.tolist(), pairs.b.tolist()))
+    got = content_map(pairs)
+    assert len(pairs) == len(got) == len(expected)
+    assert set(got) == set(expected)
+    for pair, s in got.items():
+        assert s == pytest.approx(expected[pair], abs=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 7 * 60, 59 * 60])
+def test_content_edges_match_all_pairs_oracle_across_row_blocks(monkeypatch, budget):
+    # a budget of 1 gives 1-row blocks, 7 * 60 gives 7 rows and 59 * 60 one
+    # row short of the whole matrix, so the last block holds a single row
+    rng = np.random.default_rng(4)
+    vecs = {f"j{i:03d}": rng.normal(size=8) for i in range(60)}
+    whole = content_edges(vecs, 0.3)
+    monkeypatch.setattr(scoring, "SIM_BLOCK", budget)
+    blocked = content_edges(vecs, 0.3)
+    assert_pairs_match(blocked, all_pairs_oracle(vecs, 0.3))
+    assert np.array_equal(blocked.a, whole.a) and np.array_equal(blocked.b, whole.b)
+
+
+@pytest.mark.parametrize("budget", [1, 5 * 20, scoring.SIM_BLOCK])
+def test_content_edges_category_blocking_across_row_blocks(monkeypatch, budget):
+    rng = np.random.default_rng(9)
+    vecs = {f"j{i:03d}": rng.normal(size=6) for i in range(60)}
+    # three interleaved categories, and four jobs in none
+    cats = {j: "xyz"[i % 3] for i, j in enumerate(sorted(vecs)) if i % 15 != 4}
+    monkeypatch.setattr(scoring, "SIM_BLOCK", budget)
+    pairs = content_edges(vecs, 0.2, categories=cats)
+    assert_pairs_match(pairs, all_pairs_oracle(vecs, 0.2, cats))
+
+
+def test_content_edges_refuse_a_zero_norm_vector():
+    vecs = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 0.0]), "c": np.array([1.0, 0.1])}
+    with pytest.raises(ValueError, match="^zero-norm vector for job 'b'$"):
+        content_edges(vecs, 0.4)
+
+
+def test_content_edges_of_fewer_than_two_vectors_are_empty():
+    for vecs in ({}, {"a": np.array([1.0, 0.0])}):
+        pairs = content_edges(vecs, 0.0)
+        assert len(pairs) == 0 and pairs.ids == sorted(vecs)
+        digraph = aggregate(graph_of({"a": (1, 0)}, {}), pairs, EngineConfig(), ["a"])
+        assert digraph.num_edges == 0
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +235,7 @@ def test_content_edges_category_blocking():
 
 def test_aggregate_content_only_hand_value():
     g = graph_of({"i": (0, 0), "j": (0, 0)}, {})
-    digraph = aggregate(g, {("i", "j"): 0.8}, EngineConfig(), ["i", "j"])
+    digraph = aggregate(g, content_pairs({("i", "j"): 0.8}), EngineConfig(), ["i", "j"])
     assert digraph.corr("i", "j") == pytest.approx(0.16, abs=1e-15)
     assert digraph.corr("j", "i") == pytest.approx(0.16, abs=1e-15)
     es = edge_map(digraph)[("i", "j")]
@@ -184,7 +246,7 @@ def test_aggregate_content_only_hand_value():
 
 def test_aggregate_perfect_cooccurrence_hand_value():
     g = graph_of({"i": (2, 2), "j": (2, 2)}, {("i", "j"): (2, 2)})
-    digraph = aggregate(g, {("i", "j"): 1.0}, EngineConfig(), ["i", "j"])
+    digraph = aggregate(g, content_pairs({("i", "j"): 1.0}), EngineConfig(), ["i", "j"])
     # both probabilities 1.0, both co-information terms ln(1) = 0, sim 1.0
     assert digraph.corr("i", "j") == pytest.approx(1.2, abs=1e-12)
 
@@ -192,14 +254,14 @@ def test_aggregate_perfect_cooccurrence_hand_value():
 def test_aggregate_normalized_pmi2_hand_value():
     g = graph_of({"i": (2, 2), "j": (2, 2)}, {("i", "j"): (2, 2)})
     weights = EngineConfig(normalize_pmi2=True)
-    digraph = aggregate(g, {("i", "j"): 1.0}, weights, ["i", "j"])
+    digraph = aggregate(g, content_pairs({("i", "j"): 1.0}), weights, ["i", "j"])
     # exp(0) = 1 for each of the two co-information terms
     assert digraph.corr("i", "j") == pytest.approx(1.8, abs=1e-12)
 
 
 def test_aggregate_apps_only_hand_value():
     g = graph_of({"i": (4, 0), "j": (8, 0)}, {("i", "j"): (2, 0)})
-    digraph = aggregate(g, {}, EngineConfig(), ["i", "j"])
+    digraph = aggregate(g, content_pairs({}), EngineConfig(), ["i", "j"])
     expected = 0.5 * (2 / 8) + 0.3 * math.log(4 / 32)
     assert digraph.corr("j", "i") == pytest.approx(expected, abs=1e-12)
     reverse = 0.5 * (2 / 4) + 0.3 * math.log(4 / 32)
@@ -209,20 +271,20 @@ def test_aggregate_apps_only_hand_value():
 
 def test_aggregate_skips_expired_destinations():
     g = graph_of({"i": (3, 0), "j": (3, 0)}, {("i", "j"): (2, 0)})
-    digraph = aggregate(g, {}, EngineConfig(), ["i"])
+    digraph = aggregate(g, content_pairs({}), EngineConfig(), ["i"])
     assert digraph.corr("j", "i") is not None  # expired source feeds active dst
     assert digraph.corr("i", "j") is None
 
 
 def test_aggregate_requires_some_signal():
     g = graph_of({"i": (3, 0), "j": (5, 0)}, {})
-    digraph = aggregate(g, {}, EngineConfig(), ["i", "j"])
+    digraph = aggregate(g, content_pairs({}), EngineConfig(), ["i", "j"])
     assert digraph.num_edges == 0
 
 
 def test_aggregate_ignores_content_for_unknown_nodes():
     g = graph_of({"i": (0, 0), "j": (0, 0)}, {})
-    digraph = aggregate(g, {("i", "ghost"): 0.9}, EngineConfig(), ["i", "j", "ghost"])
+    digraph = aggregate(g, content_pairs({("ghost", "i"): 0.9}), EngineConfig(), ["i", "j", "ghost"])
     assert digraph.num_edges == 0
 
 
@@ -245,7 +307,7 @@ def test_digraph_dump_reload_is_bit_exact():
         for b in ids[a_pos + 1:]:
             if rng.random() < 0.3:
                 content[(a, b)] = rng.uniform(0.4, 1.0)
-    digraph = aggregate(g, content, EngineConfig(), ids)
+    digraph = aggregate(g, content_pairs(content), EngineConfig(), ids)
 
     buf = StringIO()
     dump_digraph(digraph, buf)
@@ -264,8 +326,7 @@ def test_digraph_dump_reload_is_bit_exact():
 def random_scoring_inputs(rng, num_nodes, pair_prob, content_prob):
     """A multigraph with arbitrary counts (apps-only, clicks-only, both and
     empty co-stats; zero totals included), a content map that also names
-    nodes outside the graph and holds a few reversed keys, and a random
-    active subset."""
+    nodes outside the graph, and a random active subset."""
     ids = [f"j{i:03d}" for i in range(num_nodes)]
     # counts wide enough that numpy's log/exp would round some PMI^2 terms
     # differently from math's
@@ -282,8 +343,6 @@ def random_scoring_inputs(rng, num_nodes, pair_prob, content_prob):
     for a, b in itertools.combinations(sorted(ids + ghosts), 2):
         if rng.random() < content_prob:
             content[(a, b)] = rng.choice([0.0, 1.0, rng.uniform(-1.0, 1.0)])
-        if rng.random() < 0.05:  # out of (i, j) with i <= j order: never looked up
-            content[(b, a)] = rng.uniform(-1.0, 1.0)
     active = {j for j in ids + ghosts if rng.random() < 0.8}
     return graph_of(nodes, edges), content, active
 
@@ -313,7 +372,7 @@ def test_aggregate_matches_scalar_reference_on_random_multigraphs(monkeypatch, n
         )
         # small blocks, so most trials span several of them
         monkeypatch.setattr(scoring, "AGGREGATE_BLOCK", rng.choice([1, 2, 5, 64]))
-        digraph = aggregate(graph, content, weights, active)
+        digraph = aggregate(graph, content_pairs(content), weights, active)
         assert_matches_reference(digraph, graph, content, weights, active)
 
 
@@ -323,13 +382,13 @@ def test_aggregate_matches_scalar_reference_across_full_blocks():
     candidates = set(graph.edges) | {p for p in content if p[0] in graph.nodes and p[1] in graph.nodes}
     assert len(candidates) > scoring.AGGREGATE_BLOCK
     for weights in (EngineConfig(), EngineConfig(normalize_pmi2=True)):
-        digraph = aggregate(graph, content, weights, active)
+        digraph = aggregate(graph, content_pairs(content), weights, active)
         assert_matches_reference(digraph, graph, content, weights, active)
 
 
 def test_aggregate_without_candidate_pairs_is_empty():
     g = graph_of({"i": (1, 1)}, {})
-    digraph = aggregate(g, {}, EngineConfig(), ["i"])
+    digraph = aggregate(g, content_pairs({}), EngineConfig(), ["i"])
     assert digraph.num_edges == 0 and edge_map(digraph) == {}
 
 
@@ -432,7 +491,7 @@ def test_load_digraph_across_block_boundaries(monkeypatch, block):
 def test_load_digraph_sorts_and_filters_rows_in_any_order():
     rng = random.Random(8)
     graph, content, active = random_scoring_inputs(rng, 40, 0.3, 0.4)
-    built = aggregate(graph, content, EngineConfig(), active)
+    built = aggregate(graph, content_pairs(content), EngineConfig(), active)
     buf = StringIO()
     dump_digraph(built, buf)
     rows = buf.getvalue().splitlines(keepends=True)
@@ -517,7 +576,7 @@ def test_block_check_agrees_with_the_row_check(rows):
 def test_pagerank_of_a_reloaded_dump_equals_the_built_digraph():
     rng = random.Random(12)
     graph, content, active = random_scoring_inputs(rng, 40, 0.3, 0.4)
-    built = aggregate(graph, content, EngineConfig(w2=0.05), active)
+    built = aggregate(graph, content_pairs(content), EngineConfig(w2=0.05), active)
     buf = StringIO()
     dump_digraph(built, buf)
     reloaded = load_digraph(StringIO(buf.getvalue()), active)
