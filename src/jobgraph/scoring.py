@@ -22,7 +22,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -194,6 +194,8 @@ class RecDigraph:
     drops edges into jobs outside ``active_jobs`` (so a dump loaded against
     a newer jobs file never serves a job that expired since the build),
     sorts the rest by (src, dst) and keeps the last of repeated edges.
+    Edges given in (src, dst) order, none repeated and all into active
+    jobs, keep their ``scores`` array as it is, with no copy.
     """
 
     def __init__(
@@ -208,16 +210,20 @@ class RecDigraph:
         self.nodes = sorted(self.active_jobs.union([ids[i] for i in sources.tolist()]))
         self.index = {job_id: i for i, job_id in enumerate(self.nodes)}
         remap = np.array([self.index.get(j, -1) for j in ids], dtype=np.intp)
-        order = np.lexsort((remap[dst], remap[src]))  # stable: repeats keep their input order
-        src, dst = remap[src][order], remap[dst][order]
-        last = np.ones(len(src), dtype=bool)
-        last[:-1] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        n = len(self.nodes)
+        key = remap[src] * n + remap[dst]
+        del src, dst
+        order = np.argsort(key, kind="stable")  # stable: repeats keep their input order
+        key = key[order]
+        last = np.ones(len(key), dtype=bool)
+        last[:-1] = key[1:] != key[:-1]
         rows = rows[order[last]]
-        self.dst = dst[last]
+        key = key[last]
+        self.dst = key % max(n, 1)
+        self.indptr = np.searchsorted(key, np.arange(n + 1) * n)
         # one gather of the score rows, none when they are in order already
         in_order = len(rows) == len(scores) and (rows == np.arange(len(rows))).all()
         self.scores = scores if in_order else scores[rows]
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src[last], minlength=len(self.nodes)))))
         # global PageRank results per (damping, epsilon), filled by
         # recommend.global_pagerank
         self.global_pagerank_results: dict[tuple[float, float], object] = {}
@@ -282,7 +288,7 @@ class RecDigraph:
         return Walk(indptr, self.dst[hop], weight / out_sum[src], dangling)
 
 
-# Candidate pairs scored per numpy block: large enough that the array work
+# Digraph rows scored per numpy block: large enough that the array work
 # outweighs its set-up, small enough that a block's temporaries stay far
 # below the digraph they feed.
 AGGREGATE_BLOCK = 4096
@@ -301,9 +307,11 @@ def aggregate(
     destination job is active. Sources may be expired. ``config`` gives
     the weights ``w1``/``w2``/``w3`` and ``normalize_pmi2``, which replaces
     the raw (non-positive) PMI^2 term with ``exp(pmi2)`` in (0, 1] so all
-    three terms share a common scale. The candidate pairs
-    are the multigraph's pairs plus the content pairs between its nodes,
-    scored as arrays in blocks of :data:`AGGREGATE_BLOCK` pairs.
+    three terms share a common scale. The candidate pairs are the
+    multigraph's pairs plus the content pairs between its nodes. Their
+    directed rows are put in (src, dst) order first and scored as arrays,
+    :data:`AGGREGATE_BLOCK` rows at a time, into the one score array the
+    digraph keeps.
     """
     active = frozenset(active_set)
     ids = sorted(graph.nodes)  # node index order is job-id order
@@ -313,13 +321,21 @@ def aggregate(
         np.array([graph.nodes[j].total_clicks for j in ids], dtype=np.int64),
         np.array([j in active for j in ids], dtype=bool),
     )
-    scored: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for block in _candidate_blocks(graph, content, index):
-        scored += _score_block(*block, nodes, config)
-    if not scored:
-        return RecDigraph.from_corr({}, active)
-    src, dst, scores = (np.concatenate(column) for column in zip(*scored))
-    del scored  # the blocks are freed before the digraph is built
+    a, b, pairs = _candidate_pairs(graph, content, index, nodes, config)
+    # the directed rows: a -> b into an active b, b -> a into an active a,
+    # each with its pair; the keys are distinct, so any sort gives one order
+    forward, backward = np.flatnonzero(nodes.active[b]), np.flatnonzero(nodes.active[a])
+    src = np.concatenate((a[forward], b[backward]))
+    dst = np.concatenate((b[forward], a[backward]))
+    order = np.argsort(src.astype(np.int64) * len(ids) + dst)
+    pair = np.concatenate((forward, backward))[order]
+    src, dst = src[order], dst[order]
+    del a, b, forward, backward, order
+    scores = np.empty((len(src), len(EdgeScores._fields)))
+    for lo in range(0, len(src), AGGREGATE_BLOCK):
+        rows = slice(lo, lo + AGGREGATE_BLOCK)
+        _score_rows(src[rows], pairs, pair[rows], nodes, config, scores[rows])
+    del pairs, pair  # the candidate columns are freed before the digraph is built
     return RecDigraph(ids, src, dst, scores, active)
 
 
@@ -341,15 +357,39 @@ def build_digraph(
     return digraph, graph, content
 
 
-def _candidate_blocks(
-    graph: JobMultiGraph, content: ContentPairs, index: Mapping[str, int]
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """The candidate pairs of :func:`aggregate` as column blocks of
-    :data:`AGGREGATE_BLOCK` pairs ``(a, b, co_apps, co_clicks, sim)``, a
-    and b node indices in ``index`` and ``sim`` NaN where there is no
-    content evidence: first the multigraph's pairs, then the content pairs
-    between its nodes that it does not hold. The columns are freed when
-    the last block is taken.
+class _NodeArrays(NamedTuple):
+    """Per-node columns of the multigraph, indexed like ``sorted(nodes)``."""
+
+    total_apps: np.ndarray
+    total_clicks: np.ndarray
+    active: np.ndarray
+
+
+class _PairColumns(NamedTuple):
+    """Per-pair columns of the candidate pairs of :func:`aggregate`: the
+    co-counts, the content sim (NaN: no content evidence), the PMI^2 of
+    each signal (NaN: absent) and the sum of the two PMI^2 terms. PMI^2 is
+    symmetric in the pair, so one value serves both directions."""
+
+    co_apps: np.ndarray
+    co_clicks: np.ndarray
+    sim: np.ndarray
+    pmi2_apps: np.ndarray
+    pmi2_clicks: np.ndarray
+    pmi2_term: np.ndarray
+
+
+def _candidate_pairs(
+    graph: JobMultiGraph,
+    content: ContentPairs,
+    index: Mapping[str, int],
+    nodes: _NodeArrays,
+    config: EngineConfig,
+) -> tuple[np.ndarray, np.ndarray, _PairColumns]:
+    """The candidate pairs of :func:`aggregate` as node indices ``a``,
+    ``b`` in ``index`` and their columns: first the multigraph's pairs,
+    then the content pairs between its nodes that it does not hold. Only
+    pairs with some evidence and an active job are kept.
     """
     # the multigraph's pairs (i, j), i < j, as node indices and counts
     n_pairs = len(graph.edges)
@@ -375,103 +415,76 @@ def _candidate_blocks(
     content_only = np.ones(len(content_sim), dtype=bool)
     content_only[at[found]] = False
     del content_keys, pair_keys, at, found
-    zeros = np.broadcast_to(np.int64(0), (np.count_nonzero(content_only),))
-    for columns in (
-        (pair_a, pair_b, co[:, 0], co[:, 1], pair_sim),
-        (content_a[content_only], content_b[content_only], zeros, zeros, content_sim[content_only]),
-    ):
-        for lo in range(0, len(columns[0]), AGGREGATE_BLOCK):
-            yield tuple(column[lo : lo + AGGREGATE_BLOCK] for column in columns)
+    a = np.concatenate((pair_a, content_a[content_only]))
+    b = np.concatenate((pair_b, content_b[content_only]))
+    co = np.concatenate((co, np.zeros((np.count_nonzero(content_only), 2), dtype=np.int64)))
+    sim = np.concatenate((pair_sim, content_sim[content_only]))
+    del pairs, content_a, content_b, content_sim, pair_sim
+    keep = np.flatnonzero(((co > 0).any(axis=1) | ~np.isnan(sim)) & (nodes.active[a] | nodes.active[b]))
+    a, b, co, sim = a[keep], b[keep], co[keep], sim[keep]
+    co_apps, co_clicks = co.T
+    pmi2_apps, term_apps = _pmi2_column(co_apps, nodes.total_apps[a], nodes.total_apps[b], config)
+    pmi2_clicks, term_clicks = _pmi2_column(co_clicks, nodes.total_clicks[a], nodes.total_clicks[b], config)
+    return a, b, _PairColumns(co_apps, co_clicks, sim, pmi2_apps, pmi2_clicks, term_apps + term_clicks)
 
 
-class _NodeArrays(NamedTuple):
-    """Per-node columns of the multigraph, indexed like ``sorted(nodes)``."""
-
-    total_apps: np.ndarray
-    total_clicks: np.ndarray
-    active: np.ndarray
-
-
-def _score_block(
-    a: np.ndarray,
-    b: np.ndarray,
-    co_apps: np.ndarray,
-    co_clicks: np.ndarray,
-    sim: np.ndarray,
+def _score_rows(
+    src: np.ndarray,
+    pairs: _PairColumns,
+    pair: np.ndarray,
     nodes: _NodeArrays,
     config: EngineConfig,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Score both directions of a block of pairs (a, b) of node indices,
-    given as parallel columns with ``sim`` NaN where there is no content
-    evidence, as one (src, dst, scores) entry per direction, scores in
-    :class:`RecDigraph` columns.
+    out: np.ndarray,
+) -> None:
+    """Score the directed rows from the jobs ``src`` over the candidate
+    pairs ``pair`` into ``out``, in :class:`RecDigraph` columns.
 
     ``corr`` keeps the term order of ``w1*(p_apps+p_clicks) +
     w2*(pmi2_apps+pmi2_clicks) + w3*sim`` in float64, so it equals the
     scalar formula bit for bit.
     """
-    has_sim = ~np.isnan(sim)
-    sim_term = np.where(has_sim, sim, 0.0)
-    has_apps = co_apps > 0
-    has_clicks = co_clicks > 0
-    evidence = has_apps | has_clicks | has_sim
-    # PMI^2 is symmetric in the pair: one value serves both directions
-    pm_apps, has_pm_apps, term_apps = _pmi2_block(co_apps, nodes.total_apps[a], nodes.total_apps[b], config)
-    pm_clicks, has_pm_clicks, term_clicks = _pmi2_block(
-        co_clicks, nodes.total_clicks[a], nodes.total_clicks[b], config
-    )
-    pmi_sum = term_apps + term_clicks
-    scored = []
-    for src, dst in ((a, b), (b, a)):
-        p_apps = _mle_block(co_apps, nodes.total_apps[src], has_apps)
-        p_clicks = _mle_block(co_clicks, nodes.total_clicks[src], has_clicks)
-        corr = config.w1 * (p_apps + p_clicks) + config.w2 * pmi_sum + config.w3 * sim_term
-        columns = (
-            corr,
-            np.where(has_apps, p_apps, np.nan),
-            np.where(has_clicks, p_clicks, np.nan),
-            np.where(has_pm_apps, pm_apps, np.nan),
-            np.where(has_pm_clicks, pm_clicks, np.nan),
-            sim,
-        )
-        # the digraph drops edges into inactive jobs anyway; not making them
-        # keeps the blocks, and the build's peak memory, smaller
-        keep = evidence & nodes.active[dst]
-        scored.append((src[keep], dst[keep], np.column_stack(columns)[keep]))
-    return scored
+    co_apps, co_clicks, sim = pairs.co_apps[pair], pairs.co_clicks[pair], pairs.sim[pair]
+    has_apps, has_clicks = co_apps > 0, co_clicks > 0
+    p_apps = _mle_block(co_apps, nodes.total_apps[src], has_apps)
+    p_clicks = _mle_block(co_clicks, nodes.total_clicks[src], has_clicks)
+    sim_term = np.where(np.isnan(sim), 0.0, sim)
+    out[:, 0] = config.w1 * (p_apps + p_clicks) + config.w2 * pairs.pmi2_term[pair] + config.w3 * sim_term
+    out[:, 1] = np.where(has_apps, p_apps, np.nan)
+    out[:, 2] = np.where(has_clicks, p_clicks, np.nan)
+    out[:, 3] = pairs.pmi2_apps[pair]
+    out[:, 4] = pairs.pmi2_clicks[pair]
+    out[:, 5] = sim
 
 
 def _mle_block(co: np.ndarray, src_total: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """:func:`mle` of dst given src per pair; 0.0 where ``present`` is false."""
+    """:func:`mle` of dst given src per row; 0.0 where ``present`` is false."""
     p = np.zeros(len(co))
     np.divide(co, src_total, out=p, where=present & (src_total != 0))
     return p
 
 
-def _pmi2_block(
+def _pmi2_column(
     co: np.ndarray, total_a: np.ndarray, total_b: np.ndarray, config: EngineConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`pmi2` per pair with its presence mask and its aggregate term
-    (``exp(pmi2)`` under ``normalize_pmi2``; 0.0 where absent).
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pmi2` per pair, NaN where it is ``None``, and its aggregate
+    term (``exp(pmi2)`` under ``normalize_pmi2``; 0.0 where absent).
 
     ``math.log``/``math.exp`` rather than their numpy forms: those differ
     from the scalar functions in the last bit on some inputs, and the
     artifact must not depend on which is used.
     """
     present = (co > 0) & (total_a != 0) & (total_b != 0)
-    value = np.zeros(len(co))
+    value = np.full(len(co), np.nan)
+    term = np.zeros(len(co))
     # int64 products are exact, and their float quotient equals Python's
     # int division, while both stay below 2**53: counts below 9.4e7 users
     if present.any():
         c = co[present]
         ratio = (c * c) / (total_a[present] * total_b[present])
-        value[present] = list(map(math.log, ratio.tolist()))
-    if not config.normalize_pmi2:
-        return value, present, value
-    term = np.zeros(len(co))
-    if present.any():
-        term[present] = list(map(math.exp, value[present].tolist()))
-    return value, present, term
+        logs = list(map(math.log, ratio.tolist()))
+        value[present] = logs
+        term[present] = list(map(math.exp, logs)) if config.normalize_pmi2 else logs
+    return value, term
 
 
 def _csv_fields(values: Iterable[str]) -> list[str]:

@@ -855,17 +855,56 @@ def test_no_command_imports_numpy_ma(tmp_path):
          "--user-ids", str(d / "ids.txt"), "--out", str(d / "recs.csv")],
         ["evaluate", *corpus, *users, *ref, "--out", str(d / "report.json")],
     ]
+    assert run_in_child(runs, ["numpy.ma"]) == ([0] * len(runs), [])
+    rows = (d / "recs.csv").read_text().splitlines()
+    assert any(r.startswith("resume_only,") and r.endswith(",personalized_pagerank") for r in rows)
+
+
+def run_in_child(runs, modules):
+    """Run ``cli.main`` on each argument list of ``runs`` in one fresh
+    interpreter; returns the exit codes and those of ``modules`` that the
+    child then holds in ``sys.modules``."""
     child = (
         "import json, sys\nfrom jobgraph import cli\n"
-        "codes = [cli.main(a) for a in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, 'numpy.ma' in sys.modules]))"
+        "runs, modules = json.loads(sys.argv[1])\n"
+        "codes = [cli.main(a) for a in runs]\n"
+        "print(json.dumps([codes, [m for m in modules if m in sys.modules]]))"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", child, json.dumps(runs)], env=env, capture_output=True, text=True
+        [sys.executable, "-c", child, json.dumps([runs, modules])], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(runs), False]
-    rows = (d / "recs.csv").read_text().splitlines()
-    assert any(r.startswith("resume_only,") and r.endswith(",personalized_pagerank") for r in rows)
+    codes, present = json.loads(proc.stdout.splitlines()[-1])
+    return codes, present
+
+
+def test_serving_and_synth_load_no_openssl(tmp_path):
+    """``serve-batch`` for an active, a resume-only and an unknown user,
+    ``recommend`` and ``synth`` in one child interpreter leave ``hashlib``,
+    OpenSSL's ``_hashlib`` and ``numpy.random`` (which loads OpenSSL through
+    ``secrets``) unimported: together about 3.6 MB of every serving
+    process. Only ``build`` hashes a config, and in its own child it still
+    writes the golden manifest. A numpy upgrade can import ``numpy.random``
+    from another call."""
+    d = tmp_path
+    paths = write_corpus(synth_corpus(4, 25, 200, 0.1, 0), d)
+    ref = ["--reference-date", REF_ARG]
+    corpus = corpus_flags(d)
+    build = ["build", *corpus, *ref, "--out-dir", str(d / "build")]
+    assert run_in_child([build], []) == ([0], [])
+    assert sha256_of(d / "build" / "manifest.json") == GOLDEN_MANIFEST_SHA256
+    with paths["users"].open("a", encoding="utf-8") as fh:
+        fh.write("resume_only,cat00,,,true\n")
+    (d / "ids.txt").write_text("u00000\nresume_only\nstranger\n")
+    serving = [*corpus, "--users", str(paths["users"]), "--graph-dir", str(d / "build"), *ref]
+    runs = [
+        ["serve-batch", *serving, "--user-ids", str(d / "ids.txt"), "--out", str(d / "recs.csv")],
+        ["recommend", *serving, "--user-id", "u00000"],
+        ["synth", "--clusters", "2", "--jobs-per-cluster", "5", "--users", "10", "--out-dir", str(d / "synth")],
+    ]
+    modules = ["hashlib", "_hashlib", "numpy.random"]
+    assert run_in_child(runs, modules) == ([0] * len(runs), [])
+    served = {row.split(",")[0]: row.rsplit(",", 1)[1] for row in (d / "recs.csv").read_text().splitlines()}
+    assert served == {"u00000": "level1", "resume_only": "personalized_pagerank", "stranger": "global_pagerank"}

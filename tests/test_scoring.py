@@ -4,6 +4,7 @@ import csv
 import itertools
 import math
 import random
+import tracemalloc
 from io import StringIO
 
 import numpy as np
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 from helpers import content_map, content_pairs, digraph_of_scores, edge_map, reference_aggregate
 from jobgraph import scoring
 from jobgraph.config import EngineConfig
-from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
+from jobgraph.evaluation import synth_corpus
+from jobgraph.graph import CoStats, JobMultiGraph, NodeStats, build_costats
+from jobgraph.ingest import active_job_ids, dedupe, resolve_jobs, window_filter
 from jobgraph.recommend import global_pagerank, personalized_pagerank
 from jobgraph.scoring import (
     EdgeScores,
@@ -515,6 +518,69 @@ def test_load_digraph_keeps_the_last_of_repeated_rows():
     rows = ["a,b,0.5,,,,,\n", "a,c,0.25,,,,,\n", "a,b,0.75,,,,,0.5\n"]
     digraph = load_digraph(rows, ["b", "c"])
     assert digraph.out_edges("a") == [("b", EdgeScores(0.75, sim_e=0.5)), ("c", EdgeScores(0.25))]
+
+
+def lexsort_reference(ids, src, dst, scores, active):
+    """``(nodes, indptr, dst, scores)`` of a :class:`RecDigraph` of the
+    edges ``ids[src] -> ids[dst]``, sorted by ``np.lexsort`` of the two
+    columns, the last of repeated edges kept."""
+    keep = np.flatnonzero([ids[d] in active for d in dst])
+    nodes = sorted(set(active) | {ids[i] for i in src[keep]})
+    remap = np.array([nodes.index(j) if j in nodes else -1 for j in ids], dtype=np.intp)
+    s, d = remap[src[keep]], remap[dst[keep]]
+    order = np.lexsort((d, s))
+    s, d = s[order], d[order]
+    last = np.ones(len(s), dtype=bool)
+    last[:-1] = (s[1:] != s[:-1]) | (d[1:] != d[:-1])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(s[last], minlength=len(nodes)))))
+    return nodes, indptr, d[last], scores[keep[order[last]]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rec_digraph_order_matches_a_lexsort_reference(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 30)), int(rng.integers(0, 400))
+    ids = [f"j{i:02d}" for i in rng.permutation(n)]  # not in id order
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)  # with repeats
+    scores = rng.random((m, len(EdgeScores._fields)))
+    active = {j for j in ids if rng.random() < 0.7}
+    digraph = RecDigraph(ids, src, dst, scores, active)
+    nodes, indptr, want_dst, want_scores = lexsort_reference(ids, src, dst, scores, active)
+    assert digraph.nodes == nodes
+    for got, want in ((digraph.indptr, indptr), (digraph.dst, want_dst), (digraph.scores, want_scores)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    last = {(ids[s], ids[d]): row for s, d, row in zip(src.tolist(), dst.tolist(), scores.tolist())}
+    for (s, d), row in last.items():
+        assert digraph.corr(s, d) == (row[0] if d in active else None)
+
+
+def test_rec_digraph_keeps_in_order_scores_without_a_copy():
+    ids = ["c", "a", "b"]  # in order after the mapping onto sorted nodes
+    src, dst = np.array([1, 1, 2, 0]), np.array([2, 0, 0, 1])
+    scores = np.arange(4 * len(EdgeScores._fields), dtype=float).reshape(4, -1)
+    digraph = RecDigraph(ids, src, dst, scores, ids)
+    assert digraph.scores is scores
+    assert digraph.indptr.tolist() == [0, 2, 3, 4] and digraph.dst.tolist() == [1, 2, 2, 0]
+
+
+def test_aggregate_peak_memory_stays_near_its_digraph():
+    """The traced peak of ``aggregate`` on 1,000 jobs (89,756 edges) is
+    1.78 times the bytes of the digraph's arrays; when it scored the
+    candidates in their own order and then sorted the score rows, it was
+    2.91 times."""
+    corpus = synth_corpus(10, 100, 300, 0.1, 0)
+    config = EngineConfig()
+    windowed = window_filter(corpus.events, corpus.reference_date, config.window_days)
+    graph = build_costats(dedupe(resolve_jobs(windowed, corpus.jobs)[0]), corpus.jobs, config.session_gap_minutes)
+    content = content_edges(corpus.embeddings, config.gamma)
+    tracemalloc.start()
+    try:
+        digraph = aggregate(graph, content, config, active_job_ids(corpus.jobs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = digraph.scores.nbytes + digraph.dst.nbytes + digraph.indptr.nbytes
+    assert peak < 2.25 * held
 
 
 def test_load_digraph_rejects_an_empty_job_id():
