@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .config import ConfigError, EngineConfig, load_config
 from .evaluation import build_cf_index, cf_recommend, evaluate_systems, synth_corpus
-from .graph import JobMultiGraph, build_costats
+from .graph import CoPairs, build_costats
 from .ingest import (
     InteractionEvent,
     JobRecord,
@@ -37,10 +37,10 @@ from .recommend import (
 from .scoring import RecDigraph, aggregate, build_digraph, content_edges
 
 __all__ = [
+    "CoPairs",
     "ConfigError",
     "EngineConfig",
     "InteractionEvent",
-    "JobMultiGraph",
     "JobRecord",
     "RecDigraph",
     "Recommendation",

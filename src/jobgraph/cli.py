@@ -4,10 +4,11 @@ Subcommands:
     build         ingest raw files, build the scored digraph, persist it
     recommend     print the ranked list for a single user
     serve-batch   recommend for every user id in a file
-    mf-train      train the factorization baseline and dump the model
     evaluate      offline three-system comparison on a temporal holdout
     synth         generate a seeded synthetic corpus
-    connectivity  print the per-signal connectivity report
+    init-config   write the annotated default config
+
+``build`` writes the per-signal connectivity report into its manifest.
 
 Exit codes: 0 success, 1 input error, 2 config error, 3 internal error.
 All commands are deterministic given their inputs, the config and the
@@ -34,7 +35,6 @@ from .evaluation import (
     synth_corpus,
     write_corpus,
 )
-from .graph import build_costats
 from .ingest import (
     active_job_ids,
     dedupe,
@@ -46,9 +46,8 @@ from .ingest import (
     resolve_jobs,
     window_filter,
 )
-from .mf import als_train, build_matrix, save_model
 from .recommend import UserProfile, build_profiles, classify_user, recommend
-from .scoring import build_digraph, content_edges, dump_digraph, load_digraph
+from .scoring import build_digraph, dump_digraph, load_digraph
 
 logger = logging.getLogger(__name__)
 
@@ -116,7 +115,7 @@ def _load_corpus(args):
         embeddings, issues = _read(path, parse_embeddings, "embeddings")
         _log_issues("embeddings", issues)
         counts.update(embeddings=len(embeddings), embeddings_parse_issues=len(issues))
-    elif hasattr(args, "embeddings"):  # mf-train takes no --embeddings
+    else:
         logger.warning("no embeddings given: building from behavioral signals only")
         counts["embeddings"] = 0
     upath = getattr(args, "users", None)
@@ -236,41 +235,6 @@ def _cmd_serve_batch(args) -> int:
     return EXIT_OK
 
 
-def _cmd_mf_train(args) -> int:
-    config = _load_engine_config(args)
-    reference_date = _parse_reference_date(args.reference_date)
-    events, jobs, _, _, _ = _load_corpus(args)
-    signals, _, _ = _prepare_signals(events, jobs, reference_date, config)
-    matrix = build_matrix(signals)
-    if not matrix.entries:
-        raise CliError(EXIT_INPUT, "no apply/email signals in window: nothing to factorize")
-    model = als_train(
-        matrix,
-        config.mf_k,
-        config.mf_reg,
-        config.mf_iterations,
-        seed=config.seed,
-        implicit=config.mf_implicit,
-    )
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", encoding="utf-8") as fh:
-        save_model(model, fh)
-    ids_path = out_path.with_suffix(out_path.suffix + ".ids.json")
-    with ids_path.open("w", encoding="utf-8") as fh:
-        json.dump({"user_ids": model.user_ids, "job_ids": model.job_ids}, fh, indent=2)
-        fh.write("\n")
-    logger.info(
-        "trained on %d entries (%d users x %d jobs); final observed MSE %.6g",
-        len(matrix.entries),
-        matrix.num_users,
-        matrix.num_jobs,
-        model.mse_trace[-1],
-    )
-    print(out_path)
-    return EXIT_OK
-
-
 def _cmd_evaluate(args) -> int:
     config = _load_engine_config(args)
     reference_date = _parse_reference_date(args.reference_date)
@@ -330,20 +294,6 @@ def _cmd_synth(args) -> int:
     )
     for name in sorted(paths):
         print(paths[name])
-    return EXIT_OK
-
-
-def _cmd_connectivity(args) -> int:
-    config = _load_engine_config(args)
-    reference_date = _parse_reference_date(args.reference_date)
-    events, jobs, embeddings, _, _ = _load_corpus(args)
-    signals, _, _ = _prepare_signals(events, jobs, reference_date, config)
-    graph = build_costats(signals, jobs, config.session_gap_minutes)
-    content = content_edges(embeddings, config.gamma)
-    report = connectivity_report(graph, content, active_job_ids(jobs))
-    print(f"active_jobs,{report.active_count}")
-    for label, fraction in report.labeled().items():
-        print(f"{label},{fraction:.6f}")
     return EXIT_OK
 
 
@@ -416,14 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve_batch)
 
     p = sub.add_parser(
-        "mf-train", parents=[common, seeded, ref], help="train the factorization baseline"
-    )
-    p.add_argument("--events", required=True)
-    p.add_argument("--jobs", required=True)
-    p.add_argument("--out", required=True, help="model dump path")
-    p.set_defaults(func=_cmd_mf_train)
-
-    p = sub.add_parser(
         "evaluate",
         parents=[common, seeded, ref, inputs],
         help="offline comparison on a per-user temporal holdout",
@@ -448,13 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-date", help="defaults to a fixed date, never the wall clock")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser(
-        "connectivity",
-        parents=[common, ref, inputs],
-        help="print connected-fraction per signal-type subset",
-    )
-    p.set_defaults(func=_cmd_connectivity)
 
     p = sub.add_parser("init-config", parents=[common], help="write the annotated default config")
     p.add_argument("--out", default="jobgraph.conf")

@@ -14,7 +14,6 @@ import logging
 import math
 import random
 import zlib
-from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
@@ -25,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import EngineConfig
-from .graph import JobMultiGraph
+from .graph import CoPairs
 from .ingest import (
     InteractionEvent,
     JobRecord,
@@ -80,7 +79,7 @@ class ConnectivityReport:
 
 
 def connectivity_report(
-    graph: JobMultiGraph,
+    graph: CoPairs,
     content: ContentPairs,
     active_set: Iterable[str],
 ) -> ConnectivityReport:
@@ -92,22 +91,21 @@ def connectivity_report(
     job connected through S is connected through any superset.
     """
     active = set(active_set)
-    # the jobs an edge of each type touches
-    apps = {job_id for pair, stats in graph.edges.items() if stats.co_apps > 0 for job_id in pair}
-    clicks = {job_id for pair, stats in graph.edges.items() if stats.co_clicks > 0 for job_id in pair}
-    in_graph = np.array([j in graph.nodes for j in content.ids], dtype=bool)
-    known = in_graph[content.a] & in_graph[content.b]
-    touched = np.zeros(len(content.ids), dtype=bool)
-    touched[content.a[known]] = True
-    touched[content.b[known]] = True
-    similar = {content.ids[i] for i in np.flatnonzero(touched).tolist()}
-    # one mask per active job, bit b set when an edge of type EDGE_TYPES[b] touches it
-    jobs_by_mask = Counter((j in apps) | (j in clicks) << 1 | (j in similar) << 2 for j in active)
+    content_a, content_b, _ = content.between(graph.ids)
+    apps, clicks = graph.co_apps > 0, graph.co_clicks > 0
+    touched = (graph.a[apps], graph.b[apps]), (graph.a[clicks], graph.b[clicks]), (content_a, content_b)
+    # one mask per node, bit b set when an edge of type EDGE_TYPES[b] touches it
+    mask = np.zeros(graph.num_nodes, dtype=np.intp)
+    for bit, ends in enumerate(touched):
+        for end in ends:
+            mask[end] |= 1 << bit
+    is_active = np.array([j in active for j in graph.ids], dtype=bool)
+    jobs_by_mask = np.bincount(mask[is_active], minlength=8).tolist()
 
     fractions: dict[frozenset[str], float] = {}
     for size in (1, 2, 3):
         for subset in combinations(range(len(EDGE_TYPES)), size):
-            connected = sum(n for m, n in jobs_by_mask.items() if m & sum(1 << b for b in subset))
+            connected = sum(n for m, n in enumerate(jobs_by_mask) if m & sum(1 << b for b in subset))
             fractions[frozenset(EDGE_TYPES[b] for b in subset)] = connected / len(active) if active else 0.0
     return ConnectivityReport(fractions, len(active))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable, Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -423,41 +423,3 @@ def recommend_mf(
         if len(ranked) == k:
             break
     return ranked[:k]
-
-
-def save_model(model: FactorModel, fh: TextIO) -> None:
-    """Plain-text dump: header ``m n k mu`` then U, b_u, J, b_j, Y sections."""
-    m, n, k = len(model.user_ids), len(model.job_ids), model.k
-    fh.write(f"{m} {n} {k} {model.mu!r}\n")
-    for row in model.user_factors:
-        fh.write(" ".join(repr(x) for x in row.tolist()) + "\n")
-    for x in model.user_bias.tolist():
-        fh.write(f"{x!r}\n")
-    for row in model.job_factors:
-        fh.write(" ".join(repr(x) for x in row.tolist()) + "\n")
-    for x in model.job_bias.tolist():
-        fh.write(f"{x!r}\n")
-    for row in model.implicit_factors:
-        fh.write(" ".join(repr(x) for x in row.tolist()) + "\n")
-
-
-def load_model(lines: Iterable[str], user_ids: Sequence[str], job_ids: Sequence[str]) -> FactorModel:
-    """Reload a model dump; the id sequences, in the model's row order,
-    restore id-based lookups."""
-    it = iter(lines)
-    m, n, k, mu = next(it).split()
-    m, n, k = int(m), int(n), int(k)
-
-    def read_block(count: int, width: int) -> np.ndarray:
-        data = [[float(x) for x in next(it).split()] for _ in range(count)]
-        arr = np.array(data, dtype=np.float64).reshape(count, width)
-        return arr
-
-    U = read_block(m, k)
-    b_u = read_block(m, 1).ravel()
-    J = read_block(n, k)
-    b_j = read_block(n, 1).ravel()
-    Y = read_block(n, k)
-    if len(user_ids) != m or len(job_ids) != n:
-        raise ValueError("id list lengths do not match the dump header")
-    return FactorModel(U, J, b_u, b_j, Y, float(mu), list(user_ids), list(job_ids))

@@ -360,7 +360,7 @@ def preference_vector(
     if expired_history:  # only then are the active jobs sorted
         embeddable = sorted(j for j, rec in jobs.items() if rec.is_active and j in embeddings)
     if embeddable:
-        # embed_sim's cosine, one matrix-vector product per expired job. The
+        # The cosine, one matrix-vector product per expired job. The
         # row sums reduce every row alike (BLAS mat-vec does not), so equal
         # embeddings tie exactly and the stable sort of -sim over the job-id
         # order of embeddable breaks the tie by job_id.

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .config import EngineConfig
-from .graph import JobMultiGraph, build_costats
+from .graph import CoPairs, build_costats
 from .ingest import DedupedSignal, JobRecord, active_job_ids
 
 logger = logging.getLogger(__name__)
@@ -50,50 +49,6 @@ class EdgeScores(NamedTuple):
     sim_e: float | None = None
 
 
-def _counts(graph: JobMultiGraph, i: str, j: str, signal: str) -> tuple[int, int, int]:
-    """``(c(i,j), c(i), c(j))`` of the signal ``"apps"`` or ``"clicks"``."""
-    co, si, sj = graph.costats(i, j), graph.stats(i), graph.stats(j)
-    if signal == "apps":
-        return co.co_apps, si.total_apps, sj.total_apps
-    if signal == "clicks":
-        return co.co_clicks, si.total_clicks, sj.total_clicks
-    raise ValueError(f"unknown signal {signal!r}")
-
-
-def mle(graph: JobMultiGraph, i: str, j: str, signal: str) -> float:
-    """Conditional probability estimate of interacting with i given j.
-
-    Returns ``c(i,j) / c(j)`` for the requested signal; a zero denominator
-    means no evidence and yields 0.0 rather than an error.
-    """
-    co, _, total = _counts(graph, i, j, signal)
-    return co / total if total else 0.0
-
-
-def pmi2(graph: JobMultiGraph, i: str, j: str, signal: str) -> float | None:
-    """Squared-PMI association ``ln(c(i,j)^2 / (c(i) * c(j)))``, always <= 0.
-
-    Returns ``None`` when any involved count is zero (no evidence for this
-    signal on this pair).
-    """
-    co, ci, cj = _counts(graph, i, j, signal)
-    if co == 0 or ci == 0 or cj == 0:
-        return None
-    return math.log(co * co / (ci * cj))
-
-
-def embed_sim(v_i: np.ndarray, v_j: np.ndarray) -> float:
-    """Cosine similarity of two embedding vectors."""
-    v_i = np.asarray(v_i, dtype=np.float64)
-    v_j = np.asarray(v_j, dtype=np.float64)
-    if v_i.shape != v_j.shape:
-        raise ValueError(f"dimension mismatch: {v_i.shape} vs {v_j.shape}")
-    denom = float(np.linalg.norm(v_i) * np.linalg.norm(v_j))
-    if denom == 0.0:
-        raise ValueError("zero-norm vector")
-    return float(np.dot(v_i, v_j) / denom)
-
-
 @dataclass(frozen=True, eq=False)
 class ContentPairs:
     """The content pairs of :func:`content_edges` as arrays: jobs
@@ -110,6 +65,15 @@ class ContentPairs:
 
     def __len__(self) -> int:
         return len(self.sim)
+
+    def between(self, ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs between jobs of ``ids`` as indices into it, and their
+        sims; ``ids`` sorted, so ``a < b`` and the ``(a, b)`` order hold."""
+        index = {job_id: i for i, job_id in enumerate(ids)}
+        remap = np.array([index.get(j, -1) for j in self.ids], dtype=np.int32)
+        a, b = remap[self.a], remap[self.b]
+        known = (a >= 0) & (b >= 0)
+        return a[known], b[known], self.sim[known]
 
 
 # Similarities computed per row block by content_edges: a block of
@@ -295,7 +259,7 @@ AGGREGATE_BLOCK = 4096
 
 
 def aggregate(
-    graph: JobMultiGraph,
+    graph: CoPairs,
     content: ContentPairs,
     config: EngineConfig,
     active_set: Iterable[str],
@@ -314,29 +278,23 @@ def aggregate(
     digraph keeps.
     """
     active = frozenset(active_set)
-    ids = sorted(graph.nodes)  # node index order is job-id order
-    index = {job_id: i for i, job_id in enumerate(ids)}
-    nodes = _NodeArrays(
-        np.array([graph.nodes[j].total_apps for j in ids], dtype=np.int64),
-        np.array([graph.nodes[j].total_clicks for j in ids], dtype=np.int64),
-        np.array([j in active for j in ids], dtype=bool),
-    )
-    a, b, pairs = _candidate_pairs(graph, content, index, nodes, config)
+    is_active = np.array([j in active for j in graph.ids], dtype=bool)
+    a, b, pairs = _candidate_pairs(graph, content, is_active, config)
     # the directed rows: a -> b into an active b, b -> a into an active a,
     # each with its pair; the keys are distinct, so any sort gives one order
-    forward, backward = np.flatnonzero(nodes.active[b]), np.flatnonzero(nodes.active[a])
+    forward, backward = np.flatnonzero(is_active[b]), np.flatnonzero(is_active[a])
     src = np.concatenate((a[forward], b[backward]))
     dst = np.concatenate((b[forward], a[backward]))
-    order = np.argsort(src.astype(np.int64) * len(ids) + dst)
+    order = np.argsort(src.astype(np.int64) * graph.num_nodes + dst)
     pair = np.concatenate((forward, backward))[order]
     src, dst = src[order], dst[order]
     del a, b, forward, backward, order
     scores = np.empty((len(src), len(EdgeScores._fields)))
     for lo in range(0, len(src), AGGREGATE_BLOCK):
         rows = slice(lo, lo + AGGREGATE_BLOCK)
-        _score_rows(src[rows], pairs, pair[rows], nodes, config, scores[rows])
+        _score_rows(src[rows], pairs, pair[rows], graph, config, scores[rows])
     del pairs, pair  # the candidate columns are freed before the digraph is built
-    return RecDigraph(ids, src, dst, scores, active)
+    return RecDigraph(graph.ids, src, dst, scores, active)
 
 
 def build_digraph(
@@ -344,7 +302,7 @@ def build_digraph(
     jobs: Mapping[str, JobRecord],
     embeddings: Mapping[str, np.ndarray],
     config: EngineConfig,
-) -> tuple[RecDigraph, JobMultiGraph, ContentPairs]:
+) -> tuple[RecDigraph, CoPairs, ContentPairs]:
     """The build pipeline: the co-stat multigraph of the windowed, deduped
     ``signals``, the content pairs of ``embeddings`` at ``config.gamma``,
     and their aggregate into the digraph over the active ``jobs``.
@@ -355,14 +313,6 @@ def build_digraph(
     content = content_edges(embeddings, config.gamma)
     digraph = aggregate(graph, content, config, active_job_ids(jobs))
     return digraph, graph, content
-
-
-class _NodeArrays(NamedTuple):
-    """Per-node columns of the multigraph, indexed like ``sorted(nodes)``."""
-
-    total_apps: np.ndarray
-    total_clicks: np.ndarray
-    active: np.ndarray
 
 
 class _PairColumns(NamedTuple):
@@ -380,51 +330,40 @@ class _PairColumns(NamedTuple):
 
 
 def _candidate_pairs(
-    graph: JobMultiGraph,
+    graph: CoPairs,
     content: ContentPairs,
-    index: Mapping[str, int],
-    nodes: _NodeArrays,
+    is_active: np.ndarray,
     config: EngineConfig,
 ) -> tuple[np.ndarray, np.ndarray, _PairColumns]:
     """The candidate pairs of :func:`aggregate` as node indices ``a``,
-    ``b`` in ``index`` and their columns: first the multigraph's pairs,
+    ``b`` of ``graph`` and their columns: first the multigraph's pairs,
     then the content pairs between its nodes that it does not hold. Only
     pairs with some evidence and an active job are kept.
     """
-    # the multigraph's pairs (i, j), i < j, as node indices and counts
-    n_pairs = len(graph.edges)
-    flat = itertools.chain.from_iterable
-    pairs = np.fromiter(map(index.__getitem__, flat(graph.edges)), dtype=np.int32, count=2 * n_pairs)
-    pair_a, pair_b = pairs.reshape(n_pairs, 2).T
-    co = np.fromiter(flat(graph.edges.values()), dtype=np.int64, count=2 * n_pairs).reshape(n_pairs, 2)
-    # the content pairs between nodes, on node indices: both id lists are
-    # sorted, so the mapping keeps a < b and the (a, b) order
-    remap = np.array([index.get(j, -1) for j in content.ids], dtype=np.int32)
-    content_a, content_b = remap[content.a], remap[content.b]
-    known = (content_a >= 0) & (content_b >= 0)
-    content_a, content_b, content_sim = content_a[known], content_b[known], content.sim[known]
+    content_a, content_b, content_sim = content.between(graph.ids)
     # each multigraph pair's content sim by one search of the sorted pair
     # keys; a sentinel above every key ends them
-    n = np.int64(len(index))
+    n = np.int64(graph.num_nodes)
     content_keys = np.append(n * content_a + content_b, n * n)
-    pair_keys = n * pair_a + pair_b
+    pair_keys = n * graph.a + graph.b
     at = np.searchsorted(content_keys, pair_keys)
     found = content_keys[at] == pair_keys
-    pair_sim = np.full(n_pairs, np.nan)
+    pair_sim = np.full(graph.num_edges, np.nan)
     pair_sim[found] = content_sim[at[found]]
     content_only = np.ones(len(content_sim), dtype=bool)
     content_only[at[found]] = False
     del content_keys, pair_keys, at, found
-    a = np.concatenate((pair_a, content_a[content_only]))
-    b = np.concatenate((pair_b, content_b[content_only]))
-    co = np.concatenate((co, np.zeros((np.count_nonzero(content_only), 2), dtype=np.int64)))
+    padding = np.zeros(np.count_nonzero(content_only), dtype=np.int64)
+    a = np.concatenate((graph.a, content_a[content_only]))
+    b = np.concatenate((graph.b, content_b[content_only]))
+    co_apps = np.concatenate((graph.co_apps, padding))
+    co_clicks = np.concatenate((graph.co_clicks, padding))
     sim = np.concatenate((pair_sim, content_sim[content_only]))
-    del pairs, content_a, content_b, content_sim, pair_sim
-    keep = np.flatnonzero(((co > 0).any(axis=1) | ~np.isnan(sim)) & (nodes.active[a] | nodes.active[b]))
-    a, b, co, sim = a[keep], b[keep], co[keep], sim[keep]
-    co_apps, co_clicks = co.T
-    pmi2_apps, term_apps = _pmi2_column(co_apps, nodes.total_apps[a], nodes.total_apps[b], config)
-    pmi2_clicks, term_clicks = _pmi2_column(co_clicks, nodes.total_clicks[a], nodes.total_clicks[b], config)
+    del content_a, content_b, content_sim, pair_sim
+    keep = np.flatnonzero(((co_apps > 0) | (co_clicks > 0) | ~np.isnan(sim)) & (is_active[a] | is_active[b]))
+    a, b, co_apps, co_clicks, sim = a[keep], b[keep], co_apps[keep], co_clicks[keep], sim[keep]
+    pmi2_apps, term_apps = _pmi2_column(co_apps, graph.total_apps[a], graph.total_apps[b], config)
+    pmi2_clicks, term_clicks = _pmi2_column(co_clicks, graph.total_clicks[a], graph.total_clicks[b], config)
     return a, b, _PairColumns(co_apps, co_clicks, sim, pmi2_apps, pmi2_clicks, term_apps + term_clicks)
 
 
@@ -432,7 +371,7 @@ def _score_rows(
     src: np.ndarray,
     pairs: _PairColumns,
     pair: np.ndarray,
-    nodes: _NodeArrays,
+    graph: CoPairs,
     config: EngineConfig,
     out: np.ndarray,
 ) -> None:
@@ -445,8 +384,8 @@ def _score_rows(
     """
     co_apps, co_clicks, sim = pairs.co_apps[pair], pairs.co_clicks[pair], pairs.sim[pair]
     has_apps, has_clicks = co_apps > 0, co_clicks > 0
-    p_apps = _mle_block(co_apps, nodes.total_apps[src], has_apps)
-    p_clicks = _mle_block(co_clicks, nodes.total_clicks[src], has_clicks)
+    p_apps = _mle_block(co_apps, graph.total_apps[src], has_apps)
+    p_clicks = _mle_block(co_clicks, graph.total_clicks[src], has_clicks)
     sim_term = np.where(np.isnan(sim), 0.0, sim)
     out[:, 0] = config.w1 * (p_apps + p_clicks) + config.w2 * pairs.pmi2_term[pair] + config.w3 * sim_term
     out[:, 1] = np.where(has_apps, p_apps, np.nan)
@@ -457,7 +396,8 @@ def _score_rows(
 
 
 def _mle_block(co: np.ndarray, src_total: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """:func:`mle` of dst given src per row; 0.0 where ``present`` is false."""
+    """The probability ``c(src,dst) / c(src)`` per row; 0.0 where
+    ``present`` is false or ``c(src)`` is 0."""
     p = np.zeros(len(co))
     np.divide(co, src_total, out=p, where=present & (src_total != 0))
     return p
@@ -466,12 +406,13 @@ def _mle_block(co: np.ndarray, src_total: np.ndarray, present: np.ndarray) -> np
 def _pmi2_column(
     co: np.ndarray, total_a: np.ndarray, total_b: np.ndarray, config: EngineConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pmi2` per pair, NaN where it is ``None``, and its aggregate
-    term (``exp(pmi2)`` under ``normalize_pmi2``; 0.0 where absent).
+    """The PMI^2 ``ln(c(a,b)^2 / (c(a) * c(b)))`` per pair, NaN where a
+    count is 0, and its aggregate term (``exp(pmi2)`` under
+    ``normalize_pmi2``; 0.0 where absent).
 
     ``math.log``/``math.exp`` rather than their numpy forms: those differ
-    from the scalar functions in the last bit on some inputs, and the
-    artifact must not depend on which is used.
+    from the scalar ones in the last bit on some inputs, and the artifact
+    must not depend on which is used.
     """
     present = (co > 0) & (total_a != 0) & (total_b != 0)
     value = np.full(len(co), np.nan)

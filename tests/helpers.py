@@ -5,15 +5,16 @@ from __future__ import annotations
 import math
 import random
 from datetime import datetime, timedelta, timezone
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from jobgraph.graph import _pair
-from jobgraph.ingest import InteractionEvent, JobRecord, JobStatus, ParseIssue, SignalKind
+from jobgraph.graph import CoPairs
+from jobgraph.ingest import DedupedSignal, InteractionEvent, JobRecord, JobStatus, ParseIssue, SignalKind
 from jobgraph.mf import FactorModel, RatingsMatrix, _implicit_offsets
 from jobgraph.recommend import PageRankResult
-from jobgraph.scoring import ContentPairs, EdgeScores, RecDigraph, mle, pmi2
+from jobgraph.scoring import ContentPairs, EdgeScores, RecDigraph
 
 REF = datetime(2017, 6, 1, tzinfo=timezone.utc)
 
@@ -235,19 +236,136 @@ def content_map(pairs: ContentPairs) -> dict[tuple[str, str], float]:
     }
 
 
-def reference_edge_scores(graph, content, weights, src, dst):
+class CoMaps(NamedTuple):
+    """The co-stat multigraph as maps: job -> ``(total_apps,
+    total_clicks)`` and ``(i, j)``, ``i < j``, -> ``(co_apps, co_clicks)``."""
+
+    nodes: dict[str, tuple[int, int]]
+    edges: dict[tuple[str, str], tuple[int, int]]
+
+
+def co_pairs(nodes: Mapping[str, tuple[int, int]], edges: Mapping[tuple[str, str], tuple[int, int]]) -> CoPairs:
+    """The :class:`CoPairs` of the maps of :class:`CoMaps`, laid out as
+    ``build_costats`` returns them (pairs of zero counts kept)."""
+    ids = sorted(nodes)
+    index = {job_id: i for i, job_id in enumerate(ids)}
+    rows = sorted((*sorted((index[i], index[j])), *counts) for (i, j), counts in edges.items())
+    pairs = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+    totals = np.array([nodes[j] for j in ids], dtype=np.int64).reshape(len(ids), 2)
+    return CoPairs(ids, *totals.T.copy(), *pairs[:, :2].T.astype(np.int32), *pairs[:, 2:].T.copy())
+
+
+def co_maps(graph: CoPairs) -> CoMaps:
+    """The :class:`CoPairs` as maps."""
+    ids = graph.ids
+    return CoMaps(
+        dict(zip(ids, zip(graph.total_apps.tolist(), graph.total_clicks.tolist()))),
+        {
+            (ids[a], ids[b]): (co_apps, co_clicks)
+            for a, b, co_apps, co_clicks in zip(
+                graph.a.tolist(), graph.b.tolist(), graph.co_apps.tolist(), graph.co_clicks.tolist()
+            )
+        },
+    )
+
+
+def reference_costats(
+    signals: Iterable[DedupedSignal], jobs: Mapping[str, JobRecord], session_gap_minutes: float = 30.0
+) -> CoMaps:
+    """``build_costats`` one user and one pair of clicks at a time, as a
+    dict multigraph: the oracle for its nodes, pairs and counts."""
+    gap = timedelta(minutes=session_gap_minutes)
+    appliers: dict[str, set[str]] = {}
+    clickers: dict[str, set[str]] = {}
+    user_applies: dict[str, list[str]] = {}
+    user_clicks: dict[str, list[DedupedSignal]] = {}
+    for s in signals:
+        if s.job_id not in jobs:
+            raise KeyError(f"signal references unknown job {s.job_id!r}")
+        if s.kind is SignalKind.APPLY:
+            appliers.setdefault(s.job_id, set()).add(s.user_id)
+            user_applies.setdefault(s.user_id, []).append(s.job_id)
+        elif s.kind is SignalKind.CLICK:
+            clickers.setdefault(s.job_id, set()).add(s.user_id)
+            user_clicks.setdefault(s.user_id, []).append(s)
+
+    def cooccur(a: DedupedSignal, b: DedupedSignal) -> bool:
+        if a.query_ids and b.query_ids:
+            return bool(a.query_ids & b.query_ids)
+        if not a.query_ids and not b.query_ids:
+            return abs(a.timestamp - b.timestamp) <= gap
+        return False
+
+    edges: dict[tuple[str, str], list[int]] = {}
+    for jobs_applied in user_applies.values():
+        for pair in combinations(sorted(set(jobs_applied)), 2):
+            edges.setdefault(pair, [0, 0])[0] += 1
+    for clicks in user_clicks.values():
+        pairs = {
+            (min(a.job_id, b.job_id), max(a.job_id, b.job_id))
+            for a, b in combinations(clicks, 2)
+            if a.job_id != b.job_id and cooccur(a, b)
+        }
+        for pair in pairs:
+            edges.setdefault(pair, [0, 0])[1] += 1
+    nodes = {j: (len(appliers.get(j, ())), len(clickers.get(j, ()))) for j in jobs}
+    return CoMaps(nodes, {pair: tuple(counts) for pair, counts in edges.items()})
+
+
+def _counts(graph: CoMaps, i: str, j: str, signal: str) -> tuple[int, int, int]:
+    """``(c(i,j), c(i), c(j))`` of the signal ``"apps"`` or ``"clicks"``."""
+    column = {"apps": 0, "clicks": 1}[signal]
+    co = graph.edges.get((min(i, j), max(i, j)), (0, 0))
+    return co[column], graph.nodes[i][column], graph.nodes[j][column]
+
+
+def mle(graph: CoMaps, i: str, j: str, signal: str) -> float:
+    """Conditional probability estimate of interacting with i given j.
+
+    Returns ``c(i,j) / c(j)`` for the requested signal; a zero denominator
+    means no evidence and yields 0.0 rather than an error.
+    """
+    co, _, total = _counts(graph, i, j, signal)
+    return co / total if total else 0.0
+
+
+def pmi2(graph: CoMaps, i: str, j: str, signal: str) -> float | None:
+    """Squared-PMI association ``ln(c(i,j)^2 / (c(i) * c(j)))``, always <= 0.
+
+    Returns ``None`` when any involved count is zero (no evidence for this
+    signal on this pair).
+    """
+    co, ci, cj = _counts(graph, i, j, signal)
+    if co == 0 or ci == 0 or cj == 0:
+        return None
+    return math.log(co * co / (ci * cj))
+
+
+def embed_sim(v_i: np.ndarray, v_j: np.ndarray) -> float:
+    """Cosine similarity of two embedding vectors."""
+    v_i = np.asarray(v_i, dtype=np.float64)
+    v_j = np.asarray(v_j, dtype=np.float64)
+    if v_i.shape != v_j.shape:
+        raise ValueError(f"dimension mismatch: {v_i.shape} vs {v_j.shape}")
+    denom = float(np.linalg.norm(v_i) * np.linalg.norm(v_j))
+    if denom == 0.0:
+        raise ValueError("zero-norm vector")
+    return float(np.dot(v_i, v_j) / denom)
+
+
+def reference_edge_scores(graph: CoMaps, content, weights, src, dst):
     """Score the directed edge src -> dst one signal at a time from
     :func:`mle`, :func:`pmi2` and the cosine map; None when no signal
     contributes. The scalar statement of what ``aggregate`` computes."""
     p_apps = p_clicks = pm_apps = pm_clicks = None
-    co = graph.costats(dst, src)
-    if co.co_apps > 0:
+    co_apps, co_clicks = graph.edges.get((min(src, dst), max(src, dst)), (0, 0))
+    if co_apps > 0:
         p_apps = mle(graph, dst, src, "apps")
         pm_apps = pmi2(graph, dst, src, "apps")
-    if co.co_clicks > 0:
+    if co_clicks > 0:
         p_clicks = mle(graph, dst, src, "clicks")
         pm_clicks = pmi2(graph, dst, src, "clicks")
-    sim = content.get(_pair(src, dst))
+    sim = content.get((min(src, dst), max(src, dst)))
     if p_apps is None and p_clicks is None and sim is None:
         return None
 
@@ -264,16 +382,17 @@ def reference_edge_scores(graph, content, weights, src, dst):
     return EdgeScores(corr, p_apps, p_clicks, pm_apps, pm_clicks, sim)
 
 
-def reference_aggregate(graph, content, weights, active):
+def reference_aggregate(graph: CoPairs, content, weights, active):
     """Every (src, dst) -> EdgeScores that ``aggregate`` should produce:
     both directions of each multigraph pair and of each content pair
     between known nodes, into active destinations only."""
-    pairs = set(graph.edges) | {p for p in content if p[0] in graph.nodes and p[1] in graph.nodes}
+    maps = co_maps(graph)
+    pairs = set(maps.edges) | {p for p in content if p[0] in maps.nodes and p[1] in maps.nodes}
     edges = {}
     for a, b in pairs:
         for src, dst in ((a, b), (b, a)):
             if dst in active:
-                scores = reference_edge_scores(graph, content, weights, src, dst)
+                scores = reference_edge_scores(maps, content, weights, src, dst)
                 if scores is not None:
                     edges[(src, dst)] = scores
     return edges

@@ -14,7 +14,18 @@ from itertools import combinations
 
 import numpy as np
 
-from helpers import REF, brute_force_levels, content_pairs, dense_pagerank, random_digraph
+from helpers import (
+    REF,
+    CoMaps,
+    brute_force_levels,
+    co_pairs,
+    content_pairs,
+    dense_pagerank,
+    embed_sim,
+    mle,
+    pmi2,
+    random_digraph,
+)
 from jobgraph import cli
 from jobgraph.config import EngineConfig
 from jobgraph.evaluation import (
@@ -23,7 +34,7 @@ from jobgraph.evaluation import (
     evaluate_systems,
     synth_corpus,
 )
-from jobgraph.graph import CoStats, JobMultiGraph, NodeStats, build_costats
+from jobgraph.graph import build_costats
 from jobgraph.ingest import dedupe, resolve_jobs, window_filter
 from jobgraph.mf import (
     RatingsMatrix,
@@ -46,9 +57,6 @@ from jobgraph.scoring import (
     RecDigraph,
     aggregate,
     content_edges,
-    embed_sim,
-    mle,
-    pmi2,
 )
 
 
@@ -73,10 +81,7 @@ def criterion(number, label, limit_s):
 
 
 def graph_of(nodes, edges):
-    return JobMultiGraph(
-        {j: NodeStats(*t) for j, t in nodes.items()},
-        {pair: CoStats(*c) for pair, c in edges.items()},
-    )
+    return co_pairs(nodes, edges)
 
 
 def built_pipeline(corpus, weights=EngineConfig()):
@@ -102,7 +107,7 @@ def test_criterion_1_score_formula_suite():
         for _ in range(500):
             ci, cj = rng.randint(0, 40), rng.randint(0, 40)
             co = rng.randint(0, min(ci, cj)) if min(ci, cj) else 0
-            g = graph_of({"i": (ci, 0), "j": (cj, 0)}, {("i", "j"): (co, 0)})
+            g = CoMaps({"i": (ci, 0), "j": (cj, 0)}, {("i", "j"): (co, 0)})
             assert 0.0 <= mle(g, "i", "j", "apps") <= 1.0
             value = pmi2(g, "i", "j", "apps")
             if min(ci, cj, co) == 0:

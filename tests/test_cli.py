@@ -574,96 +574,7 @@ def test_serve_batch_matches_the_golden_digest(serving_corpus, tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------
-# mf-train
-
-
-def test_mf_train_writes_model_and_ids(graph_dir, corpus_dir, tmp_path, capsys):
-    model_path = tmp_path / "model.txt"
-    conf = tmp_path / "mf.conf"
-    conf.write_text("mf_k = 4\nmf_iterations = 3\n")
-    rc = cli.main(
-        [
-            "mf-train",
-            "--config", str(conf),
-            "--events", str(corpus_dir / "events.csv"),
-            "--jobs", str(corpus_dir / "jobs.csv"),
-            "--reference-date", REF_ARG,
-            "--out", str(model_path),
-        ]
-    )
-    assert rc == 0
-    assert capsys.readouterr().out.strip() == str(model_path)
-    sidecar = json.loads(model_path.with_suffix(".txt.ids.json").read_text())
-    assert sidecar["user_ids"] and sidecar["job_ids"]
-
-    from jobgraph.mf import load_model, predict_biased
-
-    with model_path.open() as fh:
-        model = load_model(fh, sidecar["user_ids"], sidecar["job_ids"])
-    value = predict_biased(model, sidecar["user_ids"][0], sidecar["job_ids"][0])
-    assert value == value  # finite, parseable round trip
-
-
-def test_mf_train_without_ratable_signals_fails(tmp_path, corpus_dir):
-    events = tmp_path / "clicks_only.csv"
-    events.write_text("u1,j00_0000,click,2017-05-01T00:00:00Z,q1\n")
-    rc = cli.main(
-        [
-            "mf-train",
-            "--events", str(events),
-            "--jobs", str(corpus_dir / "jobs.csv"),
-            "--reference-date", REF_ARG,
-            "--out", str(tmp_path / "model.txt"),
-        ]
-    )
-    assert rc == 1
-
-
-def mf_train(corpus_dir, out, *flags):
-    return cli.main(
-        [
-            "mf-train",
-            *flags,
-            "--events", str(corpus_dir / "events.csv"),
-            "--jobs", str(corpus_dir / "jobs.csv"),
-            "--reference-date", REF_ARG,
-            "--out", str(out),
-        ]
-    )
-
-
-def test_mf_train_seed_flag_overrides_the_config_seed(tmp_path, corpus_dir):
-    conf = tmp_path / "mf.conf"
-    conf.write_text("mf_k = 4\nmf_iterations = 3\n")
-    seeded = tmp_path / "seeded.conf"
-    seeded.write_text("mf_k = 4\nmf_iterations = 3\nseed = 5\n")
-    runs = {
-        "flag0": ["--config", str(conf), "--seed", "0"],
-        "flag5": ["--config", str(conf), "--seed", "5"],
-        "conf5": ["--config", str(seeded)],
-    }
-    models = {}
-    for name, flags in runs.items():
-        assert mf_train(corpus_dir, tmp_path / f"{name}.txt", *flags) == 0
-        models[name] = (tmp_path / f"{name}.txt").read_bytes()
-    assert models["flag0"] != models["flag5"]
-    assert models["flag5"] == models["conf5"]
-
-
-def test_mf_train_does_not_warn_about_embeddings(tmp_path, corpus_dir, caplog):
-    with caplog.at_level("WARNING"):
-        assert mf_train(corpus_dir, tmp_path / "model.txt") == 0
-    assert "embeddings" not in caplog.text
-
-
-def test_zero_mf_reg_is_config_error(tmp_path, corpus_dir):
-    conf = tmp_path / "noreg.conf"
-    conf.write_text("mf_reg = 0\n")
-    assert mf_train(corpus_dir, tmp_path / "model.txt", "--config", str(conf)) == 2
-
-
-# ---------------------------------------------------------------------------
-# evaluate + connectivity
+# evaluate
 
 
 def test_evaluate_writes_json_report(corpus_dir, tmp_path, capsys):
@@ -707,21 +618,45 @@ def test_evaluate_k_below_one_is_input_error(corpus_dir):
     assert rc == 1
 
 
-def test_connectivity_output_format(corpus_dir, capsys):
-    rc = cli.main(
+def evaluate_mf(corpus_dir, out, *flags):
+    """``evaluate`` of the mf system alone, its report written to ``out``;
+    lists of 3, at which seeds 0 and 5 rank this corpus differently."""
+    return cli.main(
         [
-            "connectivity",
-            *corpus_flags(corpus_dir),
+            "evaluate",
+            *flags,
+            "--events", str(corpus_dir / "events.csv"),
+            "--jobs", str(corpus_dir / "jobs.csv"),
             "--reference-date", REF_ARG,
+            "--systems", "mf",
+            "--k", "3",
+            "--out", str(out),
         ]
     )
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert rc == 0
-    assert lines[0].startswith("active_jobs,")
-    assert len(lines) == 8
-    for line in lines[1:]:
-        label, fraction = line.rsplit(",", 1)
-        assert 0.0 <= float(fraction) <= 1.0
+
+
+def test_evaluate_seed_flag_overrides_the_config_seed(tmp_path, corpus_dir):
+    conf = tmp_path / "mf.conf"
+    conf.write_text("mf_k = 4\nmf_iterations = 3\n")
+    seeded = tmp_path / "seeded.conf"
+    seeded.write_text("mf_k = 4\nmf_iterations = 3\nseed = 5\n")
+    runs = {
+        "flag0": ["--config", str(conf), "--seed", "0"],
+        "flag5": ["--config", str(conf), "--seed", "5"],
+        "conf5": ["--config", str(seeded)],
+    }
+    reports = {}
+    for name, flags in runs.items():
+        assert evaluate_mf(corpus_dir, tmp_path / f"{name}.json", *flags) == 0
+        reports[name] = (tmp_path / f"{name}.json").read_bytes()
+    assert reports["flag0"] != reports["flag5"]
+    assert reports["flag5"] == reports["conf5"]
+
+
+def test_zero_mf_reg_is_config_error(tmp_path, corpus_dir):
+    conf = tmp_path / "noreg.conf"
+    conf.write_text("mf_reg = 0\n")
+    assert evaluate_mf(corpus_dir, tmp_path / "report.json", "--config", str(conf)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +710,7 @@ def test_missing_required_flag_is_usage_error():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["build", "recommend", "serve-batch", "connectivity", "init-config"])
+@pytest.mark.parametrize("command", ["build", "recommend", "serve-batch", "init-config"])
 def test_seed_flag_is_a_usage_error_where_nothing_is_seeded(
     command, corpus_dir, graph_dir, tmp_path, capsys
 ):
@@ -789,7 +724,6 @@ def test_seed_flag_is_a_usage_error_where_nothing_is_seeded(
             *corpus_flags(corpus_dir), "--reference-date", REF_ARG, "--graph-dir", str(graph_dir),
             "--user-ids", str(tmp_path / "ids.txt"), "--out", str(tmp_path / "recs.csv"),
         ],
-        "connectivity": [*corpus_flags(corpus_dir), "--reference-date", REF_ARG],
         "init-config": ["--out", str(tmp_path / "jobgraph.conf")],
     }[command]
     with pytest.raises(SystemExit) as exc:
@@ -820,8 +754,6 @@ def test_every_command_names_the_encoding_of_its_files(tmp_path):
         ["recommend", *conf, *serving, *ref, "--user-id", "u00000"],
         ["serve-batch", *conf, *serving, *ref, "--user-ids", str(d / "ids.txt"), "--out", str(d / "recs.csv")],
         ["evaluate", *conf, *corpus, "--users", str(d / "users.csv"), *ref, "--out", str(d / "report.json")],
-        ["mf-train", *conf, *inputs, *ref, "--out", str(d / "model.txt")],
-        ["connectivity", *conf, *corpus, *ref],
     ]
     child = "import json, sys\nfrom jobgraph import cli\nprint(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))"
     src = str(Path(cli.__file__).resolve().parents[1])

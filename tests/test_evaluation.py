@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import REF, content_pairs, ev
+from helpers import REF, co_maps, co_pairs, content_pairs, embed_sim, ev
 from jobgraph import evaluation
 from jobgraph.evaluation import (
     EDGE_TYPES,
@@ -28,7 +28,6 @@ from jobgraph.evaluation import (
     synth_corpus,
     write_corpus,
 )
-from jobgraph.graph import CoStats, JobMultiGraph, NodeStats
 from jobgraph.ingest import (
     JobRecord,
     JobStatus,
@@ -40,14 +39,10 @@ from jobgraph.ingest import (
 )
 from jobgraph.config import EngineConfig
 from jobgraph.mf import predict_implicit
-from jobgraph.scoring import embed_sim
 
 
 def graph_of(nodes, edges):
-    return JobMultiGraph(
-        {j: NodeStats(*t) for j, t in nodes.items()},
-        {pair: CoStats(*c) for pair, c in edges.items()},
-    )
+    return co_pairs(nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +126,16 @@ def test_connectivity_matches_incidence_oracle():
                 connected = 0
                 for job in set(active):
                     hit = False
-                    for (a, b), st in g.edges.items():
+                    for (a, b), (co_apps, co_clicks) in co_maps(g).edges.items():
                         if job not in (a, b):
                             continue
-                        if "co_apps" in subset and st.co_apps > 0:
+                        if "co_apps" in subset and co_apps > 0:
                             hit = True
-                        if "co_clicks" in subset and st.co_clicks > 0:
+                        if "co_clicks" in subset and co_clicks > 0:
                             hit = True
                     if "content" in subset:
                         for a, b in content:
-                            if job in (a, b) and a in g.nodes and b in g.nodes:
+                            if job in (a, b) and a in g.ids and b in g.ids:
                                 hit = True
                     if hit:
                         connected += 1

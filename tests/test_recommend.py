@@ -8,7 +8,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from helpers import REF, brute_force_levels, edge_map, ev, make_job, random_digraph, ts
+from helpers import REF, brute_force_levels, edge_map, embed_sim, ev, make_job, random_digraph, ts
 from jobgraph.config import ConfigError, EngineConfig
 from jobgraph.ingest import DedupedSignal, SignalKind, UserRecord, dedupe
 from jobgraph.recommend import (
@@ -28,7 +28,7 @@ from jobgraph.recommend import (
     recommend,
     sources_with_activity,
 )
-from jobgraph.scoring import RecDigraph, dump_digraph, embed_sim, load_digraph
+from jobgraph.scoring import RecDigraph, dump_digraph, load_digraph
 
 
 def interactions(user_id, *triples):
@@ -301,8 +301,6 @@ def test_preference_vector_matches_set_oracle():
         )
         m = rng.randint(1, 4)
         got = preference_vector(p, jobs, emb, m_similar=m)
-
-        from jobgraph.scoring import embed_sim
 
         active = sorted(j for j in ids if jobs[j].is_active)
         want = set()

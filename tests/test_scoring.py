@@ -12,11 +12,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import content_map, content_pairs, digraph_of_scores, edge_map, reference_aggregate
+from helpers import (
+    CoMaps,
+    co_maps,
+    co_pairs,
+    content_map,
+    content_pairs,
+    digraph_of_scores,
+    edge_map,
+    embed_sim,
+    mle,
+    pmi2,
+    reference_aggregate,
+)
 from jobgraph import scoring
 from jobgraph.config import EngineConfig
 from jobgraph.evaluation import synth_corpus
-from jobgraph.graph import CoStats, JobMultiGraph, NodeStats, build_costats
+from jobgraph.graph import build_costats
 from jobgraph.ingest import active_job_ids, dedupe, resolve_jobs, window_filter
 from jobgraph.recommend import global_pagerank, personalized_pagerank
 from jobgraph.scoring import (
@@ -25,18 +37,12 @@ from jobgraph.scoring import (
     aggregate,
     content_edges,
     dump_digraph,
-    embed_sim,
     load_digraph,
-    mle,
-    pmi2,
 )
 
 
 def graph_of(nodes, edges):
-    return JobMultiGraph(
-        {j: NodeStats(*t) for j, t in nodes.items()},
-        {pair: CoStats(*c) for pair, c in edges.items()},
-    )
+    return co_pairs(nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -44,18 +50,18 @@ def graph_of(nodes, edges):
 
 
 def test_mle_hand_value():
-    g = graph_of({"i": (5, 0), "j": (12, 0)}, {("i", "j"): (3, 0)})
+    g = CoMaps({"i": (5, 0), "j": (12, 0)}, {("i", "j"): (3, 0)})
     assert mle(g, "i", "j", "apps") == 3 / 12
     assert mle(g, "i", "j", "apps") == 0.25
 
 
 def test_mle_zero_denominator_is_zero():
-    g = graph_of({"i": (5, 0), "j": (0, 0)}, {})
+    g = CoMaps({"i": (5, 0), "j": (0, 0)}, {})
     assert mle(g, "i", "j", "apps") == 0.0
 
 
 def test_mle_is_asymmetric():
-    g = graph_of({"i": (4, 0), "j": (8, 0)}, {("i", "j"): (2, 0)})
+    g = CoMaps({"i": (4, 0), "j": (8, 0)}, {("i", "j"): (2, 0)})
     assert mle(g, "i", "j", "apps") == 2 / 8
     assert mle(g, "j", "i", "apps") == 2 / 4
 
@@ -65,7 +71,7 @@ def test_mle_bounded_on_random_counts():
     for _ in range(200):
         ci, cj = rng.randint(0, 30), rng.randint(0, 30)
         co = rng.randint(0, min(ci, cj)) if min(ci, cj) else 0
-        g = graph_of({"i": (ci, 0), "j": (cj, 0)}, {("i", "j"): (co, 0)})
+        g = CoMaps({"i": (ci, 0), "j": (cj, 0)}, {("i", "j"): (co, 0)})
         assert 0.0 <= mle(g, "i", "j", "apps") <= 1.0
 
 
@@ -74,16 +80,16 @@ def test_mle_bounded_on_random_counts():
 
 
 def test_pmi2_hand_value():
-    g = graph_of({"i": (4, 0), "j": (8, 0)}, {("i", "j"): (2, 0)})
+    g = CoMaps({"i": (4, 0), "j": (8, 0)}, {("i", "j"): (2, 0)})
     value = pmi2(g, "i", "j", "apps")
     assert value == pytest.approx(math.log(4 / 32), abs=1e-15)
     assert value == pytest.approx(-2.0794415416798357, abs=1e-15)
 
 
 def test_pmi2_none_when_any_count_zero():
-    g = graph_of({"i": (4, 0), "j": (0, 0)}, {("i", "j"): (0, 0)})
+    g = CoMaps({"i": (4, 0), "j": (0, 0)}, {("i", "j"): (0, 0)})
     assert pmi2(g, "i", "j", "apps") is None
-    g2 = graph_of({"i": (4, 0), "j": (8, 0)}, {})
+    g2 = CoMaps({"i": (4, 0), "j": (8, 0)}, {})
     assert pmi2(g2, "i", "j", "apps") is None
 
 
@@ -92,7 +98,7 @@ def test_pmi2_nonpositive_zero_iff_all_equal():
     for _ in range(300):
         ci, cj = rng.randint(1, 40), rng.randint(1, 40)
         co = rng.randint(1, min(ci, cj))
-        g = graph_of({"i": (ci, 0), "j": (cj, 0)}, {("i", "j"): (co, 0)})
+        g = CoMaps({"i": (ci, 0), "j": (cj, 0)}, {("i", "j"): (co, 0)})
         value = pmi2(g, "i", "j", "apps")
         assert value <= 1e-12
         if ci == cj == co:
@@ -382,7 +388,8 @@ def test_aggregate_matches_scalar_reference_on_random_multigraphs(monkeypatch, n
 def test_aggregate_matches_scalar_reference_across_full_blocks():
     rng = random.Random(5)
     graph, content, active = random_scoring_inputs(rng, 110, 0.3, 0.7)
-    candidates = set(graph.edges) | {p for p in content if p[0] in graph.nodes and p[1] in graph.nodes}
+    nodes, edges = co_maps(graph)
+    candidates = set(edges) | {p for p in content if p[0] in nodes and p[1] in nodes}
     assert len(candidates) > scoring.AGGREGATE_BLOCK
     for weights in (EngineConfig(), EngineConfig(normalize_pmi2=True)):
         digraph = aggregate(graph, content_pairs(content), weights, active)
@@ -647,6 +654,6 @@ def test_pagerank_of_a_reloaded_dump_equals_the_built_digraph():
     dump_digraph(built, buf)
     reloaded = load_digraph(StringIO(buf.getvalue()), active)
     assert global_pagerank(reloaded).scores == global_pagerank(built).scores
-    known = sorted(active & set(graph.nodes))
+    known = sorted(active & set(graph.ids))
     for prefs in (known[:1], rng.sample(known, 5)):
         assert personalized_pagerank(reloaded, prefs).scores == personalized_pagerank(built, prefs).scores
