@@ -15,6 +15,7 @@ from .config import ConfigError, EngineConfig, load_config
 from .evaluation import build_cf_index, cf_recommend, evaluate_systems, synth_corpus
 from .graph import CoPairs, build_costats
 from .ingest import (
+    EventLog,
     InteractionEvent,
     JobRecord,
     SignalKind,
@@ -40,6 +41,7 @@ __all__ = [
     "CoPairs",
     "ConfigError",
     "EngineConfig",
+    "EventLog",
     "InteractionEvent",
     "JobRecord",
     "RecDigraph",

@@ -26,15 +26,19 @@ import numpy as np
 from .config import EngineConfig
 from .graph import CoPairs
 from .ingest import (
+    EventLog,
     InteractionEvent,
     JobRecord,
     JobStatus,
     SignalKind,
     UserRecord,
+    _run_heads,
     active_job_ids,
+    as_event_log,
     dedupe,
     format_timestamp,
     resolve_jobs,
+    utc_datetime,
     window_filter,
     write_events,
     write_rows,
@@ -127,19 +131,23 @@ class CfIndex:
     applied_by: dict[str, list[tuple[str, datetime]]]
 
 
-def build_cf_index(events: Iterable[InteractionEvent]) -> CfIndex:
-    latest: dict[tuple[str, str], datetime] = {}
-    for e in events:
-        if e.kind is not SignalKind.APPLY:
-            continue
-        key = (e.user_id, e.job_id)
-        if key not in latest or e.timestamp > latest[key]:
-            latest[key] = e.timestamp
+def build_cf_index(events: EventLog | Iterable[InteractionEvent]) -> CfIndex:
+    """The apply history of ``events``: ``applied_by`` lists each user's
+    jobs, and the users, in order of first apply."""
+    log = as_event_log(events)
+    rows = np.flatnonzero(log.kind == SignalKind.APPLY.code)
+    cell = log.user[rows] * len(log.jobs) + log.job[rows]
+    order = np.argsort(cell, kind="stable")  # a (user, job) cell's first apply first
+    heads = np.flatnonzero(_run_heads(cell[order]))
+    latest = np.maximum.reduceat(log.time[rows[order]], heads) if len(heads) else heads
+    first = np.argsort(order[heads])  # the cells in order of first apply
+    cells = rows[order[heads]][first]
     appliers_of: dict[str, list[tuple[datetime, str]]] = {}
     applied_by: dict[str, list[tuple[str, datetime]]] = {}
-    for (u, j), ts in latest.items():
-        appliers_of.setdefault(j, []).append((ts, u))
-        applied_by.setdefault(u, []).append((j, ts))
+    for u, j, t in zip(log.user[cells].tolist(), log.job[cells].tolist(), latest[first].tolist()):
+        user_id, job_id, ts = log.users[u], log.jobs[j], utc_datetime(t)
+        appliers_of.setdefault(job_id, []).append((ts, user_id))
+        applied_by.setdefault(user_id, []).append((job_id, ts))
     for entries in appliers_of.values():
         entries.sort(key=lambda p: (-p[0].timestamp(), p[1]))
     return CfIndex(appliers_of, applied_by)
@@ -203,42 +211,36 @@ def cf_recommend(
 
 
 def holdout_split(
-    events: Sequence[InteractionEvent], fraction: float, seed: int = 0
-) -> tuple[list[InteractionEvent], list[InteractionEvent]]:
+    events: EventLog | Iterable[InteractionEvent], fraction: float, seed: int = 0
+) -> tuple[EventLog, EventLog]:
     """Per-user temporal split of apply events.
 
     The latest ``floor(n * fraction)`` of each user's n applies are held
     out; every other event (earlier applies, all clicks and email signals)
     stays in train. Equal timestamps are ordered by a seeded checksum so
     the split is deterministic yet unbiased by input order. The two sides
-    partition the apply events exactly.
+    partition the events exactly, each in input order.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must lie in [0, 1), got {fraction}")
-    by_user: dict[str, list[InteractionEvent]] = {}
-    for e in events:
-        if e.kind is SignalKind.APPLY:
-            by_user.setdefault(e.user_id, []).append(e)
-
-    held: set[int] = set()
-    for user_id, applies in by_user.items():
-        h = math.floor(len(applies) * fraction)
-        if h == 0:
-            continue
-        def order(e: InteractionEvent) -> tuple:
-            tag = f"{seed}|{e.user_id}|{e.job_id}|{format_timestamp(e.timestamp)}"
-            return (e.timestamp, zlib.crc32(tag.encode()), e.job_id)
-        ranked = sorted(applies, key=order, reverse=True)
-        held.update(id(e) for e in ranked[:h])
-
-    train: list[InteractionEvent] = []
-    test: list[InteractionEvent] = []
-    for e in events:
-        if e.kind is SignalKind.APPLY and id(e) in held:
-            test.append(e)
-        else:
-            train.append(e)
-    return train, test
+    log = as_event_log(events)
+    rows = np.flatnonzero(log.kind == SignalKind.APPLY.code)
+    user, time, job = log.user[rows], log.time[rows], log.job[rows]
+    # the checksum orders only the applies of a user that share a timestamp
+    checksum = np.zeros(len(rows), dtype=np.int64)
+    order = np.lexsort((time, user))
+    same = ~_run_heads(user[order], time[order])
+    for i in order[same | np.append(same[1:], False)].tolist():
+        tag = f"{seed}|{log.users[user[i]]}|{log.jobs[job[i]]}|{format_timestamp(utc_datetime(int(time[i])))}"
+        checksum[i] = zlib.crc32(tag.encode())
+    # each user's applies by (timestamp, checksum, job id, earlier row): the last are held
+    order = np.lexsort((-rows, job, checksum, time, user))
+    starts = np.flatnonzero(_run_heads(user[order]))
+    counts = np.diff(np.append(starts, len(order)))
+    kept = np.repeat(starts + counts - np.floor(counts * fraction).astype(np.int64), counts)
+    held = np.zeros(len(log), dtype=bool)
+    held[rows[order[np.arange(len(order)) >= kept]]] = True
+    return log.take(~held), log.take(held)
 
 
 def precision_recall_at_k(
@@ -506,7 +508,7 @@ KNOWN_SYSTEMS = ("graph", "cf", "mf")
 
 
 def evaluate_systems(
-    events: Sequence[InteractionEvent],
+    events: EventLog | Iterable[InteractionEvent],
     jobs: Mapping[str, JobRecord],
     embeddings: Mapping[str, np.ndarray],
     users: Mapping[str, UserRecord],
@@ -538,8 +540,8 @@ def evaluate_systems(
     train_events, test_events = holdout_split(resolved, holdout_fraction, config.seed)
 
     heldout: dict[str, set[str]] = {}
-    for e in test_events:
-        heldout.setdefault(e.user_id, set()).add(e.job_id)
+    for u, j in zip(test_events.user.tolist(), test_events.job.tolist()):
+        heldout.setdefault(test_events.users[u], set()).add(test_events.jobs[j])
 
     signals = dedupe(train_events)
     taxonomy = {j.category for j in jobs.values()}

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 
-from .ingest import DedupedSignal, JobRecord, SignalKind
+from .ingest import DedupedSignal, EventLog, JobRecord, SignalKind, _distinct, _run_heads, as_event_log
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,12 +45,11 @@ class CoPairs:
         return len(self.a)
 
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 
 def build_costats(
-    signals: Iterable[DedupedSignal],
+    signals: EventLog | Iterable[DedupedSignal],
     jobs: Mapping[str, JobRecord],
     session_gap_minutes: float = 30.0,
 ) -> CoPairs:
@@ -64,41 +63,38 @@ def build_costats(
     never pairs with one without, and a job never pairs with itself. A
     signal for a job outside ``jobs`` raises ``KeyError``.
     """
+    log = as_event_log(signals)
     ids = sorted(jobs)
     n = max(len(ids), 1)  # the base of the (user, job) and (a, b) keys
     index = {job_id: i for i, job_id in enumerate(ids)}
-    users: dict[str, int] = {}
-    scopes: dict[tuple[int, str], int] = {}  # (user, query id) codes
+    node = np.array([index.get(job_id, -1) for job_id in log.jobs], dtype=np.int64)[log.job]
+    if (node < 0).any():
+        unknown = log.jobs[log.job[np.argmax(node < 0)]]
+        raise KeyError(f"signal references unknown job {unknown!r}")
     # (user, job) as user * n + job; scoped clicks as scope * n + job
-    applies, clicks, scoped, unscoped, unscoped_t = [], [], [], [], []
-    for s in signals:
-        j = index.get(s.job_id)
-        if j is None:
-            raise KeyError(f"signal references unknown job {s.job_id!r}")
-        if s.kind is SignalKind.APPLY:
-            applies.append(users.setdefault(s.user_id, len(users)) * n + j)
-        elif s.kind is SignalKind.CLICK:
-            u = users.setdefault(s.user_id, len(users))
-            clicks.append(u * n + j)
-            for q in s.query_ids:
-                scoped.append(scopes.setdefault((u, q), len(scopes)) * n + j)
-            if not s.query_ids:
-                unscoped.append(u * n + j)
-                unscoped_t.append((s.timestamp - _EPOCH) // _MICROSECOND)
-    applies = _distinct(np.array(applies, dtype=np.int64))
-    clicks = _distinct(np.array(clicks, dtype=np.int64))
+    user_job = log.user * n + node
+    click = log.kind == SignalKind.CLICK.code
+    applies = _distinct(user_job[log.kind == SignalKind.APPLY.code])
+    clicks = _distinct(user_job[click])
 
     # co-apps: every two distinct jobs a user applied to, ascending
     i, j = _pairs_within(applies // n)
     app_pairs = applies[i] % n * n + applies[j] % n
     # co-clicks: every two distinct jobs of a (user, query id) scope, and
     # every two unscoped clicks of a user at most the gap apart
-    scoped = _distinct(np.array(scoped, dtype=np.int64))
+    scoped_click = click[log.query_row]
+    rows = log.query_row[scoped_click]
+    queries = max(len(log.queries), 1)  # the base of the (user, query id) keys
+    scope = log.user[rows] * queries + log.query[scoped_click]
+    scopes = _distinct(scope)
+    scoped = _distinct(np.searchsorted(scopes, scope) * n + node[rows])
     i, j = _pairs_within(scoped // n)
-    scope_user = np.array([u for u, _ in scopes], dtype=np.int64)
-    click_user = [scope_user[scoped[i] // n]]
+    click_user = [scopes[scoped[i] // n] // queries]
     click_a, click_b = [scoped[i] % n], [scoped[j] % n]
-    unscoped, t = np.array(unscoped, dtype=np.int64), np.array(unscoped_t, dtype=np.int64)
+    scoped_row = np.zeros(len(log), dtype=bool)
+    scoped_row[log.query_row] = True
+    free = np.flatnonzero(click & ~scoped_row)
+    unscoped, t = user_job[free], log.time[free]
     order = np.lexsort((t, unscoped // n))
     unscoped, t = unscoped[order], t[order]
     i, j = _pairs_in_session(unscoped // n, t, timedelta(minutes=session_gap_minutes) // _MICROSECOND)
@@ -128,21 +124,6 @@ def build_costats(
         co_apps,
         co_clicks,
     )
-
-
-def _run_heads(*columns: np.ndarray) -> np.ndarray:
-    """Mask of the first row of every run of equal rows of sorted columns."""
-    head = np.zeros(len(columns[0]), dtype=bool)
-    head[:1] = True
-    for column in columns:
-        head[1:] |= column[1:] != column[:-1]
-    return head
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct keys, ascending (not ``np.unique``, which imports numpy.ma)."""
-    keys = np.sort(keys)
-    return keys[_run_heads(keys)]
 
 
 def _counted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import DedupedSignal, SignalKind
+from .ingest import DedupedSignal, EventLog, SignalKind, _distinct, _run_tails, as_event_log
 
 logger = logging.getLogger(__name__)
 
@@ -45,42 +45,41 @@ class RatingsMatrix:
         return len(self.job_ids)
 
 
-def build_matrix(signals: Iterable[DedupedSignal]) -> RatingsMatrix:
+def build_matrix(signals: EventLog | Iterable[DedupedSignal]) -> RatingsMatrix:
     """Build the +-1 matrix from deduped signals.
 
     Applies map to +1 and ignored emails to -1; an apply wins any conflict
     on the same (user, job) cell. Clicks never become entries, but clicks
     on indexed jobs are collected as the implicit sets.
     """
-    values: dict[tuple[str, str], float] = {}
-    clicks: list[tuple[str, str]] = []
-    for s in signals:
-        key = (s.user_id, s.job_id)
-        if s.kind is SignalKind.APPLY:
-            values[key] = 1.0
-        elif s.kind is SignalKind.EMAIL_OPEN_NO_CLICK:
-            if values.get(key) != 1.0:
-                values[key] = -1.0
-        else:
-            clicks.append(key)
+    log = as_event_log(signals)
+    n = max(len(log.jobs), 1)  # the base of the (user, job) keys
+    key = log.user * n + log.job
+    rated = log.kind != SignalKind.CLICK.code
+    value = np.where(log.kind[rated] == SignalKind.APPLY.code, 1.0, -1.0)
+    order = np.lexsort((value, key[rated]))  # a cell's largest value last
+    cells, values = key[rated][order], value[order]
+    last = _run_tails(cells)
+    cells, values = cells[last], values[last]
+    users, jobs = _distinct(cells // n), _distinct(cells % n)
+    # a log code's row or column in the matrix, -1 for none
+    user_index = np.full(len(log.users), -1)
+    user_index[users] = np.arange(len(users))
+    job_index = np.full(len(log.jobs), -1)
+    job_index[jobs] = np.arange(len(jobs))
+    entries = list(zip(user_index[cells // n].tolist(), job_index[cells % n].tolist(), values.tolist()))
 
-    user_ids = sorted({u for u, _ in values})
-    job_ids = sorted({j for _, j in values})
-    user_index = {u: i for i, u in enumerate(user_ids)}
-    job_index = {j: i for i, j in enumerate(job_ids)}
-    entries = sorted(
-        (user_index[u], job_index[j], v) for (u, j), v in values.items()
-    )
-    implicit: dict[int, set[int]] = {}
-    for u, j in clicks:
-        ui, ji = user_index.get(u), job_index.get(j)
-        if ui is not None and ji is not None:
-            implicit.setdefault(ui, set()).add(ji)
+    clicks = ~rated
+    u, j = user_index[log.user[clicks]], job_index[log.job[clicks]]
+    pairs = _distinct((u * n + j)[(u >= 0) & (j >= 0)])
+    implicit: dict[int, list[int]] = {}
+    for ui, ji in zip((pairs // n).tolist(), (pairs % n).tolist()):
+        implicit.setdefault(ui, []).append(ji)
     return RatingsMatrix(
-        user_ids,
-        job_ids,
+        [log.users[i] for i in users.tolist()],
+        [log.jobs[j] for j in jobs.tolist()],
         entries,
-        {u: tuple(sorted(js)) for u, js in implicit.items()},
+        {ui: tuple(js) for ui, js in implicit.items()},
     )
 
 

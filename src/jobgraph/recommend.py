@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import EngineConfig
-from .ingest import DedupedSignal, JobRecord, SignalKind, UserRecord
+from .ingest import DedupedSignal, EventLog, JobRecord, SignalKind, UserRecord, as_event_log, utc_datetime
 from .scoring import RecDigraph, Walk
 
 logger = logging.getLogger(__name__)
@@ -86,7 +86,7 @@ class PageRankResult:
 
 
 def build_profiles(
-    signals: Sequence[DedupedSignal],
+    signals: EventLog | Iterable[DedupedSignal],
     users: Mapping[str, UserRecord] | None = None,
     taxonomy: Iterable[str] | None = None,
 ) -> dict[str, UserProfile]:
@@ -96,11 +96,28 @@ def build_profiles(
     location). A resume category outside the jobs taxonomy is treated as
     absent, with a warning.
     """
+    log = as_event_log(signals)
     users = users or {}
     tax = set(taxonomy) if taxonomy is not None else None
+    query_ids: dict[int, set[str]] = {}
+    for row, q in zip(log.query_row.tolist(), log.query.tolist()):
+        query_ids.setdefault(row, set()).add(log.queries[q])
+    queries = [frozenset()] * len(log)  # one shared empty set
+    for row, ids in query_ids.items():
+        queries[row] = frozenset(ids)
+    # one record per row, its fields mapped column by column
+    user_ids = list(map(log.users.__getitem__, log.user.tolist()))
+    records = map(
+        DedupedSignal,
+        user_ids,
+        map(log.jobs.__getitem__, log.job.tolist()),
+        map(list(SignalKind).__getitem__, log.kind.tolist()),
+        map(utc_datetime, log.time.tolist()),
+        queries,
+    )
     interactions: dict[str, list[DedupedSignal]] = {}
-    for s in signals:
-        interactions.setdefault(s.user_id, []).append(s)
+    for user_id, record in zip(user_ids, records):
+        interactions.setdefault(user_id, []).append(record)
     profiles: dict[str, UserProfile] = {}
     for user_id in sorted(set(interactions) | set(users)):
         record = users.get(user_id)

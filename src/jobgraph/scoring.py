@@ -20,6 +20,7 @@ import functools
 import io
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .graph import CoPairs, build_costats
-from .ingest import DedupedSignal, JobRecord, active_job_ids
+from .ingest import DedupedSignal, EventLog, JobRecord, active_job_ids
 
 logger = logging.getLogger(__name__)
 
@@ -166,8 +167,11 @@ class RecDigraph:
         self, ids: Sequence[str], src: np.ndarray, dst: np.ndarray, scores: np.ndarray, active_jobs: Iterable[str]
     ):
         self.active_jobs = frozenset(active_jobs)
-        rows = np.flatnonzero(np.array([j in self.active_jobs for j in ids], dtype=bool)[dst])
-        src, dst = src[rows], dst[rows]
+        keep = np.array([j in self.active_jobs for j in ids], dtype=bool)[dst]
+        rows = None  # the score rows of the kept edges in (src, dst) order; None: all, as given
+        if not keep.all():
+            rows = np.flatnonzero(keep)
+            src, dst = src[rows], dst[rows]
         # the sources by bincount, not np.unique: numpy's unique without
         # return_* flags imports numpy.ma, over 1 MB for every process
         sources = np.flatnonzero(np.bincount(src, minlength=len(ids)))
@@ -175,19 +179,21 @@ class RecDigraph:
         self.index = {job_id: i for i, job_id in enumerate(self.nodes)}
         remap = np.array([self.index.get(j, -1) for j in ids], dtype=np.intp)
         n = len(self.nodes)
-        key = remap[src] * n + remap[dst]
+        key = remap[src] * n
+        key += remap[dst]  # in place: one key array at a time
         del src, dst
-        order = np.argsort(key, kind="stable")  # stable: repeats keep their input order
-        key = key[order]
-        last = np.ones(len(key), dtype=bool)
-        last[:-1] = key[1:] != key[:-1]
-        rows = rows[order[last]]
-        key = key[last]
-        self.dst = key % max(n, 1)
+        if not (key[1:] > key[:-1]).all():  # edges in order with no repeats, as a dump holds them, need no sort
+            order = np.argsort(key, kind="stable")  # stable: repeats keep their input order
+            key = key[order]
+            last = np.ones(len(key), dtype=bool)
+            last[:-1] = key[1:] != key[:-1]
+            rows = order[last] if rows is None else rows[order[last]]
+            key = key[last]
         self.indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        self.dst = key % max(n, 1)
+        del key
         # one gather of the score rows, none when they are in order already
-        in_order = len(rows) == len(scores) and (rows == np.arange(len(rows))).all()
-        self.scores = scores if in_order else scores[rows]
+        self.scores = scores if rows is None else scores[rows]
         # global PageRank results per (damping, epsilon), filled by
         # recommend.global_pagerank
         self.global_pagerank_results: dict[tuple[float, float], object] = {}
@@ -298,7 +304,7 @@ def aggregate(
 
 
 def build_digraph(
-    signals: Iterable[DedupedSignal],
+    signals: EventLog | Iterable[DedupedSignal],
     jobs: Mapping[str, JobRecord],
     embeddings: Mapping[str, np.ndarray],
     config: EngineConfig,
@@ -490,23 +496,29 @@ def load_digraph(lines: Iterable[str], active_jobs: Iterable[str]) -> RecDigraph
     line.
     """
     index: dict[str, int] = {}
-    blocks, block = [], []
+    # each checked block goes straight into growing buffers: one copy of the rows
+    src, dst, scores = array("q"), array("q"), array("d")
+    block = []
     reader = csv.reader(lines)
     for row in reader:
         if row:
             block.append((reader.line_num, row))
         if len(block) == LOAD_BLOCK:
-            blocks.append(_parse_rows(block, index))
+            _parse_rows(block, index, src, dst, scores)
             block = []
-    blocks.append(_parse_rows(block, index))
-    src, dst, scores = (np.concatenate(column) for column in zip(*blocks))
-    del blocks  # the blocks are freed before the digraph is built
-    return RecDigraph(list(index), src, dst, scores, active_jobs)
+    _parse_rows(block, index, src, dst, scores)
+    return RecDigraph(
+        list(index),
+        np.frombuffer(src, dtype=np.int64),
+        np.frombuffer(dst, dtype=np.int64),
+        np.frombuffer(scores).reshape(len(src), len(EdgeScores._fields)),
+        active_jobs,
+    )
 
 
-def _parse_rows(block: list[tuple[int, list[str]]], index: dict[str, int]) -> tuple[np.ndarray, ...]:
-    """(line number, row) pairs of the dump as (src, dst, scores), job ids
-    interned into ``index``.
+def _parse_rows(block: list[tuple[int, list[str]]], index: dict[str, int], src: array, dst: array, scores: array) -> None:
+    """Append (line number, row) pairs of the dump to the ``src``, ``dst``
+    and ``scores`` buffers, job ids interned into ``index``.
 
     The block is checked at once: 8 fields a row, two nonempty job ids, a
     finite ``corr``, no infinity, and NaN only where a field is empty. A
@@ -514,24 +526,24 @@ def _parse_rows(block: list[tuple[int, list[str]]], index: dict[str, int]) -> tu
     """
     rows = [row for _, row in block]
     try:
-        values = [float(f) if f else math.nan for row in rows for f in row[2:]]
-        scores = np.array(values).reshape(len(rows), 6)
+        values = array("d", [float(f) if f else math.nan for row in rows for f in row[2:]])
+        checked = np.frombuffer(values).reshape(len(rows), 6)
     except ValueError:  # a non-numeric field, or a wrong field count
-        scores = None
+        checked = None
     if (
-        scores is None
+        checked is None
         or set(map(len, rows)) != {8}
         or not all(row[0] and row[1] for row in rows)
-        or not np.isfinite(scores[:, 0]).all()
-        or np.isinf(scores).any()
-        or np.count_nonzero(np.isnan(scores)) != sum(row.count("") for row in rows)
+        or not np.isfinite(checked[:, 0]).all()
+        or np.isinf(checked).any()
+        or np.count_nonzero(np.isnan(checked)) != sum(row.count("") for row in rows)
     ):
         for line_no, row in block:
             if problem := _row_problem(row):
                 raise ValueError(f"digraph line {line_no}: {problem}")
-    src = np.array([index.setdefault(row[0], len(index)) for row in rows], dtype=np.intp)
-    dst = np.array([index.setdefault(row[1], len(index)) for row in rows], dtype=np.intp)
-    return src, dst, scores
+    src.extend([index.setdefault(row[0], len(index)) for row in rows])
+    dst.extend([index.setdefault(row[1], len(index)) for row in rows])
+    scores.extend(values)
 
 
 def _row_problem(row: list[str]) -> str | None:

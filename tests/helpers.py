@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import zlib
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -11,9 +12,23 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from jobgraph.graph import CoPairs
-from jobgraph.ingest import DedupedSignal, InteractionEvent, JobRecord, JobStatus, ParseIssue, SignalKind
+from jobgraph.evaluation import CfIndex
+from jobgraph.ingest import (
+    DedupedSignal,
+    EventLog,
+    InteractionEvent,
+    JobRecord,
+    JobStatus,
+    ParseIssue,
+    SignalKind,
+    UserRecord,
+    _csv_rows,
+    format_timestamp,
+    parse_timestamp,
+    utc_datetime,
+)
 from jobgraph.mf import FactorModel, RatingsMatrix, _implicit_offsets
-from jobgraph.recommend import PageRankResult
+from jobgraph.recommend import PageRankResult, UserProfile
 from jobgraph.scoring import ContentPairs, EdgeScores, RecDigraph
 
 REF = datetime(2017, 6, 1, tzinfo=timezone.utc)
@@ -77,6 +92,183 @@ def reference_parse_embeddings(lines):
             issues.append(ParseIssue(line_no, f"duplicate job_id {job_id!r}"))
         vectors[job_id] = vec
     return vectors, issues
+
+
+# ---------------------------------------------------------------------------
+# the event log read back as records, and the record pipeline as oracles
+
+
+def _query_ids(log: EventLog) -> dict[int, set[str]]:
+    rows: dict[int, set[str]] = {}
+    for row, q in zip(log.query_row.tolist(), log.query.tolist()):
+        rows.setdefault(row, set()).add(log.queries[q])
+    return rows
+
+
+def event_records(log: EventLog) -> list[InteractionEvent]:
+    """The rows of an event log as records; a row holds at most one query id."""
+    queries, kinds = _query_ids(log), list(SignalKind)
+    records = []
+    for row, (u, j, k, t) in enumerate(zip(log.user.tolist(), log.job.tolist(), log.kind.tolist(), log.time.tolist())):
+        (query_id,) = queries.get(row, {None})
+        records.append(InteractionEvent(log.users[u], log.jobs[j], kinds[k], utc_datetime(t), query_id))
+    return records
+
+
+def signal_records(log: EventLog) -> list[DedupedSignal]:
+    """The rows of a signal log as records."""
+    queries, kinds = _query_ids(log), list(SignalKind)
+    return [
+        DedupedSignal(log.users[u], log.jobs[j], kinds[k], utc_datetime(t), frozenset(queries.get(row, ())))
+        for row, (u, j, k, t) in enumerate(
+            zip(log.user.tolist(), log.job.tolist(), log.kind.tolist(), log.time.tolist())
+        )
+    ]
+
+
+_KIND_TOKENS = {k.value: k for k in SignalKind}
+
+
+def reference_parse_events(lines: Iterable[str]) -> tuple[list[InteractionEvent], list[ParseIssue]]:
+    """``parse_events`` one record per line, as it was before the event log."""
+    events: list[InteractionEvent] = []
+    issues: list[ParseIssue] = []
+    for line_no, row in _csv_rows(lines):
+        if len(row) not in (4, 5):
+            issues.append(ParseIssue(line_no, f"expected 4 or 5 fields, got {len(row)}"))
+            continue
+        user_id, job_id, kind_tok, ts_tok = map(str.strip, row[:4])
+        query_id = row[4].strip() if len(row) == 5 else ""
+        if not user_id or not job_id:
+            issues.append(ParseIssue(line_no, "empty user_id or job_id"))
+            continue
+        kind = _KIND_TOKENS.get(kind_tok.lower())
+        if kind is None:
+            issues.append(ParseIssue(line_no, f"unknown kind {kind_tok!r}"))
+            continue
+        try:
+            ts = parse_timestamp(ts_tok)
+        except ValueError:
+            issues.append(ParseIssue(line_no, f"bad timestamp {ts_tok!r}"))
+            continue
+        events.append(InteractionEvent(user_id, job_id, kind, ts, query_id or None))
+    return events, issues
+
+
+def reference_window_filter(events, reference_date, window_days=180):
+    horizon = timedelta(days=window_days)
+    return [e for e in events if reference_date - e.timestamp < horizon]
+
+
+def reference_resolve_jobs(events, jobs):
+    kept = [e for e in events if e.job_id in jobs]
+    return kept, len(events) - len(kept)
+
+
+def reference_dedupe(events: Iterable[InteractionEvent]) -> list[DedupedSignal]:
+    """``dedupe`` over a dict of records, as it was before the event log."""
+    best: dict[tuple[str, str, str], InteractionEvent] = {}
+    queries: dict[tuple[str, str, str], set[str]] = {}
+    for event in events:
+        key = (event.user_id, event.job_id, event.kind.value)
+        prev = best.get(key)
+        if prev is None or event.timestamp > prev.timestamp:
+            best[key] = event
+        if event.query_id and event.kind is SignalKind.CLICK:
+            queries.setdefault(key, set()).add(event.query_id)
+    return [
+        DedupedSignal(best[key].user_id, best[key].job_id, best[key].kind, best[key].timestamp,
+                      frozenset(queries.get(key, ())))
+        for key in sorted(best)
+    ]
+
+
+def reference_holdout_split(events, fraction, seed=0):
+    """``holdout_split`` one user at a time, holding out list positions."""
+    by_user: dict[str, list[int]] = {}
+    for i, e in enumerate(events):
+        if e.kind is SignalKind.APPLY:
+            by_user.setdefault(e.user_id, []).append(i)
+    held: set[int] = set()
+    for positions in by_user.values():
+        h = math.floor(len(positions) * fraction)
+        if h == 0:
+            continue
+
+        def order(i: int) -> tuple:
+            e = events[i]
+            tag = f"{seed}|{e.user_id}|{e.job_id}|{format_timestamp(e.timestamp)}"
+            return (e.timestamp, zlib.crc32(tag.encode()), e.job_id)
+
+        held.update(sorted(positions, key=order, reverse=True)[:h])
+    train = [e for i, e in enumerate(events) if i not in held]
+    test = [e for i, e in enumerate(events) if i in held]
+    return train, test
+
+
+def reference_cf_index(events: Iterable[InteractionEvent]) -> CfIndex:
+    """``build_cf_index`` over a dict of the latest applies."""
+    latest: dict[tuple[str, str], datetime] = {}
+    for e in events:
+        if e.kind is not SignalKind.APPLY:
+            continue
+        key = (e.user_id, e.job_id)
+        if key not in latest or e.timestamp > latest[key]:
+            latest[key] = e.timestamp
+    appliers_of: dict[str, list[tuple[datetime, str]]] = {}
+    applied_by: dict[str, list[tuple[str, datetime]]] = {}
+    for (u, j), stamp in latest.items():
+        appliers_of.setdefault(j, []).append((stamp, u))
+        applied_by.setdefault(u, []).append((j, stamp))
+    for entries in appliers_of.values():
+        entries.sort(key=lambda p: (-p[0].timestamp(), p[1]))
+    return CfIndex(appliers_of, applied_by)
+
+
+def reference_build_matrix(signals: Iterable[DedupedSignal]) -> RatingsMatrix:
+    """``mf.build_matrix`` over a dict of cells."""
+    values: dict[tuple[str, str], float] = {}
+    clicks: list[tuple[str, str]] = []
+    for s in signals:
+        key = (s.user_id, s.job_id)
+        if s.kind is SignalKind.APPLY:
+            values[key] = 1.0
+        elif s.kind is SignalKind.EMAIL_OPEN_NO_CLICK:
+            if values.get(key) != 1.0:
+                values[key] = -1.0
+        else:
+            clicks.append(key)
+    user_ids = sorted({u for u, _ in values})
+    job_ids = sorted({j for _, j in values})
+    user_index = {u: i for i, u in enumerate(user_ids)}
+    job_index = {j: i for i, j in enumerate(job_ids)}
+    entries = sorted((user_index[u], job_index[j], v) for (u, j), v in values.items())
+    implicit: dict[int, set[int]] = {}
+    for u, j in clicks:
+        if u in user_index and j in job_index:
+            implicit.setdefault(user_index[u], set()).add(job_index[j])
+    return RatingsMatrix(user_ids, job_ids, entries, {u: tuple(sorted(js)) for u, js in implicit.items()})
+
+
+def reference_build_profiles(
+    signals: Sequence[DedupedSignal], users: Mapping[str, UserRecord], taxonomy: Iterable[str]
+) -> dict[str, UserProfile]:
+    """``build_profiles`` over signal records."""
+    tax = set(taxonomy)
+    interactions: dict[str, list[DedupedSignal]] = {}
+    for s in signals:
+        interactions.setdefault(s.user_id, []).append(s)
+    profiles = {}
+    for user_id in sorted(set(interactions) | set(users)):
+        record = users.get(user_id)
+        category = record.resume_category if record else None
+        profiles[user_id] = UserProfile(
+            user_id,
+            tuple(interactions.get(user_id, ())),
+            category if category in tax else None,
+            record.location if record else None,
+        )
+    return profiles
 
 
 def random_digraph(rng: random.Random, max_nodes: int = 12, *, edge_prob=0.3, negatives=True):

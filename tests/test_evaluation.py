@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import REF, co_maps, co_pairs, content_pairs, embed_sim, ev
+from helpers import REF, co_maps, co_pairs, content_pairs, embed_sim, ev, event_records
 from jobgraph import evaluation
 from jobgraph.evaluation import (
     EDGE_TYPES,
@@ -324,17 +324,17 @@ def test_holdout_keeps_latest_applies():
         ev("u1", "c", age_days=20),
         ev("u1", "d", age_days=10),
     ]
-    train, test = holdout_split(events, 0.5)
+    train, test = map(event_records, holdout_split(events, 0.5))
     assert sorted(e.job_id for e in test) == ["c", "d"]
     assert sorted(e.job_id for e in train) == ["a", "b"]
 
 
 def test_holdout_floor_rounds_down():
     events = [ev("u1", j, age_days=d) for j, d in [("a", 3), ("b", 2), ("c", 1)]]
-    train, test = holdout_split(events, 0.5)
+    train, test = map(event_records, holdout_split(events, 0.5))
     assert [e.job_id for e in test] == ["c"]
     single = [ev("u1", "a")]
-    train, test = holdout_split(single, 0.3)
+    train, test = map(event_records, holdout_split(single, 0.3))
     assert test == [] and train == single
 
 
@@ -345,7 +345,7 @@ def test_holdout_non_applies_always_stay_in_train():
         ev("u1", "c", SignalKind.CLICK, age_days=0.5),
         ev("u1", "d", SignalKind.EMAIL_OPEN_NO_CLICK, age_days=0.1),
     ]
-    train, test = holdout_split(events, 0.5)
+    train, test = map(event_records, holdout_split(events, 0.5))
     assert [e.job_id for e in test] == ["b"]
     assert {e.job_id for e in train} == {"a", "c", "d"}
 
@@ -361,11 +361,10 @@ def test_holdout_partitions_apply_events_exactly():
         )
         for _ in range(300)
     ]
-    train, test = holdout_split(events, 0.4, seed=7)
-    assert len(train) + len(test) == len(events)
-    ids = {id(e) for e in events}
-    assert {id(e) for e in train} | {id(e) for e in test} == ids
-    assert not {id(e) for e in train} & {id(e) for e in test}
+    train, test = map(event_records, holdout_split(events, 0.4, seed=7))
+    assert len(train) + len(test) == len(events) == len(set(events))
+    assert set(train) | set(test) == set(events)
+    assert not set(train) & set(test)
     assert all(e.kind is SignalKind.APPLY for e in test)
 
     applies_per_user = {}
@@ -395,14 +394,21 @@ def test_holdout_deterministic_and_order_independent():
         ev(f"u{rng.randint(0, 3)}", f"j{rng.randint(0, 5)}", age_days=rng.choice([1, 2, 3]))
         for _ in range(60)
     ]
-    _, test_a = holdout_split(events, 0.5, seed=3)
-    _, test_b = holdout_split(events, 0.5, seed=3)
-    assert [id(e) for e in test_a] == [id(e) for e in test_b]
+    test_a = event_records(holdout_split(events, 0.5, seed=3)[1])
+    test_b = event_records(holdout_split(events, 0.5, seed=3)[1])
+    assert test_a == test_b
     shuffled = events[:]
     rng.shuffle(shuffled)
-    _, test_c = holdout_split(shuffled, 0.5, seed=3)
+    test_c = event_records(holdout_split(shuffled, 0.5, seed=3)[1])
     key = lambda e: (e.user_id, e.job_id, e.timestamp)
     assert sorted(map(key, test_a)) == sorted(map(key, test_c))
+
+
+def test_holdout_holds_one_of_a_record_listed_twice():
+    e = ev("u1", "a")
+    for events in ([e, e], [e, ev("u1", "a")]):
+        train, test = holdout_split(events, 0.5)
+        assert (event_records(train), event_records(test)) == ([e], [e])
 
 
 def test_holdout_fraction_validation():
@@ -411,7 +417,7 @@ def test_holdout_fraction_validation():
     with pytest.raises(ValueError):
         holdout_split([], -0.1)
     train, test = holdout_split([ev("u", "a")], 0.0)
-    assert test == []
+    assert event_records(test) == []
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +476,8 @@ def test_corpus_files_round_trip_fields_that_need_quoting(tmp_path):
     paths = write_corpus(corpus, tmp_path)
     assert parse_jobs(paths["jobs"].read_text().splitlines()) == (jobs, [])
     assert parse_users(paths["users"].read_text().splitlines()) == (users, [])
-    assert parse_events(paths["events"].read_text().splitlines()) == (events, [])
+    log, issues = parse_events(paths["events"].read_text().splitlines())
+    assert (event_records(log), issues) == (events, [])
 
 
 @pytest.mark.parametrize(

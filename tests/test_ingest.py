@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import REF, ev, make_job, reference_parse_embeddings, ts
+from helpers import REF, ev, event_records, make_job, reference_parse_embeddings, signal_records, ts
 from jobgraph import ingest
 from jobgraph.ingest import (
     InteractionEvent,
@@ -40,6 +40,13 @@ def test_parse_timestamp_variants():
     assert z.tzinfo == timezone.utc
 
 
+def test_an_offset_past_the_year_range_is_a_bad_timestamp():
+    with pytest.raises(ValueError, match="out of range"):
+        parse_timestamp("0001-01-01T00:30:00+01:00")
+    log, issues = parse_events(["u1,j1,apply,0001-01-01T00:30:00+01:00", "u1,j1,apply,9999-12-31T23:00:00-02:00"])
+    assert len(log) == 0 and [i.line_no for i in issues] == [1, 2]
+
+
 def test_format_timestamp_round_trip():
     stamp = ts(17.25, 42)
     assert parse_timestamp(format_timestamp(stamp)) == stamp
@@ -56,7 +63,8 @@ def test_parse_events_five_and_four_fields():
         "u1,j2,click,2017-05-02T12:00:00Z,",
         "u2,j1,email_open_no_click,2017-05-03T08:30:00Z",
     ]
-    events, issues = parse_events(lines)
+    log, issues = parse_events(lines)
+    events = event_records(log)
     assert not issues
     assert [e.kind for e in events] == [
         SignalKind.APPLY,
@@ -117,7 +125,7 @@ def test_event_round_trip_is_fixed_point(tmp_path):
         write_events(events, fh)
     reparsed, issues = parse_events(path.read_text().splitlines())
     assert not issues
-    assert reparsed == events
+    assert event_records(reparsed) == events
 
 
 @pytest.mark.parametrize(
@@ -161,6 +169,14 @@ def test_parse_users():
     assert users["u2"].location is None
     assert not users["u2"].registered
     assert len(issues) == 1
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_non_finite_coordinates_are_rejected(token):
+    jobs, job_issues = parse_jobs([f"j1,Nurse,health,{token},1.0,2017-04-01T00:00:00Z,active"])
+    users, user_issues = parse_users([f"u1,health,1.0,{token},true"])
+    assert not jobs and job_issues == [ParseIssue(1, "non-finite coordinate")]
+    assert not users and user_issues == [ParseIssue(1, "bad coordinates")]
 
 
 def test_parse_embeddings_rejects_bad_vectors():
@@ -268,7 +284,7 @@ def test_window_boundary_is_strict():
     boundary = ev("u", "c", age_days=180.0)
     outside = ev("u", "d", age_days=181.0)
     future = ev("u", "e", age_days=-1.0)
-    kept = window_filter([inside, just_inside, boundary, outside, future], REF, 180)
+    kept = event_records(window_filter([inside, just_inside, boundary, outside, future], REF, 180))
     assert [e.job_id for e in kept] == ["a", "b", "e"]
 
 
@@ -280,7 +296,7 @@ def test_window_filter_rejects_bad_window():
 def test_window_filter_matches_comprehension_oracle():
     rng = random.Random(9)
     events = [ev(f"u{i}", f"j{i}", age_days=rng.uniform(-10, 400)) for i in range(300)]
-    kept = window_filter(events, REF, 180)
+    kept = event_records(window_filter(events, REF, 180))
     expected = [e for e in events if (REF - e.timestamp) < timedelta(days=180)]
     assert kept == expected
 
@@ -294,7 +310,7 @@ def test_resolve_jobs_drops_unknown():
     events = [ev("u1", "j1"), ev("u1", "ghost"), ev("u2", "j1")]
     kept, dropped = resolve_jobs(events, jobs)
     assert dropped == 1
-    assert [e.job_id for e in kept] == ["j1", "j1"]
+    assert [e.job_id for e in event_records(kept)] == ["j1", "j1"]
 
 
 def test_dedupe_keeps_latest_and_unions_queries():
@@ -305,7 +321,7 @@ def test_dedupe_keeps_latest_and_unions_queries():
         ev("u1", "j1", SignalKind.APPLY, 4.0),
         ev("u1", "j1", SignalKind.APPLY, 7.0),
     ]
-    out = dedupe(events)
+    out = signal_records(dedupe(events))
     assert len(out) == 2
     by_kind = {s.kind: s for s in out}
     assert by_kind[SignalKind.CLICK].timestamp == ts(2.0)
@@ -327,7 +343,7 @@ def test_dedupe_matches_brute_force_oracle():
         )
         for _ in range(400)
     ]
-    out = dedupe(events)
+    out = signal_records(dedupe(events))
     expected = {}
     for e in events:
         key = (e.user_id, e.job_id, e.kind)
@@ -357,4 +373,4 @@ def test_dedupe_is_order_invariant(order):
         )
         for _ in range(12)
     ]
-    assert dedupe([base[i] for i in order]) == dedupe(base)
+    assert signal_records(dedupe([base[i] for i in order])) == signal_records(dedupe(base))

@@ -11,6 +11,7 @@ from helpers import (
     ev,
     reference_als_train,
     reference_recommend_mf,
+    signal_records,
 )
 from jobgraph.ingest import SignalKind, dedupe
 from jobgraph.mf import (
@@ -27,7 +28,7 @@ from jobgraph.mf import (
 
 
 def signals(*events):
-    return dedupe(list(events))
+    return signal_records(dedupe(list(events)))
 
 
 def entry_map(matrix):
@@ -117,8 +118,8 @@ def test_build_matrix_matches_dict_oracle_on_random_streams():
             )
             for _ in range(rng.randint(1, 60))
         ]
-        deduped = dedupe(stream)
-        matrix = build_matrix(deduped)
+        deduped = signal_records(dedupe(stream))
+        matrix = build_matrix(dedupe(stream))
         want = {}
         for s in deduped:
             if s.kind is SignalKind.APPLY:

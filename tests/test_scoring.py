@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from array import array
 from io import StringIO
 
 import numpy as np
@@ -35,6 +36,7 @@ from jobgraph.scoring import (
     EdgeScores,
     RecDigraph,
     aggregate,
+    build_digraph,
     content_edges,
     dump_digraph,
     load_digraph,
@@ -590,6 +592,30 @@ def test_aggregate_peak_memory_stays_near_its_digraph():
     assert peak < 2.25 * held
 
 
+def test_load_digraph_peak_memory_stays_near_its_digraph():
+    """The traced peak of ``load_digraph`` on 1,000 jobs (89,756 edges) is
+    1.52 times the bytes of the digraph's arrays; when it kept every parsed
+    block and concatenated them, and sorted and copied edges that were in
+    order already, it was 2.34 times."""
+    corpus = synth_corpus(10, 100, 300, 0.1, 0)
+    config = EngineConfig()
+    windowed = window_filter(corpus.events, corpus.reference_date, config.window_days)
+    signals = dedupe(resolve_jobs(windowed, corpus.jobs)[0])
+    built, _, _ = build_digraph(signals, corpus.jobs, corpus.embeddings, config)
+    buf = StringIO()
+    dump_digraph(built, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    tracemalloc.start()
+    try:
+        digraph = load_digraph(iter(lines), active_job_ids(corpus.jobs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digraph.num_edges == built.num_edges
+    held = digraph.scores.nbytes + digraph.dst.nbytes + digraph.indptr.nbytes
+    assert peak < 1.75 * held
+
+
 def test_load_digraph_rejects_an_empty_job_id():
     for rows, line_no in (
         ([",b,0.25,,,,,\n"], 1),
@@ -634,16 +660,17 @@ def test_block_check_agrees_with_the_row_check(rows):
     problems = [(line_no, problem) for line_no, row in block if (problem := scoring._row_problem(row))]
     if problems:
         with pytest.raises(ValueError) as raised:
-            scoring._parse_rows(block, {})
+            scoring._parse_rows(block, {}, array("q"), array("q"), array("d"))
         line_no, problem = problems[0]
         assert str(raised.value) == f"digraph line {line_no}: {problem}"
     else:
         index: dict[str, int] = {}
-        src, dst, scores = scoring._parse_rows(block, index)
+        src, dst, scores = array("q"), array("q"), array("d")
+        scoring._parse_rows(block, index, src, dst, scores)
         nodes = list(index)
         assert [[nodes[s], nodes[d]] for s, d in zip(src, dst)] == [row[:2] for row in rows]
         want = [[float(f) if f else math.nan for f in row[2:]] for row in rows]
-        assert np.array_equal(scores, np.array(want).reshape(-1, 6), equal_nan=True)
+        assert np.array_equal(np.frombuffer(scores).reshape(-1, 6), np.array(want).reshape(-1, 6), equal_nan=True)
 
 
 def test_pagerank_of_a_reloaded_dump_equals_the_built_digraph():
