@@ -6,6 +6,7 @@ are rejected so typos fail loudly instead of silently running defaults.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -33,7 +34,7 @@ class EngineConfig:
     k                  list length served to a user
     min_recs           threshold that triggers the next fallback strategy
                        (defaults to k when unset)
-    seed               seed for all randomized stages
+    seed               seed for all randomized stages; non-negative
     mf_k, mf_reg, mf_iterations, mf_implicit  factorization baseline;
                        mf_reg must be > 0, or rounding decides the factors
     """
@@ -86,6 +87,8 @@ class EngineConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.min_recs is not None and not 1 <= self.min_recs <= self.k:
             raise ConfigError(f"min_recs must lie in [1, k], got {self.min_recs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mf_k < 1 or self.mf_reg <= 0 or self.mf_iterations < 1:
             raise ConfigError("mf_k/mf_iterations must be >= 1 and mf_reg > 0")
 
@@ -157,12 +160,15 @@ def dump_config(config: EngineConfig) -> str:
 
 
 def config_hash(config: EngineConfig) -> str:
-    """Stable hash of the effective configuration, for build manifests."""
-    # imported here: hashlib loads OpenSSL, about 3.6 MB of every process
-    # that imports it, and only build hashes a config
-    import hashlib
+    """Stable hash of the effective configuration, for build manifests: the
+    CRC-32 of :func:`dump_config`, as 8 hex digits.
 
-    return hashlib.sha256(dump_config(config).encode()).hexdigest()
+    It tells two configs apart; it is no defence against a crafted one.
+    It replaced SHA-256 because ``hashlib`` loads OpenSSL, about 3.5 MB of
+    every process that imports it, while zlib is loaded in every process
+    already.
+    """
+    return f"{zlib.crc32(dump_config(config).encode()):08x}"
 
 
 DEFAULT_CONFIG_TEXT = """\
@@ -205,7 +211,7 @@ pagerank_epsilon = 1e-10
 k = 15
 min_recs = none
 
-# seed for all randomized stages
+# seed for all randomized stages; non-negative
 seed = 0
 
 # factorization baseline; mf_reg must be > 0

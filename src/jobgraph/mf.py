@@ -7,11 +7,16 @@ per-user/per-job biases are fit by exact regularized least squares over the
 observed entries only, alternating between the user side and the job side.
 An optional implicit-feedback term adds per-job vectors accumulated over
 each user's click history.
+
+The factors start from small uniform draws of the stdlib
+``random.Random(seed)`` (:func:`uniform_init`), not ``numpy.random``, which
+loads OpenSSL through ``secrets``.
 """
 
 from __future__ import annotations
 
 import logging
+import random
 from collections.abc import Callable, Set as AbstractSet
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -187,6 +192,14 @@ def _implicit_offsets(matrix: RatingsMatrix, Y: np.ndarray, k: int) -> np.ndarra
     return offsets
 
 
+def uniform_init(rng: random.Random, rows: int, k: int) -> np.ndarray:
+    """A ``rows`` x ``k`` array of draws in [-0.01, 0.01) from ``rng``: each
+    is the top 53 bits of a little-endian uint64 of ``rng.randbytes``,
+    scaled."""
+    bits = np.frombuffer(rng.randbytes(8 * rows * k), dtype="<u8")
+    return (-0.01 + 0.02 * ((bits >> 11) * 2.0**-53)).reshape(rows, k)
+
+
 def als_train(
     matrix: RatingsMatrix,
     k: int = 32,
@@ -208,11 +221,14 @@ def als_train(
         raise ValueError(f"k must be >= 1, got {k}")
     if reg < 0:
         raise ValueError(f"reg must be >= 0, got {reg}")
+    if seed < 0:
+        # random.Random would take -seed without a word
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     m, n = matrix.num_users, matrix.num_jobs
-    rng = np.random.default_rng(seed)
-    U = rng.uniform(-0.01, 0.01, size=(m, k))
-    J = rng.uniform(-0.01, 0.01, size=(n, k))
+    rng = random.Random(seed)
+    U = uniform_init(rng, m, k)
+    J = uniform_init(rng, n, k)
     b_u = np.zeros(m)
     b_j = np.zeros(n)
     Y = np.zeros((n, k))

@@ -600,6 +600,18 @@ def _solve_row(design: np.ndarray, target: np.ndarray, reg: float) -> np.ndarray
     return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
+def reference_uniform_init(rng: random.Random, rows: int, k: int) -> np.ndarray:
+    """ALS's initial factors, one value at a time: each 8-byte little-endian
+    word of ``rng.randbytes``, cut to its top 53 bits, is a fraction of
+    2**53 mapped onto [-0.01, 0.01)."""
+    raw = rng.randbytes(8 * rows * k)
+    values = []
+    for at in range(0, len(raw), 8):
+        word = int.from_bytes(raw[at : at + 8], "little")
+        values.append(-0.01 + 0.02 * ((word >> 11) / 2**53))
+    return np.array(values).reshape(rows, k)
+
+
 def reference_als_train(
     matrix: RatingsMatrix,
     k: int = 32,
@@ -616,11 +628,13 @@ def reference_als_train(
         raise ValueError(f"k must be >= 1, got {k}")
     if reg < 0:
         raise ValueError(f"reg must be >= 0, got {reg}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     m, n = matrix.num_users, matrix.num_jobs
-    rng = np.random.default_rng(seed)
-    U = rng.uniform(-0.01, 0.01, size=(m, k))
-    J = rng.uniform(-0.01, 0.01, size=(n, k))
+    rng = random.Random(seed)
+    U = reference_uniform_init(rng, m, k)
+    J = reference_uniform_init(rng, n, k)
     b_u = np.zeros(m)
     b_j = np.zeros(n)
     Y = np.zeros((n, k))

@@ -170,10 +170,12 @@ GOLDEN_DIGRAPH_SHA256 = "539b833e6438b5c561a659b1e696b3e127519e2c81514fed7377509
 # sha256 of that build's manifest.json and of the `evaluate --systems
 # graph,cf,mf --out` report on the same corpus, computed at commit 2ab414b,
 # before build and evaluate shared build_digraph. The manifest digest was
-# taken again when the config lost `pagerank_max_iters`: only its
-# `config_hash` changed.
-GOLDEN_MANIFEST_SHA256 = "3a96659221e89ac78c1f47174ae0f2d66318b34a7a00c12deb8c83cb02c757d1"
-GOLDEN_EVALUATE_SHA256 = "19cda8366e6fbcee7fa127607fc87dbc857b043e664881ce1841a374979f6c2c"
+# taken again when the config lost `pagerank_max_iters` and when
+# `config_hash` became a CRC-32: each time only its `config_hash` changed.
+# The report digest was taken again when ALS drew its init from
+# random.Random instead of numpy.random: only the mf row changed.
+GOLDEN_MANIFEST_SHA256 = "ed9a58adba4aa71b75fd131aec4ff38c628c03944e025a325c6415768a10e34f"
+GOLDEN_EVALUATE_SHA256 = "abe2bd5cff6c93dec6b765a4f269d06133b2befde8fb1457066cd37cd5d61c6c"
 
 
 def sha256_of(path):
@@ -653,6 +655,16 @@ def test_evaluate_seed_flag_overrides_the_config_seed(tmp_path, corpus_dir):
     assert reports["flag5"] == reports["conf5"]
 
 
+def test_negative_seed_is_config_error_before_the_inputs_are_read(tmp_path, corpus_dir):
+    conf = tmp_path / "negative.conf"
+    conf.write_text("seed = -3\n")
+    missing = tmp_path / "missing"  # an input problem would exit 1
+    assert evaluate_mf(missing, tmp_path / "report.json", "--config", str(conf)) == 2
+    assert evaluate_mf(missing, tmp_path / "report.json", "--seed", "-3") == 2
+    assert evaluate_mf(corpus_dir, tmp_path / "report.json", "--seed", "-3") == 2
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_zero_mf_reg_is_config_error(tmp_path, corpus_dir):
     conf = tmp_path / "noreg.conf"
     conf.write_text("mf_reg = 0\n")
@@ -812,31 +824,33 @@ def run_in_child(runs, modules):
     return codes, present
 
 
-def test_serving_and_synth_load_no_openssl(tmp_path):
-    """``serve-batch`` for an active, a resume-only and an unknown user,
-    ``recommend`` and ``synth`` in one child interpreter leave ``hashlib``,
-    OpenSSL's ``_hashlib`` and ``numpy.random`` (which loads OpenSSL through
-    ``secrets``) unimported: together about 3.6 MB of every serving
-    process. Only ``build`` hashes a config, and in its own child it still
-    writes the golden manifest. A numpy upgrade can import ``numpy.random``
-    from another call."""
+def test_no_command_loads_openssl_or_numpy_random(tmp_path):
+    """Each of the six commands, in its own child interpreter, leaves
+    ``hashlib``, OpenSSL's ``_hashlib`` and ``numpy.random`` (which loads
+    OpenSSL through ``secrets``) unimported: about 5.5 MB of a process.
+    ``serve-batch`` serves an active, a resume-only and an unknown user;
+    ``build`` still writes the golden manifest. A numpy upgrade can import
+    ``numpy.random`` from another call."""
     d = tmp_path
     paths = write_corpus(synth_corpus(4, 25, 200, 0.1, 0), d)
-    ref = ["--reference-date", REF_ARG]
-    corpus = corpus_flags(d)
-    build = ["build", *corpus, *ref, "--out-dir", str(d / "build")]
-    assert run_in_child([build], []) == ([0], [])
-    assert sha256_of(d / "build" / "manifest.json") == GOLDEN_MANIFEST_SHA256
     with paths["users"].open("a", encoding="utf-8") as fh:
         fh.write("resume_only,cat00,,,true\n")
     (d / "ids.txt").write_text("u00000\nresume_only\nstranger\n")
-    serving = [*corpus, "--users", str(paths["users"]), "--graph-dir", str(d / "build"), *ref]
-    runs = [
-        ["serve-batch", *serving, "--user-ids", str(d / "ids.txt"), "--out", str(d / "recs.csv")],
-        ["recommend", *serving, "--user-id", "u00000"],
-        ["synth", "--clusters", "2", "--jobs-per-cluster", "5", "--users", "10", "--out-dir", str(d / "synth")],
-    ]
+    ref = ["--reference-date", REF_ARG]
+    corpus = corpus_flags(d)
+    users = ["--users", str(paths["users"])]
+    serving = [*corpus, *users, "--graph-dir", str(d / "build"), *ref]
+    runs = {  # in order: recommend and serve-batch read the build
+        "build": ["build", *corpus, *ref, "--out-dir", str(d / "build")],
+        "recommend": ["recommend", *serving, "--user-id", "u00000"],
+        "serve-batch": ["serve-batch", *serving, "--user-ids", str(d / "ids.txt"), "--out", str(d / "recs.csv")],
+        "evaluate": ["evaluate", *corpus, *users, *ref, "--out", str(d / "report.json")],
+        "synth": ["synth", "--clusters", "2", "--jobs-per-cluster", "5", "--users", "10", "--out-dir", str(d / "synth")],
+        "init-config": ["init-config", "--out", str(d / "engine.conf")],
+    }
     modules = ["hashlib", "_hashlib", "numpy.random"]
-    assert run_in_child(runs, modules) == ([0] * len(runs), [])
+    loaded = {command: run_in_child([args], modules) for command, args in runs.items()}
+    assert loaded == {command: ([0], []) for command in runs}
+    assert sha256_of(d / "build" / "manifest.json") == GOLDEN_MANIFEST_SHA256
     served = {row.split(",")[0]: row.rsplit(",", 1)[1] for row in (d / "recs.csv").read_text().splitlines()}
     assert served == {"u00000": "level1", "resume_only": "personalized_pagerank", "stranger": "global_pagerank"}

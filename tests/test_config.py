@@ -1,5 +1,6 @@
 """Configuration parsing, validation, canonical serialization, hashing."""
 
+import re
 from dataclasses import fields
 
 import pytest
@@ -98,6 +99,7 @@ def test_load_config_rejects_duplicate_keys():
         {"mf_reg": 0.0},  # unregularized ALS factors are decided by rounding
         {"similar_actives_per_expired": -1},
         {"pagerank_epsilon": 2.0},  # the first step's change is at most 2
+        {"seed": -3},  # random.Random would seed with 3
     ],
 )
 def test_out_of_range_values_rejected(kwargs):
@@ -125,5 +127,5 @@ def test_default_config_text_sets_every_field_once():
 def test_config_hash_is_stable_and_sensitive():
     base = config_hash(EngineConfig())
     assert base == config_hash(EngineConfig())
-    assert len(base) == 64
+    assert re.fullmatch("[0-9a-f]{8}", base)  # CRC-32 as 8 hex digits
     assert config_hash(EngineConfig(k=14)) != base

@@ -2,6 +2,7 @@
 and model persistence."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     ev,
     reference_als_train,
     reference_recommend_mf,
+    reference_uniform_init,
     signal_records,
 )
 from jobgraph.ingest import SignalKind, dedupe
@@ -23,6 +25,7 @@ from jobgraph.mf import (
     predict_biased,
     predict_implicit,
     recommend_mf,
+    uniform_init,
     _solve_batch,
 )
 
@@ -206,6 +209,22 @@ def test_als_input_validation():
         als_train(ok, k=0)
     with pytest.raises(ValueError):
         als_train(ok, reg=-0.5)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        als_train(ok, seed=-3)
+
+
+def test_uniform_init_is_seeded_and_lies_in_its_range():
+    a = uniform_init(random.Random(11), 40, 5)
+    assert a.shape == (40, 5) and a.dtype == np.float64
+    assert np.all((-0.01 <= a) & (a < 0.01))
+    assert np.array_equal(a, uniform_init(random.Random(11), 40, 5))
+    assert np.array_equal(a, reference_uniform_init(random.Random(11), 40, 5))
+    assert not np.any(a == uniform_init(random.Random(12), 40, 5))
+    # the end points: all-zero bits give the low end, all-one bits stay below the high
+    zeros = SimpleNamespace(randbytes=bytes)
+    assert uniform_init(zeros, 2, 3).tolist() == [[-0.01] * 3] * 2
+    ones = SimpleNamespace(randbytes=lambda n: b"\xff" * n)
+    assert 0.0099 < uniform_init(ones, 1, 1)[0, 0] < 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +329,9 @@ def test_als_jobs_without_entries_keep_their_seeded_init():
     matrix = RatingsMatrix(["a", "b", "c"], ["j0", "j1", "j2", "j3", "j4"], entries)
     got, want = both_trainings(matrix, k=2, reg=0.1, iterations=3, seed=5)
     assert_same_training(got, want)
-    init = np.random.default_rng(5)
-    init.uniform(-0.01, 0.01, size=(3, 2))
-    job_init = init.uniform(-0.01, 0.01, size=(5, 2))
+    init = random.Random(5)
+    reference_uniform_init(init, 3, 2)
+    job_init = reference_uniform_init(init, 5, 2)
     for j in (1, 3):
         assert np.array_equal(got.job_factors[j], job_init[j])
         assert got.job_bias[j] == 0.0

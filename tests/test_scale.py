@@ -17,7 +17,7 @@ from jobgraph import cli
 
 REF_ARG = "2017-06-01T00:00:00Z"
 M_DIGRAPH_SHA256 = "b56481cdfeefda347be73ea6771f960babe96b2ce0a8e1cc3813d2160d6d4e45"
-M_MANIFEST_SHA256 = "f0252e610327e010ba15fa34e1a210ba39dbdb9dd6c3a4cd0eff1dc8647c7ffd"
+M_MANIFEST_SHA256 = "f030e47e10b21057a750bd13e5d4971a037261fab383a926a36f232df37492ba"
 # the serve-batch --out file and stdout
 M_SERVE_SHA256 = {
     "out": "606995501f8f099edbf8845317df75be160dc060cf5c8509324962097da52405",
@@ -25,8 +25,8 @@ M_SERVE_SHA256 = {
 }
 # the evaluate --out report and stdout
 M_EVALUATE_SHA256 = {
-    "out": "d61d3d4ff718e64d318cc3a678df438dae94007cbbe3cbf68ec4785ea89d1008",
-    "stdout": "ac08713baa7899564c60ca6eb74341a5c377139fcd8c1128ca5ae6a2b8cf7b55",
+    "out": "22d9d45dc155730ac9353d568d75e098d82775b1a7848a506716f4d9cdc3b63a",
+    "stdout": "44a210933cda1f4277e1ad0728b2f7e8261c7a1b3faed77c9ba7b2245a26f80f",
 }
 
 
