@@ -263,6 +263,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise CliError(EXIT_CONFIG, f"seed must be >= 0, got {args.seed}")
     reference_date = (
         _parse_reference_date(args.reference_date)
         if args.reference_date

@@ -36,6 +36,8 @@ from .ingest import (
     active_job_ids,
     as_event_log,
     dedupe,
+    elapsed_days,
+    epoch_us,
     format_timestamp,
     resolve_jobs,
     utc_datetime,
@@ -124,11 +126,11 @@ class CfIndex:
 
     ``appliers_of`` lists each job's distinct appliers newest-first;
     ``applied_by`` maps a user to their distinct applied jobs with the
-    latest apply timestamp of each.
+    latest apply time of each. Times are epoch microseconds.
     """
 
-    appliers_of: dict[str, list[tuple[datetime, str]]]
-    applied_by: dict[str, list[tuple[str, datetime]]]
+    appliers_of: dict[str, list[tuple[int, str]]]
+    applied_by: dict[str, list[tuple[str, int]]]
 
 
 def build_cf_index(events: EventLog | Iterable[InteractionEvent]) -> CfIndex:
@@ -142,14 +144,14 @@ def build_cf_index(events: EventLog | Iterable[InteractionEvent]) -> CfIndex:
     latest = np.maximum.reduceat(log.time[rows[order]], heads) if len(heads) else heads
     first = np.argsort(order[heads])  # the cells in order of first apply
     cells = rows[order[heads]][first]
-    appliers_of: dict[str, list[tuple[datetime, str]]] = {}
-    applied_by: dict[str, list[tuple[str, datetime]]] = {}
+    appliers_of: dict[str, list[tuple[int, str]]] = {}
+    applied_by: dict[str, list[tuple[str, int]]] = {}
     for u, j, t in zip(log.user[cells].tolist(), log.job[cells].tolist(), latest[first].tolist()):
-        user_id, job_id, ts = log.users[u], log.jobs[j], utc_datetime(t)
-        appliers_of.setdefault(job_id, []).append((ts, user_id))
-        applied_by.setdefault(user_id, []).append((job_id, ts))
+        user_id, job_id = log.users[u], log.jobs[j]
+        appliers_of.setdefault(job_id, []).append((t, user_id))
+        applied_by.setdefault(user_id, []).append((job_id, t))
     for entries in appliers_of.values():
-        entries.sort(key=lambda p: (-p[0].timestamp(), p[1]))
+        entries.sort(key=lambda p: (-p[0], p[1]))
     return CfIndex(appliers_of, applied_by)
 
 
@@ -194,14 +196,14 @@ def cf_recommend(
             if taken >= window_applicants:
                 break
 
+    now = epoch_us(reference_date)
     scores: dict[str, float] = {}
     # sorted: a set's order, and so the float sums, follow the string hash seed
     for other in sorted(neighbors):
-        for job_id, ts in index.applied_by.get(other, ()):
+        for job_id, t in index.applied_by.get(other, ()):
             if job_id in banned or (allowed is not None and job_id not in allowed):
                 continue
-            age = max((reference_date - ts).total_seconds() / 86400.0, 0.0)
-            scores[job_id] = scores.get(job_id, 0.0) + math.exp(-decay * age)
+            scores[job_id] = scores.get(job_id, 0.0) + math.exp(-decay * elapsed_days(now, t))
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:k]
 
@@ -301,10 +303,12 @@ def synth_corpus(
     are per-cluster basis centroids plus small jitter, so within-cluster
     cosine similarity is near 1 and cross-cluster near 0. A ``cold``
     subset of active jobs per cluster receives no interactions at all.
-    Fully deterministic under ``seed``; timestamps are whole seconds.
+    Fully deterministic under a non-negative ``seed``; timestamps are whole seconds.
     """
     if num_clusters < 1 or jobs_per_cluster < 1 or users < 0:
         raise ValueError("num_clusters, jobs_per_cluster must be >= 1, users >= 0")
+    if seed < 0:  # random.Random would take -3 as 3
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 <= noise < 1.0:
         raise ValueError(f"noise must lie in [0, 1), got {noise}")
     if not 0.0 <= expired_fraction < 1.0 or not 0.0 <= cold_fraction < 1.0:
@@ -601,7 +605,7 @@ def evaluate_systems(
             elif name == "mf" and model is not None and user_id in model.user_index:
                 clicks = None
                 if config.mf_implicit:  # the clicks als_train fit the implicit term over
-                    clicks = sorted({i.job_id for i in profile.interactions if i.kind is SignalKind.CLICK})
+                    clicks = [matrix.job_ids[j] for j in matrix.implicit.get(model.user_index[user_id], ())]
                 ranked = [
                     j
                     for j, _ in recommend_mf(

@@ -95,8 +95,8 @@ class DedupedSignal(NamedTuple):
     ``timestamp`` is the latest observed occurrence. For clicks,
     ``query_ids`` carries every non-empty query id seen across the merged
     click events so query-scoped co-click grouping survives deduplication.
-    A named tuple, not a frozen dataclass: ``build_profiles`` makes one per
-    signal, and a tuple is made in half the time.
+    The pipeline holds signals as an :class:`EventLog`; a record list enters
+    it through :meth:`EventLog.from_records`.
     """
 
     user_id: str
@@ -129,6 +129,12 @@ _MICROSECOND = timedelta(microseconds=1)
 def epoch_us(ts: datetime) -> int:
     """An aware datetime as integer microseconds since the Unix epoch."""
     return (ts - _EPOCH) // _MICROSECOND
+
+
+def elapsed_days(now_us: int, us: int) -> float:
+    """Days from epoch microseconds ``us`` to ``now_us``, 0 for a later ``us``: the float
+    ``max((now - ts).total_seconds() / 86400.0, 0.0)``, whose seconds are also int µs / 10**6."""
+    return max((now_us - us) / 10**6 / 86400.0, 0.0)
 
 
 def utc_datetime(us: int) -> datetime:

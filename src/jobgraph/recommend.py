@@ -23,7 +23,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import EngineConfig
-from .ingest import DedupedSignal, EventLog, JobRecord, SignalKind, UserRecord, as_event_log, utc_datetime
+from .ingest import DedupedSignal, EventLog, JobRecord, SignalKind, UserRecord
+from .ingest import _run_heads, _run_tails, as_event_log, elapsed_days, epoch_us
 from .scoring import RecDigraph, Walk
 
 logger = logging.getLogger(__name__)
@@ -48,20 +49,21 @@ class Provenance(Enum):
 
 @dataclass(frozen=True)
 class UserProfile:
-    """A user's windowed, deduped signals plus resume category and location."""
+    """A user's windowed signals reduced per job, plus resume category and location.
+
+    ``engaged`` is (job_id, epoch microseconds of the latest apply or click) for each job
+    applied to or clicked; ``seen`` is every job of any signal kind. Both are in job-id order.
+    """
 
     user_id: str
-    interactions: tuple[DedupedSignal, ...] = ()
+    engaged: tuple[tuple[str, int], ...] = ()
+    seen: tuple[str, ...] = ()
     resume_category: str | None = None
     location: tuple[float, float] | None = None
 
     def engaged_jobs(self) -> set[str]:
         """Jobs the user applied to or clicked (their interaction history)."""
-        return {
-            i.job_id
-            for i in self.interactions
-            if i.kind in (SignalKind.APPLY, SignalKind.CLICK)
-        }
+        return {job_id for job_id, _ in self.engaged}
 
 
 @dataclass(frozen=True)
@@ -99,27 +101,25 @@ def build_profiles(
     log = as_event_log(signals)
     users = users or {}
     tax = set(taxonomy) if taxonomy is not None else None
-    query_ids: dict[int, set[str]] = {}
-    for row, q in zip(log.query_row.tolist(), log.query.tolist()):
-        query_ids.setdefault(row, set()).add(log.queries[q])
-    queries = [frozenset()] * len(log)  # one shared empty set
-    for row, ids in query_ids.items():
-        queries[row] = frozenset(ids)
-    # one record per row, its fields mapped column by column
-    user_ids = list(map(log.users.__getitem__, log.user.tolist()))
-    records = map(
-        DedupedSignal,
-        user_ids,
-        map(log.jobs.__getitem__, log.job.tolist()),
-        map(list(SignalKind).__getitem__, log.kind.tolist()),
-        map(utc_datetime, log.time.tolist()),
-        queries,
-    )
-    interactions: dict[str, list[DedupedSignal]] = {}
-    for user_id, record in zip(user_ids, records):
-        interactions.setdefault(user_id, []).append(record)
+    # each (user, job) cell's rows, ignored emails first and the applies and
+    # clicks by time: the cell's last row holds its latest engagement, if any
+    is_engaged = log.kind != SignalKind.EMAIL_OPEN_NO_CLICK.code
+    key = log.user * len(log.jobs) + log.job
+    order = np.lexsort((log.time, is_engaged, key))
+    rows = order[_run_tails(key[order])]
+    user = log.user[rows].tolist()
+    job_ids = list(map(log.jobs.__getitem__, log.job[rows].tolist()))
+    times, flags = log.time[rows].tolist(), is_engaged[rows].tolist()
+    bounds = np.flatnonzero(_run_heads(log.user[rows])).tolist() + [len(rows)]
+    reduced: dict[str, tuple[tuple[tuple[str, int], ...], tuple[str, ...]]] = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        seen = job_ids[lo:hi]
+        reduced[log.users[user[lo]]] = (
+            tuple(itertools.compress(zip(seen, times[lo:hi]), flags[lo:hi])),
+            tuple(seen),
+        )
     profiles: dict[str, UserProfile] = {}
-    for user_id in sorted(set(interactions) | set(users)):
+    for user_id in sorted(set(reduced) | set(users)):
         record = users.get(user_id)
         category = record.resume_category if record else None
         if category is not None and tax is not None and category not in tax:
@@ -128,10 +128,7 @@ def build_profiles(
             )
             category = None
         profiles[user_id] = UserProfile(
-            user_id,
-            tuple(interactions.get(user_id, ())),
-            category,
-            record.location if record else None,
+            user_id, *reduced.get(user_id, ((), ())), category, record.location if record else None
         )
     return profiles
 
@@ -139,7 +136,7 @@ def build_profiles(
 def classify_user(profile: UserProfile) -> UserType:
     """Type 1 / 2 / 3 classification; ignored-email signals do not make a
     user active."""
-    if any(i.kind in (SignalKind.APPLY, SignalKind.CLICK) for i in profile.interactions):
+    if profile.engaged:
         return UserType.ACTIVE
     if profile.resume_category is not None:
         return UserType.PASSIVE_OR_NEW_WITH_PROFILE
@@ -158,14 +155,8 @@ def sources_with_activity(
 ) -> list[tuple[str, float]]:
     """The user's applied/clicked jobs, each weighted by the recency of the
     most recent interaction with it. Sorted by job_id."""
-    best_age: dict[str, float] = {}
-    for i in profile.interactions:
-        if i.kind not in (SignalKind.APPLY, SignalKind.CLICK):
-            continue
-        age = max((reference_date - i.timestamp).total_seconds() / 86400.0, 0.0)
-        if i.job_id not in best_age or age < best_age[i.job_id]:
-            best_age[i.job_id] = age
-    return [(job_id, activity_score(age, decay)) for job_id, age in sorted(best_age.items())]
+    now = epoch_us(reference_date)
+    return [(job_id, activity_score(elapsed_days(now, t), decay)) for job_id, t in profile.engaged]
 
 
 def _top_k(candidates: Mapping[str, float], k: int) -> list[tuple[str, float]]:
@@ -366,13 +357,9 @@ def preference_vector(
     """
     prefs: set[str] = set()
 
-    expired_history = sorted(
-        {
-            i.job_id
-            for i in profile.interactions
-            if i.job_id in jobs and not jobs[i.job_id].is_active and i.job_id in embeddings
-        }
-    )
+    expired_history = [
+        j for j in profile.seen if j in jobs and not jobs[j].is_active and j in embeddings
+    ]
     embeddable: list[str] = []
     if expired_history:  # only then are the active jobs sorted
         embeddable = sorted(j for j, rec in jobs.items() if rec.is_active and j in embeddings)

@@ -23,6 +23,7 @@ from jobgraph.ingest import (
     SignalKind,
     UserRecord,
     _csv_rows,
+    epoch_us,
     format_timestamp,
     parse_timestamp,
     utc_datetime,
@@ -208,20 +209,20 @@ def reference_holdout_split(events, fraction, seed=0):
 
 def reference_cf_index(events: Iterable[InteractionEvent]) -> CfIndex:
     """``build_cf_index`` over a dict of the latest applies."""
-    latest: dict[tuple[str, str], datetime] = {}
+    latest: dict[tuple[str, str], int] = {}
     for e in events:
         if e.kind is not SignalKind.APPLY:
             continue
-        key = (e.user_id, e.job_id)
-        if key not in latest or e.timestamp > latest[key]:
-            latest[key] = e.timestamp
-    appliers_of: dict[str, list[tuple[datetime, str]]] = {}
-    applied_by: dict[str, list[tuple[str, datetime]]] = {}
+        key, stamp = (e.user_id, e.job_id), epoch_us(e.timestamp)
+        if key not in latest or stamp > latest[key]:
+            latest[key] = stamp
+    appliers_of: dict[str, list[tuple[int, str]]] = {}
+    applied_by: dict[str, list[tuple[str, int]]] = {}
     for (u, j), stamp in latest.items():
         appliers_of.setdefault(j, []).append((stamp, u))
         applied_by.setdefault(u, []).append((j, stamp))
     for entries in appliers_of.values():
-        entries.sort(key=lambda p: (-p[0].timestamp(), p[1]))
+        entries.sort(key=lambda p: (-p[0], p[1]))
     return CfIndex(appliers_of, applied_by)
 
 
@@ -253,18 +254,26 @@ def reference_build_matrix(signals: Iterable[DedupedSignal]) -> RatingsMatrix:
 def reference_build_profiles(
     signals: Sequence[DedupedSignal], users: Mapping[str, UserRecord], taxonomy: Iterable[str]
 ) -> dict[str, UserProfile]:
-    """``build_profiles`` over signal records."""
+    """``build_profiles`` over signal records: each user's latest apply or
+    click per job, and every job of any signal kind."""
     tax = set(taxonomy)
-    interactions: dict[str, list[DedupedSignal]] = {}
+    engaged: dict[str, dict[str, datetime]] = {}
+    seen: dict[str, set[str]] = {}
     for s in signals:
-        interactions.setdefault(s.user_id, []).append(s)
+        seen.setdefault(s.user_id, set()).add(s.job_id)
+        latest = engaged.setdefault(s.user_id, {})
+        if s.kind is not SignalKind.EMAIL_OPEN_NO_CLICK and (
+            s.job_id not in latest or s.timestamp > latest[s.job_id]
+        ):
+            latest[s.job_id] = s.timestamp
     profiles = {}
-    for user_id in sorted(set(interactions) | set(users)):
+    for user_id in sorted(set(seen) | set(users)):
         record = users.get(user_id)
         category = record.resume_category if record else None
         profiles[user_id] = UserProfile(
             user_id,
-            tuple(interactions.get(user_id, ())),
+            tuple((job_id, epoch_us(stamp)) for job_id, stamp in sorted(engaged.get(user_id, {}).items())),
+            tuple(sorted(seen.get(user_id, ()))),
             category if category in tax else None,
             record.location if record else None,
         )

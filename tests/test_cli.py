@@ -99,6 +99,16 @@ def test_synth_rejects_bad_parameters(corpus_dir):
     assert rc == 1
 
 
+def test_synth_negative_seed_is_config_error_before_anything_is_written(tmp_path):
+    # random.Random takes -3 as 3, so the corpus would be that of --seed 3
+    with pytest.raises(ValueError, match="seed"):
+        synth_corpus(2, 5, 10, 0.1, -3)
+    out = tmp_path / "negative"
+    flags = ["--clusters", "2", "--jobs-per-cluster", "5", "--users", "10", "--seed", "-3"]
+    assert cli.main(["synth", *flags, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_manifest_content_pairs_is_the_length_of_the_content_pairs(graph_dir, corpus_dir):
     with (corpus_dir / "embeddings.txt").open(encoding="utf-8") as fh:
         embeddings, _ = parse_embeddings(fh)

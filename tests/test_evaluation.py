@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from jobgraph.evaluation import (
     write_corpus,
 )
 from jobgraph.ingest import (
+    InteractionEvent,
     JobRecord,
     JobStatus,
     SignalKind,
@@ -245,6 +246,20 @@ def test_classic_cf_applier_window_keeps_newest():
     assert [j for j, _ in recs] == ["from_new"]
 
 
+def test_classic_cf_applier_window_tells_one_microsecond_apart_in_year_3000():
+    # a float of seconds since the epoch cannot: its step is 2**-19 s past 2**33 s
+    t = datetime(3000, 1, 1, tzinfo=timezone.utc)
+    events = [
+        InteractionEvent("u1", "hub", SignalKind.APPLY, t - timedelta(days=1)),
+        InteractionEvent("ua", "hub", SignalKind.APPLY, t),
+        InteractionEvent("ub", "hub", SignalKind.APPLY, t + timedelta(microseconds=1)),
+        InteractionEvent("ua", "from_ua", SignalKind.APPLY, t),
+        InteractionEvent("ub", "from_ub", SignalKind.APPLY, t),
+    ]
+    recs = cf_recommend(build_cf_index(events), "u1", 5, REF, window_applicants=1)
+    assert [j for j, _ in recs] == ["from_ub"]
+
+
 CF_SCORES_SCRIPT = """
 from jobgraph.evaluation import DEFAULT_REFERENCE_DATE, build_cf_index, cf_recommend, synth_corpus
 index = build_cf_index(synth_corpus(3, 10, 60, 0.1, 3, events_per_user=12).events)
@@ -293,7 +308,7 @@ def test_classic_cf_matches_replay_oracle():
         for j in own:
             appliers = sorted(
                 ((t, u) for (u, jj), t in latest.items() if jj == j and u != user),
-                key=lambda p: (-p[0].timestamp(), p[1]),
+                key=lambda p: (REF - p[0], p[1]),  # newest first
             )
             neighbors.update(u for _, u in appliers[:window])
         want = {}

@@ -10,7 +10,7 @@ unknown jobs.
 
 import csv
 import io
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 from hypothesis import example, given
@@ -41,6 +41,7 @@ from jobgraph.ingest import (
     UserRecord,
     _epoch_us_block,
     dedupe,
+    elapsed_days,
     epoch_us,
     parse_events,
     parse_timestamp,
@@ -169,6 +170,19 @@ def test_plain_timestamps_read_as_a_block_match_parse_timestamp():
             assert i in rejected
         else:
             assert i not in rejected and times[i] == want
+
+
+utc_datetimes = st.datetimes(timezones=st.just(timezone.utc))  # years 1 to 9999, to the microsecond
+
+
+@given(utc_datetimes, utc_datetimes)
+@example(datetime(9999, 12, 31, 23, 59, 59, 999999, timezone.utc), datetime(1, 1, 1, tzinfo=timezone.utc))
+@example(datetime(3000, 1, 1, tzinfo=timezone.utc), datetime(2999, 12, 31, 23, 59, 59, 999999, timezone.utc))
+@example(REF, REF + timedelta(microseconds=1))
+@example(REF, REF - timedelta(seconds=1.5))
+def test_elapsed_days_is_the_timedelta_age_to_the_bit(reference_date, stamp):
+    want = max((reference_date - stamp).total_seconds() / 86400.0, 0.0)
+    assert elapsed_days(epoch_us(reference_date), epoch_us(stamp)) == want
 
 
 def test_window_filter_keeps_the_event_one_microsecond_inside():

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import REF, brute_force_levels, edge_map, embed_sim, ev, make_job, random_digraph, ts
 from jobgraph.config import ConfigError, EngineConfig
-from jobgraph.ingest import DedupedSignal, SignalKind, UserRecord, dedupe
+from jobgraph.ingest import DedupedSignal, SignalKind, UserRecord, dedupe, epoch_us
 from jobgraph.recommend import (
     Provenance,
     UserProfile,
@@ -31,12 +31,10 @@ from jobgraph.recommend import (
 from jobgraph.scoring import RecDigraph, dump_digraph, load_digraph
 
 
-def interactions(user_id, *triples):
-    return tuple(DedupedSignal(user_id, job, kind, ts(age)) for job, kind, age in triples)
-
-
 def profile(user_id="u1", triples=(), category=None, location=None):
-    return UserProfile(user_id, interactions(user_id, *triples), category, location)
+    """The profile ``build_profiles`` makes of (job, kind, age in days) signals."""
+    signals = [DedupedSignal(user_id, job, kind, ts(age)) for job, kind, age in triples]
+    return build_profiles(signals, {user_id: UserRecord(user_id, category, location, True)})[user_id]
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +81,20 @@ def test_build_profiles_merges_events_and_user_records():
     assert set(profiles) == {"u1", "u2", "u3"}
     assert profiles["u1"].resume_category is None
     assert profiles["u2"].location == (10.0, 20.0)
-    assert profiles["u3"].interactions == ()
+    assert profiles["u1"].engaged == (("a", epoch_us(ts(1.0))),) and profiles["u1"].seen == ("a",)
+    assert profiles["u3"] == UserProfile("u3", (), (), "retail", None)
+
+
+def test_profiles_keep_the_latest_engagement_and_every_seen_job():
+    signals = dedupe([
+        ev("u1", "b", SignalKind.APPLY, 5.0),
+        ev("u1", "b", SignalKind.CLICK, 3.0),
+        ev("u1", "b", SignalKind.EMAIL_OPEN_NO_CLICK, 1.0),  # later, but not an engagement
+        ev("u1", "a", SignalKind.EMAIL_OPEN_NO_CLICK, 2.0),
+    ])
+    p = build_profiles(signals)["u1"]
+    assert p.engaged == (("b", epoch_us(ts(3.0))),)
+    assert p.seen == ("a", "b")
 
 
 def test_build_profiles_drops_category_outside_taxonomy(caplog):
@@ -317,7 +328,7 @@ def embed_sim_preferences(p, jobs, emb, m):
     active = sorted(j for j in jobs if jobs[j].is_active)
     embeddable = [j for j in active if j in emb]
     want = set()
-    for old in {i.job_id for i in p.interactions if not jobs[i.job_id].is_active and i.job_id in emb}:
+    for old in {j for j in p.seen if not jobs[j].is_active and j in emb}:
         ranked = sorted(embeddable, key=lambda j: (-embed_sim(emb[old], emb[j]), j))
         want.update(ranked[:m])
     if p.resume_category is not None:
