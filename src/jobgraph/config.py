@@ -7,7 +7,7 @@ are rejected so typos fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 
@@ -15,50 +15,51 @@ class ConfigError(Exception):
     """Raised for unknown keys, unparsable values, or out-of-range values."""
 
 
+def _setting(default, doc: str):
+    """A config field with its default and its one-line meaning, which
+    ``init-config`` writes as the comment above the key."""
+    return field(default=default, metadata={"doc": doc})
+
+
 @dataclass(frozen=True)
 class EngineConfig:
-    """All engine parameters with their defaults.
+    """All engine parameters, each with its default and meaning."""
 
-    window_days        lookback horizon for behavioral signals
-    w1, w2, w3         weights of the probability, co-information and
-                       content terms in the edge score
-    gamma              content-similarity cutoff for embedding edges
-    normalize_pmi2     map the co-information term through exp() to (0, 1]
-    session_gap_minutes  click co-occurrence gap when query ids are absent
-    activity_decay     exponential decay rate per day of interaction age
-    similar_actives_per_expired  replacement fan-out when building the
-                       preference set from expired history jobs
-    location_radius_km / location_boost  nearby-job re-ranking
-    damping, pagerank_epsilon  random-walk settings; the iteration cap
-                       is derived from them
-    k                  list length served to a user
-    min_recs           threshold that triggers the next fallback strategy
-                       (defaults to k when unset)
-    seed               seed for all randomized stages; non-negative
-    mf_k, mf_reg, mf_iterations, mf_implicit  factorization baseline;
-                       mf_reg must be > 0, or rounding decides the factors
-    """
-
-    window_days: int = 180
-    w1: float = 0.5
-    w2: float = 0.3
-    w3: float = 0.2
-    gamma: float = 0.4
-    normalize_pmi2: bool = False
-    session_gap_minutes: float = 30.0
-    activity_decay: float = 0.05
-    similar_actives_per_expired: int = 5
-    location_radius_km: float = 80.0
-    location_boost: float = 1.25
-    damping: float = 0.85
-    pagerank_epsilon: float = 1e-10
-    k: int = 15
-    min_recs: int | None = None
-    seed: int = 0
-    mf_k: int = 32
-    mf_reg: float = 0.1
-    mf_iterations: int = 10
-    mf_implicit: bool = False
+    window_days: int = _setting(180, "behavioral lookback horizon in days; positive")
+    w1: float = _setting(
+        0.5, "edge-score weight of the conditional-probability term; the weights are >= 0, one > 0"
+    )
+    w2: float = _setting(0.3, "edge-score weight of the co-information term; the weights are >= 0, one > 0")
+    w3: float = _setting(0.2, "edge-score weight of the content term; the weights are >= 0, one > 0")
+    gamma: float = _setting(0.4, "content-similarity cutoff in [-1, 1]; cosine >= gamma makes an edge")
+    normalize_pmi2: bool = _setting(False, "map the co-information term through exp() onto (0, 1]")
+    session_gap_minutes: float = _setting(
+        30.0, "click co-occurrence gap (minutes) when query ids are missing; non-negative"
+    )
+    activity_decay: float = _setting(0.05, "per-day exponential decay of interaction recency; non-negative")
+    similar_actives_per_expired: int = _setting(
+        5, "preference-set fan-out: active replacements per expired history job; non-negative"
+    )
+    location_radius_km: float = _setting(80.0, "nearby-job re-ranking: radius in km; non-negative")
+    location_boost: float = _setting(1.25, "nearby-job re-ranking: score factor of a nearby job; >= 1")
+    damping: float = _setting(
+        0.85,
+        "random-walk damping in (0, 1); a walk ends within 2 + ceil(log(epsilon/2) / log(damping)) steps",
+    )
+    pagerank_epsilon: float = _setting(
+        1e-10, "a walk stops once a step changes the scores by less than this; in (0, 2)"
+    )
+    k: int = _setting(15, "served list length; >= 1")
+    min_recs: int | None = _setting(
+        None, "shortfall that triggers the next fallback strategy, in [1, k]; none means k"
+    )
+    seed: int = _setting(0, "seed for all randomized stages; non-negative")
+    mf_k: int = _setting(32, "factorization baseline: latent dimension; >= 1")
+    mf_reg: float = _setting(
+        0.1, "factorization baseline: L2 regularization; > 0, or rounding decides the factors"
+    )
+    mf_iterations: int = _setting(10, "factorization baseline: alternating least-squares sweeps; >= 1")
+    mf_implicit: bool = _setting(False, "factorization baseline: add the implicit-feedback term over clicks")
 
     def __post_init__(self):
         if self.window_days <= 0:
@@ -144,19 +145,17 @@ def load_config(lines: Iterable[str]) -> EngineConfig:
     return EngineConfig(**overrides)
 
 
+def _token(value) -> str:
+    """A value as a config file spells it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "none" if value is None else repr(value)
+
+
 def dump_config(config: EngineConfig) -> str:
     """Canonical serialization: sorted ``key = value`` lines."""
-    parts = []
-    for f in sorted(fields(EngineConfig), key=lambda f: f.name):
-        value = getattr(config, f.name)
-        if isinstance(value, bool):
-            token = "true" if value else "false"
-        elif value is None:
-            token = "none"
-        else:
-            token = repr(value)
-        parts.append(f"{f.name} = {token}")
-    return "\n".join(parts) + "\n"
+    names = sorted(f.name for f in fields(EngineConfig))
+    return "".join(f"{name} = {_token(getattr(config, name))}\n" for name in names)
 
 
 def config_hash(config: EngineConfig) -> str:
@@ -171,52 +170,8 @@ def config_hash(config: EngineConfig) -> str:
     return f"{zlib.crc32(dump_config(config).encode()):08x}"
 
 
-DEFAULT_CONFIG_TEXT = """\
-# engine configuration: flat key = value lines, '#' starts a comment.
-# unknown keys are rejected; omitted keys keep their defaults.
-
-# behavioral lookback horizon in days
-window_days = 180
-
-# edge-score term weights: conditional-probability, co-information, content
-w1 = 0.5
-w2 = 0.3
-w3 = 0.2
-
-# content-similarity cutoff; pairs with cosine >= gamma become edges
-gamma = 0.4
-# map the co-information term through exp() onto (0, 1]
-normalize_pmi2 = false
-
-# click co-occurrence gap (minutes) when query ids are missing
-session_gap_minutes = 30.0
-
-# per-day exponential decay of interaction recency
-activity_decay = 0.05
-
-# preference-set fan-out: active replacements per expired history job
-similar_actives_per_expired = 5
-
-# nearby-job re-ranking
-location_radius_km = 80.0
-location_boost = 1.25
-
-# random-walk settings; a walk stops once a step changes the scores by less
-# than pagerank_epsilon, within 2 + ceil(log(epsilon/2) / log(damping)) steps.
-# damping lies in (0, 1) and pagerank_epsilon in (0, 2)
-damping = 0.85
-pagerank_epsilon = 1e-10
-
-# list length and the fallback trigger threshold (defaults to k)
-k = 15
-min_recs = none
-
-# seed for all randomized stages; non-negative
-seed = 0
-
-# factorization baseline; mf_reg must be > 0
-mf_k = 32
-mf_reg = 0.1
-mf_iterations = 10
-mf_implicit = false
-"""
+# the annotated file ``init-config`` writes: each key at its default, under its meaning
+DEFAULT_CONFIG_TEXT = (
+    "# engine configuration: flat key = value lines, '#' starts a comment.\n"
+    "# unknown keys are rejected; omitted keys keep their defaults.\n"
+) + "".join(f"\n# {f.metadata['doc']}\n{f.name} = {_token(f.default)}\n" for f in fields(EngineConfig))

@@ -134,19 +134,13 @@ class CfIndex:
 
 
 def build_cf_index(events: EventLog | Iterable[InteractionEvent]) -> CfIndex:
-    """The apply history of ``events``: ``applied_by`` lists each user's
-    jobs, and the users, in order of first apply."""
-    log = as_event_log(events)
+    """The apply history of ``events`` (or of their deduped signals):
+    ``applied_by`` lists the users, and each user's jobs, in id order."""
+    log = dedupe(events)
     rows = np.flatnonzero(log.kind == SignalKind.APPLY.code)
-    cell = log.user[rows] * len(log.jobs) + log.job[rows]
-    order = np.argsort(cell, kind="stable")  # a (user, job) cell's first apply first
-    heads = np.flatnonzero(_run_heads(cell[order]))
-    latest = np.maximum.reduceat(log.time[rows[order]], heads) if len(heads) else heads
-    first = np.argsort(order[heads])  # the cells in order of first apply
-    cells = rows[order[heads]][first]
     appliers_of: dict[str, list[tuple[int, str]]] = {}
     applied_by: dict[str, list[tuple[str, int]]] = {}
-    for u, j, t in zip(log.user[cells].tolist(), log.job[cells].tolist(), latest[first].tolist()):
+    for u, j, t in zip(log.user[rows].tolist(), log.job[rows].tolist(), log.time[rows].tolist()):
         user_id, job_id = log.users[u], log.jobs[j]
         appliers_of.setdefault(job_id, []).append((t, user_id))
         applied_by.setdefault(user_id, []).append((job_id, t))
@@ -526,13 +520,13 @@ def evaluate_systems(
     """Hold out the latest applies per user and compare systems on the
     identical split.
 
-    All systems see the same train events, the same per-user history
+    All systems read the same deduped train signals, the same per-user history
     exclusions, the same active-job candidate pool and the same list length
     ``k``, which overrides ``config.k`` (``min_recs`` is capped at it).
     Everything else (window, graph build, recommender, factorization and
-    the split's seed) comes from ``config``. Users whose entire holdout is
-    empty are skipped; a system that cannot serve an evaluated user scores
-    zero for that user (macro averaging).
+    the split's seed) comes from ``config``. The users with a held-out
+    apply are evaluated; a system that cannot serve one scores zero for
+    that user (macro averaging).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -548,6 +542,7 @@ def evaluate_systems(
         heldout.setdefault(test_events.users[u], set()).add(test_events.jobs[j])
 
     signals = dedupe(train_events)
+    del windowed, resolved, train_events, test_events
     taxonomy = {j.category for j in jobs.values()}
     profiles = build_profiles(signals, users, taxonomy)
     active = active_job_ids(jobs)
@@ -573,19 +568,17 @@ def evaluate_systems(
         else:
             logger.warning("no +-1 entries in train split; mf baseline disabled")
 
-    cf_index = build_cf_index(train_events) if "cf" in systems else None
+    cf_index = build_cf_index(signals) if "cf" in systems else None
     totals = {name: [0.0, 0.0, 0] for name in systems}
-    evaluated = 0
-    for user_id in sorted(heldout):
-        relevant = heldout[user_id]
-        if not relevant:
-            continue
-        evaluated += 1
-        profile = profiles.get(user_id)
-        history = profile.engaged_jobs() if profile else set()
+    # a fraction below 1 holds out floor(n * fraction) < n of a user's n applies, so every
+    # held-out user keeps a train apply: a profile, an applied_by entry and a matrix row
+    evaluated = len(heldout)
+    for user_id, relevant in sorted(heldout.items()):
+        profile = profiles[user_id]
+        history = profile.engaged_jobs()
         for name in systems:
             ranked: list[str] = []
-            if name == "graph" and profile is not None:
+            if name == "graph":
                 recs = recommend(
                     profile, digraph, jobs, embeddings, reference_date, rec_params
                 )
@@ -602,7 +595,7 @@ def evaluate_systems(
                         active_jobs=active,
                     )
                 ]
-            elif name == "mf" and model is not None and user_id in model.user_index:
+            elif name == "mf" and model is not None:
                 clicks = None
                 if config.mf_implicit:  # the clicks als_train fit the implicit term over
                     clicks = [matrix.job_ids[j] for j in matrix.implicit.get(model.user_index[user_id], ())]

@@ -494,15 +494,12 @@ def recommend(
     else:
         fill_with_global(history, k)
 
+    # the tiers are disjoint and hold at most k jobs together: level 2 bans level 1's
+    # jobs and is cut to the slots left, and a fill bans what is taken and fills the rest
     out: list[Recommendation] = []
-    seen: set[str] = set()
     for provenance, entries in tiers:
         reranked = location_rerank(
             entries, profile.location, jobs, params.location_radius_km, params.location_boost
         )
-        for job_id, score in reranked:
-            if job_id in seen or len(out) >= k:
-                continue
-            seen.add(job_id)
-            out.append(Recommendation(job_id, score, provenance))
+        out.extend(Recommendation(job_id, score, provenance) for job_id, score in reranked)
     return out

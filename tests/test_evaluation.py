@@ -376,31 +376,31 @@ def test_holdout_partitions_apply_events_exactly():
         )
         for _ in range(300)
     ]
-    train, test = map(event_records, holdout_split(events, 0.4, seed=7))
-    assert len(train) + len(test) == len(events) == len(set(events))
-    assert set(train) | set(test) == set(events)
-    assert not set(train) & set(test)
-    assert all(e.kind is SignalKind.APPLY for e in test)
-
     applies_per_user = {}
     for e in events:
         if e.kind is SignalKind.APPLY:
             applies_per_user[e.user_id] = applies_per_user.get(e.user_id, 0) + 1
-    held_per_user = {}
-    for e in test:
-        held_per_user[e.user_id] = held_per_user.get(e.user_id, 0) + 1
-    for user, n in applies_per_user.items():
-        assert held_per_user.get(user, 0) == math.floor(n * 0.4)
 
-    for user in applies_per_user:
-        held_ts = [e.timestamp for e in test if e.user_id == user]
-        kept_ts = [
-            e.timestamp
-            for e in train
-            if e.user_id == user and e.kind is SignalKind.APPLY
-        ]
-        if held_ts and kept_ts:
-            assert min(held_ts) >= max(kept_ts)
+    for fraction in (0.4, 0.9999999999999999):
+        train, test = map(event_records, holdout_split(events, fraction, seed=7))
+        assert len(train) + len(test) == len(events) == len(set(events))
+        assert set(train) | set(test) == set(events)
+        assert not set(train) & set(test)
+        assert all(e.kind is SignalKind.APPLY for e in test)
+
+        held_per_user = {}
+        for e in test:
+            held_per_user[e.user_id] = held_per_user.get(e.user_id, 0) + 1
+        for user, n in applies_per_user.items():
+            assert held_per_user.get(user, 0) == math.floor(n * fraction)
+
+        for user in applies_per_user:
+            held_ts = [e.timestamp for e in test if e.user_id == user]
+            kept_ts = [e.timestamp for e in train if e.user_id == user and e.kind is SignalKind.APPLY]
+            # floor(n * fraction) < n: evaluate_systems relies on every user keeping a train apply
+            assert kept_ts
+            if held_ts:
+                assert min(held_ts) >= max(kept_ts)
 
 
 def test_holdout_deterministic_and_order_independent():

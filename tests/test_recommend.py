@@ -224,6 +224,15 @@ def test_level2_skips_level1_jobs_and_exclusions():
     assert [job for job, _ in l2] == ["c"]
 
 
+def test_hop_keeps_the_first_of_two_equal_scores():
+    # 0.5 * 0.0 and -2.0 * 0.0 compare equal; the start met first sets the sign
+    digraph = RecDigraph.from_corr({("a", "x"): 0.0, ("b", "x"): 0.0}, ["a", "b", "x"])
+    served = level2(digraph, [("a", 0.5), ("b", -2.0)], k=10)
+    assert served == [("x", 0.0)] and math.copysign(1.0, served[0][1]) == 1.0
+    served = level2(digraph, [("b", -2.0), ("a", 0.5)], k=10)
+    assert served == [("x", 0.0)] and math.copysign(1.0, served[0][1]) == -1.0
+
+
 def test_levels_match_bruteforce_on_random_digraphs():
     rng = random.Random(21)
     for _ in range(80):
@@ -565,7 +574,9 @@ def test_recommend_invariants_on_random_inputs():
             else None,
         )
         k = rng.randint(1, 8)
-        recs = recommend(p, digraph, jobs, {}, REF, EngineConfig(k=k))
+        # a min_recs below k cuts level 2 and the fills short or skips them
+        min_recs = rng.choice([None, rng.randint(1, k)])
+        recs = recommend(p, digraph, jobs, {}, REF, EngineConfig(k=k, min_recs=min_recs))
 
         ids = [r.job_id for r in recs]
         assert len(recs) <= k
