@@ -47,7 +47,7 @@ from .ingest import (
     window_filter,
 )
 from .recommend import UserProfile, build_profiles, classify_user, recommend
-from .scoring import build_digraph, dump_digraph, load_digraph
+from .scoring import build_digraph, dump_digraph, edge_diagnostics, load_digraph
 
 logger = logging.getLogger(__name__)
 
@@ -162,6 +162,7 @@ def _cmd_build(args) -> int:
             "graph_edges": graph.num_edges,
             "content_pairs": len(content),
             "digraph_edges": digraph.num_edges,
+            **edge_diagnostics(digraph),
             "connectivity": report.labeled(),
             "config_hash": config_hash(config),
         }

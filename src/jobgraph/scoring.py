@@ -33,21 +33,9 @@ from .ingest import DedupedSignal, EventLog, JobRecord, active_job_ids
 logger = logging.getLogger(__name__)
 
 
-class EdgeScores(NamedTuple):
-    """Aggregate score of one directed edge plus its audit components, as
-    :meth:`RecDigraph.out_edges` shows them.
-
-    Component fields are ``None`` when the corresponding signal contributed
-    no evidence. ``corr`` is computed from the components at aggregation
-    time (honoring ``normalize_pmi2``), so it is authoritative.
-    """
-
-    corr: float
-    p_apps: float | None = None
-    p_clicks: float | None = None
-    pmi2_apps: float | None = None
-    pmi2_clicks: float | None = None
-    sim_e: float | None = None
+# The evidence code of an edge: one bit per signal that gave it evidence.
+# A code is never 0, since an edge needs at least one signal.
+EVIDENCE_APPLY, EVIDENCE_CLICK, EVIDENCE_CONTENT = 1, 2, 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,23 +140,30 @@ class RecDigraph:
     One CSR over the interned job ids ``nodes`` (the active jobs and the
     edge sources, sorted, so index ties break like job-id ties): the edges
     of ``nodes[i]`` are rows ``indptr[i]:indptr[i+1]`` of ``dst`` (ascending
-    node indices) and of ``scores``, one float64 column per field of
-    :class:`EdgeScores`, NaN for an absent component.
+    int32 node indices), of ``corr`` (float64) and of ``evidence`` (uint8,
+    the ``EVIDENCE_*`` bits of the signals that gave the edge evidence).
 
     The constructor takes edges as indices into ``ids``, in any order; it
     drops edges into jobs outside ``active_jobs`` (so a dump loaded against
     a newer jobs file never serves a job that expired since the build),
     sorts the rest by (src, dst) and keeps the last of repeated edges.
     Edges given in (src, dst) order, none repeated and all into active
-    jobs, keep their ``scores`` array as it is, with no copy.
+    jobs, keep their ``corr`` and ``evidence`` arrays as they are, with no
+    copy.
     """
 
     def __init__(
-        self, ids: Sequence[str], src: np.ndarray, dst: np.ndarray, scores: np.ndarray, active_jobs: Iterable[str]
+        self,
+        ids: Sequence[str],
+        src: np.ndarray,
+        dst: np.ndarray,
+        corr: np.ndarray,
+        evidence: np.ndarray,
+        active_jobs: Iterable[str],
     ):
         self.active_jobs = frozenset(active_jobs)
         keep = np.array([j in self.active_jobs for j in ids], dtype=bool)[dst]
-        rows = None  # the score rows of the kept edges in (src, dst) order; None: all, as given
+        rows = None  # the rows of the kept edges in (src, dst) order; None: all, as given
         if not keep.all():
             rows = np.flatnonzero(keep)
             src, dst = src[rows], dst[rows]
@@ -190,56 +185,33 @@ class RecDigraph:
             rows = order[last] if rows is None else rows[order[last]]
             key = key[last]
         self.indptr = np.searchsorted(key, np.arange(n + 1) * n)
-        self.dst = key % max(n, 1)
+        np.remainder(key, max(n, 1), out=key)
+        self.dst = key.astype(np.int32)
         del key
-        # one gather of the score rows, none when they are in order already
-        self.scores = scores if rows is None else scores[rows]
+        # one gather of the edge rows, none when they are in order already
+        self.corr = corr if rows is None else corr[rows]
+        self.evidence = evidence if rows is None else evidence[rows]
         # global PageRank results per (damping, epsilon), filled by
         # recommend.global_pagerank
         self.global_pagerank_results: dict[tuple[float, float], object] = {}
-
-    @classmethod
-    def from_corr(
-        cls, corr: Mapping[tuple[str, str], float], active_jobs: Iterable[str]
-    ) -> "RecDigraph":
-        """Build from bare (src, dst) -> corr weights (components unset)."""
-        ids = sorted({job_id for pair in corr for job_id in pair})
-        index = {job_id: i for i, job_id in enumerate(ids)}
-        src = np.array([index[s] for s, _ in corr], dtype=np.intp)
-        dst = np.array([index[d] for _, d in corr], dtype=np.intp)
-        scores = np.full((len(corr), len(EdgeScores._fields)), np.nan)
-        scores[:, 0] = list(corr.values())
-        return cls(ids, src, dst, scores, active_jobs)
 
     @property
     def num_edges(self) -> int:
         return len(self.dst)
 
-    def _span(self, src: str) -> tuple[int, int]:
-        i = self.index.get(src)
-        return (0, 0) if i is None else (int(self.indptr[i]), int(self.indptr[i + 1]))
-
-    def out_edges(self, src: str) -> list[tuple[str, EdgeScores]]:
-        """Outgoing edges of ``src`` ordered by destination job_id."""
-        lo, hi = self._span(src)
-        return [
-            (self.nodes[d], EdgeScores._make(None if v != v else v for v in row))
-            for d, row in zip(self.dst[lo:hi].tolist(), self.scores[lo:hi].tolist())
-        ]
-
     def out_corr(self, src: str) -> Iterable[tuple[str, float]]:
         """(dst, corr) of the outgoing edges of ``src`` in destination order."""
-        lo, hi = self._span(src)
+        i = self.index.get(src)
+        if i is None:
+            return ()
+        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
         dst_ids, corr = self._hop_lists
         return zip(dst_ids[lo:hi], corr[lo:hi])
 
     @functools.cached_property
     def _hop_lists(self) -> tuple[list[str], list[float]]:
         # list slices make a faster hop than array slices
-        return np.array(self.nodes, dtype=object)[self.dst].tolist(), self.scores[:, 0].tolist()
-
-    def corr(self, src: str, dst: str) -> float | None:
-        return next((es.corr for d, es in self.out_edges(src) if d == dst), None)
+        return np.array(self.nodes, dtype=object)[self.dst].tolist(), self.corr.tolist()
 
     @functools.cached_property
     def walk(self) -> Walk:
@@ -248,9 +220,8 @@ class RecDigraph:
         so a walk restarting from active jobs never reaches one."""
         n = len(self.nodes)
         src = np.repeat(np.arange(n), np.diff(self.indptr))
-        corr = self.scores[:, 0]
-        hop = corr > 0.0
-        src, weight = src[hop], corr[hop]
+        hop = self.corr > 0.0
+        src, weight = src[hop], self.corr[hop]
         out_sum = np.bincount(src, weights=weight, minlength=n)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
         is_active = np.array([j in self.active_jobs for j in self.nodes], dtype=bool)
@@ -280,8 +251,8 @@ def aggregate(
     three terms share a common scale. The candidate pairs are the
     multigraph's pairs plus the content pairs between its nodes. Their
     directed rows are put in (src, dst) order first and scored as arrays,
-    :data:`AGGREGATE_BLOCK` rows at a time, into the one score array the
-    digraph keeps.
+    :data:`AGGREGATE_BLOCK` rows at a time, into the one ``corr`` array the
+    digraph keeps; each row's evidence code is its pair's.
     """
     active = frozenset(active_set)
     is_active = np.array([j in active for j in graph.ids], dtype=bool)
@@ -289,18 +260,24 @@ def aggregate(
     # the directed rows: a -> b into an active b, b -> a into an active a,
     # each with its pair; the keys are distinct, so any sort gives one order
     forward, backward = np.flatnonzero(is_active[b]), np.flatnonzero(is_active[a])
-    src = np.concatenate((a[forward], b[backward]))
-    dst = np.concatenate((b[forward], a[backward]))
-    order = np.argsort(src.astype(np.int64) * graph.num_nodes + dst)
-    pair = np.concatenate((forward, backward))[order]
-    src, dst = src[order], dst[order]
-    del a, b, forward, backward, order
-    scores = np.empty((len(src), len(EdgeScores._fields)))
+    src = np.concatenate((a[forward], b[backward]), dtype=np.int32)
+    dst = np.concatenate((b[forward], a[backward]), dtype=np.int32)
+    pair = np.concatenate((forward, backward), dtype=np.int32)
+    del a, b, forward, backward
+    key = src.astype(np.int64)
+    key *= graph.num_nodes
+    key += dst  # in place: one key array at a time
+    order = np.argsort(key)
+    del key
+    src, dst, pair = src[order], dst[order], pair[order]
+    del order
+    corr = np.empty(len(src))
     for lo in range(0, len(src), AGGREGATE_BLOCK):
         rows = slice(lo, lo + AGGREGATE_BLOCK)
-        _score_rows(src[rows], pairs, pair[rows], graph, config, scores[rows])
+        corr[rows] = _score_rows(src[rows], pairs, pair[rows], graph, config)
+    evidence = pairs.evidence[pair]
     del pairs, pair  # the candidate columns are freed before the digraph is built
-    return RecDigraph(graph.ids, src, dst, scores, active)
+    return RecDigraph(graph.ids, src, dst, corr, evidence, active)
 
 
 def build_digraph(
@@ -323,16 +300,15 @@ def build_digraph(
 
 class _PairColumns(NamedTuple):
     """Per-pair columns of the candidate pairs of :func:`aggregate`: the
-    co-counts, the content sim (NaN: no content evidence), the PMI^2 of
-    each signal (NaN: absent) and the sum of the two PMI^2 terms. PMI^2 is
+    co-counts, the content sim (0.0: no content evidence), the sum of the
+    two PMI^2 terms and the evidence code. All but the co-counts are
     symmetric in the pair, so one value serves both directions."""
 
     co_apps: np.ndarray
     co_clicks: np.ndarray
     sim: np.ndarray
-    pmi2_apps: np.ndarray
-    pmi2_clicks: np.ndarray
     pmi2_term: np.ndarray
+    evidence: np.ndarray
 
 
 def _candidate_pairs(
@@ -366,62 +342,50 @@ def _candidate_pairs(
     co_clicks = np.concatenate((graph.co_clicks, padding))
     sim = np.concatenate((pair_sim, content_sim[content_only]))
     del content_a, content_b, content_sim, pair_sim
-    keep = np.flatnonzero(((co_apps > 0) | (co_clicks > 0) | ~np.isnan(sim)) & (is_active[a] | is_active[b]))
-    a, b, co_apps, co_clicks, sim = a[keep], b[keep], co_apps[keep], co_clicks[keep], sim[keep]
-    pmi2_apps, term_apps = _pmi2_column(co_apps, graph.total_apps[a], graph.total_apps[b], config)
-    pmi2_clicks, term_clicks = _pmi2_column(co_clicks, graph.total_clicks[a], graph.total_clicks[b], config)
-    return a, b, _PairColumns(co_apps, co_clicks, sim, pmi2_apps, pmi2_clicks, term_apps + term_clicks)
+    evidence = np.zeros(len(sim), dtype=np.uint8)
+    evidence[co_apps > 0] |= EVIDENCE_APPLY
+    evidence[co_clicks > 0] |= EVIDENCE_CLICK
+    evidence[~np.isnan(sim)] |= EVIDENCE_CONTENT
+    keep = np.flatnonzero((evidence != 0) & (is_active[a] | is_active[b]))
+    a, b, co_apps, co_clicks, sim, evidence = a[keep], b[keep], co_apps[keep], co_clicks[keep], sim[keep], evidence[keep]
+    pmi2_term = _pmi2_term(co_apps, graph.total_apps[a], graph.total_apps[b], config)
+    pmi2_term += _pmi2_term(co_clicks, graph.total_clicks[a], graph.total_clicks[b], config)
+    return a, b, _PairColumns(co_apps, co_clicks, np.nan_to_num(sim, nan=0.0), pmi2_term, evidence)
 
 
 def _score_rows(
-    src: np.ndarray,
-    pairs: _PairColumns,
-    pair: np.ndarray,
-    graph: CoPairs,
-    config: EngineConfig,
-    out: np.ndarray,
-) -> None:
-    """Score the directed rows from the jobs ``src`` over the candidate
-    pairs ``pair`` into ``out``, in :class:`RecDigraph` columns.
+    src: np.ndarray, pairs: _PairColumns, pair: np.ndarray, graph: CoPairs, config: EngineConfig
+) -> np.ndarray:
+    """The ``corr`` of the directed rows from the jobs ``src`` over the
+    candidate pairs ``pair``.
 
-    ``corr`` keeps the term order of ``w1*(p_apps+p_clicks) +
+    It keeps the term order of ``w1*(p_apps+p_clicks) +
     w2*(pmi2_apps+pmi2_clicks) + w3*sim`` in float64, so it equals the
     scalar formula bit for bit.
     """
-    co_apps, co_clicks, sim = pairs.co_apps[pair], pairs.co_clicks[pair], pairs.sim[pair]
-    has_apps, has_clicks = co_apps > 0, co_clicks > 0
-    p_apps = _mle_block(co_apps, graph.total_apps[src], has_apps)
-    p_clicks = _mle_block(co_clicks, graph.total_clicks[src], has_clicks)
-    sim_term = np.where(np.isnan(sim), 0.0, sim)
-    out[:, 0] = config.w1 * (p_apps + p_clicks) + config.w2 * pairs.pmi2_term[pair] + config.w3 * sim_term
-    out[:, 1] = np.where(has_apps, p_apps, np.nan)
-    out[:, 2] = np.where(has_clicks, p_clicks, np.nan)
-    out[:, 3] = pairs.pmi2_apps[pair]
-    out[:, 4] = pairs.pmi2_clicks[pair]
-    out[:, 5] = sim
+    p_apps = _mle_block(pairs.co_apps[pair], graph.total_apps[src])
+    p_clicks = _mle_block(pairs.co_clicks[pair], graph.total_clicks[src])
+    return config.w1 * (p_apps + p_clicks) + config.w2 * pairs.pmi2_term[pair] + config.w3 * pairs.sim[pair]
 
 
-def _mle_block(co: np.ndarray, src_total: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """The probability ``c(src,dst) / c(src)`` per row; 0.0 where
-    ``present`` is false or ``c(src)`` is 0."""
+def _mle_block(co: np.ndarray, src_total: np.ndarray) -> np.ndarray:
+    """The probability ``c(src,dst) / c(src)`` per row; 0.0 where ``c(src)``
+    is 0 (and so is ``c(src,dst)``)."""
     p = np.zeros(len(co))
-    np.divide(co, src_total, out=p, where=present & (src_total != 0))
+    np.divide(co, src_total, out=p, where=src_total != 0)
     return p
 
 
-def _pmi2_column(
-    co: np.ndarray, total_a: np.ndarray, total_b: np.ndarray, config: EngineConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """The PMI^2 ``ln(c(a,b)^2 / (c(a) * c(b)))`` per pair, NaN where a
-    count is 0, and its aggregate term (``exp(pmi2)`` under
-    ``normalize_pmi2``; 0.0 where absent).
+def _pmi2_term(co: np.ndarray, total_a: np.ndarray, total_b: np.ndarray, config: EngineConfig) -> np.ndarray:
+    """The aggregate term of the PMI^2 ``ln(c(a,b)^2 / (c(a) * c(b)))`` per
+    pair: the PMI^2, or ``exp(pmi2)`` under ``normalize_pmi2``; 0.0 where a
+    count is 0.
 
     ``math.log``/``math.exp`` rather than their numpy forms: those differ
     from the scalar ones in the last bit on some inputs, and the artifact
     must not depend on which is used.
     """
     present = (co > 0) & (total_a != 0) & (total_b != 0)
-    value = np.full(len(co), np.nan)
     term = np.zeros(len(co))
     # int64 products are exact, and their float quotient equals Python's
     # int division, while both stay below 2**53: counts below 9.4e7 users
@@ -429,9 +393,8 @@ def _pmi2_column(
         c = co[present]
         ratio = (c * c) / (total_a[present] * total_b[present])
         logs = list(map(math.log, ratio.tolist()))
-        value[present] = logs
         term[present] = list(map(math.exp, logs)) if config.normalize_pmi2 else logs
-    return value, term
+    return term
 
 
 def _csv_fields(values: Iterable[str]) -> list[str]:
@@ -451,29 +414,44 @@ def _csv_fields(values: Iterable[str]) -> list[str]:
     return fields
 
 
+def edge_diagnostics(digraph: RecDigraph) -> dict[str, int]:
+    """The digraph's edge counts that ``build`` writes to its manifest: by
+    evidence, behaviour (co-apply or co-click) only, content only or both,
+    and the edges with ``corr <= 0``."""
+    behaviour = (digraph.evidence & (EVIDENCE_APPLY | EVIDENCE_CLICK)) != 0
+    content = (digraph.evidence & EVIDENCE_CONTENT) != 0
+    return {
+        "digraph_edges_behaviour_only": int(np.count_nonzero(behaviour & ~content)),
+        "digraph_edges_content_only": int(np.count_nonzero(content & ~behaviour)),
+        "digraph_edges_both": int(np.count_nonzero(behaviour & content)),
+        "digraph_edges_nonpositive": int(np.count_nonzero(digraph.corr <= 0.0)),
+    }
+
+
 # Dump rows formatted per block by dump_digraph: a larger block shares more
 # reprs, a smaller one holds fewer strings at once
 DUMP_BLOCK = 4096
 
 
 def dump_digraph(digraph: RecDigraph, fh: TextIO) -> None:
-    """Write one edge per line with audit components; deterministic order.
+    """Write one edge per line as ``src,dst,corr,evidence``; deterministic
+    order.
 
     The bytes are those of ``csv.writer``: each job id is quoted once,
-    floats are ``repr``s, absent components empty. Rows are formatted
-    :data:`DUMP_BLOCK` at a time, column by column, with one ``repr`` per
-    distinct float bit pattern of a column of the block.
+    ``corr`` is a float ``repr`` and ``evidence`` the integer code. Rows are
+    formatted :data:`DUMP_BLOCK` at a time, column by column, with one
+    ``repr`` per distinct float bit pattern of the block's ``corr``.
     """
     quoted = np.array(_csv_fields(digraph.nodes), dtype=object)
+    codes = np.array([str(code) for code in range(256)], dtype=object)
     for lo in range(0, digraph.num_edges, DUMP_BLOCK):
-        dst = digraph.dst[lo : lo + DUMP_BLOCK]
+        block = slice(lo, lo + DUMP_BLOCK)
+        dst = digraph.dst[block]
         src = np.searchsorted(digraph.indptr, np.arange(lo, lo + len(dst)), side="right") - 1
-        columns = [quoted[src].tolist(), quoted[dst].tolist()]
-        for scores in digraph.scores[lo : lo + DUMP_BLOCK].T:
-            # by bit pattern, so -0.0 and 0.0 keep their own reprs
-            bits, where = np.unique(scores.view(np.int64), return_inverse=True)
-            texts = np.array([repr(v) if v == v else "" for v in bits.view(np.float64).tolist()], dtype=object)
-            columns.append(texts[where].tolist())
+        # by bit pattern, so -0.0 and 0.0 keep their own reprs
+        bits, where = np.unique(digraph.corr[block].view(np.int64), return_inverse=True)
+        corr = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        columns = [quoted[src].tolist(), quoted[dst].tolist(), corr[where].tolist(), codes[digraph.evidence[block]].tolist()]
         # 512 rows a write: joining a whole block at once left the build's
         # peak RSS about 0.7 MB higher
         for s in range(0, len(dst), 512):
@@ -486,78 +464,86 @@ def dump_digraph(digraph: RecDigraph, fh: TextIO) -> None:
 # (43.2 against 45.7 MB, 23k edges), with no slower load; 256 saved no more.
 LOAD_BLOCK = 512
 
+# The evidence field of a dump row and its code: an edge has at least one
+# of the three bits
+_EVIDENCE_CODES = {str(code): code for code in range(1, 8)}
+
 
 def load_digraph(lines: Iterable[str], active_jobs: Iterable[str]) -> RecDigraph:
     """Reload a digraph dump; bit-exact inverse of :func:`dump_digraph`.
 
     Edges into jobs outside ``active_jobs`` (expired since the build) are
-    dropped. A row with other than 8 fields, an empty job id or ``corr``,
-    or a non-numeric or non-finite value raises ``ValueError`` naming its
-    line.
+    dropped. A row with other than 4 fields (as every row of a dump in the
+    earlier 8-field format has), an empty job id or ``corr``, a non-numeric
+    or non-finite ``corr``, or an evidence code other than 1-7 raises
+    ``ValueError`` naming its line.
     """
     index: dict[str, int] = {}
     # each checked block goes straight into growing buffers: one copy of the rows
-    src, dst, scores = array("q"), array("q"), array("d")
+    src, dst, corr, evidence = array("i"), array("i"), array("d"), array("B")
     block = []
     reader = csv.reader(lines)
     for row in reader:
         if row:
             block.append((reader.line_num, row))
         if len(block) == LOAD_BLOCK:
-            _parse_rows(block, index, src, dst, scores)
+            _parse_rows(block, index, src, dst, corr, evidence)
             block = []
-    _parse_rows(block, index, src, dst, scores)
+    _parse_rows(block, index, src, dst, corr, evidence)
     return RecDigraph(
         list(index),
-        np.frombuffer(src, dtype=np.int64),
-        np.frombuffer(dst, dtype=np.int64),
-        np.frombuffer(scores).reshape(len(src), len(EdgeScores._fields)),
+        np.frombuffer(src, dtype=np.intc),
+        np.frombuffer(dst, dtype=np.intc),
+        np.frombuffer(corr),
+        np.frombuffer(evidence, dtype=np.uint8),
         active_jobs,
     )
 
 
-def _parse_rows(block: list[tuple[int, list[str]]], index: dict[str, int], src: array, dst: array, scores: array) -> None:
-    """Append (line number, row) pairs of the dump to the ``src``, ``dst``
-    and ``scores`` buffers, job ids interned into ``index``.
+def _parse_rows(
+    block: list[tuple[int, list[str]]], index: dict[str, int], src: array, dst: array, corr: array, evidence: array
+) -> None:
+    """Append (line number, row) pairs of the dump to the ``src``, ``dst``,
+    ``corr`` and ``evidence`` buffers, job ids interned into ``index``.
 
-    The block is checked at once: 8 fields a row, two nonempty job ids, a
-    finite ``corr``, no infinity, and NaN only where a field is empty. A
-    block that fails is checked row by row for a line to name.
+    The block is checked at once: 4 fields a row, two nonempty job ids, a
+    finite ``corr`` and an evidence code 1-7. A block that fails is checked
+    row by row for a line to name.
     """
     rows = [row for _, row in block]
     try:
-        values = array("d", [float(f) if f else math.nan for row in rows for f in row[2:]])
-        checked = np.frombuffer(values).reshape(len(rows), 6)
-    except ValueError:  # a non-numeric field, or a wrong field count
-        checked = None
+        values = array("d", [float(row[2]) for row in rows])
+        codes = array("B", [_EVIDENCE_CODES[row[3]] for row in rows])
+    except (ValueError, IndexError, KeyError):  # a bad field, or too few fields
+        values = None
     if (
-        checked is None
-        or set(map(len, rows)) != {8}
+        values is None
+        or set(map(len, rows)) != {4}
         or not all(row[0] and row[1] for row in rows)
-        or not np.isfinite(checked[:, 0]).all()
-        or np.isinf(checked).any()
-        or np.count_nonzero(np.isnan(checked)) != sum(row.count("") for row in rows)
+        or not np.isfinite(np.frombuffer(values)).all()
     ):
         for line_no, row in block:
             if problem := _row_problem(row):
                 raise ValueError(f"digraph line {line_no}: {problem}")
     src.extend([index.setdefault(row[0], len(index)) for row in rows])
     dst.extend([index.setdefault(row[1], len(index)) for row in rows])
-    scores.extend(values)
+    corr.extend(values)
+    evidence.extend(codes)
 
 
 def _row_problem(row: list[str]) -> str | None:
     """What makes a dump row malformed, or None."""
-    if len(row) != 8:
-        return f"expected 8 fields, got {len(row)}"
+    if len(row) != 4:
+        return f"expected 4 fields, got {len(row)}"
     if not row[0] or not row[1]:
         return "empty job id"
     if not row[2]:
         return "empty corr"
-    for name, field in zip(EdgeScores._fields, row[2:]):
-        try:
-            if field and not math.isfinite(float(field)):
-                return f"non-finite {name} {field!r}"
-        except ValueError:
-            return f"non-numeric {name} {field!r}"
+    try:
+        if not math.isfinite(float(row[2])):
+            return f"non-finite corr {row[2]!r}"
+    except ValueError:
+        return f"non-numeric corr {row[2]!r}"
+    if row[3] not in _EVIDENCE_CODES:
+        return f"evidence {row[3]!r} is not a code 1-7"
     return None

@@ -30,9 +30,35 @@ from jobgraph.ingest import (
 )
 from jobgraph.mf import FactorModel, RatingsMatrix, _implicit_offsets
 from jobgraph.recommend import PageRankResult, UserProfile
-from jobgraph.scoring import ContentPairs, EdgeScores, RecDigraph
+from jobgraph.scoring import EVIDENCE_APPLY, EVIDENCE_CLICK, EVIDENCE_CONTENT, ContentPairs, RecDigraph
 
 REF = datetime(2017, 6, 1, tzinfo=timezone.utc)
+
+
+class EdgeScores(NamedTuple):
+    """The aggregate score of one directed edge and the components it sums,
+    as :func:`reference_edge_scores` computes them; the digraph keeps only
+    ``corr`` and :attr:`evidence`.
+
+    Component fields are ``None`` when the corresponding signal contributed
+    no evidence.
+    """
+
+    corr: float
+    p_apps: float | None = None
+    p_clicks: float | None = None
+    pmi2_apps: float | None = None
+    pmi2_clicks: float | None = None
+    sim_e: float | None = None
+
+    @property
+    def evidence(self) -> int:
+        """The evidence code: a bit per signal with a component."""
+        return (
+            EVIDENCE_APPLY * (self.p_apps is not None)
+            | EVIDENCE_CLICK * (self.p_clicks is not None)
+            | EVIDENCE_CONTENT * (self.sim_e is not None)
+        )
 
 
 def ts(age_days: float = 0.0, age_seconds: float = 0.0) -> datetime:
@@ -290,23 +316,50 @@ def random_digraph(rng: random.Random, max_nodes: int = 12, *, edge_prob=0.3, ne
         for dst in nodes:
             if src != dst and rng.random() < edge_prob:
                 corr[(src, dst)] = rng.uniform(lo, 2.0)
-    return RecDigraph.from_corr(corr, nodes)
+    return from_corr(corr, nodes)
+
+
+def digraph_of(edges: Mapping[tuple[str, str], tuple[float, int]], active_jobs) -> RecDigraph:
+    """A digraph holding the given (src, dst) -> (corr, evidence code)."""
+    ids = sorted({job_id for pair in edges for job_id in pair})
+    index = {job_id: i for i, job_id in enumerate(ids)}
+    src = np.array([index[s] for s, _ in edges], dtype=np.intp)
+    dst = np.array([index[d] for _, d in edges], dtype=np.intp)
+    corr = np.array([c for c, _ in edges.values()], dtype=np.float64)
+    evidence = np.array([e for _, e in edges.values()], dtype=np.uint8)
+    return RecDigraph(ids, src, dst, corr, evidence, active_jobs)
+
+
+def from_corr(corr: Mapping[tuple[str, str], float], active_jobs) -> RecDigraph:
+    """A digraph of bare (src, dst) -> corr weights, each edge marked as
+    co-apply evidence so that its dump loads."""
+    return digraph_of({pair: (value, EVIDENCE_APPLY) for pair, value in corr.items()}, active_jobs)
+
+
+def out_edges(digraph: RecDigraph, src: str) -> list[tuple[str, float, int]]:
+    """(dst, corr, evidence) of the outgoing edges of ``src`` in destination
+    order, read from the digraph's CSR arrays."""
+    i = digraph.index.get(src)
+    if i is None:
+        return []
+    lo, hi = int(digraph.indptr[i]), int(digraph.indptr[i + 1])
+    return [
+        (digraph.nodes[d], corr, code)
+        for d, corr, code in zip(
+            digraph.dst[lo:hi].tolist(), digraph.corr[lo:hi].tolist(), digraph.evidence[lo:hi].tolist()
+        )
+    ]
 
 
 def edge_map(digraph):
-    """Every edge of ``digraph`` as (src, dst) -> EdgeScores, in (src, dst)
-    order, read through ``out_edges``."""
-    return {(src, dst): es for src in digraph.nodes for dst, es in digraph.out_edges(src)}
+    """Every edge of ``digraph`` as (src, dst) -> (corr, evidence), in
+    (src, dst) order."""
+    return {(src, dst): (corr, code) for src in digraph.nodes for dst, corr, code in out_edges(digraph, src)}
 
 
-def digraph_of_scores(scores, active_jobs):
-    """A digraph holding the given (src, dst) -> EdgeScores."""
-    ids = sorted({job_id for pair in scores for job_id in pair})
-    index = {job_id: i for i, job_id in enumerate(ids)}
-    src = np.array([index[s] for s, _ in scores], dtype=np.intp)
-    dst = np.array([index[d] for _, d in scores], dtype=np.intp)
-    rows = [[np.nan if v is None else v for v in es] for es in scores.values()]
-    return RecDigraph(ids, src, dst, np.array(rows).reshape(len(rows), 6), active_jobs)
+def corr_of(digraph, src: str, dst: str) -> float | None:
+    """The corr of the edge ``src -> dst``, or None without one."""
+    return next((corr for d, corr, _ in out_edges(digraph, src) if d == dst), None)
 
 
 def brute_force_levels(digraph, sources, exclude):
@@ -320,19 +373,19 @@ def brute_force_levels(digraph, sources, exclude):
     banned = set(exclude) | {s for s, _ in sources}
     level1 = {}
     for src, activity in sources:
-        for dst, es in digraph.out_edges(src):
+        for dst, corr, _ in out_edges(digraph, src):
             if dst in banned:
                 continue
-            score = activity * es.corr
+            score = activity * corr
             if dst not in level1 or score > level1[dst]:
                 level1[dst] = score
     banned2 = set(exclude) | set(level1)
     level2 = {}
     for mid, path_score in level1.items():
-        for dst, es in digraph.out_edges(mid):
+        for dst, corr, _ in out_edges(digraph, mid):
             if dst in banned2:
                 continue
-            score = path_score * es.corr
+            score = path_score * corr
             if dst not in level2 or score > level2[dst]:
                 level2[dst] = score
     return level1, level2
@@ -353,8 +406,8 @@ def dense_pagerank(digraph, restart: dict, damping: float) -> dict:
     P = np.zeros((n, n))
     for src in nodes:
         weights = [
-            (dst, max(es.corr, 0.0))
-            for dst, es in digraph.out_edges(src)
+            (dst, max(corr, 0.0))
+            for dst, corr, _ in out_edges(digraph, src)
             if dst in index
         ]
         total = sum(w for _, w in weights if w > 0)
@@ -377,7 +430,7 @@ def reference_pagerank(
 ) -> PageRankResult:
     """The power iteration as it was before it walked only reached edges:
     every iteration walks every positive edge of the digraph, whatever the
-    restart set, over arrays built here from ``out_edges``. The vectors run
+    restart set, over arrays built here from :func:`out_edges`. The vectors run
     over ``digraph.nodes``; an active job without a positive out-edge is
     dangling. recommend._pagerank must return the same result, bit for
     bit."""
@@ -385,10 +438,10 @@ def reference_pagerank(
     n = len(nodes)
     index = {job_id: i for i, job_id in enumerate(nodes)}
     edges = [
-        (index[src], index[dst], es.corr)
+        (index[src], index[dst], corr)
         for src in nodes
-        for dst, es in digraph.out_edges(src)
-        if es.corr > 0.0
+        for dst, corr, _ in out_edges(digraph, src)
+        if corr > 0.0
     ]
     out_sum = [0.0] * n
     for src, _, corr in edges:

@@ -20,8 +20,10 @@ from helpers import (
     brute_force_levels,
     co_pairs,
     content_pairs,
+    corr_of,
     dense_pagerank,
     embed_sim,
+    from_corr,
     mle,
     pmi2,
     random_digraph,
@@ -54,7 +56,6 @@ from jobgraph.recommend import (
     recommend,
 )
 from jobgraph.scoring import (
-    RecDigraph,
     aggregate,
     content_edges,
 )
@@ -164,7 +165,7 @@ def test_criterion_1_score_formula_suite():
             g = graph_of(nodes, {("i", "j"): co} if co else {})
             content = content_pairs({("i", "j"): sim} if sim is not None else {})
             digraph = aggregate(g, content, weights, ["i", "j"])
-            got = digraph.corr(src, dst)
+            got = corr_of(digraph, src, dst)
             assert got is not None and abs(got - expected) < 1e-12, (
                 f"fixture {src}->{dst}: got {got}, expected {expected}"
             )
@@ -173,7 +174,7 @@ def test_criterion_1_score_formula_suite():
 def test_criterion_2_propagation_matches_bruteforce():
     with criterion(2, "two-hop propagation oracle", 30.0):
         # chain fixture: the two-hop score is the product of the one-hop scores
-        chain = RecDigraph.from_corr(
+        chain = from_corr(
             {("j1", "j6"): 0.7, ("j6", "j4"): 0.6}, ["j1", "j4", "j6"]
         )
         l1 = level1(chain, [("j1", 1.0)], k=10)

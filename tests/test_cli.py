@@ -1,5 +1,6 @@
 """In-process command-line tests: every subcommand, exit codes, file outputs."""
 
+import csv
 import hashlib
 import json
 import os
@@ -171,25 +172,48 @@ def golden_dir(tmp_path_factory):
 
 
 # sha256 of digraph.csv in the golden_dir build (2593 edges).
-# Computed at commit 2b6a421, whose aggregate scored one edge at a time in
-# scalar floats; the array scorer must write the same bytes. A change of
-# term order, of float formatting or of quoting changes this digest. The
-# co-counts here are too small for numpy's log to round differently from
-# math's; the oracle tests in test_scoring.py use counts that are not.
-GOLDEN_DIGRAPH_SHA256 = "539b833e6438b5c561a659b1e696b3e127519e2c81514fed7377509b51b511ec"
+# First computed at commit 2b6a421, whose aggregate scored one edge at a
+# time in scalar floats; the array scorer must write the same bytes. A
+# change of term order, of float formatting or of quoting changes this
+# digest. The co-counts here are too small for numpy's log to round
+# differently from math's; the oracle tests in test_scoring.py use counts
+# that are not. Taken again when the dump lost its five audit columns for
+# one evidence code (src,dst,corr,evidence): its first three columns are
+# byte for byte those of the 8-field dump.
+GOLDEN_DIGRAPH_SHA256 = "a14c7edf63d20f42880b858c30fe25971742988c209ccbeeb1b7182f44ec0106"
 # sha256 of that build's manifest.json and of the `evaluate --systems
 # graph,cf,mf --out` report on the same corpus, computed at commit 2ab414b,
 # before build and evaluate shared build_digraph. The manifest digest was
 # taken again when the config lost `pagerank_max_iters` and when
-# `config_hash` became a CRC-32: each time only its `config_hash` changed.
+# `config_hash` became a CRC-32: each time only its `config_hash` changed;
+# and when it gained the four `digraph_edges_*` counts, its only change.
 # The report digest was taken again when ALS drew its init from
 # random.Random instead of numpy.random: only the mf row changed.
-GOLDEN_MANIFEST_SHA256 = "ed9a58adba4aa71b75fd131aec4ff38c628c03944e025a325c6415768a10e34f"
+GOLDEN_MANIFEST_SHA256 = "0476a4929f2e29ebf041b8316d960c4317fb6e1fbf65e23fca1061976043cf80"
 GOLDEN_EVALUATE_SHA256 = "abe2bd5cff6c93dec6b765a4f269d06133b2befde8fb1457066cd37cd5d61c6c"
 
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# each edge count of the manifest, and which rows of digraph.csv it counts
+# (fields src, dst, corr, evidence; evidence bits 1 co-apply, 2 co-click,
+# 4 content)
+MANIFEST_EDGE_COUNTS = {
+    "digraph_edges_behaviour_only": lambda row: int(row[3]) in (1, 2, 3),
+    "digraph_edges_content_only": lambda row: int(row[3]) == 4,
+    "digraph_edges_both": lambda row: int(row[3]) in (5, 6, 7),
+    "digraph_edges_nonpositive": lambda row: float(row[2]) <= 0.0,
+}
+
+
+@pytest.mark.parametrize("field", sorted(MANIFEST_EDGE_COUNTS))
+def test_build_manifest_counts_digraph_edges_by_kind(golden_dir, field):
+    manifest = json.loads((golden_dir / "build" / "manifest.json").read_text())
+    with open(golden_dir / "build" / "digraph.csv", newline="") as fh:
+        want = sum(map(MANIFEST_EDGE_COUNTS[field], csv.reader(fh)))
+    assert manifest[field] == want > 0
 
 
 def test_build_digraph_matches_the_golden_digest(golden_dir):
@@ -415,19 +439,41 @@ def test_missing_embeddings_file_is_input_error(tmp_path, corpus_dir, caplog):
     assert not (tmp_path / "x").exists()
 
 
-# dump rows that load_digraph rejects, with the reason it names
+# dump rows that load_digraph rejects, with the reason it names. Each case
+# keeps the id it had when a dump row held 8 fields (the row of that format
+# and its reason); the fault of an audit-component field is now that of the
+# evidence field.
 MALFORMED_ROWS = [
-    ("j1,j2", "expected 8 fields, got 2"),
-    ("j1,j2,0.5,,,,,,", "expected 8 fields, got 9"),
-    ("j1,j2,,0.5,,,,", "empty corr"),
-    ("j1,j2,high,,,,,", "non-numeric corr 'high'"),
-    ("j1,j2,0.5,,,,,0.x", "non-numeric sim_e '0.x'"),
-    ("j1,j2,inf,,,,,", "non-finite corr 'inf'"),
-    ("j1,j2,0.5,-inf,,,,", "non-finite p_apps '-inf'"),
-    ("j1,j2,0.5,,,nan,,", "non-finite pmi2_apps 'nan'"),
-    (",j2,0.5,,,,,", "empty job id"),
-    ("j1,,0.5,,,,,", "empty job id"),
+    pytest.param("j1,j2", "expected 4 fields, got 2", id="j1,j2-expected 8 fields, got 2"),
+    pytest.param("j1,j2,0.5,1,", "expected 4 fields, got 5", id="j1,j2,0.5,,,,,,-expected 8 fields, got 9"),
+    pytest.param("j1,j2,,1", "empty corr", id="j1,j2,,0.5,,,,-empty corr"),
+    pytest.param("j1,j2,high,1", "non-numeric corr 'high'", id="j1,j2,high,,,,,-non-numeric corr 'high'"),
+    pytest.param("j1,j2,0.5,0.x", "evidence '0.x' is not a code 1-7", id="j1,j2,0.5,,,,,0.x-non-numeric sim_e '0.x'"),
+    pytest.param("j1,j2,inf,1", "non-finite corr 'inf'", id="j1,j2,inf,,,,,-non-finite corr 'inf'"),
+    pytest.param("j1,j2,0.5,0", "evidence '0' is not a code 1-7", id="j1,j2,0.5,-inf,,,,-non-finite p_apps '-inf'"),
+    pytest.param("j1,j2,0.5,8", "evidence '8' is not a code 1-7", id="j1,j2,0.5,,,nan,,-non-finite pmi2_apps 'nan'"),
+    pytest.param(",j2,0.5,1", "empty job id", id=",j2,0.5,,,,,-empty job id"),
+    pytest.param("j1,,0.5,1", "empty job id", id="j1,,0.5,,,,,-empty job id"),
 ]
+
+
+def serve_from(command, graph_dir, corpus_dir, tmp_path):
+    """Exit code of ``command`` for user u00000 from the digraph in ``graph_dir``."""
+    ids = tmp_path / "ids.txt"
+    ids.write_text("u00000\n")
+    per_command = {
+        "recommend": ["--user-id", "u00000"],
+        "serve-batch": ["--user-ids", str(ids), "--out", str(tmp_path / "recs.csv")],
+    }
+    return cli.main(
+        [
+            command,
+            *corpus_flags(corpus_dir),
+            "--graph-dir", str(graph_dir),
+            "--reference-date", REF_ARG,
+            *per_command[command],
+        ]
+    )
 
 
 @pytest.mark.parametrize("row, reason", MALFORMED_ROWS)
@@ -438,23 +484,25 @@ def test_malformed_digraph_row_is_input_error(graph_dir, corpus_dir, tmp_path, c
     bad_dir = tmp_path / "graph"
     bad_dir.mkdir()
     (bad_dir / "digraph.csv").write_text("".join(lines))
-    ids = tmp_path / "ids.txt"
-    ids.write_text("u00000\n")
-    per_command = {
-        "recommend": ["--user-id", "u00000"],
-        "serve-batch": ["--user-ids", str(ids), "--out", str(tmp_path / "recs.csv")],
-    }
-    rc = cli.main(
-        [
-            command,
-            *corpus_flags(corpus_dir),
-            "--graph-dir", str(bad_dir),
-            "--reference-date", REF_ARG,
-            *per_command[command],
-        ]
-    )
-    assert rc == 1
+    assert serve_from(command, bad_dir, corpus_dir, tmp_path) == 1
     assert f"line 3: {reason}" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["recommend", "serve-batch"])
+def test_digraph_of_the_8_field_format_is_refused(graph_dir, corpus_dir, tmp_path, caplog, command):
+    # every row as the 8-field format wrote it: corr, then p_apps,
+    # p_clicks, pmi2_apps, pmi2_clicks and sim_e, empty where absent
+    old_rows = []
+    for src, dst, corr, code in csv.reader((graph_dir / "digraph.csv").read_text().splitlines()):
+        p_apps = "0.5" if int(code) & 1 else ""
+        p_clicks = "0.5" if int(code) & 2 else ""
+        sim_e = "0.75" if int(code) & 4 else ""
+        old_rows.append(f"{src},{dst},{corr},{p_apps},{p_clicks},{p_apps and '-1.5'},{p_clicks and '-1.5'},{sim_e}\n")
+    old_dir = tmp_path / "graph"
+    old_dir.mkdir()
+    (old_dir / "digraph.csv").write_text("".join(old_rows))
+    assert serve_from(command, old_dir, corpus_dir, tmp_path) == 1
+    assert "line 1: expected 4 fields, got 8" in caplog.text
 
 
 def test_serve_batch_counts_and_file_format(graph_dir, corpus_dir, tmp_path, capsys):

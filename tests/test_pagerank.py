@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import REF, dense_pagerank, make_job, random_digraph, reference_pagerank
+from helpers import REF, dense_pagerank, from_corr, make_job, random_digraph, reference_pagerank
 from jobgraph.config import EngineConfig
 from jobgraph.recommend import (
     PageRankResult,
@@ -15,14 +15,14 @@ from jobgraph.recommend import (
     personalized_pagerank,
     recommend,
 )
-from jobgraph.scoring import EdgeScores, RecDigraph
+from jobgraph.scoring import EVIDENCE_APPLY, RecDigraph
 
 # the package re-exports the function `recommend` under the module's name
 recommend_module = importlib.import_module("jobgraph.recommend")
 
 
 def test_two_node_cycle_splits_mass_evenly():
-    digraph = RecDigraph.from_corr({("a", "b"): 1.0, ("b", "a"): 1.0}, ["a", "b"])
+    digraph = from_corr({("a", "b"): 1.0, ("b", "a"): 1.0}, ["a", "b"])
     result = global_pagerank(digraph)
     assert result.converged
     assert result.scores["a"] == pytest.approx(0.5, abs=1e-9)
@@ -30,20 +30,20 @@ def test_two_node_cycle_splits_mass_evenly():
 
 
 def test_single_node_holds_all_mass():
-    digraph = RecDigraph.from_corr({}, ["only"])
+    digraph = from_corr({}, ["only"])
     result = global_pagerank(digraph)
     assert result.converged
     assert result.scores == {"only": pytest.approx(1.0)}
 
 
 def test_empty_digraph_gives_empty_scores():
-    digraph = RecDigraph.from_corr({}, [])
+    digraph = from_corr({}, [])
     result = global_pagerank(digraph)
     assert result.scores == {} and result.converged
 
 
 def test_sink_attracts_more_mass_than_sources():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("a", "hub"): 1.0, ("b", "hub"): 1.0, ("c", "hub"): 1.0},
         ["a", "b", "c", "hub"],
     )
@@ -52,7 +52,7 @@ def test_sink_attracts_more_mass_than_sources():
 
 
 def test_damping_must_be_in_open_interval():
-    digraph = RecDigraph.from_corr({("a", "b"): 1.0}, ["a", "b"])
+    digraph = from_corr({("a", "b"): 1.0}, ["a", "b"])
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             global_pagerank(digraph, damping=bad)
@@ -77,8 +77,8 @@ def test_global_matches_dense_solve_on_random_graphs():
 def test_negative_edges_carry_no_mass():
     # the only out-edge of "a" has negative aggregate score, so "a" acts as
     # a dangling node and its mass teleports to the restart distribution
-    with_neg = RecDigraph.from_corr({("a", "b"): -0.5}, ["a", "b"])
-    without = RecDigraph.from_corr({}, ["a", "b"])
+    with_neg = from_corr({("a", "b"): -0.5}, ["a", "b"])
+    without = from_corr({}, ["a", "b"])
     got = global_pagerank(with_neg).scores
     want = global_pagerank(without).scores
     assert got == pytest.approx(want)
@@ -97,7 +97,7 @@ def test_full_preference_set_reproduces_global_ranking():
 
 
 def test_personalized_restricts_to_out_reachable_set():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("p", "a"): 1.0, ("a", "b"): 0.5, ("z", "p"): 1.0, ("neg", "p"): 1.0,
          ("b", "neg"): -1.0},
         ["p", "a", "b", "z", "neg"],
@@ -125,7 +125,7 @@ def test_personalized_matches_dense_solve_on_reachable_subgraph():
 
 
 def test_preference_job_without_out_edges_keeps_all_mass():
-    digraph = RecDigraph.from_corr({("a", "b"): 1.0}, ["a", "b", "island"])
+    digraph = from_corr({("a", "b"): 1.0}, ["a", "b", "island"])
     result = personalized_pagerank(digraph, ["island"])
     assert result.scores == {"island": pytest.approx(1.0)}
 
@@ -134,21 +134,21 @@ def test_edges_from_expired_sources_carry_no_mass():
     # "bx" expired: it keeps its out-edges as a level-1 source, and sorts
     # between active jobs, but moves no PageRank mass
     active_edges = {("a", "b"): 1.0, ("b", "c"): 0.5, ("c", "a"): 0.25}
-    with_expired = RecDigraph.from_corr({**active_edges, ("bx", "a"): 2.0, ("bx", "c"): 1.0}, "abc")
-    without = RecDigraph.from_corr(active_edges, "abc")
+    with_expired = from_corr({**active_edges, ("bx", "a"): 2.0, ("bx", "c"): 1.0}, "abc")
+    without = from_corr(active_edges, "abc")
     assert with_expired.num_edges == 5
     assert global_pagerank(with_expired).scores == global_pagerank(without).scores
     assert personalized_pagerank(with_expired, ["b"]).scores == personalized_pagerank(without, ["b"]).scores
 
 
 def test_preferences_outside_active_set_yield_empty_result():
-    digraph = RecDigraph.from_corr({("a", "b"): 1.0}, ["a", "b"])
+    digraph = from_corr({("a", "b"): 1.0}, ["a", "b"])
     result = personalized_pagerank(digraph, ["ghost"])
     assert result.scores == {} and result.converged
 
 
 def test_unconverged_run_is_flagged():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("a", "b"): 1.0, ("b", "c"): 1.0}, ["a", "b", "c"]
     )
     result = recommend_module._pagerank(digraph, sorted(digraph.active_jobs), 0.85, 1e-15, 2)
@@ -167,7 +167,7 @@ def test_personalized_walk_on_a_two_cycle_converges_at_the_defaults():
     # the slowest walk there is: the L1 change of a step is exactly
     # 2 * damping**t, so epsilon 1e-10 takes 146 steps
     d = EngineConfig().damping
-    digraph = RecDigraph.from_corr({("a", "b"): 1.0, ("b", "a"): 1.0}, ["a", "b"])
+    digraph = from_corr({("a", "b"): 1.0, ("b", "a"): 1.0}, ["a", "b"])
     result = personalized_pagerank(digraph, ["a"], d, EngineConfig().pagerank_epsilon)
     assert result.converged
     assert result.iterations == 146
@@ -200,7 +200,7 @@ def test_global_pagerank_iterates_once_per_digraph_and_settings(monkeypatch):
         return power_iteration(*args, **kwargs)
 
     monkeypatch.setattr(recommend_module, "_pagerank", counted)
-    digraph = RecDigraph.from_corr({("a", "b"): 1.0, ("c", "b"): 0.5}, ["a", "b", "c"])
+    digraph = from_corr({("a", "b"): 1.0, ("c", "b"): 0.5}, ["a", "b", "c"])
     jobs = {j: make_job(j) for j in digraph.active_jobs}
     anonymous = UserProfile("anon")
     first = recommend(anonymous, digraph, jobs, {}, REF)
@@ -212,7 +212,7 @@ def test_global_pagerank_iterates_once_per_digraph_and_settings(monkeypatch):
 
     recommend(anonymous, digraph, jobs, {}, REF, EngineConfig(damping=0.5))
     assert len(runs) == 2
-    fresh = RecDigraph.from_corr({("a", "b"): 1.0, ("c", "b"): 0.5}, ["a", "b", "c"])
+    fresh = from_corr({("a", "b"): 1.0, ("c", "b"): 0.5}, ["a", "b", "c"])
     assert global_pagerank(fresh).scores == global_pagerank(digraph).scores
     assert len(runs) == 3
     with pytest.raises(ValueError):
@@ -236,16 +236,14 @@ def bridged_digraph(rng: np.random.Generator) -> RecDigraph:
     corr = rng.uniform(-0.5, 2.0, len(src))
     corr[rng.random(len(src)) < 0.1] = 0.0
     corr[cluster[src] != cluster[dst]] *= 1e-3
-    scores = np.full((len(src), len(EdgeScores._fields)), np.nan)
-    scores[:, 0] = corr
     active = [j for j in ids if rng.random() > 0.15] or ids[:1]
-    return RecDigraph(ids, src, dst, scores, active)
+    return RecDigraph(ids, src, dst, corr, np.full(len(src), EVIDENCE_APPLY, dtype=np.uint8), active)
 
 
 def test_reached_edge_walk_equals_the_full_walk_bit_for_bit():
     rng = np.random.default_rng(41)
     # "bx" is an expired source numbered between active jobs
-    expired_source = RecDigraph.from_corr(
+    expired_source = from_corr(
         {("a", "b"): 1.0, ("b", "c"): 0.5, ("c", "a"): 0.25, ("bx", "a"): 2.0, ("bx", "c"): 1.0}, "abc"
     )
     cut_off = converged = 0

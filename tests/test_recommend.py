@@ -8,7 +8,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from helpers import REF, brute_force_levels, edge_map, embed_sim, ev, make_job, random_digraph, ts
+from helpers import REF, brute_force_levels, edge_map, embed_sim, ev, from_corr, make_job, random_digraph, ts
 from jobgraph.config import ConfigError, EngineConfig
 from jobgraph.ingest import DedupedSignal, SignalKind, UserRecord, dedupe, epoch_us
 from jobgraph.recommend import (
@@ -28,7 +28,7 @@ from jobgraph.recommend import (
     recommend,
     sources_with_activity,
 )
-from jobgraph.scoring import RecDigraph, dump_digraph, load_digraph
+from jobgraph.scoring import dump_digraph, load_digraph
 
 
 def profile(user_id="u1", triples=(), category=None, location=None):
@@ -151,7 +151,7 @@ def test_sources_clamp_future_interactions_to_age_zero():
 
 
 def test_level1_scores_are_activity_times_corr():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("s", "a"): 0.5, ("s", "b"): 0.9}, ["s", "a", "b"]
     )
     result = level1(digraph, [("s", 0.5)], k=10)
@@ -159,7 +159,7 @@ def test_level1_scores_are_activity_times_corr():
 
 
 def test_level1_max_merges_across_sources():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("s1", "a"): 0.4, ("s2", "a"): 0.9}, ["s1", "s2", "a"]
     )
     result = level1(digraph, [("s1", 1.0), ("s2", 0.5)], k=5)
@@ -167,7 +167,7 @@ def test_level1_max_merges_across_sources():
 
 
 def test_level1_never_recommends_sources_or_excluded():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("s1", "s2"): 1.0, ("s1", "a"): 0.8, ("s1", "x"): 0.9},
         ["s1", "s2", "a", "x"],
     )
@@ -187,7 +187,7 @@ def test_level1_ranking_invariant_to_activity_scale():
 
 
 def test_level1_ties_break_by_job_id():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("s", "b"): 0.5, ("s", "a"): 0.5, ("s", "c"): 0.5}, ["s", "a", "b", "c"]
     )
     result = level1(digraph, [("s", 1.0)], k=2)
@@ -201,7 +201,7 @@ def test_level1_ties_break_by_job_id():
 def test_level2_multiplies_scores_along_the_path():
     # chain fixture: 1 -> 6 -> 4; the two-hop score must equal the level-1
     # score of the midpoint times the onward edge weight
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("j1", "j6"): 0.7, ("j6", "j4"): 0.6}, ["j1", "j4", "j6"]
     )
     l1 = level1(digraph, [("j1", 0.9)], k=10)
@@ -215,7 +215,7 @@ def test_level2_multiplies_scores_along_the_path():
 
 
 def test_level2_skips_level1_jobs_and_exclusions():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("s", "a"): 0.9, ("s", "b"): 0.8, ("a", "b"): 1.0, ("a", "c"): 0.5, ("a", "x"): 0.9},
         ["s", "a", "b", "c", "x"],
     )
@@ -226,7 +226,7 @@ def test_level2_skips_level1_jobs_and_exclusions():
 
 def test_hop_keeps_the_first_of_two_equal_scores():
     # 0.5 * 0.0 and -2.0 * 0.0 compare equal; the start met first sets the sign
-    digraph = RecDigraph.from_corr({("a", "x"): 0.0, ("b", "x"): 0.0}, ["a", "b", "x"])
+    digraph = from_corr({("a", "x"): 0.0, ("b", "x"): 0.0}, ["a", "b", "x"])
     served = level2(digraph, [("a", 0.5), ("b", -2.0)], k=10)
     assert served == [("x", 0.0)] and math.copysign(1.0, served[0][1]) == 1.0
     served = level2(digraph, [("b", -2.0), ("a", 0.5)], k=10)
@@ -459,7 +459,7 @@ def pipeline_jobs(digraph, extra_expired=()):
 
 
 def test_recommend_active_user_tier_order_and_provenance():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("h", "a"): 0.9, ("h", "b"): 0.5, ("a", "c"): 0.8, ("b", "c"): 0.1, ("a", "d"): 0.4},
         ["h", "a", "b", "c", "d"],
     )
@@ -482,7 +482,7 @@ def test_recommend_active_user_tier_order_and_provenance():
 
 
 def test_recommend_k_truncates_and_min_recs_stops_early():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("h", "a"): 0.9, ("h", "b"): 0.5, ("a", "c"): 0.8},
         ["h", "a", "b", "c"],
     )
@@ -498,7 +498,7 @@ def test_recommend_k_truncates_and_min_recs_stops_early():
 
 def test_recommend_active_user_falls_back_to_pagerank():
     # history job has no out-edges, so propagation yields nothing
-    digraph = RecDigraph.from_corr({("a", "b"): 0.5}, ["h", "a", "b"])
+    digraph = from_corr({("a", "b"): 0.5}, ["h", "a", "b"])
     p = profile(triples=[("h", SignalKind.APPLY, 0)])
     recs = recommend(p, digraph, pipeline_jobs(digraph), {}, REF)
     assert recs
@@ -507,7 +507,7 @@ def test_recommend_active_user_falls_back_to_pagerank():
 
 
 def test_recommend_anonymous_is_global_popularity():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("a", "b"): 1.0, ("c", "b"): 1.0, ("b", "a"): 0.2}, ["a", "b", "c"]
     )
     recs = recommend(profile(), digraph, pipeline_jobs(digraph), {}, REF)
@@ -518,7 +518,7 @@ def test_recommend_anonymous_is_global_popularity():
 
 
 def test_recommend_passive_user_uses_personalized_pagerank():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("a", "b"): 1.0, ("b", "c"): 1.0, ("d", "a"): 1.0}, ["a", "b", "c", "d"]
     )
     jobs = {
@@ -536,12 +536,12 @@ def test_recommend_passive_user_uses_personalized_pagerank():
 
 
 def test_recommend_empty_digraph_yields_nothing():
-    digraph = RecDigraph.from_corr({}, [])
+    digraph = from_corr({}, [])
     assert recommend(profile(), digraph, {}, {}, REF) == []
 
 
 def test_recommend_rejects_bad_k():
-    digraph = RecDigraph.from_corr({("a", "b"): 1.0}, ["a", "b"])
+    digraph = from_corr({("a", "b"): 1.0}, ["a", "b"])
     with pytest.raises(ConfigError):
         recommend(profile(), digraph, {}, {}, REF, EngineConfig(k=0))
 
@@ -591,7 +591,7 @@ def test_recommend_invariants_on_random_inputs():
 
 
 def test_recommend_location_boost_reorders_within_tier():
-    digraph = RecDigraph.from_corr(
+    digraph = from_corr(
         {("h", "far"): 0.9, ("h", "near"): 0.8}, ["h", "far", "near"]
     )
     jobs = {
@@ -608,7 +608,7 @@ def test_recommend_location_boost_reorders_within_tier():
 def test_stale_artifact_never_serves_a_job_expired_after_the_build():
     # "x" is a strong direct, two-hop, PageRank and popularity target at
     # build time, and expires before the dump is served
-    built = RecDigraph.from_corr(
+    built = from_corr(
         {("h", "x"): 0.9, ("h", "a"): 0.5, ("a", "x"): 0.9, ("a", "b"): 0.2,
          ("p", "x"): 1.0, ("p", "b"): 0.1, ("b", "x"): 1.0},
         ["h", "a", "b", "p", "x"],

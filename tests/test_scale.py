@@ -4,7 +4,7 @@ jobs, 160k events), built and served for the user ids u00000 to u00199,
 and evaluated over graph, cf and mf with three ALS iterations.
 
 Marked ``scale`` and deselected by default; run with ``pytest -m scale``
-(about a minute and 330 MB). The corpus spans several similarity row blocks in
+(about 45 s and 290 MB). The corpus spans several similarity row blocks in
 ``scoring.content_edges``, so a numpy or BLAS change can move the last bits
 of its similarities, and these digests with them.
 """
@@ -16,8 +16,10 @@ import pytest
 from jobgraph import cli
 
 REF_ARG = "2017-06-01T00:00:00Z"
-M_DIGRAPH_SHA256 = "b56481cdfeefda347be73ea6771f960babe96b2ce0a8e1cc3813d2160d6d4e45"
-M_MANIFEST_SHA256 = "f030e47e10b21057a750bd13e5d4971a037261fab383a926a36f232df37492ba"
+# taken again when digraph.csv became src,dst,corr,evidence (its first
+# three columns unchanged) and the manifest gained its digraph_edges_* counts
+M_DIGRAPH_SHA256 = "e889143eb0a0f96fb51006011a97a040328affbfb5ae743def936e04aec23e6f"
+M_MANIFEST_SHA256 = "ee48779808cc662af1fa1176852b1cb90856df6d080f52c89d38afec270e97ad"
 # the serve-batch --out file and stdout
 M_SERVE_SHA256 = {
     "out": "606995501f8f099edbf8845317df75be160dc060cf5c8509324962097da52405",
