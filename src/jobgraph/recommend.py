@@ -406,7 +406,10 @@ def location_rerank(
 ) -> list[tuple[str, float]]:
     """Boost candidates within ``radius_km`` of the user, then re-sort.
 
-    Never adds or removes candidates; a no-op without a user location.
+    A boost moves a score up: a score >= 0 is multiplied by ``boost``, a
+    negative one divided by it, so a nearby job never falls below a distant
+    one of equal score. Never adds or removes candidates; a no-op without a
+    user location.
     """
     if boost < 1.0:
         raise ValueError(f"boost must be >= 1, got {boost}")
@@ -418,7 +421,7 @@ def location_rerank(
         if record is None or record.location is None:
             return score
         if haversine_km(user_location, record.location) <= radius_km:
-            return score * boost
+            return score * boost if score >= 0 else score / boost
         return score
 
     rescored = [(job_id, boosted(job_id, score)) for job_id, score in candidates]

@@ -416,6 +416,17 @@ def test_location_rerank_boosts_nearby_jobs_past_distant_ones():
     assert ranked[2] == ("nowhere", 0.85)
 
 
+def test_location_rerank_boosts_a_negative_score_towards_zero():
+    jobs = {
+        "near": make_job("near", location=(0.0, 0.3)),
+        "far": make_job("far", location=(0.0, 10.0)),
+    }
+    # "far" sorts first by id before the boost; a multiplied -1.0 would
+    # fall to -1.25 and rank "near" last
+    ranked = location_rerank([("far", -1.0), ("near", -1.0)], (0.0, 0.0), jobs)
+    assert ranked == [("near", -1.0 / 1.25), ("far", -1.0)]
+
+
 def test_location_rerank_identity_cases():
     jobs = {"a": make_job("a", location=(0.0, 0.0))}
     unsorted = [("a", 0.2), ("b", 0.9)]
