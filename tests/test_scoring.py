@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     CoMaps,
-    EdgeScores,
     co_maps,
     co_pairs,
     content_map,
