@@ -406,9 +406,9 @@ def location_rerank(
 ) -> list[tuple[str, float]]:
     """Boost candidates within ``radius_km`` of the user, then re-sort.
 
-    A boost moves a score up: a score >= 0 is multiplied by ``boost``, a
-    negative one divided by it, so a nearby job never falls below a distant
-    one of equal score. Never adds or removes candidates; a no-op without a
+    A boost never lowers a score: a score >= 0 is multiplied by ``boost``,
+    a negative one divided by it, so a nearby job never falls below a
+    distant one of equal score. Never adds or removes candidates; a no-op without a
     user location.
     """
     if boost < 1.0:
