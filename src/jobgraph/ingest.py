@@ -10,7 +10,9 @@ Input files are headerless UTF-8 text:
 
 Parsers are recoverable: malformed lines become :class:`ParseIssue` records
 carrying the line number, and the remaining lines are still parsed. Only a
-CSV line with quotes, line breaks or NULs goes through ``csv.reader``.
+CSV line with quotes, line breaks or NULs goes through ``csv.reader``; the
+events file is split a block of plain lines at a time, as columns, and
+each other block row by row (:mod:`jobgraph.textblock`).
 
 Events are held as one columnar :class:`EventLog` from parsing on:
 windowing, job resolution and the holdout split select its rows, and
@@ -26,9 +28,12 @@ from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from itertools import compress, islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from .textblock import code_ids, epoch_us_block, split_block
 
 logger = logging.getLogger(__name__)
 
@@ -276,51 +281,20 @@ def parse_timestamp(token: str) -> datetime:
         raise ValueError(f"{token!r} is out of range in UTC") from exc
 
 
-# A plain timestamp, YYYY-MM-DDTHH:MM:SS with an optional Z: its digit and
-# separator columns. numpy reads a block of them at once.
-_PLAIN_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_PLAIN_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
-
-
 def _epoch_us_block(tokens: list[str]) -> tuple[np.ndarray, list[int]]:
     """Epoch microseconds of stripped timestamp tokens, as
     :func:`parse_timestamp` reads them, and the positions of the tokens it
-    rejects (their value is 0).
-
-    Plain tokens are parsed by numpy as a block; a block with an invalid
-    date among them, and every other token, go through
-    :func:`parse_timestamp`.
-    """
-    out = np.zeros(len(tokens), dtype=np.int64)
-    chars = np.array(tokens, dtype="<U20").view(np.uint32).reshape(len(tokens), 20)
-    length = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    zulu = (chars[:, 19] == ord("Z")) | (chars[:, 19] == ord("z"))
-    plain = (length == 19) | ((length == 20) & zulu)
-    plain &= (chars[:, _PLAIN_DIGITS] - ord("0") <= 9).all(axis=1)  # unsigned: below "0" wraps
-    plain &= (chars[:, :4] != ord("0")).any(axis=1)  # no year 0
-    for column, separator in _PLAIN_SEPARATORS.items():
-        plain &= chars[:, column] == ord(separator)
-    stamps = np.ascontiguousarray(chars[plain, :19]).view("<U19")[:, 0]
-    try:
-        out[plain] = stamps.astype("datetime64[us]").astype(np.int64)
-    except ValueError:  # a month, day or time out of range
-        plain[:] = False
-    rejected = []
-    for i in np.flatnonzero(~plain).tolist():
-        try:
-            out[i] = epoch_us(parse_timestamp(tokens[i]))
-        except ValueError:
-            rejected.append(i)
-    return out, rejected
+    rejects (their value is 0)."""
+    return epoch_us_block(tokens, lambda token: epoch_us(parse_timestamp(token)))
 
 
 def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-def _csv_rows(lines: Iterable[str]):
-    """Yield (line_no, row) for non-blank lines, 1-based numbering."""
-    for line_no, line in enumerate(lines, start=1):
+def _csv_rows(lines: Iterable[str], start: int = 1):
+    """Yield (line_no, row) for non-blank lines, numbered from ``start``."""
+    for line_no, line in enumerate(lines, start=start):
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue
@@ -328,9 +302,14 @@ def _csv_rows(lines: Iterable[str]):
         yield line_no, line.split(",") if plain else next(csv.reader([line]))
 
 
-# Timestamps are read this many rows at a time, so no list of them
-# outgrows a block while the file streams.
-_EVENT_BLOCK = 4096
+# Events are parsed this many lines at a time: a block's text, fields and
+# timestamps are freed before the next block is read
+_EVENT_BLOCK = 1024
+
+# The characters that send a block of events to the row loop: quotes, NULs,
+# and those str.strip removes from a field (any CR but a line end's);
+# non-ASCII text goes there too
+_NOT_PLAIN = '"\0\r\t\v\f \x1c\x1d\x1e\x1f'
 
 
 def parse_events(lines: Iterable[str]) -> tuple[EventLog, list[ParseIssue]]:
@@ -339,17 +318,61 @@ def parse_events(lines: Iterable[str]) -> tuple[EventLog, list[ParseIssue]]:
 
     A line missing the trailing query_id column is accepted without a
     query id, as is an empty one. Issues are in line order.
+
+    Lines are read :data:`_EVENT_BLOCK` at a time. A block of ASCII lines
+    with the same 4 or 5 fields each, nonempty ids, known kinds and nothing
+    to strip is read as columns; any other block row by row.
     """
     columns = _Columns()
     issues: list[ParseIssue] = []
-    # the timestamps and line numbers of the rows since the last block was read
-    stamps: list[str] = []
-    line_nos: list[int] = []
     rejected: list[int] = []  # rows whose timestamp is not read
-    users, jobs, queries = columns.users, columns.jobs, columns.queries
-    user, job, kind_col = columns.user, columns.job, columns.kind
-    query_row, query = columns.query_row, columns.query
-    for line_no, row in _csv_rows(lines):
+    lines = iter(lines)
+    first = 1  # the line number of the block's first line
+    while block := list(islice(lines, _EVENT_BLOCK)):
+        fields = split_block(block, (4, 5), _NOT_PLAIN, ascii_only=True)
+        if fields is not None and _add_plain(columns, fields):
+            stamps, line_nos = fields[3], range(first, first + len(block))
+        else:
+            stamps, line_nos = _add_rows(columns, _csv_rows(block, first), issues)
+        first += len(block)
+        del block, fields
+        times, bad = _epoch_us_block(stamps)
+        for i in bad:
+            rejected.append(len(columns.time) + i)
+            issues.append(ParseIssue(line_nos[i], f"bad timestamp {stamps[i]!r}"))
+        columns.time.frombytes(times.tobytes())
+    issues.sort(key=lambda issue: issue.line_no)
+    log = columns.log()
+    if rejected:
+        keep = np.ones(len(log), dtype=bool)
+        keep[rejected] = False
+        log = log.take(keep)
+    return log, issues
+
+
+def _add_plain(columns: _Columns, fields: list[list[str]]) -> bool:
+    """Append the rows of a plain block's columns but their times, unless
+    a row has an empty id or an unknown kind (then append none)."""
+    user_ids, job_ids, kind_tokens = fields[:3]
+    kinds = {token: _KIND_CODES.get(token.lower()) for token in dict.fromkeys(kind_tokens)}
+    if "" in user_ids or "" in job_ids or None in kinds.values():
+        return False
+    if len(fields) == 5:
+        row = len(columns.user)
+        columns.query_row.extend(compress(range(row, row + len(user_ids)), fields[4]))
+        columns.query.extend(code_ids(columns.queries, list(filter(None, fields[4]))))
+    columns.user.extend(code_ids(columns.users, user_ids))
+    columns.job.extend(code_ids(columns.jobs, job_ids))
+    columns.kind.extend(map(kinds.__getitem__, kind_tokens))
+    return True
+
+
+def _add_rows(columns: _Columns, rows, issues: list[ParseIssue]) -> tuple[list[str], list[int]]:
+    """Append the well-formed of (line number, row) pairs but their times,
+    and return their timestamps and line numbers; each other row is an
+    issue."""
+    stamps, line_nos = [], []
+    for line_no, row in rows:
         if len(row) not in (4, 5):
             issues.append(ParseIssue(line_no, f"expected 4 or 5 fields, got {len(row)}"))
             continue
@@ -362,40 +385,10 @@ def parse_events(lines: Iterable[str]) -> tuple[EventLog, list[ParseIssue]]:
         if kind is None:
             issues.append(ParseIssue(line_no, f"unknown kind {kind_tok!r}"))
             continue
-        # Columns.add, inlined: this loop is most of the parse
-        if query_id:
-            query_row.append(len(user))
-            query.append(queries.setdefault(query_id, len(queries)))
-        user.append(users.setdefault(user_id, len(users)))
-        job.append(jobs.setdefault(job_id, len(jobs)))
-        kind_col.append(kind)
+        columns.add(user_id, job_id, kind, [query_id] if query_id else [])
         stamps.append(ts_tok)
         line_nos.append(line_no)
-        if len(stamps) == _EVENT_BLOCK:
-            _read_stamps(columns, stamps, line_nos, rejected, issues)
-    _read_stamps(columns, stamps, line_nos, rejected, issues)
-    issues.sort(key=lambda issue: issue.line_no)
-    log = columns.log()
-    if rejected:
-        keep = np.ones(len(log), dtype=bool)
-        keep[rejected] = False
-        log = log.take(keep)
-    return log, issues
-
-
-def _read_stamps(
-    columns: _Columns, stamps: list[str], line_nos: list[int], rejected: list[int], issues: list[ParseIssue]
-) -> None:
-    """Append the times of a block of rows; a rejected timestamp is an issue
-    and its row is marked. Empties ``stamps`` and ``line_nos``."""
-    times, bad = _epoch_us_block(stamps)
-    first = len(columns.time)
-    columns.time.frombytes(times.tobytes())
-    for i in bad:
-        rejected.append(first + i)
-        issues.append(ParseIssue(line_nos[i], f"bad timestamp {stamps[i]!r}"))
-    stamps.clear()
-    line_nos.clear()
+    return stamps, line_nos
 
 
 def write_rows(rows: Iterable[Sequence[str]], fh) -> None:

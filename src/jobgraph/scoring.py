@@ -22,6 +22,7 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -29,6 +30,7 @@ import numpy as np
 from .config import EngineConfig
 from .graph import CoPairs, build_costats
 from .ingest import DedupedSignal, EventLog, JobRecord, active_job_ids
+from .textblock import code_ids, split_block
 
 logger = logging.getLogger(__name__)
 
@@ -442,8 +444,10 @@ def dump_digraph(digraph: RecDigraph, fh: TextIO) -> None:
     formatted :data:`DUMP_BLOCK` at a time, column by column, with one
     ``repr`` per distinct float bit pattern of the block's ``corr``.
     """
-    quoted = np.array(_csv_fields(digraph.nodes), dtype=object)
-    codes = np.array([str(code) for code in range(256)], dtype=object)
+    # the job ids with the comma after them, and the codes with the comma
+    # before them and the line break: a row is four parts
+    quoted = np.array(_csv_fields(digraph.nodes), dtype=object) + ","
+    codes = np.array([f",{code}\n" for code in range(256)], dtype=object)
     for lo in range(0, digraph.num_edges, DUMP_BLOCK):
         block = slice(lo, lo + DUMP_BLOCK)
         dst = digraph.dst[block]
@@ -451,14 +455,18 @@ def dump_digraph(digraph: RecDigraph, fh: TextIO) -> None:
         # by bit pattern, so -0.0 and 0.0 keep their own reprs
         bits, where = np.unique(digraph.corr[block].view(np.int64), return_inverse=True)
         corr = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-        columns = [quoted[src].tolist(), quoted[dst].tolist(), corr[where].tolist(), codes[digraph.evidence[block]].tolist()]
+        parts = [None] * (4 * len(dst))
+        parts[0::4] = quoted[src].tolist()
+        parts[1::4] = quoted[dst].tolist()
+        parts[2::4] = corr[where].tolist()
+        parts[3::4] = codes[digraph.evidence[block]].tolist()
         # 512 rows a write: joining a whole block at once left the build's
         # peak RSS about 0.7 MB higher
-        for s in range(0, len(dst), 512):
-            fh.write("\n".join([*map(",".join, zip(*(c[s : s + 512] for c in columns))), ""]))
+        for s in range(0, len(parts), 4 * 512):
+            fh.write("".join(parts[s : s + 4 * 512]))
 
 
-# Dump rows parsed per numpy block by load_digraph. A block's field strings
+# Dump lines parsed per block by load_digraph. A block's field strings
 # are freed once it is parsed, but the memory they held stays with the
 # process: a serving set-up peaked 2.5 MB lower at 512 rows than at 4096
 # (43.2 against 45.7 MB, 23k edges), with no slower load; 256 saved no more.
@@ -477,19 +485,23 @@ def load_digraph(lines: Iterable[str], active_jobs: Iterable[str]) -> RecDigraph
     earlier 8-field format has), an empty job id or ``corr``, a non-numeric
     or non-finite ``corr``, or an evidence code other than 1-7 raises
     ``ValueError`` naming its line.
+
+    Lines are read :data:`LOAD_BLOCK` at a time and split as columns while
+    a block's lines hold 4 fields each and no quote, CR or NUL; from the
+    first block that does not, the rest goes through ``csv.reader``.
     """
     index: dict[str, int] = {}
     # each checked block goes straight into growing buffers: one copy of the rows
-    src, dst, corr, evidence = array("i"), array("i"), array("d"), array("B")
-    block = []
-    reader = csv.reader(lines)
-    for row in reader:
-        if row:
-            block.append((reader.line_num, row))
-        if len(block) == LOAD_BLOCK:
-            _parse_rows(block, index, src, dst, corr, evidence)
-            block = []
-    _parse_rows(block, index, src, dst, corr, evidence)
+    src, dst, corr, evidence = buffers = array("i"), array("i"), array("d"), array("B")
+    lines = iter(lines)
+    line_no = 0  # the lines before the block
+    while block := list(islice(lines, LOAD_BLOCK)):
+        columns = split_block(block, (4,), '"\r\0')
+        if columns is None:
+            _parse_csv(chain(block, lines), line_no, index, *buffers)
+            break
+        _parse_columns(columns, range(line_no + 1, line_no + 1 + len(block)), index, *buffers)
+        line_no += len(block)
     return RecDigraph(
         list(index),
         np.frombuffer(src, dtype=np.intc),
@@ -500,38 +512,69 @@ def load_digraph(lines: Iterable[str], active_jobs: Iterable[str]) -> RecDigraph
     )
 
 
-def _parse_rows(
-    block: list[tuple[int, list[str]]], index: dict[str, int], src: array, dst: array, corr: array, evidence: array
-) -> None:
-    """Append (line number, row) pairs of the dump to the ``src``, ``dst``,
-    ``corr`` and ``evidence`` buffers, job ids interned into ``index``.
+def _parse_csv(lines: Iterable[str], line_no: int, index: dict[str, int], *buffers: array) -> None:
+    """Parse dump lines with ``csv.reader``, :data:`LOAD_BLOCK` rows at a
+    time, numbering them from line ``line_no + 1``."""
+    reader = csv.reader(lines)
+    block = []
+    for row in reader:
+        if row:
+            block.append((line_no + reader.line_num, row))
+        if len(block) == LOAD_BLOCK:
+            _parse_rows(block, index, *buffers)
+            block = []
+    _parse_rows(block, index, *buffers)
 
-    The block is checked at once: 4 fields a row, two nonempty job ids, a
-    finite ``corr`` and an evidence code 1-7. A block that fails is checked
-    row by row for a line to name.
+
+def _parse_rows(block: list[tuple[int, list[str]]], index: dict[str, int], *buffers: array) -> None:
+    """Append (line number, row) pairs of the dump as :func:`_parse_columns` does."""
+    if not block:
+        return
+    line_nos, rows = zip(*block)
+    if set(map(len, rows)) != {4}:
+        _check_rows(line_nos, rows)
+    _parse_columns(list(zip(*rows)), line_nos, index, *buffers)
+
+
+def _parse_columns(
+    columns: list[Sequence[str]],
+    line_nos: Sequence[int],
+    index: dict[str, int],
+    src: array,
+    dst: array,
+    corr: array,
+    evidence: array,
+) -> None:
+    """Append a block of dump rows, given as its four columns, to the
+    ``src``, ``dst``, ``corr`` and ``evidence`` buffers, job ids interned
+    into ``index``.
+
+    The block is checked at once: two nonempty job ids, a finite ``corr``
+    and an evidence code 1-7. A block that fails is checked row by row for
+    a line to name.
     """
-    rows = [row for _, row in block]
+    src_ids, dst_ids, corr_tokens, evidence_tokens = columns
     try:
-        values = array("d", [float(row[2]) for row in rows])
-        codes = array("B", [_EVIDENCE_CODES[row[3]] for row in rows])
-    except (ValueError, IndexError, KeyError):  # a bad field, or too few fields
+        values = array("d", map(float, corr_tokens))
+        codes = array("B", map(_EVIDENCE_CODES.__getitem__, evidence_tokens))
+    except (ValueError, KeyError):
         values = None
-    if (
-        values is None
-        or set(map(len, rows)) != {4}
-        or not all(row[0] and row[1] for row in rows)
-        or not np.isfinite(np.frombuffer(values)).all()
-    ):
-        for line_no, row in block:
-            if problem := _row_problem(row):
-                raise ValueError(f"digraph line {line_no}: {problem}")
-    src.extend([index.setdefault(row[0], len(index)) for row in rows])
-    dst.extend([index.setdefault(row[1], len(index)) for row in rows])
+    if values is None or "" in src_ids or "" in dst_ids or not np.isfinite(np.frombuffer(values)).all():
+        _check_rows(line_nos, zip(*columns))
+    src.extend(code_ids(index, src_ids))
+    dst.extend(code_ids(index, dst_ids))
     corr.extend(values)
     evidence.extend(codes)
 
 
-def _row_problem(row: list[str]) -> str | None:
+def _check_rows(line_nos: Iterable[int], rows: Iterable[Sequence[str]]) -> None:
+    """Raise ``ValueError`` naming the line of the first malformed row."""
+    for line_no, row in zip(line_nos, rows):
+        if problem := _row_problem(row):
+            raise ValueError(f"digraph line {line_no}: {problem}")
+
+
+def _row_problem(row: Sequence[str]) -> str | None:
     """What makes a dump row malformed, or None."""
     if len(row) != 4:
         return f"expected 4 fields, got {len(row)}"

@@ -3,16 +3,18 @@
 Each function that reads or writes an :class:`EventLog` is compared with
 its record oracle in ``helpers`` on generated events files: quoted
 fields, CRLF line ends, blank and malformed lines, 4-field rows,
-mixed-case kinds, padded fields, timestamps in every accepted form and
-some invalid ones, repeated events, clicks with 0, 1 and 2 query ids, and
-unknown jobs.
+mixed-case kinds, padded fields, non-ASCII ids, timestamps in every
+accepted form and some invalid ones, repeated events, clicks with 0, 1
+and 2 query ids, and unknown jobs.
 """
 
 import csv
 import io
+import itertools
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -33,7 +35,8 @@ from helpers import (
     reference_window_filter,
     signal_records,
 )
-from jobgraph.evaluation import build_cf_index, holdout_split
+from jobgraph import ingest
+from jobgraph.evaluation import build_cf_index, holdout_split, synth_corpus
 from jobgraph.graph import build_costats
 from jobgraph.ingest import (
     EventLog,
@@ -47,12 +50,13 @@ from jobgraph.ingest import (
     parse_timestamp,
     resolve_jobs,
     window_filter,
+    write_events,
 )
 from jobgraph.mf import build_matrix
 from jobgraph.recommend import build_profiles
 
-USERS = ["u1", "u2", "u3", " u1", "u,4"]
-JOBS = ["j1", "j2", "j3", "j1 ", 'j"4', "ghost"]
+USERS = ["u1", "u2", "u3", " u1", "u,4", "ü5", "u1\xa0"]
+JOBS = ["j1", "j2", "j3", "j1 ", 'j"4', "ghost", "jé"]
 KNOWN_JOBS = make_jobs("j1", "j2", "j3", 'j"4')
 KINDS = ["apply", "APPLY", " Click", "click", "email_open_no_click", "Email_Open_No_Click", "bogus"]
 # the window's edge (REF - 180 days) is 2016-12-03T00:00:00Z
@@ -96,13 +100,40 @@ USER_RECORDS = {
 
 @given(event_files)
 @example(["u1,j1,apply,2017-05-01T12:00:00Z,q1\r\n", "\n", 'u1,"j,1",Click,2017-05-01T12:00:00.5+02:00\n'])
+# a plain block whose last line has no line break, then 4 and 5 fields
+@example(["u1,j1,apply,2017-05-01T12:00:00Z,q1\n", "u2,j2,Click,2017-05-01T12:00:00Z,", "u1,j1,click,2017-05-01T12:00:00Z\n",
+          "u2,j2,apply,2017-05-31T12:00:00,q2\n", "u1,j1,apply,2017-02-29T00:00:00Z\n", "u2,ghost,bogus,2017-05-31T00:00:00\n"])
+# a line of 3 fields, then one of 5 whose fourth field is a kind: 4 on average
+@example(["u1,j1,apply\n", "u2,j2,apply,click,q1\n"])
 def test_parse_events_matches_the_record_oracle(lines):
-    log, issues = parse_events(iter(lines))
     want, want_issues = reference_parse_events(lines)
-    assert event_records(log) == want
-    assert all(e.timestamp.tzinfo is REF.tzinfo for e in event_records(log))
-    assert issues == want_issues
-    assert log.users == sorted(set(log.users)) and log.jobs == sorted(set(log.jobs))
+    # plain blocks, blocks that are not and bad rows meet at the block
+    # boundaries of sizes 1 and 3
+    for block in (1, 3, ingest._EVENT_BLOCK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_EVENT_BLOCK", block)
+            log, issues = parse_events(iter(lines))
+        assert event_records(log) == want
+        assert all(e.timestamp.tzinfo is REF.tzinfo for e in event_records(log))
+        assert issues == want_issues
+        assert log.users == sorted(set(log.users)) and log.jobs == sorted(set(log.jobs))
+
+
+def test_a_written_events_file_is_read_as_plain_blocks(monkeypatch):
+    corpus = synth_corpus(4, 10, 60, 0.1, 3)
+    out = io.StringIO()
+    write_events(corpus.events, out)
+    lines = out.getvalue().splitlines(keepends=True)
+    assert len(lines) > 3 * 64
+    want, want_issues = reference_parse_events(lines)
+
+    def no_rows(*args):
+        raise AssertionError("a plain block went through the row loop")
+
+    monkeypatch.setattr(ingest, "_EVENT_BLOCK", 64)
+    monkeypatch.setattr(ingest, "_add_rows", no_rows)
+    log, issues = parse_events(iter(lines))
+    assert event_records(log) == want and issues == want_issues == []
 
 
 @given(event_files, st.sampled_from([0.0, 0.3, 0.5, 0.75]), st.integers(0, 3), st.sampled_from([1, 180, 400]))
@@ -162,18 +193,50 @@ def test_clicks_with_two_query_ids_keep_both_through_dedupe_and_selection():
     assert signal_records(EventLog.from_records(signal_records(signals))) == signal_records(signals)
 
 
-def test_plain_timestamps_read_as_a_block_match_parse_timestamp():
+def test_plain_timestamps_read_as_a_block_match_parse_timestamp(monkeypatch):
     tokens = ["2017-05-01T12:00:00Z", "2017-05-01T12:00:00z", "2017-05-01T12:00:00", "1970-01-01T00:00:00",
               "1969-12-31T23:59:59Z", "0001-01-01T00:00:00", "9999-12-31T23:59:59Z", "2016-02-29T23:59:59",
               "2017-05-01T12:00:00Zz", "2017-05-01T12:00:00\0", "２017-05-01T12:00:00", "-017-05-01T12:00:00"]
-    times, rejected = _epoch_us_block(tokens)
-    for i, token in enumerate(tokens):
+    # the last days of every month, and days and months out of range, in
+    # leap years and common ones, at the limits of the time of day: each
+    # valid one is read from its digits, and only the invalid ones are
+    # passed on to parse_timestamp
+    dates = [
+        f"{year}-{month:02d}-{day:02d}T{hour}:{minute}:{second}{zone}"
+        for year, month, day, hour, minute, second, zone in itertools.product(
+            ["0000", "0001", "1900", "2000", "2016", "2100", "9999"], range(14), range(28, 33),
+            ["23", "24"], ["59", "60"], ["59", "60"], ["Z", "z", ""])
+    ]
+    asked = []
+
+    def recorded(token):
+        asked.append(token)
+        return parse_timestamp(token)
+
+    monkeypatch.setattr(ingest, "parse_timestamp", recorded)
+    times, rejected = _epoch_us_block(tokens + dates)
+    for i, token in enumerate(tokens + dates):
         try:
             want = epoch_us(parse_timestamp(token))
         except ValueError:
-            assert i in rejected
+            assert i in rejected and times[i] == 0
         else:
             assert i not in rejected and times[i] == want
+    assert set(asked) & set(dates) == {dates[i - len(tokens)] for i in rejected if i >= len(tokens)}
+
+
+def test_one_invalid_date_leaves_the_block_read_from_its_digits(monkeypatch):
+    tokens = ["2017-05-01T12:00:00Z", "2017-02-29T00:00:00Z", "2016-02-29T23:59:59", "0001-01-01T00:00:00z"]
+    asked = []
+
+    def counted(token):
+        asked.append(token)
+        return parse_timestamp(token)
+
+    monkeypatch.setattr(ingest, "parse_timestamp", counted)
+    times, rejected = _epoch_us_block(tokens)
+    assert asked == ["2017-02-29T00:00:00Z"] and rejected == [1]
+    assert times.tolist() == [epoch_us(parse_timestamp(token)) if i != 1 else 0 for i, token in enumerate(tokens)]
 
 
 utc_datetimes = st.datetimes(timezones=st.just(timezone.utc))  # years 1 to 9999, to the microsecond

@@ -1,7 +1,9 @@
 """Parsing, windowing and deduplication tests."""
 
 import csv
+import io
 import random
+import tracemalloc
 from datetime import timedelta, timezone
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import REF, ev, event_records, make_job, reference_parse_embeddings, signal_records, ts
 from jobgraph import ingest
+from jobgraph.evaluation import synth_corpus
 from jobgraph.ingest import (
     InteractionEvent,
     ParseIssue,
@@ -26,6 +29,7 @@ from jobgraph.ingest import (
     window_filter,
     write_events,
 )
+from jobgraph.textblock import split_block
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +132,26 @@ def test_event_round_trip_is_fixed_point(tmp_path):
     assert event_records(reparsed) == events
 
 
+def test_parse_events_peak_memory_stays_near_one_block():
+    """The traced peak of ``parse_events`` on 2,400 events (300 users) is
+    0.64 MB at 1,024-line blocks. Read row by row, with the timestamps
+    read 4,096 at a time, it was 1.00 MB, as much as the whole file read
+    as one block. The bound keeps the 15% headroom that the
+    ``load_digraph`` peak test had over its measured peak."""
+    corpus = synth_corpus(10, 100, 300, 0.1, 0)
+    out = io.StringIO()
+    write_events(corpus.events, out)
+    lines = out.getvalue().splitlines(keepends=True)
+    tracemalloc.start()
+    try:
+        log, issues = parse_events(iter(lines))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == len(lines) == 2_400 and not issues
+    assert peak < 740_000
+
+
 @pytest.mark.parametrize(
     "user_id, query_id, padded", [("u 1 ", "q", "u 1 "), ("u1", " q", " q"), ("\tu1", None, "\tu1")]
 )
@@ -225,6 +249,20 @@ def test_csv_rows_split_as_one_csv_reader_per_line():
     assert sum(row is None for _, row in parsed) > 100 and len(parsed) > 1000
     want = [(line_no, row) for line_no, (_, row) in enumerate(parsed, start=1) if row is not None]
     assert list(ingest._csv_rows(line for line, _ in parsed)) == want
+
+
+def test_split_block_takes_only_lines_of_one_width_each():
+    lines = ["a,b,c,d\n", "e,f,g,h\r\n", "i,j,k,l"]
+    assert split_block(lines, (4, 5), "\r") == [["a", "e", "i"], ["b", "f", "j"], ["c", "g", "k"], ["d", "h", "l"]]
+    for lines in (
+        ["a,b,c\n", "d,e,f,g,h\n"],  # 3 and 5 fields, 4 on average
+        ["a,b,c", "d\n,e,f,g,h\n"],  # a line with no break, then one with two
+        ["a,b\n,c,d\n"],  # a break inside the line
+        ["a,b,c,d\n", "\n", "e,f,g,h\n"],  # a blank line
+        ["a,b,c,d\r\r\n"],  # a CR that is not a line end's
+        ["a,b,c\n"],  # a width not asked for
+    ):
+        assert split_block(lines, (4, 5), "\r") is None, lines
 
 
 def _embedding_bits(vectors):

@@ -500,13 +500,30 @@ def test_dump_digraph_matches_csv_writer_on_random_scores(monkeypatch, block):
     assert digraph.num_edges > scoring.DUMP_BLOCK
 
 
+def _dump_records(text):
+    """The physical lines of a dump, grouped by the row they belong to."""
+    lines = text.splitlines(keepends=True)
+    reader = csv.reader(lines)
+    records, start = [], 0
+    for _ in reader:
+        records.append(lines[start : reader.line_num])
+        start = reader.line_num
+    return records
+
+
 @pytest.mark.parametrize("block", [1, 3, scoring.LOAD_BLOCK])
 def test_load_digraph_across_block_boundaries(monkeypatch, block):
     monkeypatch.setattr(scoring, "LOAD_BLOCK", block)
     rng = random.Random(block)
     pool = [-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, -1e-5]
-    ids = [f"j{i:02d}" for i in range(60)]
-    chosen = rng.sample(list(itertools.permutations(ids, 2)), 3 * block + 2)
+    # the odd ids of the dump test but the empty one, which no dump loads,
+    # and an id whose row spans two lines
+    odd_ids = ["plain", "with,comma", 'with"quote', '"quoted, both"', "a b", "line\nbreak"]
+    plain_ids = [f"j{i:02d}" for i in range(60)]
+    ids = odd_ids + plain_ids
+    chosen = rng.sample(list(itertools.permutations(plain_ids, 2)), 4 * block + 2)
+    chosen += [("j00", "line\nbreak"), *rng.sample(list(itertools.permutations(ids, 2)), 12)]
+    chosen = list(dict.fromkeys(chosen))
     corr = np.array([rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-2, 2) for _ in chosen])
     evidence = np.array([rng.randint(1, 7) for _ in chosen], dtype=np.uint8)
     index = {job_id: i for i, job_id in enumerate(ids)}
@@ -515,8 +532,17 @@ def test_load_digraph_across_block_boundaries(monkeypatch, block):
     digraph = RecDigraph(ids, src, dst, corr, evidence, ids)
     buf = StringIO()
     dump_digraph(digraph, buf)
-    rows = buf.getvalue().splitlines(keepends=True)
-    assert len(rows) > 3 * block
+    # plain rows first, so that the row over two lines, the first row that
+    # is not plain, starts on the last line of the fourth block; and a
+    # plain row last
+    records = _dump_records(buf.getvalue())
+    plain = [r for r in records if '"' not in r[0]]
+    assert len(plain) > 4 * block
+    head, last = plain[: 4 * block - 1], plain[-1]
+    split_row = next(r for r in records if len(r) == 2)
+    placed = {id(r) for r in (*head, split_row, last)}
+    records = [*head, split_row, *(r for r in records if id(r) not in placed), last]
+    rows = [line for record in records for line in record]
 
     reloaded = load_digraph(rows, ids)
     assert reloaded.nodes == digraph.nodes
@@ -525,14 +551,16 @@ def test_load_digraph_across_block_boundaries(monkeypatch, block):
     assert np.array_equal(reloaded.corr.view(np.int64), digraph.corr.view(np.int64))
     assert np.array_equal(reloaded.evidence, digraph.evidence)
 
-    # a malformed row first and last in the third block, with blank lines
-    # before it that count as lines but not as rows of a block
-    for row_no in (2 * block, 3 * block - 1):
-        lines = rows[:]
-        lines[row_no] = "j00,j01,x,1\n"
-        lines[1:1] = ["\n", "\n"]
-        with pytest.raises(ValueError, match=f"^digraph line {row_no + 3}: non-numeric corr 'x'$"):
-            load_digraph(lines, ids)
+    # a malformed row first and last in the third block and on the last
+    # line, alone or with blank lines after the first row, which count as
+    # lines but not as rows
+    for line_no in (2 * block, 3 * block - 1, len(rows) - 1):
+        for blanks in (0, 2):
+            lines = rows[:]
+            lines[line_no] = "j00,j01,x,1\n"
+            lines[1:1] = ["\n"] * blanks
+            with pytest.raises(ValueError, match=f"^digraph line {line_no + 1 + blanks}: non-numeric corr 'x'$"):
+                load_digraph(lines, ids)
 
 
 def test_load_digraph_sorts_and_filters_rows_in_any_order():
@@ -721,6 +749,77 @@ def test_block_check_agrees_with_the_row_check(rows):
         assert [[nodes[s], nodes[d]] for s, d in zip(src, dst)] == [row[:2] for row in rows]
         assert corr.tolist() == [float(row[2]) for row in rows]
         assert evidence.tolist() == [int(row[3]) for row in rows]
+
+
+def reference_load_digraph(lines, active_jobs):
+    """``load_digraph`` one ``csv.reader`` row at a time."""
+    index, src, dst, corr, evidence = {}, [], [], [], []
+    reader = csv.reader(lines)
+    for row in reader:
+        if not row:
+            continue
+        if problem := scoring._row_problem(row):
+            raise ValueError(f"digraph line {reader.line_num}: {problem}")
+        src.append(index.setdefault(row[0], len(index)))
+        dst.append(index.setdefault(row[1], len(index)))
+        corr.append(float(row[2]))
+        evidence.append(int(row[3]))
+    return RecDigraph(list(index), np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+                      np.array(corr, dtype=float), np.array(evidence, dtype=np.uint8), active_jobs)
+
+
+def _dump_lines(row, ending):
+    """A row as csv.writer writes it, as the physical lines a file yields."""
+    out = StringIO()
+    csv.writer(out, lineterminator=ending).writerow(row)
+    return out.getvalue().splitlines(keepends=True)
+
+
+# mostly plain ids, so that whole blocks of rows are plain at block sizes 1 and 3
+DUMP_IDS = ["a", "b", "c", "a b", "é"] * 3 + ["with,comma", 'q"uote', "line\nbreak"]
+dump_files = st.lists(
+    st.one_of(
+        st.builds(
+            _dump_lines,
+            st.builds(
+                _dump_row,
+                st.tuples(st.sampled_from(DUMP_IDS), st.sampled_from(DUMP_IDS)),
+                st.tuples(st.sampled_from(LOADABLE_CORR), st.sampled_from("1234567")),
+                # now and then a field made empty, non-numeric, non-finite or out of range
+                st.sampled_from([[]] * 40 + [[(0, "")], [(2, "x")], [(2, "nan")], [(3, "8")]]),
+                st.sampled_from([4] * 40 + [3, 5]),
+            ),
+            st.sampled_from(["\n"] * 8 + ["\r\n"]),
+        ),
+        st.just(["\n"]),
+    ),
+    max_size=20,
+).map(lambda rows: [line for lines in rows for line in lines])
+
+
+@pytest.mark.parametrize("block", [1, 3, scoring.LOAD_BLOCK])
+@given(lines=dump_files)
+# plain blocks, then a row over two lines across a block boundary
+@example(lines=["a,b,0.5,1\n", "b,c,-0.0,2\n", "c,a,1e-300,3\n", 'a,"line\n', 'break",0.25,4\n', "b,a,1_0,5\n"])
+# rows of 3 and 5 fields, 4 on average
+@example(lines=["a,b,0.5\n", "b,a,0.25,1,1\n"])
+def test_load_digraph_matches_the_csv_reader_oracle(block, lines):
+    active = set(DUMP_IDS)
+    try:
+        want = reference_load_digraph(lines, active)
+    except ValueError as exc:
+        want = exc
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scoring, "LOAD_BLOCK", block)
+        try:
+            got = load_digraph(iter(lines), active)
+        except ValueError as exc:
+            assert str(exc) == str(want)
+            return
+    assert not isinstance(want, ValueError), want
+    assert got.nodes == want.nodes
+    for column in ("indptr", "dst", "corr", "evidence"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
 
 
 def test_pagerank_of_a_reloaded_dump_equals_the_built_digraph():
