@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .textblock import code_ids, epoch_us_block, split_block
+from .textblock import code_ids, split_block
 
 logger = logging.getLogger(__name__)
 
@@ -281,11 +281,50 @@ def parse_timestamp(token: str) -> datetime:
         raise ValueError(f"{token!r} is out of range in UTC") from exc
 
 
+# A plain timestamp, YYYY-MM-DDTHH:MM:SS with an optional Z: its digit and
+# separator columns, and the days of each month 0-13 of a common year
+_PLAIN_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_PLAIN_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+
+
 def _epoch_us_block(tokens: list[str]) -> tuple[np.ndarray, list[int]]:
     """Epoch microseconds of stripped timestamp tokens, as
     :func:`parse_timestamp` reads them, and the positions of the tokens it
-    rejects (their value is 0)."""
-    return epoch_us_block(tokens, lambda token: epoch_us(parse_timestamp(token)))
+    rejects (their value is 0).
+
+    Plain tokens with a valid date and time are computed from their digits
+    as a block; every other token goes through :func:`parse_timestamp`.
+    """
+    chars = np.array(tokens, dtype="<U20").view(np.uint32).reshape(len(tokens), 20)
+    length = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    zulu = (chars[:, 19] == ord("Z")) | (chars[:, 19] == ord("z"))
+    plain = (length == 19) | ((length == 20) & zulu)
+    digits = chars[:, _PLAIN_DIGITS] - ord("0")
+    plain &= (digits <= 9).all(axis=1)  # unsigned: below "0" wraps
+    for column, separator in _PLAIN_SEPARATORS.items():
+        plain &= chars[:, column] == ord(separator)
+    del chars
+    pairs = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]
+    pairs *= plain[:, None]  # a token that is not plain reads as zeros
+    year = pairs[:, 0] * 100 + pairs[:, 1]
+    month, day, hour, minute, second = pairs[:, 2:].T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.minimum(month, 13)] + ((month == 2) & leap)
+    plain &= (year > 0) & (day > 0) & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)
+    # days from 1970-01-01 by the proleptic Gregorian calendar, counted in
+    # years that start on 1 March, so that a leap day ends its year
+    y = year - (month <= 2)
+    days = (153 * ((month + 9) % 12) + 2) // 5 + day - 1 + 365 * y + y // 4 - y // 100 + y // 400 - 719468
+    out = ((days * 24 + hour) * 60 + minute) * 60 + second
+    out *= 10**6 * plain
+    rejected = []
+    for i in np.flatnonzero(~plain).tolist():
+        try:
+            out[i] = epoch_us(parse_timestamp(tokens[i]))
+        except ValueError:
+            rejected.append(i)
+    return out, rejected
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -372,6 +411,9 @@ def _add_rows(columns: _Columns, rows, issues: list[ParseIssue]) -> tuple[list[s
     and return their timestamps and line numbers; each other row is an
     issue."""
     stamps, line_nos = [], []
+    users, jobs, queries = columns.users, columns.jobs, columns.queries
+    user, job, kind_col = columns.user, columns.job, columns.kind
+    query_row, query = columns.query_row, columns.query
     for line_no, row in rows:
         if len(row) not in (4, 5):
             issues.append(ParseIssue(line_no, f"expected 4 or 5 fields, got {len(row)}"))
@@ -385,7 +427,13 @@ def _add_rows(columns: _Columns, rows, issues: list[ParseIssue]) -> tuple[list[s
         if kind is None:
             issues.append(ParseIssue(line_no, f"unknown kind {kind_tok!r}"))
             continue
-        columns.add(user_id, job_id, kind, [query_id] if query_id else [])
+        # Columns.add, inlined: this loop is all of the parse of such a block
+        if query_id:
+            query_row.append(len(user))
+            query.append(queries.setdefault(query_id, len(queries)))
+        user.append(users.setdefault(user_id, len(users)))
+        job.append(jobs.setdefault(job_id, len(jobs)))
+        kind_col.append(kind)
         stamps.append(ts_tok)
         line_nos.append(line_no)
     return stamps, line_nos

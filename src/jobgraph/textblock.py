@@ -4,22 +4,14 @@
 :func:`load_digraph <jobgraph.scoring.load_digraph>` split each block whose
 lines are plain with one ``str.split`` and code its ids with
 :func:`code_ids`; a block that is not plain goes through their row-by-row
-paths, which read it as ``csv.reader`` does. ``parse_events`` reads a
-block's timestamps with :func:`epoch_us_block`.
-
-This code sits outside ``ingest``, the package's largest module, because an
-import without cached bytecode peaks while it compiles the largest module:
-the same lines in ``ingest.py`` raised the peak RSS of importing
-``jobgraph.cli`` from 30.8 to 31.2 MB.
+paths, which read it as ``csv.reader`` does.
 """
 
 from __future__ import annotations
 
 from itertools import count, filterfalse, islice
 from operator import itemgetter
-from typing import Callable, Container, Iterator
-
-import numpy as np
+from typing import Container, Iterator
 
 _last_char = itemgetter(slice(-1, None))
 
@@ -42,6 +34,8 @@ def split_block(
         text = text.replace("\r\n", "\n")
     if text.count("\n") != n or any(map(text.__contains__, forbidden)) or (ascii_only and not text.isascii()):
         return None
+    if text[0] == "\n" or "\n,\n" in text:  # a blank line, found before the split
+        return None
     # each line break becomes a field of its own, "\n", so that a line of
     # another width moves the breaks off their places
     fields = text.replace("\n", ",\n").split(",")
@@ -57,49 +51,3 @@ def code_ids(vocabulary: dict[str, int], ids: list[str]) -> Iterator[int]:
     of first appearance, gets the next code."""
     vocabulary.update(zip(filterfalse(vocabulary.__contains__, dict.fromkeys(ids)), count(len(vocabulary))))
     return map(vocabulary.__getitem__, ids)
-
-
-# A plain timestamp, YYYY-MM-DDTHH:MM:SS with an optional Z: its digit and
-# separator columns, and the days of each month 0-13 of a common year
-_PLAIN_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_PLAIN_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
-
-
-def epoch_us_block(tokens: list[str], parse: Callable[[str], int]) -> tuple[np.ndarray, list[int]]:
-    """Epoch microseconds (UTC) of ISO-8601 timestamp tokens, and the
-    positions of the tokens ``parse`` rejects (their value is 0).
-
-    A plain token with a valid date and time, read as UTC, is computed from
-    its digits as a block; every other token goes to ``parse``, which gives
-    its epoch microseconds or raises ``ValueError``.
-    """
-    chars = np.array(tokens, dtype="<U20").view(np.uint32).reshape(len(tokens), 20)
-    length = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    zulu = (chars[:, 19] == ord("Z")) | (chars[:, 19] == ord("z"))
-    plain = (length == 19) | ((length == 20) & zulu)
-    digits = chars[:, _PLAIN_DIGITS] - ord("0")
-    plain &= (digits <= 9).all(axis=1)  # unsigned: below "0" wraps
-    for column, separator in _PLAIN_SEPARATORS.items():
-        plain &= chars[:, column] == ord(separator)
-    del chars
-    pairs = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]
-    pairs *= plain[:, None]  # a token that is not plain reads as zeros
-    year = pairs[:, 0] * 100 + pairs[:, 1]
-    month, day, hour, minute, second = pairs[:, 2:].T
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.minimum(month, 13)] + ((month == 2) & leap)
-    plain &= (year > 0) & (day > 0) & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)
-    # days from 1970-01-01 by the proleptic Gregorian calendar, counted in
-    # years that start on 1 March, so that a leap day ends its year
-    y = year - (month <= 2)
-    days = (153 * ((month + 9) % 12) + 2) // 5 + day - 1 + 365 * y + y // 4 - y // 100 + y // 400 - 719468
-    out = ((days * 24 + hour) * 60 + minute) * 60 + second
-    out *= 10**6 * plain
-    rejected = []
-    for i in np.flatnonzero(~plain).tolist():
-        try:
-            out[i] = parse(tokens[i])
-        except ValueError:
-            rejected.append(i)
-    return out, rejected

@@ -259,6 +259,8 @@ def test_split_block_takes_only_lines_of_one_width_each():
         ["a,b,c", "d\n,e,f,g,h\n"],  # a line with no break, then one with two
         ["a,b\n,c,d\n"],  # a break inside the line
         ["a,b,c,d\n", "\n", "e,f,g,h\n"],  # a blank line
+        ["\n", "a,b,c,d\n"],
+        ["a,b,c,d\n", "\r\n"],
         ["a,b,c,d\r\r\n"],  # a CR that is not a line end's
         ["a,b,c\n"],  # a width not asked for
     ):
