@@ -5,8 +5,12 @@ user saw in a recommendation email but did not click (the negative signal
 prevents the all-positive matrix from collapsing to rank one). Factors and
 per-user/per-job biases are fit by exact regularized least squares over the
 observed entries only, alternating between the user side and the job side.
-An optional implicit-feedback term adds per-job vectors accumulated over
-each user's click history.
+The rows' ridge problems are solved a block at a time, each block in the
+smaller of two forms with the same answer: the (k+1) x (k+1) Gram system
+over the unknowns or, when the block's longest row has fewer entries than
+unknowns, the kernel system over its entries (ridge regression in dual
+variables). An optional implicit-feedback term adds per-job vectors
+accumulated over each user's click history.
 
 The factors start from small uniform draws of the stdlib
 ``random.Random(seed)`` (:func:`uniform_init`), not ``numpy.random``, which
@@ -117,9 +121,11 @@ class FactorModel:
 
 
 # Rows solved per batched least-squares call in an ALS half-step: enough
-# that one batched Gram product and solve outweigh their per-call cost, few
-# enough that a block's padded design (ALS_BLOCK x longest row x k+1 floats)
-# and Gram matrices (0.56 MB at k = 32) leave the peak RSS where it is.
+# that one batched product and solve outweigh their per-call cost, few
+# enough that a block's padded design (ALS_BLOCK x longest row L x k+1
+# floats) and its square systems leave the peak RSS where it is. Those are
+# the Gram matrices (0.56 MB at k = 32) when L >= k + 1, and the smaller
+# L x L kernel matrices when L < k + 1.
 ALS_BLOCK = 64
 
 
@@ -127,11 +133,20 @@ def _solve_batch(design: np.ndarray, target: np.ndarray, reg: float) -> np.ndarr
     """Exact ridge solutions of a batch of least-squares subproblems.
 
     ``design`` is (B, L, d) and ``target`` (B, L); all-zero padding rows
-    change neither the Gram matrix nor the right-hand side. Without a
-    regularizer the minimum-norm solution is taken, with the singular-value
-    cutoff of ``lstsq(rcond=None)``.
+    change neither the Gram matrix nor the right-hand side. With a
+    regularizer and fewer rows than unknowns (L < d), the same solution is
+    taken from the L x L kernel system instead, ``x = D^T (D D^T + reg I)^-1
+    t``; a padding row's kernel row is ``reg`` on the diagonal with a zero
+    target, so it adds nothing. Without a regularizer the minimum-norm
+    solution is taken, with the singular-value cutoff of
+    ``lstsq(rcond=None)``.
     """
     design_t = design.transpose(0, 2, 1)
+    length, d = design.shape[1:]
+    if reg > 0.0 and length < d:
+        kernel = design @ design_t
+        kernel += reg * np.eye(length)
+        return (design_t @ np.linalg.solve(kernel, target[..., None]))[..., 0]
     gram = design_t @ design
     rhs = design_t @ target[..., None]
     if reg > 0.0:
@@ -258,15 +273,13 @@ def als_train(
         )
 
     def predictions(off: np.ndarray) -> np.ndarray:
-        return (
-            mu
-            + b_u[rows]
-            + b_j[cols]
-            + np.einsum("ij,ij->i", U[rows] + off[rows], J[cols])
-        )
+        users = U[rows] + off[rows] if implicit else U[rows]
+        return mu + b_u[rows] + b_j[cols] + np.einsum("ij,ij->i", users, J[cols])
 
-    def objective(off: np.ndarray) -> float:
+    def objective(off: np.ndarray) -> tuple[float, float]:
+        """The regularized objective and the observed MSE."""
         resid = vals - predictions(off)
+        squares = np.sum(resid * resid)
         penalty = (
             np.sum(U * U)
             + np.sum(J * J)
@@ -274,7 +287,7 @@ def als_train(
             + np.sum(b_j * b_j)
             + np.sum(Y * Y)
         )
-        return float(np.sum(resid * resid) + reg * penalty)
+        return float(squares + reg * penalty), float(squares) / len(vals)
 
     loss_trace: list[tuple[str, float]] = []
     mse_trace: list[float] = []
@@ -292,7 +305,7 @@ def als_train(
             U,
             b_u,
         )
-        loss_trace.append((f"iter{it}:users", objective(off)))
+        loss_trace.append((f"iter{it}:users", objective(off)[0]))
 
         _half_step(
             job_groups,
@@ -303,7 +316,8 @@ def als_train(
             b_j,
         )
         off = offsets()
-        loss_trace.append((f"iter{it}:jobs", objective(off)))
+        loss, mse = objective(off)
+        loss_trace.append((f"iter{it}:jobs", loss))
 
         if implicit and job_users_with:
             # Cyclic exact solves per implicit-factor row; each observation
@@ -336,7 +350,8 @@ def als_train(
                 for u in job_users_with[g]:
                     items = matrix.implicit[u]
                     off[u] = Y[list(items)].sum(axis=0) / np.sqrt(len(items))
-            loss_trace.append((f"iter{it}:implicit", objective(off)))
+            loss, mse = objective(off)
+            loss_trace.append((f"iter{it}:implicit", loss))
 
         if not (
             np.all(np.isfinite(U))
@@ -347,8 +362,7 @@ def als_train(
         ):
             raise ArithmeticError(f"non-finite factors after iteration {it}")
 
-        resid = vals - predictions(off)
-        mse = float(np.mean(resid * resid))
+        # the MSE of the last objective: nothing has changed since
         mse_trace.append(mse)
         logger.info("als iteration %d: observed MSE %.6g", it, mse)
 

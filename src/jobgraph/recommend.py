@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -387,14 +387,25 @@ def preference_vector(
     return sorted(prefs)
 
 
+def _distance_from(a: tuple[float, float]) -> Callable[[tuple[float, float]], float]:
+    """:func:`haversine_km` from ``a``, with ``a``'s radians and the cosine
+    of its latitude taken once."""
+    lat1, lon1 = map(math.radians, a)
+    cos_lat1 = math.cos(lat1)
+
+    def distance(b: tuple[float, float]) -> float:
+        lat2, lon2 = map(math.radians, b)
+        dlat = lat2 - lat1
+        dlon = lon2 - lon1
+        h = math.sin(dlat / 2) ** 2 + cos_lat1 * math.cos(lat2) * math.sin(dlon / 2) ** 2
+        return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+
+    return distance
+
+
 def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     """Great-circle distance between two (lat, lon) points in kilometers."""
-    lat1, lon1 = map(math.radians, a)
-    lat2, lon2 = map(math.radians, b)
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+    return _distance_from(a)(b)
 
 
 def location_rerank(
@@ -416,11 +427,13 @@ def location_rerank(
     if user_location is None or boost == 1.0:
         return list(candidates)
 
+    distance_km = _distance_from(user_location)
+
     def boosted(job_id: str, score: float) -> float:
         record = jobs.get(job_id)
         if record is None or record.location is None:
             return score
-        if haversine_km(user_location, record.location) <= radius_km:
+        if distance_km(record.location) <= radius_km:
             return score * boost if score >= 0 else score / boost
         return score
 

@@ -29,7 +29,7 @@ from jobgraph.ingest import (
     utc_datetime,
 )
 from jobgraph.mf import FactorModel, RatingsMatrix, _implicit_offsets
-from jobgraph.recommend import PageRankResult, UserProfile
+from jobgraph.recommend import EARTH_RADIUS_KM, PageRankResult, UserProfile
 from jobgraph.scoring import EVIDENCE_APPLY, EVIDENCE_CLICK, EVIDENCE_CONTENT, ContentPairs, RecDigraph
 
 REF = datetime(2017, 6, 1, tzinfo=timezone.utc)
@@ -304,6 +304,33 @@ def reference_build_profiles(
             record.location if record else None,
         )
     return profiles
+
+
+def reference_haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """The great-circle distance in km, each point's radians and cosine
+    taken anew on every call."""
+    lat1, lon1 = map(math.radians, a)
+    lat2, lon2 = map(math.radians, b)
+    dlat = lat2 - lat1
+    dlon = lon2 - lon1
+    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
+    return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+
+
+def reference_location_rerank(candidates, user_location, jobs, radius_km, boost):
+    """``location_rerank`` one candidate at a time, by
+    :func:`reference_haversine_km` from the user."""
+    rescored = []
+    for job_id, score in candidates:
+        record = jobs.get(job_id)
+        if (
+            record is not None
+            and record.location is not None
+            and reference_haversine_km(user_location, record.location) <= radius_km
+        ):
+            score = score * boost if score >= 0 else score / boost
+        rescored.append((job_id, score))
+    return sorted(rescored, key=lambda kv: (-kv[1], kv[0]))
 
 
 def random_digraph(rng: random.Random, max_nodes: int = 12, *, edge_prob=0.3, negatives=True):

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import (
     _solve_row,
@@ -296,6 +298,62 @@ def test_unregularized_batched_solve_is_the_minimum_norm_answer():
         for b, length in enumerate(lengths):
             want = _solve_row(design[b, :length], target[b, :length], 0.0)
             np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-10)
+
+
+@st.composite
+def ridge_batches(draw):
+    """(d, row lengths, reg, seed): a batch of 1-6 rows of 1 to d + 3
+    entries each, so that one batch can hold rows shorter than, as long as
+    and longer than its d unknowns."""
+    d = draw(st.integers(2, 34))
+    lengths = draw(st.lists(st.integers(1, d + 3), min_size=1, max_size=6))
+    reg = draw(st.sampled_from([1e-3, 0.1, 10.0]))
+    return d, lengths, reg, draw(st.integers(0, 2**32 - 1))
+
+
+@given(ridge_batches())
+@example((33, [4, 33, 36], 0.1, 0))  # d at mf_k 32, rows below, at and above it
+@example((33, [1, 5, 12], 0.1, 1))  # every row below d: the L x L kernel solve
+@example((33, [33], 1e-3, 2))  # L == d: the d x d Gram solve
+def test_regularized_batched_solve_matches_the_solve_oracle(case):
+    d, lengths, reg, seed = case
+    rng = np.random.default_rng(seed)
+    longest = max(lengths)
+    design = np.zeros((len(lengths), longest, d))
+    target = np.zeros((len(lengths), longest))
+    for b, length in enumerate(lengths):
+        design[b, :length, :-1] = rng.uniform(-1, 1, size=(length, d - 1))
+        design[b, :length, -1] = 1.0
+        target[b, :length] = rng.choice([1.0, -1.0], size=length)
+    got = _solve_batch(design, target, reg)
+    assert got.shape == (len(lengths), d)
+    for b, length in enumerate(lengths):
+        want = _solve_row(design[b, :length], target[b, :length], reg)
+        np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-10)
+
+
+def test_als_matches_reference_with_rows_shorter_and_longer_than_the_unknowns():
+    # k = 6, so d = 7: most users and jobs hold fewer than 7 entries (their
+    # blocks take the kernel solve) and the longest ones hold more (their
+    # blocks take the Gram solve)
+    rng = random.Random(109)
+    m, n = 2 * ALS_BLOCK + 11, 150
+    entries = sorted(
+        {
+            (u, j, rng.choice([1.0, -1.0]))
+            for u in range(m)
+            for j in rng.sample(range(n), rng.randint(1, 12))
+        }
+    )
+    matrix = RatingsMatrix([f"u{i}" for i in range(m)], [f"j{i}" for i in range(n)], entries)
+    per_user = np.bincount([u for u, _, _ in entries])
+    per_job = np.bincount([j for _, j, _ in entries])
+    assert per_user.min() < 7 < per_user.max() and per_job.min() < 7 < per_job.max()
+    got, want = both_trainings(matrix, k=6, reg=0.1, iterations=4, seed=6)
+    assert_same_training(got, want)
+    values = [v for _, v in got.loss_trace]
+    for a, b in zip(values, values[1:]):
+        assert b <= a + 1e-9 * max(1.0, abs(a))
 
 
 def test_als_matches_reference_with_single_entry_rows():

@@ -7,8 +7,22 @@ from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import REF, brute_force_levels, edge_map, embed_sim, ev, from_corr, make_job, random_digraph, ts
+from helpers import (
+    REF,
+    brute_force_levels,
+    edge_map,
+    embed_sim,
+    ev,
+    from_corr,
+    make_job,
+    random_digraph,
+    reference_haversine_km,
+    reference_location_rerank,
+    ts,
+)
 from jobgraph.config import ConfigError, EngineConfig
 from jobgraph.ingest import DedupedSignal, SignalKind, UserRecord, dedupe, epoch_us
 from jobgraph.recommend import (
@@ -451,6 +465,42 @@ def test_location_rerank_never_changes_the_candidate_set():
         assert sorted(j for j, _ in out) == sorted(j for j, _ in cands)
         scores = [s for _, s in out]
         assert scores == sorted(scores, reverse=True)
+
+
+points = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+
+
+@st.composite
+def rerank_cases(draw):
+    """A user point, candidates with scores (±0.0 among them) at random
+    points, near the user or at no point, and a radius that is often one
+    candidate's exact distance."""
+    user = draw(points)
+    nearby = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)).map(
+        lambda delta: (min(max(user[0] + delta[0], -90.0), 90.0), user[1] + delta[1])
+    )
+    where = st.one_of(st.none(), points, nearby, st.just(user))
+    scores = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-5.0, 5.0))
+    n = draw(st.integers(1, 8))
+    locations = draw(st.lists(where, min_size=n, max_size=n))
+    candidates = [(f"j{i}", draw(scores)) for i in draw(st.permutations(range(n)))]
+    on_radius = [reference_haversine_km(user, loc) for loc in locations if loc is not None]
+    radius = draw(st.one_of(st.floats(0.0, 3000.0), st.sampled_from(on_radius or [80.0])))
+    boost = draw(st.sampled_from([1.25, 1.5, 3.0]))
+    jobs = {f"j{i}": make_job(f"j{i}", location=loc) for i, loc in enumerate(locations)}
+    return candidates, user, jobs, radius, boost
+
+
+@given(rerank_cases())
+def test_location_rerank_matches_the_per_candidate_haversine_rule(case):
+    candidates, user, jobs, radius, boost = case
+    got = location_rerank(candidates, user, jobs, radius_km=radius, boost=boost)
+    want = reference_location_rerank(candidates, user, jobs, radius, boost)
+    assert got == want
+    assert repr(got) == repr(want)  # tells 0.0 from -0.0
+    for record in jobs.values():
+        if record.location is not None:
+            assert haversine_km(user, record.location) == reference_haversine_km(user, record.location)
 
 
 def test_location_rerank_rejects_damping_boost():
