@@ -14,10 +14,10 @@ import logging
 import math
 import random
 import zlib
-from collections.abc import Set as AbstractSet
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -32,6 +32,7 @@ from .ingest import (
     JobStatus,
     SignalKind,
     UserRecord,
+    _distinct,
     _run_heads,
     active_job_ids,
     as_event_log,
@@ -45,7 +46,7 @@ from .ingest import (
     write_events,
     write_rows,
 )
-from .mf import als_train, build_matrix, recommend_mf
+from .mf import als_train, blocks, build_matrix, job_pool, place, recommend_mf_lists, top_k
 from .recommend import build_profiles, recommend
 from .scoring import ContentPairs, build_digraph
 
@@ -120,86 +121,116 @@ def connectivity_report(
 # classic collaborative-filtering baseline
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CfIndex:
-    """Prebuilt apply-history index shared across cf_recommend queries.
+    """Prebuilt apply history shared across cf queries, as arrays.
 
-    ``appliers_of`` lists each job's distinct appliers newest-first;
-    ``applied_by`` maps a user to their distinct applied jobs with the
-    latest apply time of each. Times are epoch microseconds.
+    ``users`` and ``jobs`` are the signals' sorted vocabularies, so code
+    order is id order. User ``u``'s applies are the rows
+    ``apply_start[u]:apply_start[u + 1]`` of ``apply_job`` and
+    ``apply_time`` (epoch microseconds), in job-id order; job ``j``'s
+    appliers are ``applier[applier_start[j]:applier_start[j + 1]]``,
+    newest first, ties by user id.
     """
 
-    appliers_of: dict[str, list[tuple[int, str]]]
-    applied_by: dict[str, list[tuple[str, int]]]
+    users: list[str]
+    jobs: list[str]
+    apply_start: np.ndarray
+    apply_job: np.ndarray
+    apply_time: np.ndarray
+    applier_start: np.ndarray
+    applier: np.ndarray
 
 
-def build_cf_index(events: EventLog | Iterable[InteractionEvent]) -> CfIndex:
-    """The apply history of ``events`` (or of their deduped signals):
-    ``applied_by`` lists the users, and each user's jobs, in id order."""
-    log = dedupe(events)
-    rows = np.flatnonzero(log.kind == SignalKind.APPLY.code)
-    appliers_of: dict[str, list[tuple[int, str]]] = {}
-    applied_by: dict[str, list[tuple[str, int]]] = {}
-    for u, j, t in zip(log.user[rows].tolist(), log.job[rows].tolist(), log.time[rows].tolist()):
-        user_id, job_id = log.users[u], log.jobs[j]
-        appliers_of.setdefault(job_id, []).append((t, user_id))
-        applied_by.setdefault(user_id, []).append((job_id, t))
-    for entries in appliers_of.values():
-        entries.sort(key=lambda p: (-p[0], p[1]))
-    return CfIndex(appliers_of, applied_by)
+def build_cf_index(signals: EventLog) -> CfIndex:
+    """The apply history of :func:`~jobgraph.ingest.dedupe`'s signals, whose
+    rows are in (user, job) order."""
+    rows = np.flatnonzero(signals.kind == SignalKind.APPLY.code)
+    user, job, time = signals.user[rows], signals.job[rows], signals.time[rows]
+    by_job = np.lexsort((user, -time, job))
+    return CfIndex(
+        signals.users, signals.jobs, np.searchsorted(user, np.arange(len(signals.users) + 1)), job, time,
+        np.searchsorted(job[by_job], np.arange(len(signals.jobs) + 1)), user[by_job],
+    )
 
 
-def cf_recommend(
+def _spans(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the spans ``starts[i]:ends[i]`` laid end to end: each position's
+    span, and its place in the array the spans index."""
+    lengths = ends - starts
+    span = np.repeat(np.arange(len(starts)), lengths)
+    return span, starts[span] + np.arange(len(span)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def cf_recommend_lists(
     index: CfIndex,
-    user_id: str,
+    user_ids: Sequence[str],
     k: int,
     reference_date: datetime,
     *,
     window_applicants: int = 50,
     decay: float = 0.05,
-    exclude: Iterable[str] = (),
+    exclude: Iterable[Iterable[str]],
     active_jobs: Iterable[str] | None = None,
-) -> list[tuple[str, float]]:
-    """User-based CF over applications only.
+) -> Iterator[list[tuple[str, float]]]:
+    """User-based CF over applications only, for each user of ``user_ids`` in turn.
 
     For each job the user applied to, take that job's most recent
     ``window_applicants`` distinct appliers; candidate jobs are everything
     those appliers applied to, scored by recency-weighted frequency
     ``sum(exp(-decay * age_days))`` over the contributing applies, ages
-    taken at ``reference_date``. The user's own applied jobs (and any extra
-    ``exclude`` ids) never appear. A user with no applies gets an empty list.
+    taken at ``reference_date``, and summed in neighbour-id order. The
+    user's own applied jobs and the ids of the user's entry of ``exclude``
+    never appear, nor jobs outside ``active_jobs`` when it is given. A user
+    with no applies gets an empty list. Ties break by job id. Users are
+    scored a block at a time (:func:`~jobgraph.mf.blocks`).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    own = {j for j, _ in index.applied_by.get(user_id, ())}
-    if not own:
-        return []
-    banned = own | set(exclude)
-    allowed = None
-    if active_jobs is not None:
-        allowed = active_jobs if isinstance(active_jobs, AbstractSet) else set(active_jobs)
+    if window_applicants < 1:
+        raise ValueError(f"window_applicants must be >= 1, got {window_applicants}")
+    n, n_users, now = len(index.jobs), len(index.users), epoch_us(reference_date)
+    pool = job_pool(index.jobs, active_jobs)
+    exclude = iter(exclude)
+    for block in blocks(len(user_ids), n):
+        users = np.array([place(index.users, u) for u in user_ids[block]], dtype=np.int64)
+        known = users >= 0  # an unknown user has no applies
+        row, at = _spans(np.where(known, index.apply_start[users], 0), np.where(known, index.apply_start[users + 1], 0))
+        own = index.apply_job[at]
+        allowed = np.tile(pool, (len(users), 1))
+        allowed[row, own] = False
 
-    neighbors: set[str] = set()
-    for job_id in own:
-        taken = 0
-        for _, other in index.appliers_of[job_id]:
-            if other == user_id:
-                continue
-            neighbors.add(other)
-            taken += 1
-            if taken >= window_applicants:
-                break
+        # each own job's newest appliers: the querying user is skipped, not counted
+        first = index.applier_start[own]
+        pair, at = _spans(first, np.minimum(index.applier_start[own + 1], first + window_applicants + 1))
+        who, nth = index.applier[at], at - first[pair]
+        me = who == users[row[pair]]
+        met_me = np.bincount(pair[me], minlength=len(own)) > 0
+        taken = ~me & ((nth < window_applicants) | met_me[pair])
+        neighbours = _distinct(row[pair[taken]] * n_users + who[taken])
 
-    now = epoch_us(reference_date)
-    scores: dict[str, float] = {}
-    # sorted: a set's order, and so the float sums, follow the string hash seed
-    for other in sorted(neighbors):
-        for job_id, t in index.applied_by.get(other, ()):
-            if job_id in banned or (allowed is not None and job_id not in allowed):
-                continue
-            scores[job_id] = scores.get(job_id, 0.0) + math.exp(-decay * elapsed_days(now, t))
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+        # the neighbours' applies, in neighbour-id then job-id order, to active jobs not their own
+        span, at = _spans(index.apply_start[neighbours % n_users], index.apply_start[neighbours % n_users + 1])
+        cell = neighbours[span] // n_users * n + index.apply_job[at]
+        kept = allowed.ravel()[cell]
+        cell, at = cell[kept], at[kept]
+        # elapsed_days' float division, which is numpy's below 2**53 us (285 years)
+        elapsed = now - index.apply_time[at]
+        days = np.maximum(elapsed / 10**6 / 86400.0, 0.0)
+        far = np.abs(elapsed) >= 2**53
+        days[far] = [elapsed_days(e, 0) for e in elapsed[far].tolist()]
+        # math.exp: numpy's exp can differ from it in the last bit
+        weights = np.fromiter(map(math.exp, (-decay * days).tolist()), float, len(days))
+        scores = np.bincount(cell, weights, minlength=allowed.size).reshape(allowed.shape)
+        present = np.bincount(cell, minlength=allowed.size).reshape(allowed.shape) > 0  # a sum of 0.0 ranks too
+        yield from top_k(scores, present, k, index.jobs, islice(exclude, len(users)))
+
+
+def cf_recommend(
+    index: CfIndex, user_id: str, k: int, reference_date: datetime, *, exclude: Iterable[str] = (), **options
+) -> list[tuple[str, float]]:
+    """:func:`cf_recommend_lists` for one user; ``k < 1`` raises ``ValueError``."""
+    return next(cf_recommend_lists(index, [user_id], k, reference_date, exclude=[exclude], **options))
 
 
 # ---------------------------------------------------------------------------
@@ -571,42 +602,29 @@ def evaluate_systems(
     cf_index = build_cf_index(signals) if "cf" in systems else None
     totals = {name: [0.0, 0.0, 0] for name in systems}
     # a fraction below 1 holds out floor(n * fraction) < n of a user's n applies, so every
-    # held-out user keeps a train apply: a profile, an applied_by entry and a matrix row
+    # held-out user keeps a train apply: a profile, a cf apply and a matrix row
     evaluated = len(heldout)
-    for user_id, relevant in sorted(heldout.items()):
-        profile = profiles[user_id]
-        history = profile.engaged_jobs()
+    users = sorted(heldout)
+    served = {}  # each baseline's lists, ranked a block of users at a time
+    if cf_index is not None:
+        histories = (profiles[u].engaged_jobs() for u in users)
+        served["cf"] = cf_recommend_lists(cf_index, users, k, reference_date, exclude=histories, active_jobs=active)
+    if model is not None:
+        histories = (profiles[u].engaged_jobs() for u in users)
+        clicks = None
+        if config.mf_implicit:  # the clicks als_train fit the implicit term over
+            clicks = ([matrix.job_ids[j] for j in matrix.implicit.get(model.user_index[u], ())] for u in users)
+        served["mf"] = recommend_mf_lists(model, users, k, histories, active, clicks)
+    for user_id in users:
         for name in systems:
             ranked: list[str] = []
             if name == "graph":
-                recs = recommend(
-                    profile, digraph, jobs, embeddings, reference_date, rec_params
-                )
+                recs = recommend(profiles[user_id], digraph, jobs, embeddings, reference_date, rec_params)
                 ranked = [r.job_id for r in recs]
-            elif name == "cf":
-                ranked = [
-                    j
-                    for j, _ in cf_recommend(
-                        cf_index,
-                        user_id,
-                        k,
-                        reference_date,
-                        exclude=history,
-                        active_jobs=active,
-                    )
-                ]
-            elif name == "mf" and model is not None:
-                clicks = None
-                if config.mf_implicit:  # the clicks als_train fit the implicit term over
-                    clicks = [matrix.job_ids[j] for j in matrix.implicit.get(model.user_index[user_id], ())]
-                ranked = [
-                    j
-                    for j, _ in recommend_mf(
-                        model, user_id, k, exclusions=history, active_jobs=active, implicit_items=clicks
-                    )
-                ]
+            elif name in served:
+                ranked = [j for j, _ in next(served[name])]
             if ranked:
-                precision, recall = precision_recall_at_k(ranked, relevant, k)
+                precision, recall = precision_recall_at_k(ranked, heldout[user_id], k)
                 totals[name][0] += precision
                 totals[name][1] += recall
                 totals[name][2] += 1

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import logging
 import random
-from collections.abc import Callable, Set as AbstractSet
+from bisect import bisect_left
+from collections.abc import Callable, Iterator, Set as AbstractSet
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -127,6 +129,11 @@ class FactorModel:
 # the Gram matrices (0.56 MB at k = 32) when L >= k + 1, and the smaller
 # L x L kernel matrices when L < k + 1.
 ALS_BLOCK = 64
+# Cells of a dense block of work (users x jobs of a score matrix ranked at
+# once, entries x k of the factors the objective gathers): enough to
+# outweigh the per-call cost of numpy, few enough (64 kB of floats) to
+# leave the peak RSS where it is.
+BLOCK_CELLS = 8192
 
 
 def _solve_batch(design: np.ndarray, target: np.ndarray, reg: float) -> np.ndarray:
@@ -273,8 +280,12 @@ def als_train(
         )
 
     def predictions(off: np.ndarray) -> np.ndarray:
-        users = U[rows] + off[rows] if implicit else U[rows]
-        return mu + b_u[rows] + b_j[cols] + np.einsum("ij,ij->i", users, J[cols])
+        out = np.empty(len(vals))
+        for block in blocks(len(vals), k):
+            r, c = rows[block], cols[block]
+            users = U[r] + off[r] if implicit else U[r]
+            out[block] = mu + b_u[r] + b_j[c] + np.einsum("ij,ij->i", users, J[c])
+        return out
 
     def objective(off: np.ndarray) -> tuple[float, float]:
         """The regularized objective and the observed MSE."""
@@ -413,6 +424,91 @@ def predict_implicit(
     return float(model.mu + model.user_bias[u] + model.job_bias[j] + model.job_factors[j] @ blended)
 
 
+def blocks(rows: int, cells_per_row: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(rows)``: as many rows of ``cells_per_row``
+    cells as :data:`BLOCK_CELLS` holds, and at least one."""
+    step = max(1, BLOCK_CELLS // max(cells_per_row, 1))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def place(ids: list[str], id_: str) -> int:
+    """The place of ``id_`` in the sorted ``ids``, -1 if it is not there."""
+    i = bisect_left(ids, id_)
+    return i if i < len(ids) and ids[i] == id_ else -1
+
+
+def job_pool(ids: list[str], active_jobs: Iterable[str] | None) -> np.ndarray:
+    """Which of the sorted ``ids`` are in ``active_jobs``, all when it is None."""
+    pool = active_jobs if active_jobs is None or isinstance(active_jobs, AbstractSet) else set(active_jobs)
+    return np.array([pool is None or job_id in pool for job_id in ids], dtype=bool)
+
+
+def top_k(
+    scores: np.ndarray, allowed: np.ndarray, k: int, ids: list[str], exclusions: Iterable[Iterable[str]] = ()
+) -> list[list[tuple[str, float]]]:
+    """Each row's ``k`` best (id, score) pairs over the columns of the sorted
+    ``ids`` that ``allowed`` leaves and the row's entry of ``exclusions``
+    does not name; ties (``0.0`` and ``-0.0`` too) rank by id, NaN last.
+    Banned entries sort last as NaN, so a row's k-th sorted key is NaN only
+    when fewer than ``k`` allowed scores are numbers: all allowed are kept."""
+    allowed = np.broadcast_to(allowed, scores.shape).copy()
+    for i, row in enumerate(exclusions):
+        allowed[i, [c for c in map(place, repeat(ids), row) if c >= 0]] = False
+    key = np.where(allowed, -scores, np.nan)
+    if k < key.shape[1]:
+        # a value sort: as fast as np.partition on these rows, whose code
+        # would be paged in for it alone
+        kth = np.sort(key, axis=1)[:, k - 1 : k]
+        allowed = allowed & ((key <= kth) | np.isnan(kth))
+    rows, cols = np.nonzero(allowed)
+    order = np.lexsort((key[rows, cols], rows))  # stable: ties keep nonzero's column order
+    rows, cols = rows[order], cols[order]
+    best = np.arange(len(rows)) - np.searchsorted(rows, rows) < k
+    rows, cols = rows[best], cols[best]
+    ranked: list[list[tuple[str, float]]] = [[] for _ in scores]
+    for i, c, score in zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist()):
+        ranked[i].append((ids[c], score))
+    return ranked
+
+
+def recommend_mf_lists(
+    model: FactorModel,
+    user_ids: Sequence[str],
+    k: int,
+    exclusions: Iterable[Iterable[str]],
+    active_jobs: Iterable[str] | None = None,
+    implicit_items: Iterable[Sequence[str] | None] | None = None,
+) -> Iterator[list[tuple[str, float]]]:
+    """Top-k jobs by predicted score for each known user of ``user_ids``, in turn.
+
+    Only jobs represented in the factorization can ever be recommended;
+    ``active_jobs`` (when given) and the user's entry of ``exclusions``
+    filter the pool, and the user's entry of ``implicit_items`` (when given)
+    feeds the implicit term. Ties break by job_id. Users are scored a block
+    at a time (:func:`blocks`), bit for bit as one user: the stacked
+    product runs the per-user matrix-vector kernel.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    order = model.job_id_order  # score columns in job-id order
+    ids = [model.job_ids[j] for j in order.tolist()]
+    pool = job_pool(ids, active_jobs)
+    exclusions = iter(exclusions)
+    implicit = repeat(None) if implicit_items is None else iter(implicit_items)
+    for block in blocks(len(user_ids), len(ids)):
+        rows = [model.user_index.get(u, -1) for u in user_ids[block]]
+        if -1 in rows:
+            raise KeyError(f"user {user_ids[block][rows.index(-1)]!r} unknown to the model")
+        vectors = model.user_factors[rows]
+        for i, items in zip(range(len(rows)), implicit):
+            known = [model.job_index[j] for j in items or () if j in model.job_index]
+            if known:
+                vectors[i] = vectors[i] + model.implicit_factors[known].sum(axis=0) / np.sqrt(len(known))
+        dots = np.matmul(model.job_factors[None], vectors[:, :, None])[..., 0]
+        scores = (model.mu + model.user_bias[rows])[:, None] + model.job_bias + dots
+        yield from top_k(scores[:, order], pool, k, ids, islice(exclusions, len(rows)))
+
+
 def recommend_mf(
     model: FactorModel,
     user_id: str,
@@ -421,34 +517,5 @@ def recommend_mf(
     active_jobs: Iterable[str] | None = None,
     implicit_items: Sequence[str] | None = None,
 ) -> list[tuple[str, float]]:
-    """Top-k jobs by predicted score for a known user.
-
-    Only jobs represented in the factorization can ever be recommended;
-    ``active_jobs`` (when given) and ``exclusions`` filter the pool. Ties
-    break by job_id.
-    """
-    if user_id not in model.user_index:
-        raise KeyError(f"user {user_id!r} unknown to the model")
-    u = model.user_index[user_id]
-    user_vec = model.user_factors[u]
-    if implicit_items:
-        known = [model.job_index[i] for i in implicit_items if i in model.job_index]
-        if known:
-            user_vec = user_vec + model.implicit_factors[known].sum(axis=0) / np.sqrt(len(known))
-    scores = model.mu + model.user_bias[u] + model.job_bias + model.job_factors @ user_vec
-
-    banned = exclusions if isinstance(exclusions, AbstractSet) else set(exclusions)
-    allowed = None
-    if active_jobs is not None:
-        allowed = active_jobs if isinstance(active_jobs, AbstractSet) else set(active_jobs)
-    # one stable sort by descending score over job-id order breaks ties by id
-    order = model.job_id_order
-    ranked: list[tuple[str, float]] = []
-    for j in order[np.argsort(-scores[order], kind="stable")].tolist():
-        job_id = model.job_ids[j]
-        if job_id in banned or (allowed is not None and job_id not in allowed):
-            continue
-        ranked.append((job_id, float(scores[j])))
-        if len(ranked) == k:
-            break
-    return ranked[:k]
+    """:func:`recommend_mf_lists` for one user; ``k < 1`` raises ``ValueError``."""
+    return next(recommend_mf_lists(model, [user_id], k, [exclusions], active_jobs, [implicit_items]))

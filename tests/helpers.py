@@ -23,6 +23,7 @@ from jobgraph.ingest import (
     SignalKind,
     UserRecord,
     _csv_rows,
+    elapsed_days,
     epoch_us,
     format_timestamp,
     parse_timestamp,
@@ -233,7 +234,17 @@ def reference_holdout_split(events, fraction, seed=0):
     return train, test
 
 
-def reference_cf_index(events: Iterable[InteractionEvent]) -> CfIndex:
+class DictCfIndex(NamedTuple):
+    """The apply history as dicts: ``appliers_of`` lists each job's
+    distinct appliers newest first as (epoch µs, user), ties by user id;
+    ``applied_by`` maps a user to their applied jobs with the latest apply
+    time of each."""
+
+    appliers_of: dict[str, list[tuple[int, str]]]
+    applied_by: dict[str, list[tuple[str, int]]]
+
+
+def reference_cf_index(events: Iterable[InteractionEvent]) -> DictCfIndex:
     """``build_cf_index`` over a dict of the latest applies."""
     latest: dict[tuple[str, str], int] = {}
     for e in events:
@@ -249,7 +260,63 @@ def reference_cf_index(events: Iterable[InteractionEvent]) -> CfIndex:
         applied_by.setdefault(u, []).append((j, stamp))
     for entries in appliers_of.values():
         entries.sort(key=lambda p: (-p[0], p[1]))
-    return CfIndex(appliers_of, applied_by)
+    return DictCfIndex(appliers_of, applied_by)
+
+
+def cf_index_dicts(index: CfIndex) -> DictCfIndex:
+    """The dict form of an array :class:`CfIndex`."""
+    applied_by: dict[str, list[tuple[str, int]]] = {}
+    for u, user_id in enumerate(index.users):
+        span = slice(index.apply_start[u], index.apply_start[u + 1])
+        jobs = [index.jobs[j] for j in index.apply_job[span].tolist()]
+        if jobs:
+            applied_by[user_id] = list(zip(jobs, index.apply_time[span].tolist()))
+    time_of = {(u, j): t for u, applies in applied_by.items() for j, t in applies}
+    appliers_of: dict[str, list[tuple[int, str]]] = {}
+    for j, job_id in enumerate(index.jobs):
+        users = [index.users[u] for u in index.applier[index.applier_start[j] : index.applier_start[j + 1]].tolist()]
+        if users:
+            appliers_of[job_id] = [(time_of[u, job_id], u) for u in users]
+    return DictCfIndex(appliers_of, applied_by)
+
+
+def reference_cf_recommend(
+    index: DictCfIndex,
+    user_id: str,
+    k: int,
+    reference_date: datetime,
+    *,
+    window_applicants: int = 50,
+    decay: float = 0.05,
+    exclude: Iterable[str] = (),
+    active_jobs: Iterable[str] | None = None,
+) -> list[tuple[str, float]]:
+    """``cf_recommend`` one user at a time over dicts: each own job's
+    window of appliers, then one dict sum per candidate job in neighbour-id
+    order, then one sort on (-score, job id)."""
+    own = {j for j, _ in index.applied_by.get(user_id, ())}
+    if not own:
+        return []
+    banned = own | set(exclude)
+    allowed = None if active_jobs is None else set(active_jobs)
+    neighbors: set[str] = set()
+    for job_id in own:
+        taken = 0
+        for _, other in index.appliers_of[job_id]:
+            if other == user_id:
+                continue
+            neighbors.add(other)
+            taken += 1
+            if taken >= window_applicants:
+                break
+    now = epoch_us(reference_date)
+    scores: dict[str, float] = {}
+    for other in sorted(neighbors):
+        for job_id, t in index.applied_by.get(other, ()):
+            if job_id in banned or (allowed is not None and job_id not in allowed):
+                continue
+            scores[job_id] = scores.get(job_id, 0.0) + math.exp(-decay * elapsed_days(now, t))
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
 def reference_build_matrix(signals: Iterable[DedupedSignal]) -> RatingsMatrix:
@@ -849,7 +916,7 @@ def reference_recommend_mf(
     implicit_items: Sequence[str] | None = None,
 ) -> list[tuple[str, float]]:
     """:func:`recommend_mf` by one Python sort of every candidate on
-    (-score, job_id)."""
+    (-score, job_id), NaN scores last in job_id order."""
     if user_id not in model.user_index:
         raise KeyError(f"user {user_id!r} unknown to the model")
     u = model.user_index[user_id]
@@ -867,5 +934,9 @@ def reference_recommend_mf(
         for job_id, j in model.job_index.items()
         if job_id not in banned and (allowed is None or job_id in allowed)
     }
-    ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    return sorted(candidates.items(), key=lambda kv: (*score_order(kv[1]), kv[0]))[:k]
+
+
+def score_order(score: float) -> tuple[bool, float]:
+    """A sort key that puts a higher score first and NaN last."""
+    return (True, 0.0) if math.isnan(score) else (False, -score)

@@ -9,17 +9,23 @@ import sys
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from helpers import REF, co_maps, co_pairs, content_pairs, embed_sim, ev, event_records
-from jobgraph import evaluation
+from helpers import (
+    REF, co_maps, co_pairs, content_pairs, embed_sim, ev, event_records, reference_cf_index, reference_cf_recommend,
+)
+from jobgraph import evaluation, mf
 from jobgraph.evaluation import (
     EDGE_TYPES,
     KNOWN_SYSTEMS,
     build_cf_index,
     cf_recommend,
+    cf_recommend_lists,
     connectivity_report,
     evaluate_systems,
     format_report,
@@ -34,6 +40,7 @@ from jobgraph.ingest import (
     JobStatus,
     SignalKind,
     UserRecord,
+    dedupe,
     parse_events,
     parse_jobs,
     parse_users,
@@ -167,7 +174,7 @@ def test_classic_cf_recommends_neighbor_jobs():
         ev("u2", "j2", age_days=4),
         ev("u2", "j3", age_days=2),
     ]
-    recs = cf_recommend(build_cf_index(events), "u1", 5, REF)
+    recs = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF)
     assert [j for j, _ in recs] == ["j3", "j2"]  # newer apply scores higher
     scores = dict(recs)
     assert scores["j2"] == pytest.approx(math.exp(-0.05 * 4))
@@ -183,7 +190,7 @@ def test_classic_cf_frequency_stacks_across_neighbors():
         ev("u3", "shared", age_days=5),
         ev("u2", "solo", age_days=5),
     ]
-    recs = cf_recommend(build_cf_index(events), "u1", 5, REF)
+    recs = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF)
     scores = dict(recs)
     assert scores["shared"] == pytest.approx(2 * scores["solo"])
     assert recs[0][0] == "shared"
@@ -191,12 +198,12 @@ def test_classic_cf_frequency_stacks_across_neighbors():
 
 def test_classic_cf_user_without_applies_gets_nothing():
     events = [ev("u1", "j1", SignalKind.CLICK), ev("u2", "j1"), ev("u2", "j2")]
-    assert cf_recommend(build_cf_index(events), "u1", 5, REF) == []
+    assert cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF) == []
 
 
 def test_classic_cf_sole_applicant_gets_nothing():
     events = [ev("u1", "j1"), ev("u1", "j2")]
-    assert cf_recommend(build_cf_index(events), "u1", 5, REF) == []
+    assert cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF) == []
 
 
 def test_classic_cf_excludes_own_history_and_respects_filters():
@@ -206,11 +213,11 @@ def test_classic_cf_excludes_own_history_and_respects_filters():
         ev("u2", "j2", age_days=5),
         ev("u2", "j3", age_days=5),
     ]
-    recs = cf_recommend(build_cf_index(events), "u1", 5, REF)
+    recs = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF)
     assert "j1" not in dict(recs)
-    only_j3 = cf_recommend(build_cf_index(events), "u1", 5, REF, exclude=["j2"])
+    only_j3 = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF, exclude=["j2"])
     assert [j for j, _ in only_j3] == ["j3"]
-    pooled = cf_recommend(build_cf_index(events), "u1", 5, REF, active_jobs=["j2"])
+    pooled = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF, active_jobs=["j2"])
     assert [j for j, _ in pooled] == ["j2"]
 
 
@@ -228,7 +235,7 @@ def test_classic_cf_uses_a_set_of_active_jobs_as_it_is():
         ev("u2", "j2", age_days=5),
         ev("u2", "j3", age_days=5),
     ]
-    index = build_cf_index(events)
+    index = build_cf_index(dedupe(events))
     pooled = cf_recommend(index, "u1", 5, REF, active_jobs=UniterableSet(["j2", "j3"]))
     assert pooled == cf_recommend(index, "u1", 5, REF, active_jobs=["j3", "j2"])
     assert [j for j, _ in pooled] == ["j2", "j3"]
@@ -242,7 +249,7 @@ def test_classic_cf_applier_window_keeps_newest():
         ev("old", "from_old", age_days=10),
         ev("new", "from_new", age_days=10),
     ]
-    recs = cf_recommend(build_cf_index(events), "u1", 5, REF, window_applicants=1)
+    recs = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF, window_applicants=1)
     assert [j for j, _ in recs] == ["from_new"]
 
 
@@ -256,14 +263,15 @@ def test_classic_cf_applier_window_tells_one_microsecond_apart_in_year_3000():
         InteractionEvent("ua", "from_ua", SignalKind.APPLY, t),
         InteractionEvent("ub", "from_ub", SignalKind.APPLY, t),
     ]
-    recs = cf_recommend(build_cf_index(events), "u1", 5, REF, window_applicants=1)
+    recs = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF, window_applicants=1)
     assert [j for j, _ in recs] == ["from_ub"]
 
 
 CF_SCORES_SCRIPT = """
 from jobgraph.evaluation import DEFAULT_REFERENCE_DATE, build_cf_index, cf_recommend, synth_corpus
-index = build_cf_index(synth_corpus(3, 10, 60, 0.1, 3, events_per_user=12).events)
-for user in sorted(index.applied_by):
+from jobgraph.ingest import dedupe
+index = build_cf_index(dedupe(synth_corpus(3, 10, 60, 0.1, 3, events_per_user=12).events))
+for user in index.users:
     for job, score in cf_recommend(index, user, 10, DEFAULT_REFERENCE_DATE):
         print(user, job, score.hex())
 """
@@ -319,13 +327,58 @@ def test_classic_cf_matches_replay_oracle():
                 age = max((REF - t).total_seconds() / 86400.0, 0.0)
                 want[j] = want.get(j, 0.0) + math.exp(-0.05 * age)
 
-        got = cf_recommend(build_cf_index(events), user, 100, REF, window_applicants=window)
+        got = cf_recommend(build_cf_index(dedupe(events)), user, 100, REF, window_applicants=window)
         assert dict(got) == pytest.approx(want)
+
+
+# an age past 2**53 us whose float division by 10**6 differs from the exact
+# quotient rounded once, and so, at a decay of 1e-6, the weight
+FAR_US = 13804984579974445
+
+
+def far_apply(user_id, job_id):
+    return InteractionEvent(user_id, job_id, SignalKind.APPLY, REF - timedelta(microseconds=FAR_US))
+
+
+@st.composite
+def cf_cases(draw):
+    """Applies with equal times, weights that underflow to 0.0 and ages past
+    2**53 us; querying users inside and outside their jobs' applier windows,
+    and an unknown one; exclusions, pools and the rows per block: 1, 3 or
+    the default."""
+    users, jobs = [f"u{i}" for i in range(6)], [f"j{i}" for i in range(7)]
+    day = 86400 * 10**6
+    ages = st.sampled_from([0, day, day, 5 * day // 2, 40 * day, 20000 * day, FAR_US, -3 * day])
+    apply = lambda u, j, age: InteractionEvent(u, j, SignalKind.APPLY, REF - timedelta(microseconds=age))
+    events = draw(st.lists(st.builds(apply, st.sampled_from(users), st.sampled_from(jobs), ages), max_size=40))
+    queried = draw(st.lists(st.sampled_from(users + ["ghost"]), min_size=1, max_size=8))
+    some_jobs = st.lists(st.sampled_from(jobs + ["ghost"]), max_size=3)
+    exclude = [draw(some_jobs) for _ in queried]
+    options = {
+        "window_applicants": draw(st.sampled_from([1, 2, 3, 50])),
+        "decay": draw(st.sampled_from([0.05, 1e-6])),
+        "active_jobs": draw(st.none() | some_jobs.map(frozenset)),
+    }
+    return events, queried, draw(st.integers(1, 9)), exclude, options, draw(st.sampled_from([1, 3, None]))
+
+
+@given(cf_cases())
+@example(([ev("u0", "j0"), ev("u1", "j0"), far_apply("u1", "j1")], ["u0"], 5, [[]], {"decay": 1e-6}, None))
+def test_cf_recommend_lists_match_dict_oracle(case):
+    events, queried, k, exclude, options, rows = case
+    index = build_cf_index(dedupe(events))
+    cells = mf.BLOCK_CELLS if rows is None else rows * len(index.jobs)
+    with mock.patch.object(mf, "BLOCK_CELLS", cells):
+        got = list(cf_recommend_lists(index, queried, k, REF, exclude=iter(exclude), **options))
+    want_index = reference_cf_index(events)
+    want = [reference_cf_recommend(want_index, u, k, REF, exclude=e, **options) for u, e in zip(queried, exclude)]
+    # repr shows each float exactly
+    assert repr(got) == repr(want)
 
 
 def test_cf_rejects_bad_k():
     with pytest.raises(ValueError):
-        cf_recommend(build_cf_index([]), "u", 0, REF)
+        cf_recommend(build_cf_index(dedupe([])), "u", 0, REF)
 
 
 # ---------------------------------------------------------------------------
@@ -722,14 +775,16 @@ def test_evaluate_mf_ranks_by_the_implicit_model(monkeypatch):
     # with mf_implicit, als_train fits (U[u] + |N(u)|^-1/2 sum Y[N(u)]) . J[j]
     # over the user's clicked jobs N(u); the mf lists must rank by that
     calls = []
-    serve = evaluation.recommend_mf
+    serve = evaluation.recommend_mf_lists
 
-    def spy(model, user_id, k, **kwargs):
-        ranked = serve(model, user_id, k, **kwargs)
-        calls.append((model, user_id, kwargs, ranked))
-        return ranked
+    def spy(model, user_ids, k, exclusions, active_jobs, implicit_items):
+        exclusions = list(exclusions)
+        lists = serve(model, user_ids, k, exclusions, active_jobs, implicit_items)
+        for user_id, history, ranked in zip(user_ids, exclusions, lists):
+            calls.append((model, user_id, {"active_jobs": active_jobs, "exclusions": history}, ranked))
+            yield ranked
 
-    monkeypatch.setattr(evaluation, "recommend_mf", spy)
+    monkeypatch.setattr(evaluation, "recommend_mf_lists", spy)
     corpus = synth_corpus(4, 20, 200, 0.1, seed=5)
     config = EngineConfig(mf_k=8, mf_reg=0.1, mf_iterations=5, mf_implicit=True)
     evaluate_systems(

@@ -1,8 +1,10 @@
 """Ratings-matrix construction, ALS training dynamics, prediction, ranking,
 and model persistence."""
 
+import math
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +17,14 @@ from helpers import (
     reference_als_train,
     reference_recommend_mf,
     reference_uniform_init,
+    score_order,
     signal_records,
 )
+from jobgraph import mf
 from jobgraph.ingest import SignalKind, dedupe
 from jobgraph.mf import (
     ALS_BLOCK,
+    BLOCK_CELLS,
     FactorModel,
     RatingsMatrix,
     als_train,
@@ -27,6 +32,8 @@ from jobgraph.mf import (
     predict_biased,
     predict_implicit,
     recommend_mf,
+    recommend_mf_lists,
+    top_k,
     uniform_init,
     _solve_batch,
 )
@@ -591,3 +598,100 @@ def test_recommend_mf_unknown_user_raises():
     model = tiny_model()
     with pytest.raises(KeyError):
         recommend_mf(model, "ghost", k=3)
+
+
+def test_recommend_mf_rejects_k_below_one():
+    # k=-1 used to return every allowed job but the last, and k=0 an empty list
+    model = tiny_model()
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            recommend_mf(model, "ua", k=k)
+
+
+# scores with exact ties, both zeros, both infinities and NaN
+SPECIAL_SCORES = [-math.inf, -1.5, -0.0, 0.0, 0.5, 2.0, math.inf, math.nan]
+
+
+@st.composite
+def score_blocks(draw):
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    scores = np.array(draw(st.lists(st.sampled_from(SPECIAL_SCORES), min_size=rows * n, max_size=rows * n)))
+    allowed = np.array(draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n)))
+    return scores.reshape(rows, n), allowed.reshape(rows, n), draw(st.integers(1, n + 2))
+
+
+@given(score_blocks())
+@example((np.array([[0.0, -0.0, math.nan, -math.inf, math.nan]]), np.array([[True] * 5]), 5))
+@example((np.array([[-math.inf, 1.0, -math.inf]]), np.array([[True, False, True]]), 2))
+def test_top_k_matches_sort_oracle(case):
+    scores, allowed, k = case
+    ids = [f"j{c}" for c in range(scores.shape[1])]
+    want = [
+        sorted(((ids[c], s) for c, s in enumerate(row.tolist()) if ok[c]), key=lambda p: (*score_order(p[1]), p[0]))[:k]
+        for row, ok in zip(scores, allowed)
+    ]
+    # repr tells -0.0 from 0.0, and NaN from itself
+    assert repr(top_k(scores, allowed, k, ids)) == repr(want)
+
+
+@st.composite
+def factor_cases(draw):
+    """A model whose scores tie exactly, or are +-0.0, +-inf or NaN, under
+    job ids in another order than its rows; users with exclusions, pools and
+    implicit items; and the rows per block: 1, 3 or the default."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+    biases = st.sampled_from([-0.0, 0.0, 1.0, math.inf, -math.inf, math.nan])
+    job_ids = draw(st.permutations([f"j{i}" for i in range(n)]))
+    model = FactorModel(
+        user_factors=np.array(draw(st.lists(values, min_size=2 * m, max_size=2 * m))).reshape(m, 2),
+        job_factors=np.array(draw(st.lists(values, min_size=2 * n, max_size=2 * n))).reshape(n, 2),
+        user_bias=np.array(draw(st.lists(biases, min_size=m, max_size=m))),
+        job_bias=np.array(draw(st.lists(biases, min_size=n, max_size=n))),
+        implicit_factors=np.array(draw(st.lists(values, min_size=2 * n, max_size=2 * n))).reshape(n, 2),
+        mu=draw(st.sampled_from([0.0, -0.0, 0.25])),
+        user_ids=[f"u{i}" for i in range(m)],
+        job_ids=job_ids,
+    )
+    some_jobs = st.lists(st.sampled_from(job_ids + ["ghost"]), max_size=4)
+    users = draw(st.lists(st.sampled_from(model.user_ids), min_size=1, max_size=6))
+    exclusions = [draw(some_jobs) for _ in users]
+    active = draw(st.none() | some_jobs.map(frozenset))
+    implicit = draw(st.none() | st.lists(st.none() | some_jobs, min_size=len(users), max_size=len(users)))
+    rows = draw(st.sampled_from([1, 3, None]))
+    return model, users, draw(st.integers(1, n + 2)), exclusions, active, implicit, rows
+
+
+@given(factor_cases())
+def test_recommend_mf_lists_match_reference_oracle(case):
+    model, users, k, exclusions, active, implicit, rows = case
+    cells = BLOCK_CELLS if rows is None else rows * len(model.job_ids)
+    # inf - inf is NaN: a score the ranking must place, not an error
+    with mock.patch.object(mf, "BLOCK_CELLS", cells), np.errstate(invalid="ignore"):
+        got = list(recommend_mf_lists(model, users, k, iter(exclusions), active, implicit and iter(implicit)))
+        want = [
+            reference_recommend_mf(model, u, k, exclusions=e, active_jobs=active, implicit_items=i)
+            for u, e, i in zip(users, exclusions, implicit or [None] * len(users))
+        ]
+    assert repr(got) == repr(want)
+
+
+def test_recommend_mf_lists_scores_are_the_per_user_products_bit_for_bit():
+    # a stacked matmul runs one matrix-vector product per user, as the per-user
+    # ranking did; a plain U @ J.T (one matrix product) differs in the last bits
+    rng = np.random.default_rng(131)
+    m, n, k = 40, 300, 32
+    model = FactorModel(
+        rng.standard_normal((m, k)), rng.standard_normal((n, k)), rng.standard_normal(m),
+        rng.standard_normal(n), rng.standard_normal((n, k)), 0.1,
+        [f"u{i:02d}" for i in range(m)], [f"j{j:03d}" for j in range(n)],
+    )
+    clicks = [[f"j{j:03d}" for j in rng.choice(n, 3)] if i % 2 else None for i in range(m)]
+    lists = recommend_mf_lists(model, model.user_ids, n, [()] * m, implicit_items=clicks)
+    for u, (ranked, items) in enumerate(zip(lists, clicks)):
+        vec = model.user_factors[u]
+        if items:
+            known = [model.job_index[j] for j in items]
+            vec = vec + model.implicit_factors[known].sum(axis=0) / np.sqrt(len(known))
+        want = model.mu + model.user_bias[u] + model.job_bias + model.job_factors @ vec
+        assert sorted((j, s.hex()) for j, s in ranked) == [(j, float(want[i]).hex()) for i, j in enumerate(model.job_ids)]
