@@ -14,7 +14,6 @@ import logging
 import math
 import random
 import zlib
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from itertools import combinations, islice
@@ -46,7 +45,7 @@ from .ingest import (
     write_events,
     write_rows,
 )
-from .mf import als_train, blocks, build_matrix, job_pool, place, recommend_mf_lists, top_k
+from .mf import als_train, blocks, build_matrix, job_pool, place, recommend_mf, top_k
 from .recommend import build_profiles, recommend
 from .scoring import ContentPairs, build_digraph
 
@@ -144,9 +143,13 @@ class CfIndex:
 
 def build_cf_index(signals: EventLog) -> CfIndex:
     """The apply history of :func:`~jobgraph.ingest.dedupe`'s signals, whose
-    rows are in (user, job) order."""
+    apply rows are distinct and in (user, job) order; other rows raise
+    ``ValueError``."""
     rows = np.flatnonzero(signals.kind == SignalKind.APPLY.code)
     user, job, time = signals.user[rows], signals.job[rows], signals.time[rows]
+    key = user * len(signals.jobs) + job
+    if np.any(key[1:] <= key[:-1]):
+        raise ValueError("apply rows must be distinct and in (user, job) order, as dedupe returns them")
     by_job = np.lexsort((user, -time, job))
     return CfIndex(
         signals.users, signals.jobs, np.searchsorted(user, np.arange(len(signals.users) + 1)), job, time,
@@ -162,7 +165,7 @@ def _spans(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return span, starts[span] + np.arange(len(span)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def cf_recommend_lists(
+def cf_recommend(
     index: CfIndex,
     user_ids: Sequence[str],
     k: int,
@@ -170,10 +173,10 @@ def cf_recommend_lists(
     *,
     window_applicants: int = 50,
     decay: float = 0.05,
-    exclude: Iterable[Iterable[str]],
+    exclude: Iterable[Iterable[str]] = (),
     active_jobs: Iterable[str] | None = None,
-) -> Iterator[list[tuple[str, float]]]:
-    """User-based CF over applications only, for each user of ``user_ids`` in turn.
+) -> list[list[tuple[str, float]]]:
+    """User-based CF over applications only, for each user of ``user_ids`` in order.
 
     For each job the user applied to, take that job's most recent
     ``window_applicants`` distinct appliers; candidate jobs are everything
@@ -183,8 +186,12 @@ def cf_recommend_lists(
     user's own applied jobs and the ids of the user's entry of ``exclude``
     never appear, nor jobs outside ``active_jobs`` when it is given. A user
     with no applies gets an empty list. Ties break by job id. Users are
-    scored a block at a time (:func:`~jobgraph.mf.blocks`).
+    scored a block at a time (:func:`~jobgraph.mf.blocks`), and ``exclude``
+    is read a block at a time, so it may be a generator. A bare ``str`` for
+    ``user_ids`` raises ``TypeError``.
     """
+    if isinstance(user_ids, str):
+        raise TypeError(f"user_ids must be a sequence of ids, not the str {user_ids!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if window_applicants < 1:
@@ -192,6 +199,7 @@ def cf_recommend_lists(
     n, n_users, now = len(index.jobs), len(index.users), epoch_us(reference_date)
     pool = job_pool(index.jobs, active_jobs)
     exclude = iter(exclude)
+    ranked: list[list[tuple[str, float]]] = []
     for block in blocks(len(user_ids), n):
         users = np.array([place(index.users, u) for u in user_ids[block]], dtype=np.int64)
         known = users >= 0  # an unknown user has no applies
@@ -223,14 +231,8 @@ def cf_recommend_lists(
         weights = np.fromiter(map(math.exp, (-decay * days).tolist()), float, len(days))
         scores = np.bincount(cell, weights, minlength=allowed.size).reshape(allowed.shape)
         present = np.bincount(cell, minlength=allowed.size).reshape(allowed.shape) > 0  # a sum of 0.0 ranks too
-        yield from top_k(scores, present, k, index.jobs, islice(exclude, len(users)))
-
-
-def cf_recommend(
-    index: CfIndex, user_id: str, k: int, reference_date: datetime, *, exclude: Iterable[str] = (), **options
-) -> list[tuple[str, float]]:
-    """:func:`cf_recommend_lists` for one user; ``k < 1`` raises ``ValueError``."""
-    return next(cf_recommend_lists(index, [user_id], k, reference_date, exclude=[exclude], **options))
+        ranked += top_k(scores, present, k, index.jobs, islice(exclude, len(users)))
+    return ranked
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +559,17 @@ def evaluate_systems(
     Everything else (window, graph build, recommender, factorization and
     the split's seed) comes from ``config``. The users with a held-out
     apply are evaluated; a system that cannot serve one scores zero for
-    that user (macro averaging).
+    that user (macro averaging). Systems are run one at a time, each
+    model dropped before the next is built. An unknown system, or one
+    named twice, raises ``ValueError``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    for name in systems:
+    for i, name in enumerate(systems):
         if name not in KNOWN_SYSTEMS:
             raise ValueError(f"unknown system {name!r}; expected subset of {KNOWN_SYSTEMS}")
+        if name in systems[:i]:
+            raise ValueError(f"system {name!r} named twice")
     windowed = window_filter(events, reference_date, config.window_days)
     resolved, _ = resolve_jobs(windowed, jobs)
     train_events, test_events = holdout_split(resolved, holdout_fraction, config.seed)
@@ -579,64 +585,47 @@ def evaluate_systems(
     active = active_job_ids(jobs)
     min_recs = None if config.min_recs is None else min(config.min_recs, k)
     rec_params = replace(config, k=k, min_recs=min_recs)
-
-    digraph = None
-    if "graph" in systems:
-        digraph, _, _ = build_digraph(signals, jobs, embeddings, config)
-
-    model = None
-    if "mf" in systems:
-        matrix = build_matrix(signals)
-        if matrix.entries:
-            model = als_train(
-                matrix,
-                config.mf_k,
-                config.mf_reg,
-                config.mf_iterations,
-                seed=config.seed,
-                implicit=config.mf_implicit,
-            )
-        else:
-            logger.warning("no +-1 entries in train split; mf baseline disabled")
-
-    cf_index = build_cf_index(signals) if "cf" in systems else None
-    totals = {name: [0.0, 0.0, 0] for name in systems}
     # a fraction below 1 holds out floor(n * fraction) < n of a user's n applies, so every
     # held-out user keeps a train apply: a profile, a cf apply and a matrix row
     evaluated = len(heldout)
     users = sorted(heldout)
-    served = {}  # each baseline's lists, ranked a block of users at a time
-    if cf_index is not None:
-        histories = (profiles[u].engaged_jobs() for u in users)
-        served["cf"] = cf_recommend_lists(cf_index, users, k, reference_date, exclude=histories, active_jobs=active)
-    if model is not None:
-        histories = (profiles[u].engaged_jobs() for u in users)
-        clicks = None
-        if config.mf_implicit:  # the clicks als_train fit the implicit term over
-            clicks = ([matrix.job_ids[j] for j in matrix.implicit.get(model.user_index[u], ())] for u in users)
-        served["mf"] = recommend_mf_lists(model, users, k, histories, active, clicks)
-    for user_id in users:
-        for name in systems:
-            ranked: list[str] = []
-            if name == "graph":
-                recs = recommend(profiles[user_id], digraph, jobs, embeddings, reference_date, rec_params)
-                ranked = [r.job_id for r in recs]
-            elif name in served:
-                ranked = [j for j, _ in next(served[name])]
-            if ranked:
-                precision, recall = precision_recall_at_k(ranked, heldout[user_id], k)
-                totals[name][0] += precision
-                totals[name][1] += recall
-                totals[name][2] += 1
 
-    scores = {
-        name: SystemScore(
-            totals[name][0] / evaluated if evaluated else 0.0,
-            totals[name][1] / evaluated if evaluated else 0.0,
-            totals[name][2],
+    def ranked_by(name: str) -> Iterable[list[str]]:
+        """Each evaluated user's list from the model of ``name``, built here."""
+        histories = (profiles[u].engaged_jobs() for u in users)
+        if name == "graph":
+            digraph, _, _ = build_digraph(signals, jobs, embeddings, config)
+            return ([r.job_id for r in recommend(profiles[u], digraph, jobs, embeddings, reference_date, rec_params)]
+                    for u in users)
+        if name == "cf":
+            lists = cf_recommend(build_cf_index(signals), users, k, reference_date, exclude=histories, active_jobs=active)
+        else:
+            matrix = build_matrix(signals)
+            if not matrix.entries:
+                logger.warning("no +-1 entries in train split; mf baseline disabled")
+                return ()
+            model = als_train(
+                matrix, config.mf_k, config.mf_reg, config.mf_iterations, seed=config.seed, implicit=config.mf_implicit
+            )
+            clicks = None
+            if config.mf_implicit:  # the clicks als_train fit the implicit term over
+                clicks = ([matrix.job_ids[j] for j in matrix.implicit.get(model.user_index[u], ())] for u in users)
+            lists = recommend_mf(model, users, k, histories, active, clicks)
+        return ([j for j, _ in ranked] for ranked in lists)
+
+    scores = {}
+    for name in systems:
+        precision = recall = 0.0
+        served = 0
+        for user_id, ranked in zip(users, ranked_by(name)):
+            if ranked:
+                p, r = precision_recall_at_k(ranked, heldout[user_id], k)
+                precision += p
+                recall += r
+                served += 1
+        scores[name] = SystemScore(
+            precision / evaluated if evaluated else 0.0, recall / evaluated if evaluated else 0.0, served
         )
-        for name in systems
-    }
     return EvalReport(k, evaluated, scores)
 
 

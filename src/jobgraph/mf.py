@@ -471,23 +471,28 @@ def top_k(
     return ranked
 
 
-def recommend_mf_lists(
+def recommend_mf(
     model: FactorModel,
     user_ids: Sequence[str],
     k: int,
-    exclusions: Iterable[Iterable[str]],
+    exclusions: Iterable[Iterable[str]] = (),
     active_jobs: Iterable[str] | None = None,
     implicit_items: Iterable[Sequence[str] | None] | None = None,
-) -> Iterator[list[tuple[str, float]]]:
-    """Top-k jobs by predicted score for each known user of ``user_ids``, in turn.
+) -> list[list[tuple[str, float]]]:
+    """Top-k jobs by predicted score for each user of ``user_ids``, in order.
 
     Only jobs represented in the factorization can ever be recommended;
     ``active_jobs`` (when given) and the user's entry of ``exclusions``
     filter the pool, and the user's entry of ``implicit_items`` (when given)
     feeds the implicit term. Ties break by job_id. Users are scored a block
     at a time (:func:`blocks`), bit for bit as one user: the stacked
-    product runs the per-user matrix-vector kernel.
+    product runs the per-user matrix-vector kernel. ``exclusions`` and
+    ``implicit_items`` are read a block at a time, so they may be
+    generators. A user unknown to the model raises ``KeyError``, a bare
+    ``str`` for ``user_ids`` ``TypeError``.
     """
+    if isinstance(user_ids, str):
+        raise TypeError(f"user_ids must be a sequence of ids, not the str {user_ids!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     order = model.job_id_order  # score columns in job-id order
@@ -495,6 +500,7 @@ def recommend_mf_lists(
     pool = job_pool(ids, active_jobs)
     exclusions = iter(exclusions)
     implicit = repeat(None) if implicit_items is None else iter(implicit_items)
+    ranked: list[list[tuple[str, float]]] = []
     for block in blocks(len(user_ids), len(ids)):
         rows = [model.user_index.get(u, -1) for u in user_ids[block]]
         if -1 in rows:
@@ -506,16 +512,5 @@ def recommend_mf_lists(
                 vectors[i] = vectors[i] + model.implicit_factors[known].sum(axis=0) / np.sqrt(len(known))
         dots = np.matmul(model.job_factors[None], vectors[:, :, None])[..., 0]
         scores = (model.mu + model.user_bias[rows])[:, None] + model.job_bias + dots
-        yield from top_k(scores[:, order], pool, k, ids, islice(exclusions, len(rows)))
-
-
-def recommend_mf(
-    model: FactorModel,
-    user_id: str,
-    k: int,
-    exclusions: Iterable[str] = (),
-    active_jobs: Iterable[str] | None = None,
-    implicit_items: Sequence[str] | None = None,
-) -> list[tuple[str, float]]:
-    """:func:`recommend_mf_lists` for one user; ``k < 1`` raises ``ValueError``."""
-    return next(recommend_mf_lists(model, [user_id], k, [exclusions], active_jobs, [implicit_items]))
+        ranked += top_k(scores[:, order], pool, k, ids, islice(exclusions, len(rows)))
+    return ranked

@@ -296,13 +296,14 @@ def test_criterion_5_cold_start_contrast():
         matrix = build_matrix(signals)
         model = als_train(matrix, k=8, reg=0.1, iterations=5, seed=0)
         assert not set(model.job_ids) & cold  # structurally outside the model
+        histories = [
+            profiles[u].engaged_jobs() if u in profiles else set() for u in model.user_ids
+        ]
         cold_hits = 0
-        for user_id in model.user_ids:
-            profile = profiles.get(user_id)
-            history = profile.engaged_jobs() if profile else set()
-            for job_id, _ in recommend_mf(
-                model, user_id, 15, exclusions=history, active_jobs=active
-            ):
+        for ranked in recommend_mf(
+            model, model.user_ids, 15, exclusions=histories, active_jobs=active
+        ):
+            for job_id, _ in ranked:
                 if job_id in cold:
                     cold_hits += 1
         assert cold_hits == 0

@@ -676,6 +676,12 @@ def test_evaluate_unknown_system_is_input_error(corpus_dir):
     assert rc == 1
 
 
+def test_evaluate_repeated_system_is_input_error(corpus_dir):
+    # a repeated name is an input error, not an internal one (exit 3)
+    rc = cli.main(["evaluate", *corpus_flags(corpus_dir), "--reference-date", REF_ARG, "--systems", "cf,cf"])
+    assert rc == 1
+
+
 def test_evaluate_k_below_one_is_input_error(corpus_dir):
     rc = cli.main(["evaluate", *corpus_flags(corpus_dir), "--reference-date", REF_ARG, "--k", "0"])
     assert rc == 1

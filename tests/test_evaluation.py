@@ -25,7 +25,6 @@ from jobgraph.evaluation import (
     KNOWN_SYSTEMS,
     build_cf_index,
     cf_recommend,
-    cf_recommend_lists,
     connectivity_report,
     evaluate_systems,
     format_report,
@@ -40,10 +39,13 @@ from jobgraph.ingest import (
     JobStatus,
     SignalKind,
     UserRecord,
+    as_event_log,
     dedupe,
     parse_events,
     parse_jobs,
     parse_users,
+    resolve_jobs,
+    window_filter,
 )
 from jobgraph.config import EngineConfig
 from jobgraph.mf import predict_implicit
@@ -174,7 +176,7 @@ def test_classic_cf_recommends_neighbor_jobs():
         ev("u2", "j2", age_days=4),
         ev("u2", "j3", age_days=2),
     ]
-    recs = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF)
+    recs = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF)[0]
     assert [j for j, _ in recs] == ["j3", "j2"]  # newer apply scores higher
     scores = dict(recs)
     assert scores["j2"] == pytest.approx(math.exp(-0.05 * 4))
@@ -190,7 +192,7 @@ def test_classic_cf_frequency_stacks_across_neighbors():
         ev("u3", "shared", age_days=5),
         ev("u2", "solo", age_days=5),
     ]
-    recs = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF)
+    recs = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF)[0]
     scores = dict(recs)
     assert scores["shared"] == pytest.approx(2 * scores["solo"])
     assert recs[0][0] == "shared"
@@ -198,12 +200,12 @@ def test_classic_cf_frequency_stacks_across_neighbors():
 
 def test_classic_cf_user_without_applies_gets_nothing():
     events = [ev("u1", "j1", SignalKind.CLICK), ev("u2", "j1"), ev("u2", "j2")]
-    assert cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF) == []
+    assert cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF) == [[]]
 
 
 def test_classic_cf_sole_applicant_gets_nothing():
     events = [ev("u1", "j1"), ev("u1", "j2")]
-    assert cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF) == []
+    assert cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF) == [[]]
 
 
 def test_classic_cf_excludes_own_history_and_respects_filters():
@@ -213,11 +215,11 @@ def test_classic_cf_excludes_own_history_and_respects_filters():
         ev("u2", "j2", age_days=5),
         ev("u2", "j3", age_days=5),
     ]
-    recs = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF)
+    recs = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF)[0]
     assert "j1" not in dict(recs)
-    only_j3 = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF, exclude=["j2"])
+    only_j3 = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF, exclude=[["j2"]])[0]
     assert [j for j, _ in only_j3] == ["j3"]
-    pooled = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF, active_jobs=["j2"])
+    pooled = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF, active_jobs=["j2"])[0]
     assert [j for j, _ in pooled] == ["j2"]
 
 
@@ -236,8 +238,8 @@ def test_classic_cf_uses_a_set_of_active_jobs_as_it_is():
         ev("u2", "j3", age_days=5),
     ]
     index = build_cf_index(dedupe(events))
-    pooled = cf_recommend(index, "u1", 5, REF, active_jobs=UniterableSet(["j2", "j3"]))
-    assert pooled == cf_recommend(index, "u1", 5, REF, active_jobs=["j3", "j2"])
+    pooled = cf_recommend(index, ["u1"], 5, REF, active_jobs=UniterableSet(["j2", "j3"]))[0]
+    assert pooled == cf_recommend(index, ["u1"], 5, REF, active_jobs=["j3", "j2"])[0]
     assert [j for j, _ in pooled] == ["j2", "j3"]
 
 
@@ -249,7 +251,7 @@ def test_classic_cf_applier_window_keeps_newest():
         ev("old", "from_old", age_days=10),
         ev("new", "from_new", age_days=10),
     ]
-    recs = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF, window_applicants=1)
+    recs = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF, window_applicants=1)[0]
     assert [j for j, _ in recs] == ["from_new"]
 
 
@@ -263,7 +265,7 @@ def test_classic_cf_applier_window_tells_one_microsecond_apart_in_year_3000():
         InteractionEvent("ua", "from_ua", SignalKind.APPLY, t),
         InteractionEvent("ub", "from_ub", SignalKind.APPLY, t),
     ]
-    recs = cf_recommend(build_cf_index(dedupe(events)), "u1", 5, REF, window_applicants=1)
+    recs = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF, window_applicants=1)[0]
     assert [j for j, _ in recs] == ["from_ub"]
 
 
@@ -271,8 +273,8 @@ CF_SCORES_SCRIPT = """
 from jobgraph.evaluation import DEFAULT_REFERENCE_DATE, build_cf_index, cf_recommend, synth_corpus
 from jobgraph.ingest import dedupe
 index = build_cf_index(dedupe(synth_corpus(3, 10, 60, 0.1, 3, events_per_user=12).events))
-for user in index.users:
-    for job, score in cf_recommend(index, user, 10, DEFAULT_REFERENCE_DATE):
+for user, ranked in zip(index.users, cf_recommend(index, index.users, 10, DEFAULT_REFERENCE_DATE)):
+    for job, score in ranked:
         print(user, job, score.hex())
 """
 
@@ -327,7 +329,7 @@ def test_classic_cf_matches_replay_oracle():
                 age = max((REF - t).total_seconds() / 86400.0, 0.0)
                 want[j] = want.get(j, 0.0) + math.exp(-0.05 * age)
 
-        got = cf_recommend(build_cf_index(dedupe(events)), user, 100, REF, window_applicants=window)
+        got = cf_recommend(build_cf_index(dedupe(events)), [user], 100, REF, window_applicants=window)[0]
         assert dict(got) == pytest.approx(want)
 
 
@@ -369,7 +371,7 @@ def test_cf_recommend_lists_match_dict_oracle(case):
     index = build_cf_index(dedupe(events))
     cells = mf.BLOCK_CELLS if rows is None else rows * len(index.jobs)
     with mock.patch.object(mf, "BLOCK_CELLS", cells):
-        got = list(cf_recommend_lists(index, queried, k, REF, exclude=iter(exclude), **options))
+        got = cf_recommend(index, queried, k, REF, exclude=iter(exclude), **options)
     want_index = reference_cf_index(events)
     want = [reference_cf_recommend(want_index, u, k, REF, exclude=e, **options) for u, e in zip(queried, exclude)]
     # repr shows each float exactly
@@ -378,7 +380,27 @@ def test_cf_recommend_lists_match_dict_oracle(case):
 
 def test_cf_rejects_bad_k():
     with pytest.raises(ValueError):
-        cf_recommend(build_cf_index(dedupe([])), "u", 0, REF)
+        cf_recommend(build_cf_index(dedupe([])), ["u"], 0, REF)
+
+
+def test_cf_rejects_a_bare_user_id():
+    # a str is a sequence of its characters: "u1" would rank users "u" and "1"
+    index = build_cf_index(dedupe([ev("u1", "j1"), ev("u2", "j1"), ev("u2", "j2")]))
+    with pytest.raises(TypeError):
+        cf_recommend(index, "u1", 5, REF)
+
+
+def test_cf_index_refuses_apply_rows_that_dedupe_would_change():
+    # u2's applies split by u1's, and u1's j1 twice: read as a raw log, the
+    # index would serve u2 its own apply j1 instead of [j2, j4]
+    events = [ev("u2", "j1"), ev("u1", "j1"), ev("u1", "j1", age_days=2), ev("u2", "j3"),
+              ev("u1", "j2"), ev("u1", "j3"), ev("u1", "j4")]
+    with pytest.raises(ValueError, match="dedupe"):
+        build_cf_index(as_event_log(events))
+    with pytest.raises(ValueError, match="dedupe"):
+        build_cf_index(as_event_log(sorted(events, key=lambda e: (e.user_id, e.job_id))))
+    ranked = cf_recommend(build_cf_index(dedupe(events)), ["u2"], 5, REF)[0]
+    assert [j for j, _ in ranked] == ["j2", "j4"]
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +747,44 @@ def test_evaluate_systems_rejects_unknown_system():
         )
 
 
+def test_evaluate_systems_rejects_a_repeated_system():
+    # a repeated name would count each evaluated user twice in users_served
+    corpus = synth_corpus(2, 5, 5, 0.0, seed=11)
+    for systems in (("graph", "graph"), ("cf", "mf", "cf")):
+        with pytest.raises(ValueError, match="named twice"):
+            evaluate_systems(
+                corpus.events, corpus.jobs, corpus.embeddings, corpus.users, corpus.reference_date, systems=systems
+            )
+
+
+def test_evaluate_ranks_each_baseline_with_one_call_over_every_evaluated_user(monkeypatch):
+    # the benchmark's tracer times cf_recommend and recommend_mf by swapping
+    # every reference the package holds to them (matched by identity); a
+    # ranking that bypasses them reads 0 in its per-layer metrics
+    calls = []
+    modules = [m for n, m in sys.modules.items() if n == "jobgraph" or n.startswith("jobgraph.")]
+    for original in (evaluation.cf_recommend, mf.recommend_mf):
+
+        def counted(model, user_ids, *args, _original=original, **kwargs):
+            calls.append((_original.__name__, list(user_ids)))
+            return _original(model, user_ids, *args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    corpus = synth_corpus(3, 12, 40, 0.1, seed=12)
+    config = EngineConfig(seed=4, mf_k=4, mf_iterations=2)
+    report = evaluate_systems(
+        corpus.events, corpus.jobs, corpus.embeddings, corpus.users, corpus.reference_date, k=5, config=config
+    )
+    windowed = window_filter(corpus.events, corpus.reference_date, config.window_days)
+    _, test = holdout_split(resolve_jobs(windowed, corpus.jobs)[0], 0.3, config.seed)
+    evaluated = sorted({test.users[u] for u in test.user.tolist()})
+    assert len(evaluated) == report.num_users > 0
+    assert sorted(calls) == [("cf_recommend", evaluated), ("recommend_mf", evaluated)]
+
+
 def test_evaluate_systems_same_split_for_subset_runs():
     corpus = synth_corpus(3, 12, 40, 0.1, seed=12)
     args = (
@@ -775,16 +835,16 @@ def test_evaluate_mf_ranks_by_the_implicit_model(monkeypatch):
     # with mf_implicit, als_train fits (U[u] + |N(u)|^-1/2 sum Y[N(u)]) . J[j]
     # over the user's clicked jobs N(u); the mf lists must rank by that
     calls = []
-    serve = evaluation.recommend_mf_lists
+    serve = evaluation.recommend_mf
 
     def spy(model, user_ids, k, exclusions, active_jobs, implicit_items):
         exclusions = list(exclusions)
         lists = serve(model, user_ids, k, exclusions, active_jobs, implicit_items)
         for user_id, history, ranked in zip(user_ids, exclusions, lists):
             calls.append((model, user_id, {"active_jobs": active_jobs, "exclusions": history}, ranked))
-            yield ranked
+        return lists
 
-    monkeypatch.setattr(evaluation, "recommend_mf_lists", spy)
+    monkeypatch.setattr(evaluation, "recommend_mf", spy)
     corpus = synth_corpus(4, 20, 200, 0.1, seed=5)
     config = EngineConfig(mf_k=8, mf_reg=0.1, mf_iterations=5, mf_implicit=True)
     evaluate_systems(

@@ -32,7 +32,6 @@ from jobgraph.mf import (
     predict_biased,
     predict_implicit,
     recommend_mf,
-    recommend_mf_lists,
     top_k,
     uniform_init,
     _solve_batch,
@@ -467,7 +466,7 @@ def test_recommend_mf_matches_per_job_predictions():
     rng = random.Random(61)
     matrix = random_matrix(rng, m=5, n=7, density=0.7)
     model = als_train(matrix, k=2, reg=0.1, iterations=5, seed=2)
-    got = recommend_mf(model, "u2", k=7)
+    got = recommend_mf(model, ["u2"], k=7)[0]
     want = sorted(
         ((j, predict_biased(model, "u2", j)) for j in model.job_ids),
         key=lambda kv: (-kv[1], kv[0]),
@@ -481,14 +480,14 @@ def test_recommend_mf_filters_and_truncates():
     rng = random.Random(67)
     matrix = random_matrix(rng, m=4, n=6, density=0.8)
     model = als_train(matrix, k=2, reg=0.1, iterations=4, seed=3)
-    full = recommend_mf(model, "u0", k=10)
+    full = recommend_mf(model, ["u0"], k=10)[0]
     assert len(full) == 6
-    capped = recommend_mf(model, "u0", k=2)
+    capped = recommend_mf(model, ["u0"], k=2)[0]
     assert capped == full[:2]
     pool = {"j1", "j4"}
-    restricted = recommend_mf(model, "u0", k=10, active_jobs=pool)
+    restricted = recommend_mf(model, ["u0"], k=10, active_jobs=pool)[0]
     assert {j for j, _ in restricted} == pool
-    banned = recommend_mf(model, "u0", k=10, exclusions=["j1"], active_jobs=pool)
+    banned = recommend_mf(model, ["u0"], k=10, exclusions=[["j1"]], active_jobs=pool)[0]
     assert [j for j, _ in banned] == ["j4"]
 
 
@@ -496,8 +495,8 @@ def test_recommend_mf_applies_implicit_history():
     rng = random.Random(71)
     matrix = random_matrix(rng, m=5, n=6, density=0.7, with_implicit=True)
     model = als_train(matrix, k=2, reg=0.1, iterations=5, seed=4, implicit=True)
-    plain = recommend_mf(model, "u1", k=6)
-    with_items = recommend_mf(model, "u1", k=6, implicit_items=["j0", "j3"])
+    plain = recommend_mf(model, ["u1"], k=6)[0]
+    with_items = recommend_mf(model, ["u1"], k=6, implicit_items=[["j0", "j3"]])[0]
     history = dict(with_items)
     for j, _ in plain:
         assert history[j] == pytest.approx(
@@ -505,9 +504,11 @@ def test_recommend_mf_applies_implicit_history():
         )
 
 
-def assert_same_ranking(model, user_id, k, **kwargs):
-    got = recommend_mf(model, user_id, k, **kwargs)
-    want = reference_recommend_mf(model, user_id, k, **kwargs)
+def assert_same_ranking(model, user_id, k, exclusions=(), active_jobs=None, implicit_items=None):
+    got = recommend_mf(model, [user_id], k, [exclusions], active_jobs, [implicit_items])[0]
+    want = reference_recommend_mf(
+        model, user_id, k, exclusions=exclusions, active_jobs=active_jobs, implicit_items=implicit_items
+    )
     assert got == want
     # repr tells 0.0 from -0.0 and shows each float exactly
     assert repr(got) == repr(want)
@@ -546,7 +547,7 @@ def test_recommend_mf_matches_sort_reference_on_zero_scores():
         user_ids=["u"],
         job_ids=["g", "f", "e", "d", "c", "b", "a"],
     )
-    assert [job_id for job_id, _ in recommend_mf(model, "u", k=7)] == [
+    assert [job_id for job_id, _ in recommend_mf(model, ["u"], k=7)[0]] == [
         "b", "e", "a", "f", "g", "c", "d"
     ]
     for k in (2, 4, 9):
@@ -597,7 +598,7 @@ def test_recommend_mf_matches_sort_reference_with_filters_and_history():
 def test_recommend_mf_unknown_user_raises():
     model = tiny_model()
     with pytest.raises(KeyError):
-        recommend_mf(model, "ghost", k=3)
+        recommend_mf(model, ["ua", "ghost"], k=3)
 
 
 def test_recommend_mf_rejects_k_below_one():
@@ -605,7 +606,13 @@ def test_recommend_mf_rejects_k_below_one():
     model = tiny_model()
     for k in (0, -1):
         with pytest.raises(ValueError):
-            recommend_mf(model, "ua", k=k)
+            recommend_mf(model, ["ua"], k=k)
+
+
+def test_recommend_mf_rejects_a_bare_user_id():
+    # a str is a sequence of its characters: "ua" would rank users "u" and "a"
+    with pytest.raises(TypeError):
+        recommend_mf(tiny_model(), "ua", k=3)
 
 
 # scores with exact ties, both zeros, both infinities and NaN
@@ -668,7 +675,7 @@ def test_recommend_mf_lists_match_reference_oracle(case):
     cells = BLOCK_CELLS if rows is None else rows * len(model.job_ids)
     # inf - inf is NaN: a score the ranking must place, not an error
     with mock.patch.object(mf, "BLOCK_CELLS", cells), np.errstate(invalid="ignore"):
-        got = list(recommend_mf_lists(model, users, k, iter(exclusions), active, implicit and iter(implicit)))
+        got = recommend_mf(model, users, k, iter(exclusions), active, implicit and iter(implicit))
         want = [
             reference_recommend_mf(model, u, k, exclusions=e, active_jobs=active, implicit_items=i)
             for u, e, i in zip(users, exclusions, implicit or [None] * len(users))
@@ -687,7 +694,7 @@ def test_recommend_mf_lists_scores_are_the_per_user_products_bit_for_bit():
         [f"u{i:02d}" for i in range(m)], [f"j{j:03d}" for j in range(n)],
     )
     clicks = [[f"j{j:03d}" for j in rng.choice(n, 3)] if i % 2 else None for i in range(m)]
-    lists = recommend_mf_lists(model, model.user_ids, n, [()] * m, implicit_items=clicks)
+    lists = recommend_mf(model, model.user_ids, n, implicit_items=clicks)
     for u, (ranked, items) in enumerate(zip(lists, clicks)):
         vec = model.user_factors[u]
         if items:
