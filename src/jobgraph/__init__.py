@@ -34,6 +34,7 @@ from .recommend import (
     global_pagerank,
     personalized_pagerank,
     recommend,
+    recommend_users,
 )
 from .scoring import RecDigraph, aggregate, build_digraph, content_edges
 
@@ -68,6 +69,7 @@ __all__ = [
     "personalized_pagerank",
     "recommend",
     "recommend_mf",
+    "recommend_users",
     "resolve_jobs",
     "synth_corpus",
     "window_filter",

@@ -46,7 +46,7 @@ from .ingest import (
     resolve_jobs,
     window_filter,
 )
-from .recommend import UserProfile, build_profiles, classify_user, recommend
+from .recommend import UserProfile, build_profiles, classify_user, recommend_users
 from .scoring import build_digraph, dump_digraph, edge_diagnostics, load_digraph
 
 logger = logging.getLogger(__name__)
@@ -183,7 +183,7 @@ def _cmd_build(args) -> int:
 def _serving_setup(args):
     """What ``recommend`` and ``serve-batch`` share: parse the inputs, load
     the built digraph against today's active jobs and build the profiles.
-    Returns the profiles and a function that serves one profile."""
+    Returns the profiles and a function that serves a list of profiles."""
     config = _load_engine_config(args)
     reference_date = _parse_reference_date(args.reference_date)
     events, jobs, embeddings, users, _ = _load_corpus(args)
@@ -198,8 +198,8 @@ def _serving_setup(args):
     taxonomy = {j.category for j in jobs.values()}
     profiles = build_profiles(signals, users, taxonomy)
 
-    def serve(profile):
-        return recommend(profile, digraph, jobs, embeddings, reference_date, config)
+    def serve(users):
+        return recommend_users(users, digraph, jobs, embeddings, reference_date, config)
 
     return profiles, serve
 
@@ -209,7 +209,7 @@ def _cmd_recommend(args) -> int:
     if args.user_id not in profiles:
         logger.warning("user %s has no events and no record: treated as anonymous", args.user_id)
     profile = profiles.get(args.user_id) or UserProfile(args.user_id)
-    recs = serve(profile)
+    recs = serve([profile])[0]
     for rank, rec in enumerate(recs, start=1):
         print(f"{rank},{rec.job_id},{rec.score!r},{rec.provenance.value}")
     logger.info("user %s (%s): %d recommendations", args.user_id, classify_user(profile).value, len(recs))
@@ -219,12 +219,11 @@ def _cmd_recommend(args) -> int:
 def _cmd_serve_batch(args) -> int:
     profiles, serve = _serving_setup(args)
     requested = _read(args.user_ids, lambda fh: [u for u in map(str.strip, fh) if u], "user-ids")
-    unknown = 0
+    unknown = sum(user_id not in profiles for user_id in requested)
+    served = serve([profiles.get(user_id) or UserProfile(user_id) for user_id in requested])
     provenance_counts: dict[str, int] = {}
     with open(args.out, "w", encoding="utf-8") as fh:
-        for user_id in requested:
-            unknown += user_id not in profiles
-            recs = serve(profiles.get(user_id) or UserProfile(user_id))
+        for user_id, recs in zip(requested, served):
             for rank, rec in enumerate(recs, start=1):
                 fh.write(f"{user_id},{rank},{rec.job_id},{rec.score!r},{rec.provenance.value}\n")
                 key = rec.provenance.value

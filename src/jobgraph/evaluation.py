@@ -33,6 +33,7 @@ from .ingest import (
     UserRecord,
     _distinct,
     _run_heads,
+    _spans,
     active_job_ids,
     as_event_log,
     dedupe,
@@ -45,8 +46,8 @@ from .ingest import (
     write_events,
     write_rows,
 )
-from .mf import als_train, blocks, build_matrix, job_pool, place, recommend_mf, top_k
-from .recommend import build_profiles, recommend
+from .mf import als_train, blocks, build_matrix, job_pool, recommend_mf, top_k
+from .recommend import build_profiles, recommend_users
 from .scoring import ContentPairs, build_digraph
 
 logger = logging.getLogger(__name__)
@@ -157,14 +158,6 @@ def build_cf_index(signals: EventLog) -> CfIndex:
     )
 
 
-def _spans(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the spans ``starts[i]:ends[i]`` laid end to end: each position's
-    span, and its place in the array the spans index."""
-    lengths = ends - starts
-    span = np.repeat(np.arange(len(starts)), lengths)
-    return span, starts[span] + np.arange(len(span)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-
 def cf_recommend(
     index: CfIndex,
     user_ids: Sequence[str],
@@ -197,11 +190,12 @@ def cf_recommend(
     if window_applicants < 1:
         raise ValueError(f"window_applicants must be >= 1, got {window_applicants}")
     n, n_users, now = len(index.jobs), len(index.users), epoch_us(reference_date)
-    pool = job_pool(index.jobs, active_jobs)
+    pool, columns = job_pool(index.jobs, active_jobs), {job_id: c for c, job_id in enumerate(index.jobs)}
+    user_rows = {user_id: i for i, user_id in enumerate(index.users)}
     exclude = iter(exclude)
     ranked: list[list[tuple[str, float]]] = []
     for block in blocks(len(user_ids), n):
-        users = np.array([place(index.users, u) for u in user_ids[block]], dtype=np.int64)
+        users = np.array([user_rows.get(u, -1) for u in user_ids[block]], dtype=np.int64)
         known = users >= 0  # an unknown user has no applies
         row, at = _spans(np.where(known, index.apply_start[users], 0), np.where(known, index.apply_start[users + 1], 0))
         own = index.apply_job[at]
@@ -231,7 +225,7 @@ def cf_recommend(
         weights = np.fromiter(map(math.exp, (-decay * days).tolist()), float, len(days))
         scores = np.bincount(cell, weights, minlength=allowed.size).reshape(allowed.shape)
         present = np.bincount(cell, minlength=allowed.size).reshape(allowed.shape) > 0  # a sum of 0.0 ranks too
-        ranked += top_k(scores, present, k, index.jobs, islice(exclude, len(users)))
+        ranked += top_k(scores, present, k, index.jobs, islice(exclude, len(users)), columns)
     return ranked
 
 
@@ -595,8 +589,8 @@ def evaluate_systems(
         histories = (profiles[u].engaged_jobs() for u in users)
         if name == "graph":
             digraph, _, _ = build_digraph(signals, jobs, embeddings, config)
-            return ([r.job_id for r in recommend(profiles[u], digraph, jobs, embeddings, reference_date, rec_params)]
-                    for u in users)
+            lists = recommend_users([profiles[u] for u in users], digraph, jobs, embeddings, reference_date, rec_params)
+            return ([r.job_id for r in recs] for recs in lists)
         if name == "cf":
             lists = cf_recommend(build_cf_index(signals), users, k, reference_date, exclude=histories, active_jobs=active)
         else:

@@ -261,6 +261,14 @@ def _run_tails(keys: np.ndarray) -> np.ndarray:
     return tail
 
 
+def _spans(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the spans ``starts[i]:ends[i]`` laid end to end: each position's
+    span, and its place in the array the spans index."""
+    lengths = ends - starts
+    span = np.repeat(np.arange(len(starts)), lengths)
+    return span, starts[span] + np.arange(len(span)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct keys, ascending (not ``np.unique``, which imports numpy.ma)."""
     keys = np.sort(keys)

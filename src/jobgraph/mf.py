@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import logging
 import random
-from bisect import bisect_left
 from collections.abc import Callable, Iterator, Set as AbstractSet
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -431,12 +430,6 @@ def blocks(rows: int, cells_per_row: int) -> Iterator[slice]:
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def place(ids: list[str], id_: str) -> int:
-    """The place of ``id_`` in the sorted ``ids``, -1 if it is not there."""
-    i = bisect_left(ids, id_)
-    return i if i < len(ids) and ids[i] == id_ else -1
-
-
 def job_pool(ids: list[str], active_jobs: Iterable[str] | None) -> np.ndarray:
     """Which of the sorted ``ids`` are in ``active_jobs``, all when it is None."""
     pool = active_jobs if active_jobs is None or isinstance(active_jobs, AbstractSet) else set(active_jobs)
@@ -444,21 +437,22 @@ def job_pool(ids: list[str], active_jobs: Iterable[str] | None) -> np.ndarray:
 
 
 def top_k(
-    scores: np.ndarray, allowed: np.ndarray, k: int, ids: list[str], exclusions: Iterable[Iterable[str]] = ()
+    scores: np.ndarray, allowed: np.ndarray, k: int, ids: list[str], exclusions: Iterable[Iterable[str]] = (),
+    columns: Mapping[str, int] | None = None,
 ) -> list[list[tuple[str, float]]]:
     """Each row's ``k`` best (id, score) pairs over the columns of the sorted
     ``ids`` that ``allowed`` leaves and the row's entry of ``exclusions``
     does not name; ties (``0.0`` and ``-0.0`` too) rank by id, NaN last.
+    ``columns`` maps each id to its column, built from ``ids`` when not given.
     Banned entries sort last as NaN, so a row's k-th sorted key is NaN only
     when fewer than ``k`` allowed scores are numbers: all allowed are kept."""
     allowed = np.broadcast_to(allowed, scores.shape).copy()
+    columns = {id_: c for c, id_ in enumerate(ids)} if columns is None else columns
     for i, row in enumerate(exclusions):
-        allowed[i, [c for c in map(place, repeat(ids), row) if c >= 0]] = False
+        allowed[i, [columns[j] for j in row if j in columns]] = False
     key = np.where(allowed, -scores, np.nan)
     if k < key.shape[1]:
-        # a value sort: as fast as np.partition on these rows, whose code
-        # would be paged in for it alone
-        kth = np.sort(key, axis=1)[:, k - 1 : k]
+        kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]  # NaN sorts last
         allowed = allowed & ((key <= kth) | np.isnan(kth))
     rows, cols = np.nonzero(allowed)
     order = np.lexsort((key[rows, cols], rows))  # stable: ties keep nonzero's column order
@@ -497,7 +491,7 @@ def recommend_mf(
         raise ValueError(f"k must be >= 1, got {k}")
     order = model.job_id_order  # score columns in job-id order
     ids = [model.job_ids[j] for j in order.tolist()]
-    pool = job_pool(ids, active_jobs)
+    pool, columns = job_pool(ids, active_jobs), {job_id: c for c, job_id in enumerate(ids)}
     exclusions = iter(exclusions)
     implicit = repeat(None) if implicit_items is None else iter(implicit_items)
     ranked: list[list[tuple[str, float]]] = []
@@ -512,5 +506,5 @@ def recommend_mf(
                 vectors[i] = vectors[i] + model.implicit_factors[known].sum(axis=0) / np.sqrt(len(known))
         dots = np.matmul(model.job_factors[None], vectors[:, :, None])[..., 0]
         scores = (model.mu + model.user_bias[rows])[:, None] + model.job_bias + dots
-        ranked += top_k(scores[:, order], pool, k, ids, islice(exclusions, len(rows)))
+        ranked += top_k(scores[:, order], pool, k, ids, islice(exclusions, len(rows)), columns)
     return ranked

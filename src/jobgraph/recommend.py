@@ -24,7 +24,8 @@ import numpy as np
 
 from .config import EngineConfig
 from .ingest import DedupedSignal, EventLog, JobRecord, SignalKind, UserRecord
-from .ingest import _run_heads, _run_tails, as_event_log, elapsed_days, epoch_us
+from .ingest import _run_heads, _run_tails, _spans, as_event_log, elapsed_days, epoch_us
+from .mf import blocks
 from .scoring import RecDigraph, Walk
 
 logger = logging.getLogger(__name__)
@@ -84,7 +85,7 @@ class PageRankResult:
     @functools.cached_property
     def ranked(self) -> list[tuple[str, float]]:
         """(job_id, score) by (-score, job_id), built on first use."""
-        return _top_k(self.scores, len(self.scores))
+        return sorted(self.scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def build_profiles(
@@ -159,64 +160,82 @@ def sources_with_activity(
     return [(job_id, activity_score(elapsed_days(now, t), decay)) for job_id, t in profile.engaged]
 
 
-def _top_k(candidates: Mapping[str, float], k: int) -> list[tuple[str, float]]:
-    ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
-
-
 def _hop(
-    digraph: RecDigraph,
-    starts: Sequence[tuple[str, float]],
-    k: int,
-    exclude: Iterable[str],
-) -> list[tuple[str, float]]:
-    """One propagation hop: each out-neighbor of a start job is scored
-    ``weight * corr``, merged across start jobs by max; the start jobs and
-    ``exclude`` are never candidates. The top ``k`` by (-score, job_id)."""
-    banned = set(exclude) | {job_id for job_id, _ in starts}
-    candidates: dict[str, float] = {}
-    for job_id, weight in starts:
-        for dst, corr in digraph.out_corr(job_id):
-            if dst in banned:
-                continue
-            score = weight * corr
-            if dst not in candidates or score > candidates[dst]:
-                candidates[dst] = score
-    return _top_k(candidates, k)
+    digraph: RecDigraph, starts: Sequence[Sequence[tuple[str, float]]], k: int, exclude: Iterable[Iterable[str]]
+) -> list[list[tuple[str, float]]]:
+    """One propagation hop for each user's (job_id, weight) starts, in order:
+    each out-neighbor of a start job is scored ``weight * corr``, merged
+    across the user's starts by max (of equal scores, ``0.0`` and ``-0.0``
+    too, the first met in start then destination order); the starts and the
+    user's entry of ``exclude`` are never candidates. Each user's top ``k``
+    by (-score, job_id). Users are hopped a block at a time
+    (:func:`~jobgraph.mf.blocks`) into one flat users x nodes array of
+    scores; ``exclude`` is read a block at a time, so it may be a generator.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    index, n = digraph.index, len(digraph.nodes)
+    exclude = iter(exclude)
+    ranked: list[list[tuple[str, float]]] = []
+    for block in blocks(len(starts), n):
+        users = starts[block]
+        # the starts in the digraph, user after user, each user's in order
+        known = [(b * n, index[j], w) for b, pairs in enumerate(users) for j, w in pairs if j in index]
+        base = np.array([row for row, _, _ in known], dtype=np.intp)  # where the start's user's row begins
+        node = np.array([i for _, i, _ in known], dtype=np.intp)
+        weight = np.array([w for _, _, w in known], dtype=np.float64)
+        span, rows = _spans(digraph.indptr[node], digraph.indptr[node + 1])
+        cell = base[span] + digraph.dst[rows]
+        score = weight[span] * digraph.corr[rows]
+        best = np.full(len(users) * n, np.nan)  # NaN: not a candidate
+        np.fmax.at(best, cell, score)
+        if not score.all():
+            # a max of 0.0 takes the first zero met: the head of its cell's run
+            # of zeros in a stable sort (repeated-index assignment has no order)
+            zero = np.flatnonzero(score == 0.0)
+            zero = zero[best[cell[zero]] == 0.0]
+            zero = zero[np.argsort(cell[zero], kind="stable")]
+            zero = zero[_run_heads(cell[zero])]
+            best[cell[zero]] = score[zero]
+        best[base + node] = np.nan
+        for b, banned in zip(range(len(users)), exclude):
+            best[[b * n + index[j] for j in banned if j in index]] = np.nan
+        # each row's candidates not worse than its k-th best, ties included. NaN
+        # sorts last, so a k-th best of NaN means fewer than k candidates: fmin
+        # makes it inf, which keeps them all
+        key = -best.reshape(len(users), n)
+        kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k] if k < n else np.inf
+        cells = np.flatnonzero(key <= np.fmin(kth, np.inf))
+        cells = cells[np.lexsort((-best[cells], cells // n))]  # stable: ties stay in job-id order
+        lists: list[list[tuple[str, float]]] = [[] for _ in users]
+        for flat, s in zip(cells.tolist(), best[cells].tolist()):
+            b, c = divmod(flat, n)
+            if len(lists[b]) < k:
+                lists[b].append((digraph.nodes[c], s))
+        ranked += lists
+    return ranked
 
 
 def level1(
-    digraph: RecDigraph,
-    sources: Sequence[tuple[str, float]],
-    k: int,
-    exclude: Iterable[str] = (),
-) -> list[tuple[str, float]]:
-    """Direct propagation: each out-neighbor of a source job is scored
-    ``activity * corr``, merged across sources by max. Source jobs are never
-    candidates."""
+    digraph: RecDigraph, sources: Sequence[Sequence[tuple[str, float]]], k: int, exclude: Iterable[Iterable[str]] = ()
+) -> list[list[tuple[str, float]]]:
+    """Direct propagation for each user's sources, in order: each
+    out-neighbor of a source job is scored ``activity * corr``, merged
+    across the user's sources by max. Source jobs and the user's entry of
+    ``exclude`` are never candidates (:func:`_hop`)."""
     return _hop(digraph, sources, k, exclude)
 
 
 def level2(
-    digraph: RecDigraph,
-    level1_results: Sequence[tuple[str, float]],
-    k: int,
-    exclude: Iterable[str] = (),
-) -> list[tuple[str, float]]:
-    """Second propagation hop: the first hop taken again from the level-1
-    candidates, so each successor of a level-1 job inherits the path score
-    multiplied along the path, max-merged across paths. Jobs already
-    recommended at level 1 and jobs in ``exclude`` are skipped."""
+    digraph: RecDigraph, level1_results: Sequence[Sequence[tuple[str, float]]], k: int,
+    exclude: Iterable[Iterable[str]] = (),
+) -> list[list[tuple[str, float]]]:
+    """Second propagation hop for each user's level-1 list, in order: the
+    first hop taken again from the level-1 candidates, so each successor of
+    a level-1 job inherits the path score multiplied along the path,
+    max-merged across paths. Jobs already recommended at level 1 and the
+    user's entry of ``exclude`` are skipped (:func:`_hop`)."""
     return _hop(digraph, level1_results, k, exclude)
-
-
-def _span_rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge rows of the CSR spans of ``nodes``, span after span, in order,
-    and the length of each span."""
-    lo = indptr[nodes]
-    counts = indptr[nodes + 1] - lo
-    starts = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum())) + np.repeat(lo - starts, counts), counts
 
 
 def _reached(walk: Walk, seeds: np.ndarray) -> np.ndarray:
@@ -228,7 +247,7 @@ def _reached(walk: Walk, seeds: np.ndarray) -> np.ndarray:
     while frontier.size:
         # a mask, not np.unique, which would import numpy.ma
         new = np.zeros_like(reached)
-        new[walk.dst[_span_rows(walk.indptr, frontier)[0]]] = True
+        new[walk.dst[_spans(walk.indptr[frontier], walk.indptr[frontier + 1])[1]]] = True
         new &= ~reached
         frontier = np.flatnonzero(new)
         reached |= new
@@ -275,8 +294,8 @@ def _pagerank(
     restart = np.zeros(n)
     restart[seeds] = 1.0 / len(restart_jobs)
     reached = _reached(walk, seeds)
-    rows, counts = _span_rows(walk.indptr, reached)
-    src, dst, prob = np.repeat(reached, counts), walk.dst[rows], walk.prob[rows]
+    span, rows = _spans(walk.indptr[reached], walk.indptr[reached + 1])
+    src, dst, prob = reached[span], walk.dst[rows], walk.prob[rows]
     teleport = (1.0 - damping) * restart
 
     x = restart.copy()
@@ -449,6 +468,63 @@ def _pagerank_fill(
     return list(itertools.islice((kv for kv in result.ranked if kv[0] not in banned), slots))
 
 
+def recommend_users(
+    profiles: Sequence[UserProfile], digraph: RecDigraph, jobs: Mapping[str, JobRecord],
+    embeddings: Mapping[str, np.ndarray], reference_date: datetime, params: EngineConfig = EngineConfig(),
+) -> list[list[Recommendation]]:
+    """Produce the ranked top-k list of each user of ``profiles`` (any type), in order.
+
+    Users are taken a block at a time (:func:`~jobgraph.mf.blocks`): level 1
+    ranks the block's active users in one call and level 2, in one more, those
+    it leaves short; the random-walk fills and the location re-rank are per user.
+
+    Output invariants: only active jobs, never jobs from the user's
+    apply/click history, no duplicates, scores non-increasing within each
+    provenance tier, tiers ordered by strategy precedence.
+    """
+    k = params.k
+    min_recs = params.min_recs if params.min_recs is not None else k
+    pagerank, rerank = (params.damping, params.pagerank_epsilon), (params.location_radius_km, params.location_boost)
+    if not digraph.active_jobs:
+        logger.warning("empty digraph: no recommendations possible")
+        return [[] for _ in profiles]
+
+    out: list[list[Recommendation]] = []
+    for block in blocks(len(profiles), len(digraph.nodes)):
+        users = profiles[block]
+        histories = [profile.engaged_jobs() for profile in users]
+        types = [classify_user(profile) for profile in users]
+        active = [i for i, user_type in enumerate(types) if user_type is UserType.ACTIVE]
+        sources = [sources_with_activity(users[i], reference_date, params.activity_decay) for i in active]
+        # the sources are the history, which level 1 bans as its starts
+        l1s = dict(zip(active, level1(digraph, sources, k) if active else ()))
+        short = [i for i in active if len(l1s[i]) < min_recs]
+        l2s = level2(digraph, [l1s[i] for i in short], k, [histories[i] for i in short]) if short else ()
+        l2s = {i: l2[: k - len(l1s[i])] for i, l2 in zip(short, l2s)}
+        # the tiers are disjoint and hold at most k jobs together: level 2 bans level 1's
+        # jobs and is cut to the slots left, and a fill bans what is taken and fills the rest
+        for i, (profile, history, user_type) in enumerate(zip(users, histories, types)):
+            tiers = [tier for tier in ((Provenance.LEVEL1, l1s.get(i)), (Provenance.LEVEL2, l2s.get(i))) if tier[1]]
+            taken = {job_id for _, entries in tiers for job_id, _ in entries}
+            if user_type is not UserType.ACTIVE or len(taken) < min_recs:
+                # personalized PageRank over the preference set if it serves any, else global
+                banned, slots, picked = taken | history, k - len(taken), []
+                if user_type is not UserType.ANONYMOUS:
+                    prefs = preference_vector(profile, jobs, embeddings, params.similar_actives_per_expired)
+                    if prefs:
+                        picked = _pagerank_fill(personalized_pagerank(digraph, prefs, *pagerank), banned, slots)
+                if picked:
+                    tiers.append((Provenance.PERSONALIZED_PAGERANK, picked))
+                elif picked := _pagerank_fill(global_pagerank(digraph, *pagerank), banned, slots):
+                    tiers.append((Provenance.GLOBAL_PAGERANK, picked))
+            recs: list[Recommendation] = []
+            for provenance, entries in tiers:
+                reranked = location_rerank(entries, profile.location, jobs, *rerank)
+                recs.extend(Recommendation(job_id, score, provenance) for job_id, score in reranked)
+            out.append(recs)
+    return out
+
+
 def recommend(
     profile: UserProfile,
     digraph: RecDigraph,
@@ -457,65 +533,6 @@ def recommend(
     reference_date: datetime,
     params: EngineConfig = EngineConfig(),
 ) -> list[Recommendation]:
-    """Produce the ranked top-k list for one user (any type).
-
-    Output invariants: only active jobs, never jobs from the user's
-    apply/click history, no duplicates, scores non-increasing within each
-    provenance tier, tiers ordered by strategy precedence.
-    """
-    k = params.k
-    min_recs = params.min_recs if params.min_recs is not None else k
-    if not digraph.active_jobs:
-        logger.warning("empty digraph: no recommendations possible")
-        return []
-
-    history = profile.engaged_jobs()
-    tiers: list[tuple[Provenance, list[tuple[str, float]]]] = []
-    user_type = classify_user(profile)
-
-    def fill_with_global(banned: set[str], slots: int) -> None:
-        gpr = global_pagerank(digraph, params.damping, params.pagerank_epsilon)
-        picked = _pagerank_fill(gpr, banned, slots)
-        if picked:
-            tiers.append((Provenance.GLOBAL_PAGERANK, picked))
-
-    def fill_with_pagerank(taken: set[str], slots: int) -> None:
-        """Personalized fill via the preference set, else global."""
-        prefs = preference_vector(profile, jobs, embeddings, params.similar_actives_per_expired)
-        banned = taken | history
-        if prefs:
-            ppr = personalized_pagerank(digraph, prefs, params.damping, params.pagerank_epsilon)
-            picked = _pagerank_fill(ppr, banned, slots)
-            if picked:
-                tiers.append((Provenance.PERSONALIZED_PAGERANK, picked))
-                return
-        fill_with_global(banned, slots)
-
-    if user_type is UserType.ACTIVE:
-        sources = sources_with_activity(profile, reference_date, params.activity_decay)
-        l1 = level1(digraph, sources, k, exclude=history)
-        if l1:
-            tiers.append((Provenance.LEVEL1, l1))
-        taken = {job_id for job_id, _ in l1}
-        if len(taken) < min_recs:
-            l2 = level2(digraph, l1, k, exclude=history)
-            l2 = l2[: k - len(taken)]
-            if l2:
-                tiers.append((Provenance.LEVEL2, l2))
-            taken |= {job_id for job_id, _ in l2}
-        if len(taken) < min_recs:
-            fill_with_pagerank(taken, k - len(taken))
-    elif user_type is UserType.PASSIVE_OR_NEW_WITH_PROFILE:
-        fill_with_pagerank(set(), k)
-    else:
-        fill_with_global(history, k)
-
-    # the tiers are disjoint and hold at most k jobs together: level 2 bans level 1's
-    # jobs and is cut to the slots left, and a fill bans what is taken and fills the rest
-    out: list[Recommendation] = []
-    for provenance, entries in tiers:
-        reranked = location_rerank(
-            entries, profile.location, jobs, params.location_radius_km, params.location_boost
-        )
-        out.extend(Recommendation(job_id, score, provenance) for job_id, score in reranked)
-    return out
+    """The ranked top-k list of one user (any type): :func:`recommend_users`
+    of ``[profile]``, with the same invariants."""
+    return recommend_users([profile], digraph, jobs, embeddings, reference_date, params)[0]

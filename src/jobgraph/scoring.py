@@ -201,20 +201,6 @@ class RecDigraph:
     def num_edges(self) -> int:
         return len(self.dst)
 
-    def out_corr(self, src: str) -> Iterable[tuple[str, float]]:
-        """(dst, corr) of the outgoing edges of ``src`` in destination order."""
-        i = self.index.get(src)
-        if i is None:
-            return ()
-        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
-        dst_ids, corr = self._hop_lists
-        return zip(dst_ids[lo:hi], corr[lo:hi])
-
-    @functools.cached_property
-    def _hop_lists(self) -> tuple[list[str], list[float]]:
-        # list slices make a faster hop than array slices
-        return np.array(self.nodes, dtype=object)[self.dst].tolist(), self.corr.tolist()
-
     @functools.cached_property
     def walk(self) -> Walk:
         """The walk PageRank runs on, built on first use from the

@@ -400,8 +400,10 @@ def reference_location_rerank(candidates, user_location, jobs, radius_km, boost)
     return sorted(rescored, key=lambda kv: (-kv[1], kv[0]))
 
 
-def random_digraph(rng: random.Random, max_nodes: int = 12, *, edge_prob=0.3, negatives=True):
-    """A random corr-weighted digraph over n0..n{N-1}, all nodes active."""
+def random_digraph(rng: random.Random, max_nodes: int = 12, *, edge_prob=0.3, negatives=True, values=None):
+    """A random corr-weighted digraph over n0..n{N-1}, all nodes active.
+    Each corr is drawn from ``values`` when given (so that scores tie and
+    zeros of both signs occur), else uniformly."""
     n = rng.randint(2, max_nodes)
     nodes = [f"n{i:02d}" for i in range(n)]
     corr = {}
@@ -409,7 +411,7 @@ def random_digraph(rng: random.Random, max_nodes: int = 12, *, edge_prob=0.3, ne
     for src in nodes:
         for dst in nodes:
             if src != dst and rng.random() < edge_prob:
-                corr[(src, dst)] = rng.uniform(lo, 2.0)
+                corr[(src, dst)] = rng.uniform(lo, 2.0) if values is None else rng.choice(values)
     return from_corr(corr, nodes)
 
 
@@ -454,6 +456,24 @@ def edge_map(digraph):
 def corr_of(digraph, src: str, dst: str) -> float | None:
     """The corr of the edge ``src -> dst``, or None without one."""
     return next((corr for d, corr, _ in out_edges(digraph, src) if d == dst), None)
+
+
+def reference_hop(digraph, starts, k, exclude=()):
+    """One propagation hop for one user, one edge at a time into a dict:
+    each out-neighbor of a start job is scored ``weight * corr``, merged
+    across the starts by max, the first of equal scores kept (so the sign of
+    a zero is the one met first); the start jobs and ``exclude`` are never
+    candidates. The top ``k`` by (-score, job_id)."""
+    banned = set(exclude) | {job_id for job_id, _ in starts}
+    candidates = {}
+    for job_id, weight in starts:
+        for dst, corr, _ in out_edges(digraph, job_id):
+            if dst in banned:
+                continue
+            score = weight * corr
+            if dst not in candidates or score > candidates[dst]:
+                candidates[dst] = score
+    return sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
 def brute_force_levels(digraph, sources, exclude):

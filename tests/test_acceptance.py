@@ -177,8 +177,8 @@ def test_criterion_2_propagation_matches_bruteforce():
         chain = from_corr(
             {("j1", "j6"): 0.7, ("j6", "j4"): 0.6}, ["j1", "j4", "j6"]
         )
-        l1 = level1(chain, [("j1", 1.0)], k=10)
-        l2 = level2(chain, l1, k=10)
+        l1 = level1(chain, [[("j1", 1.0)]], k=10)[0]
+        l2 = level2(chain, [l1], k=10)[0]
         assert dict(l1)["j6"] == 0.7
         assert dict(l2)["j4"] == dict(l1)["j6"] * 0.6
 
@@ -190,14 +190,14 @@ def test_criterion_2_propagation_matches_bruteforce():
             sources = [(j, rng.uniform(0.05, 1.0)) for j in rng.sample(nodes, n_src)]
             exclude = {j for j, _ in sources}
             want_l1, want_l2 = brute_force_levels(digraph, sources, exclude)
-            got_l1 = dict(level1(digraph, sources, k=len(nodes), exclude=exclude))
+            got_l1 = dict(level1(digraph, [sources], k=len(nodes), exclude=[exclude])[0])
             got_l2 = dict(
                 level2(
                     digraph,
-                    sorted(got_l1.items(), key=lambda kv: (-kv[1], kv[0])),
+                    [sorted(got_l1.items(), key=lambda kv: (-kv[1], kv[0]))],
                     k=len(nodes),
-                    exclude=exclude,
-                )
+                    exclude=[exclude],
+                )[0]
             )
             assert set(got_l1) == set(want_l1)
             assert set(got_l2) == set(want_l2)

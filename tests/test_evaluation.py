@@ -803,13 +803,13 @@ def test_evaluate_systems_same_split_for_subset_runs():
 
 def test_evaluate_k_sets_the_graph_list_length(monkeypatch):
     seen = []
-    serve = evaluation.recommend
+    serve = evaluation.recommend_users
 
-    def spy(profile, digraph, jobs, embeddings, reference_date, params):
+    def spy(profiles, digraph, jobs, embeddings, reference_date, params):
         seen.append((params.k, params.min_recs))
-        return serve(profile, digraph, jobs, embeddings, reference_date, params)
+        return serve(profiles, digraph, jobs, embeddings, reference_date, params)
 
-    monkeypatch.setattr(evaluation, "recommend", spy)
+    monkeypatch.setattr(evaluation, "recommend_users", spy)
     corpus = synth_corpus(3, 12, 40, 0.1, seed=12)
     args = (
         corpus.events,

@@ -4,10 +4,11 @@ and the end-to-end top-k pipeline."""
 import math
 import random
 from io import StringIO
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -20,9 +21,11 @@ from helpers import (
     make_job,
     random_digraph,
     reference_haversine_km,
+    reference_hop,
     reference_location_rerank,
     ts,
 )
+from jobgraph import mf
 from jobgraph.config import ConfigError, EngineConfig
 from jobgraph.ingest import DedupedSignal, SignalKind, UserRecord, dedupe, epoch_us
 from jobgraph.recommend import (
@@ -40,6 +43,7 @@ from jobgraph.recommend import (
     personalized_pagerank,
     preference_vector,
     recommend,
+    recommend_users,
     sources_with_activity,
 )
 from jobgraph.scoring import dump_digraph, load_digraph
@@ -168,7 +172,7 @@ def test_level1_scores_are_activity_times_corr():
     digraph = from_corr(
         {("s", "a"): 0.5, ("s", "b"): 0.9}, ["s", "a", "b"]
     )
-    result = level1(digraph, [("s", 0.5)], k=10)
+    result = level1(digraph, [[("s", 0.5)]], k=10)[0]
     assert result == [("b", pytest.approx(0.45)), ("a", pytest.approx(0.25))]
 
 
@@ -176,7 +180,7 @@ def test_level1_max_merges_across_sources():
     digraph = from_corr(
         {("s1", "a"): 0.4, ("s2", "a"): 0.9}, ["s1", "s2", "a"]
     )
-    result = level1(digraph, [("s1", 1.0), ("s2", 0.5)], k=5)
+    result = level1(digraph, [[("s1", 1.0), ("s2", 0.5)]], k=5)[0]
     assert result == [("a", pytest.approx(0.45))]
 
 
@@ -185,7 +189,7 @@ def test_level1_never_recommends_sources_or_excluded():
         {("s1", "s2"): 1.0, ("s1", "a"): 0.8, ("s1", "x"): 0.9},
         ["s1", "s2", "a", "x"],
     )
-    result = level1(digraph, [("s1", 1.0), ("s2", 1.0)], k=5, exclude=["x"])
+    result = level1(digraph, [[("s1", 1.0), ("s2", 1.0)]], k=5, exclude=[["x"]])[0]
     assert [job for job, _ in result] == ["a"]
 
 
@@ -195,16 +199,16 @@ def test_level1_ranking_invariant_to_activity_scale():
         digraph = random_digraph(rng, 10)
         nodes = sorted(digraph.active_jobs)
         sources = [(j, rng.uniform(0.1, 1.0)) for j in nodes[:3]]
-        base = [j for j, _ in level1(digraph, sources, k=50)]
+        base = [j for j, _ in level1(digraph, [sources], k=50)[0]]
         scaled = [(j, 7.25 * a) for j, a in sources]
-        assert [j for j, _ in level1(digraph, scaled, k=50)] == base
+        assert [j for j, _ in level1(digraph, [scaled], k=50)[0]] == base
 
 
 def test_level1_ties_break_by_job_id():
     digraph = from_corr(
         {("s", "b"): 0.5, ("s", "a"): 0.5, ("s", "c"): 0.5}, ["s", "a", "b", "c"]
     )
-    result = level1(digraph, [("s", 1.0)], k=2)
+    result = level1(digraph, [[("s", 1.0)]], k=2)[0]
     assert [job for job, _ in result] == ["a", "b"]
 
 
@@ -218,9 +222,9 @@ def test_level2_multiplies_scores_along_the_path():
     digraph = from_corr(
         {("j1", "j6"): 0.7, ("j6", "j4"): 0.6}, ["j1", "j4", "j6"]
     )
-    l1 = level1(digraph, [("j1", 0.9)], k=10)
+    l1 = level1(digraph, [[("j1", 0.9)]], k=10)[0]
     assert l1 == [("j6", pytest.approx(0.63))]
-    l2 = level2(digraph, l1, k=10)
+    l2 = level2(digraph, [l1], k=10)[0]
     assert len(l2) == 1
     job, score = l2[0]
     assert job == "j4"
@@ -233,18 +237,78 @@ def test_level2_skips_level1_jobs_and_exclusions():
         {("s", "a"): 0.9, ("s", "b"): 0.8, ("a", "b"): 1.0, ("a", "c"): 0.5, ("a", "x"): 0.9},
         ["s", "a", "b", "c", "x"],
     )
-    l1 = level1(digraph, [("s", 1.0)], k=10)
-    l2 = level2(digraph, l1, k=10, exclude=["x"])
+    l1 = level1(digraph, [[("s", 1.0)]], k=10)[0]
+    l2 = level2(digraph, [l1], k=10, exclude=[["x"]])[0]
     assert [job for job, _ in l2] == ["c"]
 
 
 def test_hop_keeps_the_first_of_two_equal_scores():
     # 0.5 * 0.0 and -2.0 * 0.0 compare equal; the start met first sets the sign
     digraph = from_corr({("a", "x"): 0.0, ("b", "x"): 0.0}, ["a", "b", "x"])
-    served = level2(digraph, [("a", 0.5), ("b", -2.0)], k=10)
+    served = level2(digraph, [[("a", 0.5), ("b", -2.0)]], k=10)[0]
     assert served == [("x", 0.0)] and math.copysign(1.0, served[0][1]) == 1.0
-    served = level2(digraph, [("b", -2.0), ("a", 0.5)], k=10)
+    served = level2(digraph, [[("b", -2.0), ("a", 0.5)]], k=10)[0]
     assert served == [("x", 0.0)] and math.copysign(1.0, served[0][1]) == -1.0
+
+
+def test_block_hop_keeps_each_users_first_zero():
+    # two users in one block meet the same equal zeros in opposite orders
+    digraph = from_corr({("a", "x"): 0.0, ("b", "x"): 0.0}, ["a", "b", "x"])
+    served = level1(digraph, [[("a", 0.5), ("b", -2.0)], [("b", -2.0), ("a", 0.5)]], k=10)
+    assert served == [[("x", 0.0)], [("x", 0.0)]]
+    assert [math.copysign(1.0, score) for [(_, score)] in served] == [1.0, -1.0]
+
+
+def test_level1_rejects_k_below_one():
+    digraph = from_corr({("a", "b"): 1.0}, ["a", "b"])
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            level1(digraph, [[("a", 1.0)]], k)
+
+
+def test_level2_rejects_k_below_one():
+    digraph = from_corr({("a", "b"): 1.0}, ["a", "b"])
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            level2(digraph, [[("a", 0.5)]], k)
+
+
+# corr values that tie exactly, zeros of both signs and negatives
+HOP_CORR = [-1.5, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def hop_cases(draw):
+    """A random_digraph whose corr ties, is 0.0, -0.0 or negative; each
+    user's (job_id, weight) starts, repeated and unknown jobs included, with
+    weights of either sign and zero; each user's exclusions; k; and the
+    users per block: 1, 3 or the default."""
+    digraph = random_digraph(draw(st.randoms(use_true_random=False)), 8, edge_prob=0.5, values=HOP_CORR)
+    jobs = st.sampled_from(sorted(digraph.active_jobs) + ["ghost"])
+    weights = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 1.0])
+    users = draw(st.integers(1, 7))
+    starts = [draw(st.lists(st.tuples(jobs, weights), max_size=4)) for _ in range(users)]
+    exclusions = [draw(st.lists(jobs, max_size=3)) for _ in range(users)]
+    k = draw(st.integers(1, len(digraph.nodes) + 2))
+    return digraph, starts, exclusions, k, draw(st.sampled_from([1, 3, None]))
+
+
+@given(hop_cases())
+@example((
+    from_corr({("a", "x"): 0.0, ("b", "x"): 0.0}, ["a", "b", "x"]),
+    [[("a", 0.5), ("b", -2.0)], [("b", -2.0), ("a", 0.5)]], [[], []], 10, None,
+))
+def test_block_hop_matches_reference_hop(case):
+    digraph, starts, exclusions, k, rows = case
+    cells = mf.BLOCK_CELLS if rows is None else rows * len(digraph.nodes)
+    with mock.patch.object(mf, "BLOCK_CELLS", cells):
+        got1 = level1(digraph, starts, k, iter(exclusions))
+        got2 = level2(digraph, got1, k, iter(exclusions))
+    want1 = [reference_hop(digraph, s, k, e) for s, e in zip(starts, exclusions)]
+    want2 = [reference_hop(digraph, s, k, e) for s, e in zip(want1, exclusions)]
+    # repr shows each float exactly, and the sign of a zero
+    assert repr(got1) == repr(want1)
+    assert repr(got2) == repr(want2)
 
 
 def test_levels_match_bruteforce_on_random_digraphs():
@@ -258,8 +322,8 @@ def test_levels_match_bruteforce_on_random_digraphs():
         if rng.random() < 0.5 and len(nodes) > n_src:
             exclude.add(rng.choice([n for n in nodes if n not in exclude]))
         want_l1, want_l2 = brute_force_levels(digraph, sources, exclude)
-        got_l1 = level1(digraph, sources, k=len(nodes), exclude=exclude)
-        got_l2 = level2(digraph, got_l1, k=len(nodes), exclude=exclude)
+        got_l1 = level1(digraph, [sources], k=len(nodes), exclude=[exclude])[0]
+        got_l2 = level2(digraph, [got_l1], k=len(nodes), exclude=[exclude])[0]
         assert dict(got_l1) == pytest.approx(want_l1)
         assert dict(got_l2) == pytest.approx(want_l2)
 
@@ -651,6 +715,44 @@ def test_recommend_invariants_on_random_inputs():
                 assert a.score >= b.score - 1e-12
 
 
+def test_recommend_users_equals_recommend_per_user():
+    # h1's lists fill at level 2; h2's and h3's fall short of it and are
+    # filled by personalized and by global PageRank
+    digraph = from_corr(
+        {("h1", "a"): 0.9, ("h1", "b"): 0.5, ("a", "c"): 0.8, ("b", "d"): 0.4,
+         ("h2", "e"): 0.3, ("f", "g"): 0.7, ("c", "g"): 0.2, ("g", "a"): 0.6},
+        ["h1", "h2", "h3", "a", "b", "c", "d", "e", "f", "g"],
+    )
+    jobs = pipeline_jobs(digraph, extra_expired=["x"])
+    for j in "efx":
+        jobs[j] = make_job(j, category="retail", active=j != "x", location=(0.0, 0.1))
+    embeddings = {j: np.array([1.0, i + 1.0]) for i, j in enumerate(sorted(jobs))}
+    apply = SignalKind.APPLY
+    profiles = [
+        profile("u1", [("h1", apply, 0)]),
+        profile("u2", [("h2", apply, 2)], category="retail"),
+        profile("u3", [("h3", SignalKind.CLICK, 1)]),
+        profile("p1", category="sales", location=(0.0, 0.0)),
+        profile("p2", [("x", SignalKind.EMAIL_OPEN_NO_CLICK, 1)], category="sales"),
+        profile("anon"),
+        profile("u4", [("h1", apply, 5), ("h2", SignalKind.CLICK, 0)], location=(0.0, 0.0)),
+        profile("e1", [("x", SignalKind.EMAIL_OPEN_NO_CLICK, 3)]),
+    ]
+    config = EngineConfig(k=4, min_recs=4)
+    want = [recommend(p, digraph, jobs, embeddings, REF, config) for p in profiles]
+    served = {p.user_id: {r.provenance for r in recs} for p, recs in zip(profiles, want)}
+    assert served["u1"] == {Provenance.LEVEL1, Provenance.LEVEL2}
+    assert served["u2"] == {Provenance.LEVEL1, Provenance.PERSONALIZED_PAGERANK}
+    assert served["u3"] == {Provenance.GLOBAL_PAGERANK}
+    assert served["anon"] == served["e1"] == {Provenance.GLOBAL_PAGERANK}
+    for rows in (1, 3, None):
+        cells = mf.BLOCK_CELLS if rows is None else rows * len(digraph.nodes)
+        with mock.patch.object(mf, "BLOCK_CELLS", cells):
+            got = recommend_users(profiles, digraph, jobs, embeddings, REF, config)
+        # repr shows each float exactly
+        assert repr(got) == repr(want)
+
+
 def test_recommend_location_boost_reorders_within_tier():
     digraph = from_corr(
         {("h", "far"): 0.9, ("h", "near"): 0.8}, ["h", "far", "near"]
@@ -679,9 +781,9 @@ def test_stale_artifact_never_serves_a_job_expired_after_the_build():
     served = load_digraph(StringIO(buf.getvalue()), ["h", "a", "b", "p"])
     assert "x" not in {dst for src, dst in edge_map(served)}
 
-    l1 = level1(served, [("h", 1.0)], 10)
+    l1 = level1(served, [[("h", 1.0)]], 10)[0]
     assert [j for j, _ in l1] == ["a"]
-    assert "x" not in {j for j, _ in level2(served, l1, 10)}
+    assert "x" not in {j for j, _ in level2(served, [l1], 10)[0]}
     assert "x" not in personalized_pagerank(served, ["p"]).scores
     assert "x" not in global_pagerank(served).scores
 
