@@ -183,7 +183,8 @@ def _cmd_build(args) -> int:
 def _serving_setup(args):
     """What ``recommend`` and ``serve-batch`` share: parse the inputs, load
     the built digraph against today's active jobs and build the profiles.
-    Returns the profiles and a function that serves a list of profiles."""
+    Returns the profiles and a function that yields one ranked list per
+    profile of a list, ranking a block of profiles at a time."""
     config = _load_engine_config(args)
     reference_date = _parse_reference_date(args.reference_date)
     events, jobs, embeddings, users, _ = _load_corpus(args)
@@ -209,7 +210,7 @@ def _cmd_recommend(args) -> int:
     if args.user_id not in profiles:
         logger.warning("user %s has no events and no record: treated as anonymous", args.user_id)
     profile = profiles.get(args.user_id) or UserProfile(args.user_id)
-    recs = serve([profile])[0]
+    recs = next(serve([profile]))
     for rank, rec in enumerate(recs, start=1):
         print(f"{rank},{rec.job_id},{rec.score!r},{rec.provenance.value}")
     logger.info("user %s (%s): %d recommendations", args.user_id, classify_user(profile).value, len(recs))

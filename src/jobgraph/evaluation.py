@@ -190,7 +190,8 @@ def cf_recommend(
     if window_applicants < 1:
         raise ValueError(f"window_applicants must be >= 1, got {window_applicants}")
     n, n_users, now = len(index.jobs), len(index.users), epoch_us(reference_date)
-    pool, columns = job_pool(index.jobs, active_jobs), {job_id: c for c, job_id in enumerate(index.jobs)}
+    pool = job_pool(index.jobs, active_jobs)
+    columns = {job_id: c for c, job_id in enumerate(index.jobs)}
     user_rows = {user_id: i for i, user_id in enumerate(index.users)}
     exclude = iter(exclude)
     ranked: list[list[tuple[str, float]]] = []

@@ -437,31 +437,33 @@ def job_pool(ids: list[str], active_jobs: Iterable[str] | None) -> np.ndarray:
 
 
 def top_k(
-    scores: np.ndarray, allowed: np.ndarray, k: int, ids: list[str], exclusions: Iterable[Iterable[str]] = (),
-    columns: Mapping[str, int] | None = None,
+    scores: np.ndarray, allowed: np.ndarray, k: int, ids: list[str], exclusions: Iterable[Iterable[str]],
+    columns: Mapping[str, int],
 ) -> list[list[tuple[str, float]]]:
     """Each row's ``k`` best (id, score) pairs over the columns of the sorted
     ``ids`` that ``allowed`` leaves and the row's entry of ``exclusions``
     does not name; ties (``0.0`` and ``-0.0`` too) rank by id, NaN last.
-    ``columns`` maps each id to its column, built from ``ids`` when not given.
+    ``columns`` maps each id to its column, as ``{id: c for c, id in enumerate(ids)}``.
     Banned entries sort last as NaN, so a row's k-th sorted key is NaN only
     when fewer than ``k`` allowed scores are numbers: all allowed are kept."""
-    allowed = np.broadcast_to(allowed, scores.shape).copy()
-    columns = {id_: c for c, id_ in enumerate(ids)} if columns is None else columns
+    mask = np.empty(scores.shape, dtype=bool)
+    np.copyto(mask, allowed)  # allowed may be one row for all
     for i, row in enumerate(exclusions):
-        allowed[i, [columns[j] for j in row if j in columns]] = False
-    key = np.where(allowed, -scores, np.nan)
-    if k < key.shape[1]:
-        kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]  # NaN sorts last
-        allowed = allowed & ((key <= kth) | np.isnan(kth))
-    rows, cols = np.nonzero(allowed)
-    order = np.lexsort((key[rows, cols], rows))  # stable: ties keep nonzero's column order
-    rows, cols = rows[order], cols[order]
-    best = np.arange(len(rows)) - np.searchsorted(rows, rows) < k
-    rows, cols = rows[best], cols[best]
-    ranked: list[list[tuple[str, float]]] = [[] for _ in scores]
-    for i, c, score in zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist()):
-        ranked[i].append((ids[c], score))
+        mask[i, [columns[j] for j in row if j in columns]] = False
+    key = np.where(mask, -scores, np.nan)
+    n = key.shape[1]
+    if k < n:
+        # NaN sorts last. A NaN k-th keeps every allowed entry; a NaN key kept
+        # beside a number k-th sorts after the k numbers not worse than it
+        kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
+        mask &= ~(key > kth)
+    cells = np.flatnonzero(mask)
+    cells = cells[np.lexsort((key.ravel()[cells], cells // n))]  # stable: ties keep the column order
+    ranked: list[list[tuple[str, float]]] = [[] for _ in range(len(key))]
+    for cell, score in zip(cells.tolist(), scores.ravel()[cells].tolist()):
+        i, c = divmod(cell, n)
+        if len(ranked[i]) < k:  # ties at the k-th and NaN keys may leave more
+            ranked[i].append((ids[c], score))
     return ranked
 
 
@@ -491,7 +493,8 @@ def recommend_mf(
         raise ValueError(f"k must be >= 1, got {k}")
     order = model.job_id_order  # score columns in job-id order
     ids = [model.job_ids[j] for j in order.tolist()]
-    pool, columns = job_pool(ids, active_jobs), {job_id: c for c, job_id in enumerate(ids)}
+    pool = job_pool(ids, active_jobs)
+    columns = {job_id: c for c, job_id in enumerate(ids)}
     exclusions = iter(exclusions)
     implicit = repeat(None) if implicit_items is None else iter(implicit_items)
     ranked: list[list[tuple[str, float]]] = []

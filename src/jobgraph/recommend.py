@@ -18,14 +18,14 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .config import EngineConfig
 from .ingest import DedupedSignal, EventLog, JobRecord, SignalKind, UserRecord
 from .ingest import _run_heads, _run_tails, _spans, as_event_log, elapsed_days, epoch_us
-from .mf import blocks
+from .mf import blocks, top_k
 from .scoring import RecDigraph, Walk
 
 logger = logging.getLogger(__name__)
@@ -161,7 +161,10 @@ def sources_with_activity(
 
 
 def _hop(
-    digraph: RecDigraph, starts: Sequence[Sequence[tuple[str, float]]], k: int, exclude: Iterable[Iterable[str]]
+    digraph: RecDigraph,
+    starts: Sequence[Sequence[tuple[str, float]]],
+    k: int,
+    exclude: Iterable[Iterable[str]],
 ) -> list[list[tuple[str, float]]]:
     """One propagation hop for each user's (job_id, weight) starts, in order:
     each out-neighbor of a start job is scored ``weight * corr``, merged
@@ -169,8 +172,9 @@ def _hop(
     too, the first met in start then destination order); the starts and the
     user's entry of ``exclude`` are never candidates. Each user's top ``k``
     by (-score, job_id). Users are hopped a block at a time
-    (:func:`~jobgraph.mf.blocks`) into one flat users x nodes array of
-    scores; ``exclude`` is read a block at a time, so it may be a generator.
+    (:func:`~jobgraph.mf.blocks`) into one users x nodes array of scores,
+    ranked by :func:`~jobgraph.mf.top_k`; ``exclude`` is read a block at a
+    time, so it may be a generator.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -198,26 +202,16 @@ def _hop(
             zero = zero[_run_heads(cell[zero])]
             best[cell[zero]] = score[zero]
         best[base + node] = np.nan
-        for b, banned in zip(range(len(users)), exclude):
-            best[[b * n + index[j] for j in banned if j in index]] = np.nan
-        # each row's candidates not worse than its k-th best, ties included. NaN
-        # sorts last, so a k-th best of NaN means fewer than k candidates: fmin
-        # makes it inf, which keeps them all
-        key = -best.reshape(len(users), n)
-        kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k] if k < n else np.inf
-        cells = np.flatnonzero(key <= np.fmin(kth, np.inf))
-        cells = cells[np.lexsort((-best[cells], cells // n))]  # stable: ties stay in job-id order
-        lists: list[list[tuple[str, float]]] = [[] for _ in users]
-        for flat, s in zip(cells.tolist(), best[cells].tolist()):
-            b, c = divmod(flat, n)
-            if len(lists[b]) < k:
-                lists[b].append((digraph.nodes[c], s))
-        ranked += lists
+        best = best.reshape(len(users), n)
+        ranked += top_k(best, ~np.isnan(best), k, digraph.nodes, itertools.islice(exclude, len(users)), index)
     return ranked
 
 
 def level1(
-    digraph: RecDigraph, sources: Sequence[Sequence[tuple[str, float]]], k: int, exclude: Iterable[Iterable[str]] = ()
+    digraph: RecDigraph,
+    sources: Sequence[Sequence[tuple[str, float]]],
+    k: int,
+    exclude: Iterable[Iterable[str]] = (),
 ) -> list[list[tuple[str, float]]]:
     """Direct propagation for each user's sources, in order: each
     out-neighbor of a source job is scored ``activity * corr``, merged
@@ -227,7 +221,9 @@ def level1(
 
 
 def level2(
-    digraph: RecDigraph, level1_results: Sequence[Sequence[tuple[str, float]]], k: int,
+    digraph: RecDigraph,
+    level1_results: Sequence[Sequence[tuple[str, float]]],
+    k: int,
     exclude: Iterable[Iterable[str]] = (),
 ) -> list[list[tuple[str, float]]]:
     """Second propagation hop for each user's level-1 list, in order: the
@@ -469,14 +465,20 @@ def _pagerank_fill(
 
 
 def recommend_users(
-    profiles: Sequence[UserProfile], digraph: RecDigraph, jobs: Mapping[str, JobRecord],
-    embeddings: Mapping[str, np.ndarray], reference_date: datetime, params: EngineConfig = EngineConfig(),
-) -> list[list[Recommendation]]:
-    """Produce the ranked top-k list of each user of ``profiles`` (any type), in order.
+    profiles: Sequence[UserProfile],
+    digraph: RecDigraph,
+    jobs: Mapping[str, JobRecord],
+    embeddings: Mapping[str, np.ndarray],
+    reference_date: datetime,
+    params: EngineConfig = EngineConfig(),
+) -> Iterator[list[Recommendation]]:
+    """Yield the ranked top-k list of each user of ``profiles`` (any type), in order.
 
     Users are taken a block at a time (:func:`~jobgraph.mf.blocks`): level 1
     ranks the block's active users in one call and level 2, in one more, those
-    it leaves short; the random-walk fills and the location re-rank are per user.
+    it leaves short; the random-walk fills and the location re-rank are per
+    user. Each list is yielded once it is ranked, so a caller can write or
+    score it and drop it before the next block.
 
     Output invariants: only active jobs, never jobs from the user's
     apply/click history, no duplicates, scores non-increasing within each
@@ -484,12 +486,11 @@ def recommend_users(
     """
     k = params.k
     min_recs = params.min_recs if params.min_recs is not None else k
-    pagerank, rerank = (params.damping, params.pagerank_epsilon), (params.location_radius_km, params.location_boost)
     if not digraph.active_jobs:
         logger.warning("empty digraph: no recommendations possible")
-        return [[] for _ in profiles]
+        yield from ([] for _ in profiles)
+        return
 
-    out: list[list[Recommendation]] = []
     for block in blocks(len(profiles), len(digraph.nodes)):
         users = profiles[block]
         histories = [profile.engaged_jobs() for profile in users]
@@ -508,21 +509,28 @@ def recommend_users(
             taken = {job_id for _, entries in tiers for job_id, _ in entries}
             if user_type is not UserType.ACTIVE or len(taken) < min_recs:
                 # personalized PageRank over the preference set if it serves any, else global
-                banned, slots, picked = taken | history, k - len(taken), []
+                banned = taken | history
+                slots = k - len(taken)
+                picked: list[tuple[str, float]] = []
                 if user_type is not UserType.ANONYMOUS:
                     prefs = preference_vector(profile, jobs, embeddings, params.similar_actives_per_expired)
                     if prefs:
-                        picked = _pagerank_fill(personalized_pagerank(digraph, prefs, *pagerank), banned, slots)
+                        ppr = personalized_pagerank(digraph, prefs, params.damping, params.pagerank_epsilon)
+                        picked = _pagerank_fill(ppr, banned, slots)
                 if picked:
                     tiers.append((Provenance.PERSONALIZED_PAGERANK, picked))
-                elif picked := _pagerank_fill(global_pagerank(digraph, *pagerank), banned, slots):
-                    tiers.append((Provenance.GLOBAL_PAGERANK, picked))
+                else:
+                    gpr = global_pagerank(digraph, params.damping, params.pagerank_epsilon)
+                    picked = _pagerank_fill(gpr, banned, slots)
+                    if picked:
+                        tiers.append((Provenance.GLOBAL_PAGERANK, picked))
             recs: list[Recommendation] = []
             for provenance, entries in tiers:
-                reranked = location_rerank(entries, profile.location, jobs, *rerank)
+                reranked = location_rerank(
+                    entries, profile.location, jobs, params.location_radius_km, params.location_boost
+                )
                 recs.extend(Recommendation(job_id, score, provenance) for job_id, score in reranked)
-            out.append(recs)
-    return out
+            yield recs
 
 
 def recommend(
@@ -535,4 +543,4 @@ def recommend(
 ) -> list[Recommendation]:
     """The ranked top-k list of one user (any type): :func:`recommend_users`
     of ``[profile]``, with the same invariants."""
-    return recommend_users([profile], digraph, jobs, embeddings, reference_date, params)[0]
+    return next(recommend_users([profile], digraph, jobs, embeddings, reference_date, params))

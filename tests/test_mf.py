@@ -638,7 +638,7 @@ def test_top_k_matches_sort_oracle(case):
         for row, ok in zip(scores, allowed)
     ]
     # repr tells -0.0 from 0.0, and NaN from itself
-    assert repr(top_k(scores, allowed, k, ids)) == repr(want)
+    assert repr(top_k(scores, allowed, k, ids, (), {id_: c for c, id_ in enumerate(ids)})) == repr(want)
 
 
 @st.composite

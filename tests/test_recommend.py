@@ -748,7 +748,7 @@ def test_recommend_users_equals_recommend_per_user():
     for rows in (1, 3, None):
         cells = mf.BLOCK_CELLS if rows is None else rows * len(digraph.nodes)
         with mock.patch.object(mf, "BLOCK_CELLS", cells):
-            got = recommend_users(profiles, digraph, jobs, embeddings, REF, config)
+            got = list(recommend_users(profiles, digraph, jobs, embeddings, REF, config))
         # repr shows each float exactly
         assert repr(got) == repr(want)
 
