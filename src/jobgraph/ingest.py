@@ -477,6 +477,8 @@ def _parse_latlon(lat_tok: str, lon_tok: str) -> tuple[float, float] | None:
     lat, lon = float(lat_tok), float(lon_tok)
     if not (math.isfinite(lat) and math.isfinite(lon)):
         raise ValueError("non-finite coordinate")
+    if abs(lat) > 90.0 or abs(lon) > 180.0:
+        raise ValueError("coordinate out of range")
     return (lat, lon)
 
 

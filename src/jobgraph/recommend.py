@@ -314,6 +314,19 @@ def _pagerank(
     return PageRankResult(scores, converged, iterations)
 
 
+def _kept_pagerank(
+    digraph: RecDigraph, seeds: tuple[str, ...] | None, damping: float, epsilon: float
+) -> PageRankResult:
+    """The walk restarting from ``seeds`` (sorted active jobs; None: every
+    active job), run on first use and kept in ``digraph.pagerank_results``
+    under ``(seeds, damping, epsilon)``."""
+    results = digraph.pagerank_results
+    key = (seeds, damping, epsilon)
+    if key not in results:
+        results[key] = _pagerank(digraph, sorted(digraph.active_jobs) if seeds is None else seeds, damping, epsilon)
+    return results[key]
+
+
 def global_pagerank(
     digraph: RecDigraph,
     damping: float = 0.85,
@@ -321,19 +334,16 @@ def global_pagerank(
 ) -> PageRankResult:
     """Popularity scores over all active jobs; scores sum to 1.
 
-    Computed once per digraph and settings and kept on the digraph; the
-    result is shared, so callers must not mutate it.
+    Computed once per digraph and settings and kept on the digraph
+    (``pagerank_results``, seeds ``None``); the result is shared, so callers
+    must not mutate it.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
     if not digraph.active_jobs:
         logger.warning("global pagerank on empty digraph")
         return PageRankResult({}, True, 0)
-    results = digraph.global_pagerank_results
-    key = (damping, epsilon)
-    if key not in results:
-        results[key] = _pagerank(digraph, sorted(digraph.active_jobs), damping, epsilon)
-    return results[key]
+    return _kept_pagerank(digraph, None, damping, epsilon)
 
 
 def personalized_pagerank(
@@ -341,11 +351,17 @@ def personalized_pagerank(
     preference_jobs: Iterable[str],
     damping: float = 0.85,
     epsilon: float = 1e-10,
+    *,
+    keep: bool = False,
 ) -> PageRankResult:
     """PageRank whose restart mass is uniform over the preference jobs.
 
     Only jobs out-reachable from the preference set hold mass (dangling
     mass also returns to the preference set), so only they are listed.
+    With ``keep``, the result is computed once per digraph, seed set and
+    settings and kept on the digraph, keyed by the sorted preference jobs
+    that are active in it; it is then shared, so callers must not mutate
+    it. Keep only seed sets that recur, as a resume category's jobs do.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
@@ -353,31 +369,38 @@ def personalized_pagerank(
     if not prefs:
         logger.warning("preference set shares no jobs with the digraph")
         return PageRankResult({}, True, 0)
+    if keep:
+        return _kept_pagerank(digraph, tuple(prefs), damping, epsilon)
     return _pagerank(digraph, prefs, damping, epsilon)
 
 
-def preference_vector(
+def _preference_parts(
     profile: UserProfile,
     jobs: Mapping[str, JobRecord],
     embeddings: Mapping[str, np.ndarray],
-    m_similar: int = 5,
-) -> list[str]:
-    """Seed jobs for personalized PageRank.
-
-    The union of (a) the ``m_similar`` active jobs most content-similar to
-    each expired job in the user's history and (b) every active job whose
-    category matches the user's resume category. Brand-new users (empty
-    history) get (b) only; an empty result tells the caller to degrade to
-    global recommendations.
-    """
-    prefs: set[str] = set()
-
+    m_similar: int,
+) -> tuple[set[str], set[str]]:
+    """The two parts of :func:`preference_vector`: (a) the active jobs
+    similar to the user's expired history and (b) the active jobs of the
+    user's resume category, from one scan of ``jobs``."""
+    similar: set[str] = set()
+    in_category: set[str] = set()
+    category = profile.resume_category
     expired_history = [
         j for j in profile.seen if j in jobs and not jobs[j].is_active and j in embeddings
     ]
     embeddable: list[str] = []
     if expired_history:  # only then are the active jobs sorted
-        embeddable = sorted(j for j, rec in jobs.items() if rec.is_active and j in embeddings)
+        for job_id, rec in jobs.items():
+            if rec.is_active:
+                if job_id in embeddings:
+                    embeddable.append(job_id)
+                if rec.category == category:
+                    in_category.add(job_id)
+        embeddable.sort()
+    elif category is not None:
+        # the category test first: it is cheaper than is_active and rules out most jobs
+        in_category = {j for j, rec in jobs.items() if rec.category == category and rec.is_active}
     if embeddable:
         # The cosine, one matrix-vector product per expired job. The
         # row sums reduce every row alike (BLAS mat-vec does not), so equal
@@ -394,12 +417,26 @@ def preference_vector(
                 raise ValueError("zero-norm vector")
             sims = (mat * vec).sum(axis=1) / denom
             top = np.argsort(-sims, kind="stable")[:m_similar]
-            prefs.update(embeddable[i] for i in top.tolist())
+            similar.update(embeddable[i] for i in top.tolist())
+    return similar, in_category
 
-    if profile.resume_category is not None:
-        prefs.update(j for j, rec in jobs.items() if rec.category == profile.resume_category and rec.is_active)
 
-    return sorted(prefs)
+def preference_vector(
+    profile: UserProfile,
+    jobs: Mapping[str, JobRecord],
+    embeddings: Mapping[str, np.ndarray],
+    m_similar: int = 5,
+) -> list[str]:
+    """Seed jobs for personalized PageRank.
+
+    The union of (a) the ``m_similar`` active jobs most content-similar to
+    each expired job in the user's history and (b) every active job whose
+    category matches the user's resume category. Brand-new users (empty
+    history) get (b) only; an empty result tells the caller to degrade to
+    global recommendations.
+    """
+    similar, in_category = _preference_parts(profile, jobs, embeddings, m_similar)
+    return sorted(similar | in_category)
 
 
 def _distance_from(a: tuple[float, float]) -> Callable[[tuple[float, float]], float]:
@@ -477,8 +514,10 @@ def recommend_users(
     Users are taken a block at a time (:func:`~jobgraph.mf.blocks`): level 1
     ranks the block's active users in one call and level 2, in one more, those
     it leaves short; the random-walk fills and the location re-rank are per
-    user. Each list is yielded once it is ranked, so a caller can write or
-    score it and drop it before the next block.
+    user. A personalized fill whose seeds all lie in the user's resume
+    category reads that category's walk, kept on the digraph, as the global
+    fill reads the global walk. Each list is yielded once it is ranked, so a
+    caller can write or score it and drop it before the next block.
 
     Output invariants: only active jobs, never jobs from the user's
     apply/click history, no duplicates, scores non-increasing within each
@@ -513,9 +552,16 @@ def recommend_users(
                 slots = k - len(taken)
                 picked: list[tuple[str, float]] = []
                 if user_type is not UserType.ANONYMOUS:
-                    prefs = preference_vector(profile, jobs, embeddings, params.similar_actives_per_expired)
-                    if prefs:
-                        ppr = personalized_pagerank(digraph, prefs, params.damping, params.pagerank_epsilon)
+                    similar, in_category = _preference_parts(
+                        profile, jobs, embeddings, params.similar_actives_per_expired
+                    )
+                    if similar or in_category:
+                        # seeds all in the resume category are that category's
+                        # jobs, whose walk is kept; any other seed set is walked
+                        ppr = personalized_pagerank(
+                            digraph, similar | in_category, params.damping, params.pagerank_epsilon,
+                            keep=similar <= in_category,
+                        )
                         picked = _pagerank_fill(ppr, banned, slots)
                 if picked:
                     tiers.append((Provenance.PERSONALIZED_PAGERANK, picked))

@@ -193,9 +193,12 @@ class RecDigraph:
         # one gather of the edge rows, none when they are in order already
         self.corr = corr if rows is None else corr[rows]
         self.evidence = evidence if rows is None else evidence[rows]
-        # global PageRank results per (damping, epsilon), filled by
-        # recommend.global_pagerank
-        self.global_pagerank_results: dict[tuple[float, float], object] = {}
+        # PageRank results per (seeds, damping, epsilon), filled on first use
+        # by recommend.global_pagerank (seeds None: every active job) and by
+        # recommend_users for a resume category's active jobs (seeds their
+        # sorted tuple): at most one entry per category served, plus the
+        # global one, per setting
+        self.pagerank_results: dict[tuple[tuple[str, ...] | None, float, float], object] = {}
 
     @property
     def num_edges(self) -> int:

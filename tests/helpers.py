@@ -11,8 +11,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from jobgraph.graph import CoPairs
-from jobgraph.evaluation import CfIndex
+from jobgraph.config import EngineConfig
+from jobgraph.graph import CoPairs, build_costats
+from jobgraph.evaluation import CfIndex, SynthCorpus
 from jobgraph.ingest import (
     DedupedSignal,
     EventLog,
@@ -23,15 +24,26 @@ from jobgraph.ingest import (
     SignalKind,
     UserRecord,
     _csv_rows,
+    dedupe,
     elapsed_days,
     epoch_us,
     format_timestamp,
     parse_timestamp,
+    resolve_jobs,
     utc_datetime,
+    window_filter,
 )
 from jobgraph.mf import FactorModel, RatingsMatrix, _implicit_offsets
-from jobgraph.recommend import EARTH_RADIUS_KM, PageRankResult, UserProfile
-from jobgraph.scoring import EVIDENCE_APPLY, EVIDENCE_CLICK, EVIDENCE_CONTENT, ContentPairs, RecDigraph
+from jobgraph.recommend import EARTH_RADIUS_KM, PageRankResult, UserProfile, build_profiles
+from jobgraph.scoring import (
+    EVIDENCE_APPLY,
+    EVIDENCE_CLICK,
+    EVIDENCE_CONTENT,
+    ContentPairs,
+    RecDigraph,
+    aggregate,
+    content_edges,
+)
 
 REF = datetime(2017, 6, 1, tzinfo=timezone.utc)
 
@@ -80,6 +92,20 @@ def make_job(job_id, category="sales", active=True, location=None, posted_age_da
         ts(posted_age_days),
         JobStatus.ACTIVE if active else JobStatus.EXPIRED,
     )
+
+
+def built_pipeline(corpus: SynthCorpus, weights: EngineConfig = EngineConfig()):
+    """Corpus -> (signals, digraph, active set, profiles), the serving path."""
+    windowed = window_filter(corpus.events, corpus.reference_date, corpus.window_days)
+    resolved, _ = resolve_jobs(windowed, corpus.jobs)
+    signals = dedupe(resolved)
+    graph = build_costats(signals, corpus.jobs)
+    content = content_edges(corpus.embeddings, weights.gamma)
+    active = frozenset(j for j, rec in corpus.jobs.items() if rec.is_active)
+    digraph = aggregate(graph, content, weights, active)
+    taxonomy = {j.category for j in corpus.jobs.values()}
+    profiles = build_profiles(signals, corpus.users, taxonomy)
+    return signals, digraph, active, profiles
 
 
 def make_jobs(*job_ids, category="sales", active=True):

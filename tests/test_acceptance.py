@@ -18,6 +18,7 @@ from helpers import (
     REF,
     CoMaps,
     brute_force_levels,
+    built_pipeline,
     co_pairs,
     content_pairs,
     corr_of,
@@ -48,7 +49,6 @@ from jobgraph.mf import (
 )
 from jobgraph.recommend import (
     UserProfile,
-    build_profiles,
     global_pagerank,
     level1,
     level2,
@@ -83,20 +83,6 @@ def criterion(number, label, limit_s):
 
 def graph_of(nodes, edges):
     return co_pairs(nodes, edges)
-
-
-def built_pipeline(corpus, weights=EngineConfig()):
-    """Corpus -> (signals, digraph, active set, profiles), the serving path."""
-    windowed = window_filter(corpus.events, corpus.reference_date, corpus.window_days)
-    resolved, _ = resolve_jobs(windowed, corpus.jobs)
-    signals = dedupe(resolved)
-    graph = build_costats(signals, corpus.jobs)
-    content = content_edges(corpus.embeddings, weights.gamma)
-    active = frozenset(j for j, rec in corpus.jobs.items() if rec.is_active)
-    digraph = aggregate(graph, content, weights, active)
-    taxonomy = {j.category for j in corpus.jobs.values()}
-    profiles = build_profiles(signals, corpus.users, taxonomy)
-    return signals, digraph, active, profiles
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,21 @@ def test_non_finite_coordinates_are_rejected(token):
     assert not users and user_issues == [ParseIssue(1, "bad coordinates")]
 
 
+@pytest.mark.parametrize("lat, lon", [("120.0", "10.0"), ("-90.5", "0"), ("10.0", "400.0"), ("0", "-180.01")])
+def test_out_of_range_coordinates_are_rejected(lat, lon):
+    jobs, job_issues = parse_jobs([f"j1,Nurse,health,{lat},{lon},2017-04-01T00:00:00Z,active"])
+    users, user_issues = parse_users([f"u1,health,{lat},{lon},true"])
+    assert not jobs and job_issues == [ParseIssue(1, "coordinate out of range")]
+    assert not users and user_issues == [ParseIssue(1, "bad coordinates")]
+
+
+def test_coordinates_on_the_range_bounds_are_kept():
+    jobs, job_issues = parse_jobs(["j1,Nurse,health,90,-180,2017-04-01T00:00:00Z,active"])
+    users, user_issues = parse_users(["u1,health,-90.0,180.0,true"])
+    assert not job_issues and jobs["j1"].location == (90.0, -180.0)
+    assert not user_issues and users["u1"].location == (-90.0, 180.0)
+
+
 def test_parse_embeddings_rejects_bad_vectors():
     lines = [
         "j1 1.0 0.0 0.0",

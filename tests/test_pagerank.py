@@ -2,20 +2,35 @@
 
 import importlib
 import random
+from io import StringIO
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import REF, dense_pagerank, from_corr, make_job, random_digraph, reference_pagerank
+from helpers import (
+    REF,
+    built_pipeline,
+    dense_pagerank,
+    from_corr,
+    make_job,
+    random_digraph,
+    reference_pagerank,
+)
 from jobgraph.config import EngineConfig
+from jobgraph.evaluation import synth_corpus
 from jobgraph.recommend import (
     PageRankResult,
     UserProfile,
     global_pagerank,
     personalized_pagerank,
+    preference_vector,
     recommend,
+    recommend_users,
 )
-from jobgraph.scoring import EVIDENCE_APPLY, RecDigraph
+from jobgraph.scoring import EVIDENCE_APPLY, RecDigraph, dump_digraph, load_digraph
 
 # the package re-exports the function `recommend` under the module's name
 recommend_module = importlib.import_module("jobgraph.recommend")
@@ -279,3 +294,127 @@ def test_ranked_fill_equals_filter_then_sort():
             ((j, s) for j, s in scores.items() if j not in banned), key=lambda kv: (-kv[1], kv[0])
         )[:slots]
         assert recommend_module._pagerank_fill(result, banned, slots) == want
+
+
+def kept_batch(corpus, profiles) -> list[UserProfile]:
+    """Users of every serving path of a kept walk, and of none: a resume-only
+    user of each category; a user emailed one expired job of each category,
+    with that resume category; one emailed an expired job of the first
+    category, with the second as resume category, so their nearest actives
+    leave it; two corpus users, active and with a resume category; an
+    anonymous user; and the resume-only users again."""
+    categories = sorted({rec.category for rec in corpus.jobs.values()})
+    first_expired, first_location = {}, {}
+    for job_id, rec in sorted(corpus.jobs.items()):
+        if not rec.is_active:
+            first_expired.setdefault(rec.category, job_id)
+        first_location.setdefault(rec.category, rec.location)
+    resume = [UserProfile(f"r_{c}", resume_category=c, location=first_location[c]) for c in categories]
+    history = [UserProfile(f"h_{c}", seen=(first_expired[c],), resume_category=c) for c in categories]
+    leaver = UserProfile("leaver", seen=(first_expired[categories[0]],), resume_category=categories[1])
+    active = [p for p in profiles.values() if p.engaged and p.resume_category][:2]
+    return resume + history + [leaver] + active + [UserProfile("anon")] + resume
+
+
+def category_seeds(jobs, category) -> tuple[str, ...]:
+    return tuple(sorted(j for j, rec in jobs.items() if rec.is_active and rec.category == category))
+
+
+@st.composite
+def kept_cases(draw):
+    """A small synth_corpus (2-3 clusters of 4-10 jobs, a quarter of them
+    expired, so each cluster has one expired job and three active ones at
+    least) and settings: a k that cuts the fills or leaves active users
+    short, at most three similar actives per expired job, and the damping."""
+    corpus = synth_corpus(
+        draw(st.integers(2, 3)),
+        draw(st.integers(4, 10)),
+        draw(st.integers(4, 30)),
+        draw(st.sampled_from([0.0, 0.1, 0.3])),
+        draw(st.integers(0, 2**16)),
+        expired_fraction=0.25,
+    )
+    config = EngineConfig(
+        k=draw(st.sampled_from([3, 40])),
+        similar_actives_per_expired=draw(st.integers(1, 3)),
+        damping=draw(st.sampled_from([0.5, 0.85])),
+    )
+    return corpus, config
+
+
+@given(kept_cases())
+def test_kept_walks_serve_the_bytes_of_a_fresh_digraph(case):
+    corpus, config = case
+    _, built, active, profiles = built_pipeline(corpus)
+    buf = StringIO()
+    dump_digraph(built, buf)
+    dump = buf.getvalue()
+    users = kept_batch(corpus, profiles)
+    args = (corpus.jobs, corpus.embeddings, REF, config)
+
+    def walked(digraph, seeds, damping, epsilon):
+        restart = sorted(digraph.active_jobs) if seeds is None else seeds
+        return recommend_module._pagerank(digraph, restart, damping, epsilon)
+
+    # each user alone on a digraph fresh from the dump, every walk run
+    # afresh and nothing kept
+    with mock.patch.object(recommend_module, "_kept_pagerank", walked):
+        want = [recommend(user, load_digraph(StringIO(dump), active), *args) for user in users]
+    digraph = load_digraph(StringIO(dump), active)
+    batch = list(recommend_users(users, digraph, *args))
+    again = [recommend(user, digraph, *args) for user in users]
+    # repr shows each float exactly
+    assert repr(batch) == repr(want)
+    assert repr(again) == repr(want)
+    # one walk kept per category served (every category: each has a
+    # resume-only user) and the global one; the leaver's seeds are walked
+    categories = sorted({rec.category for rec in corpus.jobs.values()})
+    kept = {(category_seeds(corpus.jobs, c), config.damping, config.pagerank_epsilon) for c in categories}
+    kept.add((None, config.damping, config.pagerank_epsilon))
+    assert set(digraph.pagerank_results) == kept
+    leaver = users[2 * len(categories)]
+    leaver_seeds = tuple(preference_vector(leaver, corpus.jobs, corpus.embeddings, config.similar_actives_per_expired))
+    assert leaver_seeds not in {seeds for seeds, _, _ in kept}
+
+
+def test_each_digraph_keeps_its_own_walks(monkeypatch):
+    runs = []
+    power_iteration = recommend_module._pagerank
+
+    def counted(digraph, restart_jobs, *args):
+        runs.append(tuple(restart_jobs))
+        return power_iteration(digraph, restart_jobs, *args)
+
+    monkeypatch.setattr(recommend_module, "_pagerank", counted)
+    corpus = synth_corpus(3, 8, 30, 0.1, seed=0, expired_fraction=0.25)
+    _, built, active, profiles = built_pipeline(corpus)
+    buf = StringIO()
+    dump_digraph(built, buf)
+    args = (corpus.jobs, corpus.embeddings, REF, EngineConfig())
+    users = kept_batch(corpus, profiles)
+    first = load_digraph(StringIO(buf.getvalue()), active)
+    list(recommend_users(users, first, *args))
+    seeds = [category_seeds(corpus.jobs, c) for c in ("cat00", "cat01", "cat02")]
+    assert sorted(first.pagerank_results, key=str) == sorted(
+        [(s, 0.85, 1e-10) for s in seeds] + [(None, 0.85, 1e-10)], key=str
+    )
+    # each category and the global walk ran once; the leaver's seeds, the
+    # first category's nearest actives and the second's jobs, every time
+    assert all(runs.count(s) == 1 for s in seeds)
+    leaver = tuple(preference_vector(users[6], corpus.jobs, corpus.embeddings))
+    assert runs.count(leaver) == 1 and leaver not in seeds
+    kept = dict(first.pagerank_results)
+    recommend(users[6], first, *args)
+    assert runs.count(leaver) == 2
+
+    # a second digraph from the same dump walks its own category once
+    second = load_digraph(StringIO(buf.getvalue()), active)
+    recommend(users[0], second, *args)
+    recommend(users[0], second, *args)
+    assert list(second.pagerank_results) == [(seeds[0], 0.85, 1e-10)]
+    assert runs.count(seeds[0]) == 2
+    recommend(users[0], second, corpus.jobs, corpus.embeddings, REF, EngineConfig(damping=0.5))
+    assert list(second.pagerank_results) == [(seeds[0], 0.85, 1e-10), (seeds[0], 0.5, 1e-10)]
+    assert runs.count(seeds[0]) == 3
+    assert second.pagerank_results[seeds[0], 0.85, 1e-10] is not kept[seeds[0], 0.85, 1e-10]
+    assert first.pagerank_results == kept
