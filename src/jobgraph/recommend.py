@@ -382,7 +382,7 @@ def _preference_parts(
 ) -> tuple[set[str], set[str]]:
     """The two parts of :func:`preference_vector`: (a) the active jobs
     similar to the user's expired history and (b) the active jobs of the
-    user's resume category, from one scan of ``jobs``."""
+    user's resume category."""
     similar: set[str] = set()
     in_category: set[str] = set()
     category = profile.resume_category
@@ -391,14 +391,8 @@ def _preference_parts(
     ]
     embeddable: list[str] = []
     if expired_history:  # only then are the active jobs sorted
-        for job_id, rec in jobs.items():
-            if rec.is_active:
-                if job_id in embeddings:
-                    embeddable.append(job_id)
-                if rec.category == category:
-                    in_category.add(job_id)
-        embeddable.sort()
-    elif category is not None:
+        embeddable = sorted(j for j, rec in jobs.items() if rec.is_active and j in embeddings)
+    if category is not None:
         # the category test first: it is cheaper than is_active and rules out most jobs
         in_category = {j for j, rec in jobs.items() if rec.category == category and rec.is_active}
     if embeddable:
