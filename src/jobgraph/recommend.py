@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -374,45 +374,140 @@ def personalized_pagerank(
     return _pagerank(digraph, prefs, damping, epsilon)
 
 
-def _preference_parts(
-    profile: UserProfile,
-    jobs: Mapping[str, JobRecord],
-    embeddings: Mapping[str, np.ndarray],
-    m_similar: int,
-) -> tuple[set[str], set[str]]:
-    """The two parts of :func:`preference_vector`: (a) the active jobs
-    similar to the user's expired history and (b) the active jobs of the
-    user's resume category."""
-    similar: set[str] = set()
-    in_category: set[str] = set()
-    category = profile.resume_category
-    expired_history = [
-        j for j in profile.seen if j in jobs and not jobs[j].is_active and j in embeddings
-    ]
-    embeddable: list[str] = []
-    if expired_history:  # only then are the active jobs sorted
-        embeddable = sorted(j for j, rec in jobs.items() if rec.is_active and j in embeddings)
-    if category is not None:
-        # the category test first: it is cheaper than is_active and rules out most jobs
-        in_category = {j for j, rec in jobs.items() if rec.category == category and rec.is_active}
-    if embeddable:
-        # The cosine, one matrix-vector product per expired job. The
-        # row sums reduce every row alike (BLAS mat-vec does not), so equal
-        # embeddings tie exactly and the stable sort of -sim over the job-id
-        # order of embeddable breaks the tie by job_id.
-        mat = np.stack([np.asarray(embeddings[j], dtype=np.float64) for j in embeddable])
-        norms = np.linalg.norm(mat, axis=1)
-        for old_job in expired_history:
-            vec = np.asarray(embeddings[old_job], dtype=np.float64)
+def _point(location: tuple[float, float]) -> tuple[float, float, float]:
+    """A (lat, lon) in degrees as its latitude and longitude in radians and
+    the cosine of its latitude, the parts :func:`_distance_km` reads."""
+    lat, lon = map(math.radians, location)
+    return lat, lon, math.cos(lat)
+
+
+def _distance_km(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
+    """The haversine distance between two :func:`_point` parts, in kilometers."""
+    lat1, lon1, cos_lat1 = a
+    lat2, lon2, cos_lat2 = b
+    h = math.sin((lat2 - lat1) / 2) ** 2 + cos_lat1 * cos_lat2 * math.sin((lon2 - lon1) / 2) ** 2
+    return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+
+
+def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Great-circle distance between two (lat, lon) points in kilometers."""
+    return _distance_km(_point(a), _point(b))
+
+
+class Catalogue:
+    """What serving reads of one jobs map and one embeddings map alone, each
+    part built on first use and then kept: each category's active jobs, the
+    active jobs that have an embedding with their stacked matrix and row
+    norms, and each located job's :func:`_point`.
+
+    It holds the two maps it was built from and reads them as they are then,
+    so a caller who changes a job or an embedding passes a new map object
+    (see :func:`_catalogue`).
+    """
+
+    def __init__(self, jobs: Mapping[str, JobRecord], embeddings: Mapping[str, np.ndarray]):
+        self.jobs = jobs
+        self.embeddings = embeddings
+
+    @functools.cached_property
+    def categories(self) -> dict[str, frozenset[str]]:
+        """Each category's active jobs."""
+        members: dict[str, set[str]] = {}
+        for job_id, record in self.jobs.items():
+            if record.is_active:
+                members.setdefault(record.category, set()).add(job_id)
+        return {category: frozenset(ids) for category, ids in members.items()}
+
+    @functools.cached_property
+    def embeddable(self) -> list[str]:
+        """The active jobs that have an embedding, in job-id order."""
+        return sorted(j for j, rec in self.jobs.items() if rec.is_active and j in self.embeddings)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The embeddings of :attr:`embeddable`, a row each (ValueError if
+        their dimensions differ)."""
+        return np.stack([np.asarray(self.embeddings[j], dtype=np.float64) for j in self.embeddable])
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """The L2 norm of each row of :attr:`matrix`."""
+        return np.linalg.norm(self.matrix, axis=1)
+
+    @functools.cached_property
+    def points(self) -> dict[str, tuple[float, float, float]]:
+        """Each located job's :func:`_point`."""
+        return {j: _point(rec.location) for j, rec in self.jobs.items() if rec.location is not None}
+
+    def similarities(self, expired: Sequence[str]) -> Iterator[np.ndarray]:
+        """The cosine of each of the ``expired`` jobs' embeddings with each
+        row of :attr:`matrix`, a block of them (:func:`~jobgraph.mf.blocks`)
+        at a time, a row each. The row sums reduce every row alike (BLAS
+        mat-vec does not), so equal embeddings tie exactly, and a row's
+        bits are those of the job's own ``(matrix * vec).sum(axis=1)``."""
+        mat, norms = self.matrix, self.norms
+        vecs, denoms = [], []
+        for job_id in expired:
+            vec = np.asarray(self.embeddings[job_id], dtype=np.float64)
             if vec.shape != mat.shape[1:]:
                 raise ValueError(f"dimension mismatch: {vec.shape} vs {mat.shape[1:]}")
             denom = norms * np.linalg.norm(vec)
             if not denom.all():
                 raise ValueError("zero-norm vector")
-            sims = (mat * vec).sum(axis=1) / denom
-            top = np.argsort(-sims, kind="stable")[:m_similar]
-            similar.update(embeddable[i] for i in top.tolist())
-    return similar, in_category
+            vecs.append(vec)
+            denoms.append(denom)
+        for block in blocks(len(vecs), len(norms)):
+            yield (mat * np.stack(vecs[block])[:, None, :]).sum(axis=2) / np.stack(denoms[block])
+
+    def preference_parts(self, profile: UserProfile, m_similar: int) -> tuple[set[str], frozenset[str]]:
+        """The two parts of :func:`preference_vector`: (a) the active jobs
+        similar to the user's expired history and (b) the active jobs of the
+        user's resume category."""
+        jobs, embeddings = self.jobs, self.embeddings
+        in_category = self.categories.get(profile.resume_category, frozenset())
+        similar: set[str] = set()
+        expired = [j for j in profile.seen if j in jobs and not jobs[j].is_active and j in embeddings]
+        if expired and self.embeddable:
+            # the stable sort of -sim over the job-id order of embeddable
+            # breaks exact ties by job_id
+            for sims in self.similarities(expired):
+                top = np.argsort(-sims, axis=1, kind="stable")[:, :m_similar]
+                similar.update(map(self.embeddable.__getitem__, top.ravel().tolist()))
+        return similar, in_category
+
+    def rerank(
+        self,
+        candidates: Sequence[tuple[str, float]],
+        user_location: tuple[float, float] | None,
+        radius_km: float,
+        boost: float,
+    ) -> list[tuple[str, float]]:
+        """:func:`location_rerank` over this catalogue's jobs."""
+        if boost < 1.0:
+            raise ValueError(f"boost must be >= 1, got {boost}")
+        if user_location is None or boost == 1.0:
+            return list(candidates)
+        user, points = _point(user_location), self.points
+        rescored = []
+        for job_id, score in candidates:
+            point = points.get(job_id)
+            if point is not None and _distance_km(user, point) <= radius_km:
+                score = score * boost if score >= 0 else score / boost
+            rescored.append((job_id, score))
+        rescored.sort(key=lambda kv: (-kv[1], kv[0]))
+        return rescored
+
+
+def _catalogue(
+    digraph: RecDigraph, jobs: Mapping[str, JobRecord], embeddings: Mapping[str, np.ndarray]
+) -> Catalogue:
+    """The :class:`Catalogue` of ``jobs`` and ``embeddings`` kept on the
+    digraph (``digraph.catalogue``), built anew when either map is another
+    object than the kept one was built from."""
+    kept = digraph.catalogue
+    if kept is None or kept.jobs is not jobs or kept.embeddings is not embeddings:
+        kept = digraph.catalogue = Catalogue(jobs, embeddings)
+    return kept
 
 
 def preference_vector(
@@ -429,29 +524,8 @@ def preference_vector(
     history) get (b) only; an empty result tells the caller to degrade to
     global recommendations.
     """
-    similar, in_category = _preference_parts(profile, jobs, embeddings, m_similar)
+    similar, in_category = Catalogue(jobs, embeddings).preference_parts(profile, m_similar)
     return sorted(similar | in_category)
-
-
-def _distance_from(a: tuple[float, float]) -> Callable[[tuple[float, float]], float]:
-    """:func:`haversine_km` from ``a``, with ``a``'s radians and the cosine
-    of its latitude taken once."""
-    lat1, lon1 = map(math.radians, a)
-    cos_lat1 = math.cos(lat1)
-
-    def distance(b: tuple[float, float]) -> float:
-        lat2, lon2 = map(math.radians, b)
-        dlat = lat2 - lat1
-        dlon = lon2 - lon1
-        h = math.sin(dlat / 2) ** 2 + cos_lat1 * math.cos(lat2) * math.sin(dlon / 2) ** 2
-        return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
-
-    return distance
-
-
-def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle distance between two (lat, lon) points in kilometers."""
-    return _distance_from(a)(b)
 
 
 def location_rerank(
@@ -468,24 +542,8 @@ def location_rerank(
     distant one of equal score. Never adds or removes candidates; a no-op without a
     user location.
     """
-    if boost < 1.0:
-        raise ValueError(f"boost must be >= 1, got {boost}")
-    if user_location is None or boost == 1.0:
-        return list(candidates)
-
-    distance_km = _distance_from(user_location)
-
-    def boosted(job_id: str, score: float) -> float:
-        record = jobs.get(job_id)
-        if record is None or record.location is None:
-            return score
-        if distance_km(record.location) <= radius_km:
-            return score * boost if score >= 0 else score / boost
-        return score
-
-    rescored = [(job_id, boosted(job_id, score)) for job_id, score in candidates]
-    rescored.sort(key=lambda kv: (-kv[1], kv[0]))
-    return rescored
+    located = {job_id: jobs[job_id] for job_id, _ in candidates if job_id in jobs}
+    return Catalogue(located, {}).rerank(candidates, user_location, radius_km, boost)
 
 
 def _pagerank_fill(
@@ -513,6 +571,12 @@ def recommend_users(
     fill reads the global walk. Each list is yielded once it is ranked, so a
     caller can write or score it and drop it before the next block.
 
+    Besides the walks, the digraph keeps the :class:`Catalogue` of ``jobs``
+    and ``embeddings`` that the preference seeds and the location re-rank
+    read. It is keyed by the identity of the two mappings and holds them, so
+    a caller who changes a job or an embedding must pass a new mapping
+    object; the same two objects reuse the kept index.
+
     Output invariants: only active jobs, never jobs from the user's
     apply/click history, no duplicates, scores non-increasing within each
     provenance tier, tiers ordered by strategy precedence.
@@ -524,6 +588,7 @@ def recommend_users(
         yield from ([] for _ in profiles)
         return
 
+    catalogue = _catalogue(digraph, jobs, embeddings)
     for block in blocks(len(profiles), len(digraph.nodes)):
         users = profiles[block]
         histories = [profile.engaged_jobs() for profile in users]
@@ -546,8 +611,8 @@ def recommend_users(
                 slots = k - len(taken)
                 picked: list[tuple[str, float]] = []
                 if user_type is not UserType.ANONYMOUS:
-                    similar, in_category = _preference_parts(
-                        profile, jobs, embeddings, params.similar_actives_per_expired
+                    similar, in_category = catalogue.preference_parts(
+                        profile, params.similar_actives_per_expired
                     )
                     if similar or in_category:
                         # seeds all in the resume category are that category's
@@ -566,8 +631,8 @@ def recommend_users(
                         tiers.append((Provenance.GLOBAL_PAGERANK, picked))
             recs: list[Recommendation] = []
             for provenance, entries in tiers:
-                reranked = location_rerank(
-                    entries, profile.location, jobs, params.location_radius_km, params.location_boost
+                reranked = catalogue.rerank(
+                    entries, profile.location, params.location_radius_km, params.location_boost
                 )
                 recs.extend(Recommendation(job_id, score, provenance) for job_id, score in reranked)
             yield recs
@@ -582,5 +647,7 @@ def recommend(
     params: EngineConfig = EngineConfig(),
 ) -> list[Recommendation]:
     """The ranked top-k list of one user (any type): :func:`recommend_users`
-    of ``[profile]``, with the same invariants."""
+    of ``[profile]``, with the same invariants. The digraph keeps its walks
+    and its catalogue index between calls; pass a new ``jobs`` or
+    ``embeddings`` mapping object, not a changed one, when either changes."""
     return next(recommend_users([profile], digraph, jobs, embeddings, reference_date, params))

@@ -199,6 +199,9 @@ class RecDigraph:
         # sorted tuple): at most one entry per category served, plus the
         # global one, per setting
         self.pagerank_results: dict[tuple[tuple[str, ...] | None, float, float], object] = {}
+        # the recommend.Catalogue of the jobs and embeddings maps last served
+        # from this digraph, kept while the same two map objects are served
+        self.catalogue = None
 
     @property
     def num_edges(self) -> int:

@@ -1,5 +1,6 @@
 """Power-iteration popularity scores checked against a direct linear solve."""
 
+import dataclasses
 import importlib
 import random
 from io import StringIO
@@ -21,6 +22,7 @@ from helpers import (
 )
 from jobgraph.config import EngineConfig
 from jobgraph.evaluation import synth_corpus
+from jobgraph.ingest import JobStatus
 from jobgraph.recommend import (
     PageRankResult,
     UserProfile,
@@ -320,6 +322,19 @@ def category_seeds(jobs, category) -> tuple[str, ...]:
     return tuple(sorted(j for j, rec in jobs.items() if rec.is_active and rec.category == category))
 
 
+def dump_digraph_text(digraph) -> str:
+    buf = StringIO()
+    dump_digraph(digraph, buf)
+    return buf.getvalue()
+
+
+def fresh_catalogues():
+    """Patch recommend_users to build the catalogue index anew on every call."""
+    return mock.patch.object(
+        recommend_module, "_catalogue", lambda digraph, jobs, embeddings: recommend_module.Catalogue(jobs, embeddings)
+    )
+
+
 @st.composite
 def kept_cases(draw):
     """A small synth_corpus (2-3 clusters of 4-10 jobs, a quarter of them
@@ -356,9 +371,9 @@ def test_kept_walks_serve_the_bytes_of_a_fresh_digraph(case):
         restart = sorted(digraph.active_jobs) if seeds is None else seeds
         return recommend_module._pagerank(digraph, restart, damping, epsilon)
 
-    # each user alone on a digraph fresh from the dump, every walk run
-    # afresh and nothing kept
-    with mock.patch.object(recommend_module, "_kept_pagerank", walked):
+    # each user alone on a digraph fresh from the dump, every walk run and
+    # the catalogue index built afresh and nothing kept
+    with mock.patch.object(recommend_module, "_kept_pagerank", walked), fresh_catalogues():
         want = [recommend(user, load_digraph(StringIO(dump), active), *args) for user in users]
     digraph = load_digraph(StringIO(dump), active)
     batch = list(recommend_users(users, digraph, *args))
@@ -375,6 +390,84 @@ def test_kept_walks_serve_the_bytes_of_a_fresh_digraph(case):
     leaver = users[2 * len(categories)]
     leaver_seeds = tuple(preference_vector(leaver, corpus.jobs, corpus.embeddings, config.similar_actives_per_expired))
     assert leaver_seeds not in {seeds for seeds, _, _ in kept}
+
+
+@st.composite
+def remapped_cases(draw):
+    """A kept case and second maps of its jobs and embeddings: one active
+    job expired, one job moved to another category, and one job's vector
+    replaced by a multiple of another's."""
+    corpus, config = draw(kept_cases())
+    ids = sorted(corpus.jobs)
+    categories = sorted({rec.category for rec in corpus.jobs.values()})
+    jobs = dict(corpus.jobs)
+    expire = draw(st.sampled_from([j for j in ids if jobs[j].is_active]))
+    jobs[expire] = dataclasses.replace(jobs[expire], status=JobStatus.EXPIRED)
+    move = draw(st.sampled_from(ids))
+    other = draw(st.sampled_from([c for c in categories if c != jobs[move].category]))
+    jobs[move] = dataclasses.replace(jobs[move], category=other)
+    embeddings = dict(corpus.embeddings)
+    replace, source = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+    embeddings[replace] = corpus.embeddings[source] * draw(st.sampled_from([1.0, -1.0, 2.0]))
+    return corpus, config, jobs, embeddings
+
+
+@given(remapped_cases())
+def test_a_kept_catalogue_serves_new_maps_as_a_fresh_digraph(case):
+    corpus, config, jobs, embeddings = case
+    _, built, active, profiles = built_pipeline(corpus)
+    dump = dump_digraph_text(built)
+    users = kept_batch(corpus, profiles)
+    maps = [(corpus.jobs, corpus.embeddings), (jobs, corpus.embeddings), (jobs, embeddings)]
+    with fresh_catalogues():
+        want = [
+            [recommend(user, load_digraph(StringIO(dump), active), *pair, REF, config) for user in users]
+            for pair in maps
+        ]
+    built_catalogues = []
+
+    class Counted(recommend_module.Catalogue):
+        def __init__(self, *args):
+            built_catalogues.append(args)
+            super().__init__(*args)
+
+    digraph = load_digraph(StringIO(dump), active)
+    with mock.patch.object(recommend_module, "Catalogue", Counted):
+        for pair, fresh in zip(maps, want):
+            # the same two map objects twice: the index is built once
+            for _ in range(2):
+                assert repr(list(recommend_users(users, digraph, *pair, REF, config))) == repr(fresh)
+            assert digraph.catalogue.jobs is pair[0] and digraph.catalogue.embeddings is pair[1]
+    assert [tuple(map(id, args)) for args in built_catalogues] == [tuple(map(id, pair)) for pair in maps]
+
+
+@pytest.mark.parametrize("flawed", ["active", "expired"])
+@pytest.mark.parametrize("flaw", ["dimension", "zero-norm"])
+def test_a_flawed_embedding_fails_only_the_requests_that_reach_the_product(flawed, flaw):
+    corpus = synth_corpus(3, 8, 30, 0.1, seed=0, expired_fraction=0.1)
+    _, built, active, profiles = built_pipeline(corpus)
+    users = kept_batch(corpus, profiles)
+    history = [user for user in users if user.user_id.startswith("h_")] + [users[6]]
+    expired = history[0].seen[0]  # the first category's, also the leaver's
+    job_id = sorted(active)[0] if flawed == "active" else expired
+    vec = corpus.embeddings[job_id]
+    embeddings = {**corpus.embeddings, job_id: np.append(vec, 1.0) if flaw == "dimension" else np.zeros_like(vec)}
+    # active users none of whose jobs is expired, resume-only and anonymous users
+    clean = [p for p in profiles.values() if p.engaged and all(corpus.jobs[j].is_active for j in p.seen)]
+    served = users[:3] + clean[:3] + [UserProfile("anon")]
+    assert len(served) == 7
+    args = (REF, EngineConfig())
+    want = [recommend(user, built, corpus.jobs, corpus.embeddings, *args) for user in served]
+    digraph = load_digraph(StringIO(dump_digraph_text(built)), active)
+    for _ in range(2):
+        # a failed request leaves the kept index serving the others
+        assert [recommend(user, digraph, corpus.jobs, embeddings, *args) for user in served] == want
+        for user in history:
+            if flawed == "active" or expired in user.seen:
+                with pytest.raises(ValueError):
+                    recommend(user, digraph, corpus.jobs, embeddings, *args)
+            else:
+                recommend(user, digraph, corpus.jobs, embeddings, *args)
 
 
 def test_each_digraph_keeps_its_own_walks(monkeypatch):

@@ -29,6 +29,7 @@ from jobgraph import mf
 from jobgraph.config import ConfigError, EngineConfig
 from jobgraph.ingest import DedupedSignal, SignalKind, UserRecord, dedupe, epoch_us
 from jobgraph.recommend import (
+    Catalogue,
     Provenance,
     UserProfile,
     UserType,
@@ -467,6 +468,40 @@ def test_preference_vector_rejects_zero_and_mismatched_embeddings():
         preference_vector(p, jobs, {"old": np.ones(3), "a": np.ones(2), "b": np.ones(2)})
 
 
+@st.composite
+def similarity_cases(draw):
+    """Active jobs with embeddings of one dimension, a few of them equal or
+    scaled copies of another, expired jobs to compare with them, and a
+    block of 1 or 2 expired jobs or the default."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 32, 33, 200]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    active = [f"j{i:02d}" for i in range(draw(st.integers(1, 40)))]
+    emb = {j: rng.normal(size=dim) * scale for j in active}
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(active)), draw(st.sampled_from(active))
+        emb[b] = emb[a] * draw(st.sampled_from([1.0, 2.0]))
+    expired = [f"old{i}" for i in range(draw(st.integers(1, 6)))]
+    emb.update({j: rng.normal(size=dim) for j in expired})
+    jobs = {**{j: make_job(j) for j in active}, **{j: make_job(j, active=False) for j in expired}}
+    return jobs, emb, expired, draw(st.sampled_from([1, 2, None]))
+
+
+@given(similarity_cases())
+def test_folded_similarities_match_the_per_job_product(case):
+    jobs, emb, expired, rows = case
+    catalogue = Catalogue(jobs, emb)
+    cells = mf.BLOCK_CELLS if rows is None else rows * len(catalogue.embeddable)
+    with mock.patch.object(mf, "BLOCK_CELLS", cells):
+        got = np.concatenate(list(catalogue.similarities(expired)))
+    mat = np.stack([emb[j] for j in sorted(j for j in jobs if jobs[j].is_active)])
+    norms = np.linalg.norm(mat, axis=1)
+    assert len(got) == len(expired)
+    for row, old in zip(got, expired):
+        want = (mat * emb[old]).sum(axis=1) / (norms * np.linalg.norm(emb[old]))
+        assert row.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # geography
 
@@ -551,7 +586,9 @@ def rerank_cases(draw):
     on_radius = [reference_haversine_km(user, loc) for loc in locations if loc is not None]
     radius = draw(st.one_of(st.floats(0.0, 3000.0), st.sampled_from(on_radius or [80.0])))
     boost = draw(st.sampled_from([1.25, 1.5, 3.0]))
-    jobs = {f"j{i}": make_job(f"j{i}", location=loc) for i, loc in enumerate(locations)}
+    # an expired job is boosted as an active one: the re-rank reads locations only
+    active = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    jobs = {f"j{i}": make_job(f"j{i}", location=loc, active=a) for i, (loc, a) in enumerate(zip(locations, active))}
     return candidates, user, jobs, radius, boost
 
 
