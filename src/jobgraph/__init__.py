@@ -16,7 +16,6 @@ from .evaluation import build_cf_index, cf_recommend, evaluate_systems, synth_co
 from .graph import CoPairs, build_costats
 from .ingest import (
     EventLog,
-    InteractionEvent,
     JobRecord,
     SignalKind,
     dedupe,
@@ -43,7 +42,6 @@ __all__ = [
     "ConfigError",
     "EngineConfig",
     "EventLog",
-    "InteractionEvent",
     "JobRecord",
     "RecDigraph",
     "Recommendation",

@@ -26,16 +26,15 @@ from .config import EngineConfig
 from .graph import CoPairs
 from .ingest import (
     EventLog,
-    InteractionEvent,
     JobRecord,
     JobStatus,
     SignalKind,
     UserRecord,
+    _Columns,
     _distinct,
     _run_heads,
     _spans,
     active_job_ids,
-    as_event_log,
     dedupe,
     elapsed_days,
     epoch_us,
@@ -234,9 +233,7 @@ def cf_recommend(
 # holdout split and metrics
 
 
-def holdout_split(
-    events: EventLog | Iterable[InteractionEvent], fraction: float, seed: int = 0
-) -> tuple[EventLog, EventLog]:
+def holdout_split(events: EventLog, fraction: float, seed: int = 0) -> tuple[EventLog, EventLog]:
     """Per-user temporal split of apply events.
 
     The latest ``floor(n * fraction)`` of each user's n applies are held
@@ -247,24 +244,23 @@ def holdout_split(
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must lie in [0, 1), got {fraction}")
-    log = as_event_log(events)
-    rows = np.flatnonzero(log.kind == SignalKind.APPLY.code)
-    user, time, job = log.user[rows], log.time[rows], log.job[rows]
+    rows = np.flatnonzero(events.kind == SignalKind.APPLY.code)
+    user, time, job = events.user[rows], events.time[rows], events.job[rows]
     # the checksum orders only the applies of a user that share a timestamp
     checksum = np.zeros(len(rows), dtype=np.int64)
     order = np.lexsort((time, user))
     same = ~_run_heads(user[order], time[order])
     for i in order[same | np.append(same[1:], False)].tolist():
-        tag = f"{seed}|{log.users[user[i]]}|{log.jobs[job[i]]}|{format_timestamp(utc_datetime(int(time[i])))}"
+        tag = f"{seed}|{events.users[user[i]]}|{events.jobs[job[i]]}|{format_timestamp(utc_datetime(int(time[i])))}"
         checksum[i] = zlib.crc32(tag.encode())
     # each user's applies by (timestamp, checksum, job id, earlier row): the last are held
     order = np.lexsort((-rows, job, checksum, time, user))
     starts = np.flatnonzero(_run_heads(user[order]))
     counts = np.diff(np.append(starts, len(order)))
     kept = np.repeat(starts + counts - np.floor(counts * fraction).astype(np.int64), counts)
-    held = np.zeros(len(log), dtype=bool)
+    held = np.zeros(len(events), dtype=bool)
     held[rows[order[np.arange(len(order)) >= kept]]] = True
-    return log.take(~held), log.take(held)
+    return events.take(~held), events.take(held)
 
 
 def precision_recall_at_k(
@@ -292,7 +288,7 @@ def precision_recall_at_k(
 class SynthCorpus:
     """A generated corpus in the ingest model, plus planted ground truth."""
 
-    events: list[InteractionEvent]
+    events: EventLog
     jobs: dict[str, JobRecord]
     embeddings: dict[str, np.ndarray]
     users: dict[str, UserRecord]
@@ -342,6 +338,8 @@ def synth_corpus(
         )
     if events_per_user < 1:
         raise ValueError(f"events_per_user must be >= 1, got {events_per_user}")
+    if window_days < 1:
+        raise ValueError(f"window_days must be >= 1, got {window_days}")
     if num_clusters > 1 and noise > 0 and jobs_per_cluster < 2:
         logger.warning("single-job clusters make co-statistics degenerate")
 
@@ -400,12 +398,15 @@ def synth_corpus(
         other = rng.randrange(num_clusters - 1)
         return other if other < home else other + 1
 
-    def event_ts() -> datetime:
-        return reference_date - timedelta(seconds=rng.randrange(3600, window_seconds))
+    now_us = epoch_us(reference_date)
+
+    def event_us() -> int:
+        return now_us - rng.randrange(3600, window_seconds) * 10**6
 
     user_records: dict[str, UserRecord] = {}
     cluster_of_user: dict[str, int] = {}
-    events: list[InteractionEvent] = []
+    events = _Columns()
+    apply, click, email = SignalKind.APPLY.code, SignalKind.CLICK.code, SignalKind.EMAIL_OPEN_NO_CLICK.code
     n_applies = max(1, round(events_per_user * 0.45))
     n_emails = round(events_per_user * 0.10)
     n_clicks = max(events_per_user - n_applies - n_emails, 0)
@@ -427,9 +428,7 @@ def synth_corpus(
                     break
                 job_id = rng.choice(pool)
             applied.add(job_id)
-            events.append(
-                InteractionEvent(user_id, job_id, SignalKind.APPLY, event_ts())
-            )
+            events.add(user_id, job_id, apply, event_us())
 
         remaining = n_clicks
         session_no = 0
@@ -438,25 +437,18 @@ def synth_corpus(
             pool = eligible[pick_cluster(home)]
             picked = rng.sample(pool, min(size, len(pool)))
             query_id = f"q{u:05d}_{session_no}"
-            base = event_ts()
+            base = event_us()
             for i, job_id in enumerate(picked):
-                ts = base + timedelta(seconds=i * rng.randrange(10, 120))
-                events.append(
-                    InteractionEvent(user_id, job_id, SignalKind.CLICK, ts, query_id)
-                )
+                events.add(user_id, job_id, click, base + i * rng.randrange(10, 120) * 10**6, [query_id])
             remaining -= size
             session_no += 1
 
         for _ in range(n_emails):
             pool = eligible[pick_cluster(home)]
-            events.append(
-                InteractionEvent(
-                    user_id, rng.choice(pool), SignalKind.EMAIL_OPEN_NO_CLICK, event_ts()
-                )
-            )
+            events.add(user_id, rng.choice(pool), email, event_us())
 
     return SynthCorpus(
-        events,
+        events.log(),
         jobs,
         embeddings,
         user_records,
@@ -534,7 +526,7 @@ KNOWN_SYSTEMS = ("graph", "cf", "mf")
 
 
 def evaluate_systems(
-    events: EventLog | Iterable[InteractionEvent],
+    events: EventLog,
     jobs: Mapping[str, JobRecord],
     embeddings: Mapping[str, np.ndarray],
     users: Mapping[str, UserRecord],

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 
-from .ingest import DedupedSignal, EventLog, JobRecord, SignalKind, _distinct, _run_heads, as_event_log
+from .ingest import EventLog, JobRecord, SignalKind, _distinct, _run_heads
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +49,7 @@ _MICROSECOND = timedelta(microseconds=1)
 
 
 def build_costats(
-    signals: EventLog | Iterable[DedupedSignal],
+    signals: EventLog,
     jobs: Mapping[str, JobRecord],
     session_gap_minutes: float = 30.0,
 ) -> CoPairs:
@@ -63,18 +63,17 @@ def build_costats(
     never pairs with one without, and a job never pairs with itself. A
     signal for a job outside ``jobs`` raises ``KeyError``.
     """
-    log = as_event_log(signals)
     ids = sorted(jobs)
     n = max(len(ids), 1)  # the base of the (user, job) and (a, b) keys
     index = {job_id: i for i, job_id in enumerate(ids)}
-    node = np.array([index.get(job_id, -1) for job_id in log.jobs], dtype=np.int64)[log.job]
+    node = np.array([index.get(job_id, -1) for job_id in signals.jobs], dtype=np.int64)[signals.job]
     if (node < 0).any():
-        unknown = log.jobs[log.job[np.argmax(node < 0)]]
+        unknown = signals.jobs[signals.job[np.argmax(node < 0)]]
         raise KeyError(f"signal references unknown job {unknown!r}")
     # (user, job) as user * n + job; scoped clicks as scope * n + job
-    user_job = log.user * n + node
-    click = log.kind == SignalKind.CLICK.code
-    applies = _distinct(user_job[log.kind == SignalKind.APPLY.code])
+    user_job = signals.user * n + node
+    click = signals.kind == SignalKind.CLICK.code
+    applies = _distinct(user_job[signals.kind == SignalKind.APPLY.code])
     clicks = _distinct(user_job[click])
 
     # co-apps: every two distinct jobs a user applied to, ascending
@@ -82,19 +81,19 @@ def build_costats(
     app_pairs = applies[i] % n * n + applies[j] % n
     # co-clicks: every two distinct jobs of a (user, query id) scope, and
     # every two unscoped clicks of a user at most the gap apart
-    scoped_click = click[log.query_row]
-    rows = log.query_row[scoped_click]
-    queries = max(len(log.queries), 1)  # the base of the (user, query id) keys
-    scope = log.user[rows] * queries + log.query[scoped_click]
+    scoped_click = click[signals.query_row]
+    rows = signals.query_row[scoped_click]
+    queries = max(len(signals.queries), 1)  # the base of the (user, query id) keys
+    scope = signals.user[rows] * queries + signals.query[scoped_click]
     scopes = _distinct(scope)
     scoped = _distinct(np.searchsorted(scopes, scope) * n + node[rows])
     i, j = _pairs_within(scoped // n)
     click_user = [scopes[scoped[i] // n] // queries]
     click_a, click_b = [scoped[i] % n], [scoped[j] % n]
-    scoped_row = np.zeros(len(log), dtype=bool)
-    scoped_row[log.query_row] = True
+    scoped_row = np.zeros(len(signals), dtype=bool)
+    scoped_row[signals.query_row] = True
     free = np.flatnonzero(click & ~scoped_row)
-    unscoped, t = user_job[free], log.time[free]
+    unscoped, t = user_job[free], signals.time[free]
     order = np.lexsort((t, unscoped // n))
     unscoped, t = unscoped[order], t[order]
     i, j = _pairs_in_session(unscoped // n, t, timedelta(minutes=session_gap_minutes) // _MICROSECOND)

@@ -14,9 +14,10 @@ CSV line with quotes, line breaks or NULs goes through ``csv.reader``; the
 events file is split a block of plain lines at a time, as columns, and
 each other block row by row (:mod:`jobgraph.textblock`).
 
-Events are held as one columnar :class:`EventLog` from parsing on:
-windowing, job resolution and the holdout split select its rows, and
-:func:`dedupe` returns the signals in the same columns.
+Events and signals have one type, the columnar :class:`EventLog`, from
+parsing on: windowing, job resolution and the holdout split select its
+rows, :func:`dedupe` returns the signals in the same columns, and
+:func:`write_events` writes an event log back as lines.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import compress, islice
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,21 +59,6 @@ class JobStatus(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class InteractionEvent:
-    """One behavioral signal: a user applied to / clicked / ignored a job.
-
-    ``query_id`` groups clicks issued against the same search resultset and
-    may be ``None`` when the log does not carry it.
-    """
-
-    user_id: str
-    job_id: str
-    kind: SignalKind
-    timestamp: datetime
-    query_id: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class JobRecord:
     job_id: str
     title: str
@@ -92,23 +78,6 @@ class UserRecord:
     resume_category: str | None
     location: tuple[float, float] | None
     registered: bool
-
-
-class DedupedSignal(NamedTuple):
-    """One distinct (user, job, kind) triple surviving deduplication.
-
-    ``timestamp`` is the latest observed occurrence. For clicks,
-    ``query_ids`` carries every non-empty query id seen across the merged
-    click events so query-scoped co-click grouping survives deduplication.
-    The pipeline holds signals as an :class:`EventLog`; a record list enters
-    it through :meth:`EventLog.from_records`.
-    """
-
-    user_id: str
-    job_id: str
-    kind: SignalKind
-    timestamp: datetime
-    query_ids: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,23 +157,6 @@ class EventLog:
             query=self.query[pairs],
         )
 
-    @classmethod
-    def from_records(cls, records: Iterable[InteractionEvent | DedupedSignal]) -> EventLog:
-        """The log of :class:`InteractionEvent` or :class:`DedupedSignal`
-        records, in their order; timestamps must be timezone-aware."""
-        columns = _Columns()
-        for r in records:
-            queries = sorted(r.query_ids) if isinstance(r, DedupedSignal) else [r.query_id] if r.query_id else []
-            columns.add(r.user_id, r.job_id, r.kind.code, queries)
-            columns.time.append(epoch_us(r.timestamp))
-        return columns.log()
-
-
-def as_event_log(rows: EventLog | Iterable[InteractionEvent | DedupedSignal]) -> EventLog:
-    """``rows`` if it is an :class:`EventLog`, else the log of its records:
-    how the public functions take record lists."""
-    return rows if isinstance(rows, EventLog) else EventLog.from_records(rows)
-
 
 class _Columns:
     """Growing columns of an :class:`EventLog`, with ids coded in order of
@@ -218,14 +170,15 @@ class _Columns:
         self.kind = array("b")
         self.query_row, self.query = array("q"), array("q")
 
-    def add(self, user_id: str, job_id: str, kind: int, queries: Iterable[str]) -> None:
-        """Append a row without its time; ``queries`` in string order."""
+    def add(self, user_id: str, job_id: str, kind: int, time: int, queries: Iterable[str] = ()) -> None:
+        """Append a row at ``time`` epoch microseconds; ``queries`` in string order."""
         for q in queries:
             self.query_row.append(len(self.user))
             self.query.append(self.queries.setdefault(q, len(self.queries)))
         self.user.append(self.users.setdefault(user_id, len(self.users)))
         self.job.append(self.jobs.setdefault(job_id, len(self.jobs)))
         self.kind.append(kind)
+        self.time.append(time)
 
     def log(self) -> EventLog:
         users, user = _sorted_codes(self.users, self.user)
@@ -435,7 +388,7 @@ def _add_rows(columns: _Columns, rows, issues: list[ParseIssue]) -> tuple[list[s
         if kind is None:
             issues.append(ParseIssue(line_no, f"unknown kind {kind_tok!r}"))
             continue
-        # Columns.add, inlined: this loop is all of the parse of such a block
+        # _Columns.add but for the time, inlined: this loop is all of the parse of such a block
         if query_id:
             query_row.append(len(user))
             query.append(queries.setdefault(query_id, len(queries)))
@@ -461,11 +414,26 @@ def write_rows(rows: Iterable[Sequence[str]], fh) -> None:
         writer.writerow(row)
 
 
-def write_events(events: Iterable[InteractionEvent], fh) -> None:
-    """Write events in the file format that :func:`parse_events` reads."""
+def write_events(log: EventLog, fh) -> None:
+    """Write a log's rows, in row order, in the file format that
+    :func:`parse_events` reads.
+
+    An events line holds one query id, so a row with more, which a click
+    signal of :func:`dedupe` may hold, raises ``ValueError`` naming its
+    user and job.
+    """
+    query_ids = [""] * len(log)
+    for row, q in zip(log.query_row.tolist(), log.query.tolist()):
+        if query_ids[row]:
+            raise ValueError(
+                f"the row of user {log.users[log.user[row]]!r} and job {log.jobs[log.job[row]]!r} "
+                "holds more than one query id; an events line holds one"
+            )
+        query_ids[row] = log.queries[q]
+    kinds = [kind.value for kind in SignalKind]
+    rows = zip(log.user.tolist(), log.job.tolist(), log.kind.tolist(), log.time.tolist(), query_ids)
     write_rows(
-        ((e.user_id, e.job_id, e.kind.value, format_timestamp(e.timestamp), e.query_id or "")
-         for e in events),
+        ((log.users[u], log.jobs[j], kinds[k], format_timestamp(utc_datetime(t)), q) for u, j, k, t, q in rows),
         fh,
     )
 
@@ -590,34 +558,26 @@ def parse_users(lines: Iterable[str]) -> tuple[dict[str, UserRecord], list[Parse
     return users, issues
 
 
-def window_filter(
-    events: EventLog | Iterable[InteractionEvent],
-    reference_date: datetime,
-    window_days: int = 180,
-) -> EventLog:
+def window_filter(events: EventLog, reference_date: datetime, window_days: int = 180) -> EventLog:
     """Keep exactly the events with ``reference_date - timestamp < window_days``.
 
     The boundary is strict: an event aged exactly ``window_days`` is dropped.
     """
     if window_days <= 0:
         raise ValueError(f"window_days must be positive, got {window_days}")
-    log = as_event_log(events)
     horizon = timedelta(days=window_days) // _MICROSECOND
-    return log.take(epoch_us(reference_date) - log.time < horizon)
+    return events.take(epoch_us(reference_date) - events.time < horizon)
 
 
-def resolve_jobs(
-    events: EventLog | Iterable[InteractionEvent], jobs: Mapping[str, JobRecord]
-) -> tuple[EventLog, int]:
+def resolve_jobs(events: EventLog, jobs: Mapping[str, JobRecord]) -> tuple[EventLog, int]:
     """Drop events whose job_id is absent from the jobs corpus.
 
     Returns the kept events and the dropped count; dropping is a warning,
     not an error.
     """
-    log = as_event_log(events)
-    known = np.array([job_id in jobs for job_id in log.jobs], dtype=bool)
-    kept = log.take(known[log.job])
-    dropped = len(log) - len(kept)
+    known = np.array([job_id in jobs for job_id in events.jobs], dtype=bool)
+    kept = events.take(known[events.job])
+    dropped = len(events) - len(kept)
     if dropped:
         logger.warning("dropped %d events referencing unknown jobs", dropped)
     return kept, dropped
@@ -628,25 +588,24 @@ def active_job_ids(jobs: Mapping[str, JobRecord]) -> frozenset[str]:
     return frozenset(j for j, rec in jobs.items() if rec.is_active)
 
 
-def dedupe(events: EventLog | Iterable[InteractionEvent]) -> EventLog:
+def dedupe(events: EventLog) -> EventLog:
     """Collapse events to distinct (user, job, kind) triples.
 
     The retained timestamp is the maximum observed, and click triples carry
     the union of observed query ids. Output order is (user, job, kind) so
     the result is invariant under input permutation.
     """
-    log = as_event_log(events)
-    key = (log.user * len(log.jobs) + log.job) * len(SignalKind) + log.kind
-    order = np.lexsort((log.time, key))  # each triple's latest event last
+    key = (events.user * len(events.jobs) + events.job) * len(SignalKind) + events.kind
+    order = np.lexsort((events.time, key))  # each triple's latest event last
     last = _run_tails(key[order])
-    signal = np.empty(len(log), dtype=np.int64)  # each event's signal
+    signal = np.empty(len(events), dtype=np.int64)  # each event's signal
     signal[order] = np.cumsum(last) - last
     rows = order[last]
-    clicks = log.kind[log.query_row] == SignalKind.CLICK.code
-    n = max(len(log.queries), 1)
-    pairs = _distinct(signal[log.query_row[clicks]] * n + log.query[clicks])
+    clicks = events.kind[events.query_row] == SignalKind.CLICK.code
+    n = max(len(events.queries), 1)
+    pairs = _distinct(signal[events.query_row[clicks]] * n + events.query[clicks])
     return EventLog(
-        log.users, log.jobs, log.queries,
-        log.user[rows], log.job[rows], log.kind[rows], log.time[rows],
+        events.users, events.jobs, events.queries,
+        events.user[rows], events.job[rows], events.kind[rows], events.time[rows],
         pairs // n, pairs % n,
     )

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import DedupedSignal, EventLog, SignalKind, _distinct, _run_tails, as_event_log
+from .ingest import EventLog, SignalKind, _distinct, _run_tails
 
 logger = logging.getLogger(__name__)
 
@@ -55,39 +55,38 @@ class RatingsMatrix:
         return len(self.job_ids)
 
 
-def build_matrix(signals: EventLog | Iterable[DedupedSignal]) -> RatingsMatrix:
+def build_matrix(signals: EventLog) -> RatingsMatrix:
     """Build the +-1 matrix from deduped signals.
 
     Applies map to +1 and ignored emails to -1; an apply wins any conflict
     on the same (user, job) cell. Clicks never become entries, but clicks
     on indexed jobs are collected as the implicit sets.
     """
-    log = as_event_log(signals)
-    n = max(len(log.jobs), 1)  # the base of the (user, job) keys
-    key = log.user * n + log.job
-    rated = log.kind != SignalKind.CLICK.code
-    value = np.where(log.kind[rated] == SignalKind.APPLY.code, 1.0, -1.0)
+    n = max(len(signals.jobs), 1)  # the base of the (user, job) keys
+    key = signals.user * n + signals.job
+    rated = signals.kind != SignalKind.CLICK.code
+    value = np.where(signals.kind[rated] == SignalKind.APPLY.code, 1.0, -1.0)
     order = np.lexsort((value, key[rated]))  # a cell's largest value last
     cells, values = key[rated][order], value[order]
     last = _run_tails(cells)
     cells, values = cells[last], values[last]
     users, jobs = _distinct(cells // n), _distinct(cells % n)
     # a log code's row or column in the matrix, -1 for none
-    user_index = np.full(len(log.users), -1)
+    user_index = np.full(len(signals.users), -1)
     user_index[users] = np.arange(len(users))
-    job_index = np.full(len(log.jobs), -1)
+    job_index = np.full(len(signals.jobs), -1)
     job_index[jobs] = np.arange(len(jobs))
     entries = list(zip(user_index[cells // n].tolist(), job_index[cells % n].tolist(), values.tolist()))
 
     clicks = ~rated
-    u, j = user_index[log.user[clicks]], job_index[log.job[clicks]]
+    u, j = user_index[signals.user[clicks]], job_index[signals.job[clicks]]
     pairs = _distinct((u * n + j)[(u >= 0) & (j >= 0)])
     implicit: dict[int, list[int]] = {}
     for ui, ji in zip((pairs // n).tolist(), (pairs % n).tolist()):
         implicit.setdefault(ui, []).append(ji)
     return RatingsMatrix(
-        [log.users[i] for i in users.tolist()],
-        [log.jobs[j] for j in jobs.tolist()],
+        [signals.users[i] for i in users.tolist()],
+        [signals.jobs[j] for j in jobs.tolist()],
         entries,
         {ui: tuple(js) for ui, js in implicit.items()},
     )

@@ -23,8 +23,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .config import EngineConfig
-from .ingest import DedupedSignal, EventLog, JobRecord, SignalKind, UserRecord
-from .ingest import _run_heads, _run_tails, _spans, as_event_log, elapsed_days, epoch_us
+from .ingest import EventLog, JobRecord, SignalKind, UserRecord
+from .ingest import _run_heads, _run_tails, _spans, elapsed_days, epoch_us
 from .mf import blocks, top_k
 from .scoring import RecDigraph, Walk
 
@@ -89,7 +89,7 @@ class PageRankResult:
 
 
 def build_profiles(
-    signals: EventLog | Iterable[DedupedSignal],
+    signals: EventLog,
     users: Mapping[str, UserRecord] | None = None,
     taxonomy: Iterable[str] | None = None,
 ) -> dict[str, UserProfile]:
@@ -99,23 +99,22 @@ def build_profiles(
     location). A resume category outside the jobs taxonomy is treated as
     absent, with a warning.
     """
-    log = as_event_log(signals)
     users = users or {}
     tax = set(taxonomy) if taxonomy is not None else None
     # each (user, job) cell's rows, ignored emails first and the applies and
     # clicks by time: the cell's last row holds its latest engagement, if any
-    is_engaged = log.kind != SignalKind.EMAIL_OPEN_NO_CLICK.code
-    key = log.user * len(log.jobs) + log.job
-    order = np.lexsort((log.time, is_engaged, key))
+    is_engaged = signals.kind != SignalKind.EMAIL_OPEN_NO_CLICK.code
+    key = signals.user * len(signals.jobs) + signals.job
+    order = np.lexsort((signals.time, is_engaged, key))
     rows = order[_run_tails(key[order])]
-    user = log.user[rows].tolist()
-    job_ids = list(map(log.jobs.__getitem__, log.job[rows].tolist()))
-    times, flags = log.time[rows].tolist(), is_engaged[rows].tolist()
-    bounds = np.flatnonzero(_run_heads(log.user[rows])).tolist() + [len(rows)]
+    user = signals.user[rows].tolist()
+    job_ids = list(map(signals.jobs.__getitem__, signals.job[rows].tolist()))
+    times, flags = signals.time[rows].tolist(), is_engaged[rows].tolist()
+    bounds = np.flatnonzero(_run_heads(signals.user[rows])).tolist() + [len(rows)]
     reduced: dict[str, tuple[tuple[tuple[str, int], ...], tuple[str, ...]]] = {}
     for lo, hi in zip(bounds, bounds[1:]):
         seen = job_ids[lo:hi]
-        reduced[log.users[user[lo]]] = (
+        reduced[signals.users[user[lo]]] = (
             tuple(itertools.compress(zip(seen, times[lo:hi]), flags[lo:hi])),
             tuple(seen),
         )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .graph import CoPairs, build_costats
-from .ingest import DedupedSignal, EventLog, JobRecord, active_job_ids
+from .ingest import EventLog, JobRecord, active_job_ids
 from .textblock import code_ids, split_block
 
 logger = logging.getLogger(__name__)
@@ -275,7 +275,7 @@ def aggregate(
 
 
 def build_digraph(
-    signals: EventLog | Iterable[DedupedSignal],
+    signals: EventLog,
     jobs: Mapping[str, JobRecord],
     embeddings: Mapping[str, np.ndarray],
     config: EngineConfig,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -15,14 +16,13 @@ from jobgraph.config import EngineConfig
 from jobgraph.graph import CoPairs, build_costats
 from jobgraph.evaluation import CfIndex, SynthCorpus
 from jobgraph.ingest import (
-    DedupedSignal,
     EventLog,
-    InteractionEvent,
     JobRecord,
     JobStatus,
     ParseIssue,
     SignalKind,
     UserRecord,
+    _Columns,
     _csv_rows,
     dedupe,
     elapsed_days,
@@ -46,6 +46,41 @@ from jobgraph.scoring import (
 )
 
 REF = datetime(2017, 6, 1, tzinfo=timezone.utc)
+
+
+@dataclass(frozen=True, slots=True)
+class InteractionEvent:
+    """One behavioral signal as a record: a user applied to / clicked /
+    ignored a job; ``query_id`` groups clicks of one search resultset and
+    may be ``None``. The record oracles read and return these; the program
+    holds events as an :class:`EventLog`."""
+
+    user_id: str
+    job_id: str
+    kind: SignalKind
+    timestamp: datetime
+    query_id: str | None = None
+
+
+class DedupedSignal(NamedTuple):
+    """One distinct (user, job, kind) triple of ``dedupe`` as a record: the
+    latest timestamp, and for clicks every query id of the merged events."""
+
+    user_id: str
+    job_id: str
+    kind: SignalKind
+    timestamp: datetime
+    query_ids: frozenset[str] = frozenset()
+
+
+def log_of(records: Iterable[InteractionEvent | DedupedSignal]) -> EventLog:
+    """The event or signal log of records, in their order; timestamps must
+    be timezone-aware."""
+    columns = _Columns()
+    for r in records:
+        queries = sorted(r.query_ids) if isinstance(r, DedupedSignal) else [r.query_id] if r.query_id else []
+        columns.add(r.user_id, r.job_id, r.kind.code, epoch_us(r.timestamp), queries)
+    return columns.log()
 
 
 class EdgeScores(NamedTuple):

@@ -24,6 +24,7 @@ from helpers import (
     corr_of,
     dense_pagerank,
     embed_sim,
+    event_records,
     from_corr,
     mle,
     pmi2,
@@ -259,7 +260,7 @@ def test_criterion_5_cold_start_contrast():
     with criterion(5, "cold-job reach vs factorization", 60.0):
         corpus = synth_corpus(5, 40, 500, 0.1, seed=0, cold_fraction=0.2)
         cold = corpus.cold_jobs
-        assert cold and not {e.job_id for e in corpus.events} & cold
+        assert cold and not {e.job_id for e in event_records(corpus.events)} & cold
 
         signals, digraph, active, profiles = built_pipeline(corpus)
         params = EngineConfig(k=15)

@@ -100,6 +100,15 @@ def test_synth_rejects_bad_parameters(corpus_dir):
     assert rc == 1
 
 
+@pytest.mark.parametrize("window_days", ["0", "-1"])
+def test_synth_window_below_one_day_is_input_error(tmp_path, caplog, window_days):
+    out = tmp_path / "short"
+    flags = ["--clusters", "2", "--jobs-per-cluster", "5", "--users", "10", "--window-days", window_days]
+    assert cli.main(["synth", *flags, "--out-dir", str(out)]) == 1
+    assert f"window_days must be >= 1, got {window_days}" in caplog.text
+    assert "randrange" not in caplog.text and not out.exists()
+
+
 def test_synth_negative_seed_is_config_error_before_anything_is_written(tmp_path):
     # random.Random takes -3 as 3, so the corpus would be that of --seed 3
     with pytest.raises(ValueError, match="seed"):
@@ -195,6 +204,23 @@ GOLDEN_EVALUATE_SHA256 = "abe2bd5cff6c93dec6b765a4f269d06133b2befde8fb1457066cd3
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the four files that write_corpus writes of the golden_dir
+# corpus, computed at commit 4160db0, before synth_corpus built its events
+# as columns: a change of the rng draw order, of the event order or of the
+# writer's formatting changes them
+GOLDEN_SYNTH_SHA256 = {
+    "embeddings.txt": "a6dc24b4bc71e07d3a74a20b884a05d2883c39c78a70bbad8a4c7e585bee441a",
+    "events.csv": "dba9312826170d06954d2f3553756cfe73cfbf2bef10151c6a3f1f017391db6b",
+    "jobs.csv": "4c863263be81c4a033afc976a09a51c513632a8a3f3d179d55c6e24eaf02bcc9",
+    "users.csv": "230409c5c51a6ecb4178d9ff95d56b5cb5c18f63eb8f454344dc23f5cedd6cc8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SYNTH_SHA256))
+def test_synth_files_match_the_golden_digests(golden_dir, name):
+    assert sha256_of(golden_dir / name) == GOLDEN_SYNTH_SHA256[name]
 
 
 # each edge count of the manifest, and which rows of digraph.csv it counts

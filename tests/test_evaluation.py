@@ -17,7 +17,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
-    REF, co_maps, co_pairs, content_pairs, embed_sim, ev, event_records, reference_cf_index, reference_cf_recommend,
+    REF, InteractionEvent, co_maps, co_pairs, content_pairs, embed_sim, ev, event_records, log_of,
+    reference_cf_index, reference_cf_recommend,
 )
 from jobgraph import evaluation, mf
 from jobgraph.evaluation import (
@@ -34,12 +35,10 @@ from jobgraph.evaluation import (
     write_corpus,
 )
 from jobgraph.ingest import (
-    InteractionEvent,
     JobRecord,
     JobStatus,
     SignalKind,
     UserRecord,
-    as_event_log,
     dedupe,
     parse_events,
     parse_jobs,
@@ -176,7 +175,7 @@ def test_classic_cf_recommends_neighbor_jobs():
         ev("u2", "j2", age_days=4),
         ev("u2", "j3", age_days=2),
     ]
-    recs = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF)[0]
+    recs = cf_recommend(build_cf_index(dedupe(log_of(events))), ["u1"], 5, REF)[0]
     assert [j for j, _ in recs] == ["j3", "j2"]  # newer apply scores higher
     scores = dict(recs)
     assert scores["j2"] == pytest.approx(math.exp(-0.05 * 4))
@@ -192,7 +191,7 @@ def test_classic_cf_frequency_stacks_across_neighbors():
         ev("u3", "shared", age_days=5),
         ev("u2", "solo", age_days=5),
     ]
-    recs = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF)[0]
+    recs = cf_recommend(build_cf_index(dedupe(log_of(events))), ["u1"], 5, REF)[0]
     scores = dict(recs)
     assert scores["shared"] == pytest.approx(2 * scores["solo"])
     assert recs[0][0] == "shared"
@@ -200,12 +199,12 @@ def test_classic_cf_frequency_stacks_across_neighbors():
 
 def test_classic_cf_user_without_applies_gets_nothing():
     events = [ev("u1", "j1", SignalKind.CLICK), ev("u2", "j1"), ev("u2", "j2")]
-    assert cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF) == [[]]
+    assert cf_recommend(build_cf_index(dedupe(log_of(events))), ["u1"], 5, REF) == [[]]
 
 
 def test_classic_cf_sole_applicant_gets_nothing():
     events = [ev("u1", "j1"), ev("u1", "j2")]
-    assert cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF) == [[]]
+    assert cf_recommend(build_cf_index(dedupe(log_of(events))), ["u1"], 5, REF) == [[]]
 
 
 def test_classic_cf_excludes_own_history_and_respects_filters():
@@ -215,11 +214,11 @@ def test_classic_cf_excludes_own_history_and_respects_filters():
         ev("u2", "j2", age_days=5),
         ev("u2", "j3", age_days=5),
     ]
-    recs = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF)[0]
+    recs = cf_recommend(build_cf_index(dedupe(log_of(events))), ["u1"], 5, REF)[0]
     assert "j1" not in dict(recs)
-    only_j3 = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF, exclude=[["j2"]])[0]
+    only_j3 = cf_recommend(build_cf_index(dedupe(log_of(events))), ["u1"], 5, REF, exclude=[["j2"]])[0]
     assert [j for j, _ in only_j3] == ["j3"]
-    pooled = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF, active_jobs=["j2"])[0]
+    pooled = cf_recommend(build_cf_index(dedupe(log_of(events))), ["u1"], 5, REF, active_jobs=["j2"])[0]
     assert [j for j, _ in pooled] == ["j2"]
 
 
@@ -237,7 +236,7 @@ def test_classic_cf_uses_a_set_of_active_jobs_as_it_is():
         ev("u2", "j2", age_days=5),
         ev("u2", "j3", age_days=5),
     ]
-    index = build_cf_index(dedupe(events))
+    index = build_cf_index(dedupe(log_of(events)))
     pooled = cf_recommend(index, ["u1"], 5, REF, active_jobs=UniterableSet(["j2", "j3"]))[0]
     assert pooled == cf_recommend(index, ["u1"], 5, REF, active_jobs=["j3", "j2"])[0]
     assert [j for j, _ in pooled] == ["j2", "j3"]
@@ -251,7 +250,7 @@ def test_classic_cf_applier_window_keeps_newest():
         ev("old", "from_old", age_days=10),
         ev("new", "from_new", age_days=10),
     ]
-    recs = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF, window_applicants=1)[0]
+    recs = cf_recommend(build_cf_index(dedupe(log_of(events))), ["u1"], 5, REF, window_applicants=1)[0]
     assert [j for j, _ in recs] == ["from_new"]
 
 
@@ -265,7 +264,7 @@ def test_classic_cf_applier_window_tells_one_microsecond_apart_in_year_3000():
         InteractionEvent("ua", "from_ua", SignalKind.APPLY, t),
         InteractionEvent("ub", "from_ub", SignalKind.APPLY, t),
     ]
-    recs = cf_recommend(build_cf_index(dedupe(events)), ["u1"], 5, REF, window_applicants=1)[0]
+    recs = cf_recommend(build_cf_index(dedupe(log_of(events))), ["u1"], 5, REF, window_applicants=1)[0]
     assert [j for j, _ in recs] == ["from_ub"]
 
 
@@ -329,7 +328,7 @@ def test_classic_cf_matches_replay_oracle():
                 age = max((REF - t).total_seconds() / 86400.0, 0.0)
                 want[j] = want.get(j, 0.0) + math.exp(-0.05 * age)
 
-        got = cf_recommend(build_cf_index(dedupe(events)), [user], 100, REF, window_applicants=window)[0]
+        got = cf_recommend(build_cf_index(dedupe(log_of(events))), [user], 100, REF, window_applicants=window)[0]
         assert dict(got) == pytest.approx(want)
 
 
@@ -368,7 +367,7 @@ def cf_cases(draw):
 @example(([ev("u0", "j0"), ev("u1", "j0"), far_apply("u1", "j1")], ["u0"], 5, [[]], {"decay": 1e-6}, None))
 def test_cf_recommend_lists_match_dict_oracle(case):
     events, queried, k, exclude, options, rows = case
-    index = build_cf_index(dedupe(events))
+    index = build_cf_index(dedupe(log_of(events)))
     cells = mf.BLOCK_CELLS if rows is None else rows * len(index.jobs)
     with mock.patch.object(mf, "BLOCK_CELLS", cells):
         got = cf_recommend(index, queried, k, REF, exclude=iter(exclude), **options)
@@ -380,12 +379,12 @@ def test_cf_recommend_lists_match_dict_oracle(case):
 
 def test_cf_rejects_bad_k():
     with pytest.raises(ValueError):
-        cf_recommend(build_cf_index(dedupe([])), ["u"], 0, REF)
+        cf_recommend(build_cf_index(dedupe(log_of([]))), ["u"], 0, REF)
 
 
 def test_cf_rejects_a_bare_user_id():
     # a str is a sequence of its characters: "u1" would rank users "u" and "1"
-    index = build_cf_index(dedupe([ev("u1", "j1"), ev("u2", "j1"), ev("u2", "j2")]))
+    index = build_cf_index(dedupe(log_of([ev("u1", "j1"), ev("u2", "j1"), ev("u2", "j2")])))
     with pytest.raises(TypeError):
         cf_recommend(index, "u1", 5, REF)
 
@@ -396,10 +395,10 @@ def test_cf_index_refuses_apply_rows_that_dedupe_would_change():
     events = [ev("u2", "j1"), ev("u1", "j1"), ev("u1", "j1", age_days=2), ev("u2", "j3"),
               ev("u1", "j2"), ev("u1", "j3"), ev("u1", "j4")]
     with pytest.raises(ValueError, match="dedupe"):
-        build_cf_index(as_event_log(events))
+        build_cf_index(log_of(events))
     with pytest.raises(ValueError, match="dedupe"):
-        build_cf_index(as_event_log(sorted(events, key=lambda e: (e.user_id, e.job_id))))
-    ranked = cf_recommend(build_cf_index(dedupe(events)), ["u2"], 5, REF)[0]
+        build_cf_index(log_of(sorted(events, key=lambda e: (e.user_id, e.job_id))))
+    ranked = cf_recommend(build_cf_index(dedupe(log_of(events))), ["u2"], 5, REF)[0]
     assert [j for j, _ in ranked] == ["j2", "j4"]
 
 
@@ -414,17 +413,17 @@ def test_holdout_keeps_latest_applies():
         ev("u1", "c", age_days=20),
         ev("u1", "d", age_days=10),
     ]
-    train, test = map(event_records, holdout_split(events, 0.5))
+    train, test = map(event_records, holdout_split(log_of(events), 0.5))
     assert sorted(e.job_id for e in test) == ["c", "d"]
     assert sorted(e.job_id for e in train) == ["a", "b"]
 
 
 def test_holdout_floor_rounds_down():
     events = [ev("u1", j, age_days=d) for j, d in [("a", 3), ("b", 2), ("c", 1)]]
-    train, test = map(event_records, holdout_split(events, 0.5))
+    train, test = map(event_records, holdout_split(log_of(events), 0.5))
     assert [e.job_id for e in test] == ["c"]
     single = [ev("u1", "a")]
-    train, test = map(event_records, holdout_split(single, 0.3))
+    train, test = map(event_records, holdout_split(log_of(single), 0.3))
     assert test == [] and train == single
 
 
@@ -435,7 +434,7 @@ def test_holdout_non_applies_always_stay_in_train():
         ev("u1", "c", SignalKind.CLICK, age_days=0.5),
         ev("u1", "d", SignalKind.EMAIL_OPEN_NO_CLICK, age_days=0.1),
     ]
-    train, test = map(event_records, holdout_split(events, 0.5))
+    train, test = map(event_records, holdout_split(log_of(events), 0.5))
     assert [e.job_id for e in test] == ["b"]
     assert {e.job_id for e in train} == {"a", "c", "d"}
 
@@ -457,7 +456,7 @@ def test_holdout_partitions_apply_events_exactly():
             applies_per_user[e.user_id] = applies_per_user.get(e.user_id, 0) + 1
 
     for fraction in (0.4, 0.9999999999999999):
-        train, test = map(event_records, holdout_split(events, fraction, seed=7))
+        train, test = map(event_records, holdout_split(log_of(events), fraction, seed=7))
         assert len(train) + len(test) == len(events) == len(set(events))
         assert set(train) | set(test) == set(events)
         assert not set(train) & set(test)
@@ -484,12 +483,12 @@ def test_holdout_deterministic_and_order_independent():
         ev(f"u{rng.randint(0, 3)}", f"j{rng.randint(0, 5)}", age_days=rng.choice([1, 2, 3]))
         for _ in range(60)
     ]
-    test_a = event_records(holdout_split(events, 0.5, seed=3)[1])
-    test_b = event_records(holdout_split(events, 0.5, seed=3)[1])
+    test_a = event_records(holdout_split(log_of(events), 0.5, seed=3)[1])
+    test_b = event_records(holdout_split(log_of(events), 0.5, seed=3)[1])
     assert test_a == test_b
     shuffled = events[:]
     rng.shuffle(shuffled)
-    test_c = event_records(holdout_split(shuffled, 0.5, seed=3)[1])
+    test_c = event_records(holdout_split(log_of(shuffled), 0.5, seed=3)[1])
     key = lambda e: (e.user_id, e.job_id, e.timestamp)
     assert sorted(map(key, test_a)) == sorted(map(key, test_c))
 
@@ -497,16 +496,16 @@ def test_holdout_deterministic_and_order_independent():
 def test_holdout_holds_one_of_a_record_listed_twice():
     e = ev("u1", "a")
     for events in ([e, e], [e, ev("u1", "a")]):
-        train, test = holdout_split(events, 0.5)
+        train, test = holdout_split(log_of(events), 0.5)
         assert (event_records(train), event_records(test)) == ([e], [e])
 
 
 def test_holdout_fraction_validation():
     with pytest.raises(ValueError):
-        holdout_split([], 1.0)
+        holdout_split(log_of([]), 1.0)
     with pytest.raises(ValueError):
-        holdout_split([], -0.1)
-    train, test = holdout_split([ev("u", "a")], 0.0)
+        holdout_split(log_of([]), -0.1)
+    train, test = holdout_split(log_of([ev("u", "a")]), 0.0)
     assert event_records(test) == []
 
 
@@ -549,7 +548,7 @@ def test_synth_is_deterministic_across_calls(tmp_path):
     for name in pa:
         assert pa[name].read_bytes() == pb[name].read_bytes()
     c = synth_corpus(3, 10, 20, 0.2, seed=43)
-    assert [e.job_id for e in c.events] != [e.job_id for e in a.events]
+    assert [e.job_id for e in event_records(c.events)] != [e.job_id for e in event_records(a.events)]
 
 
 def test_corpus_files_round_trip_fields_that_need_quoting(tmp_path):
@@ -562,7 +561,7 @@ def test_corpus_files_round_trip_fields_that_need_quoting(tmp_path):
         "u2": UserRecord("u2", None, None, False),
     }
     events = [ev("u1", "j1", SignalKind.CLICK, query_id='q,"1"'), ev("u2", "j2")]
-    corpus = evaluation.SynthCorpus(events, jobs, {"j1": np.array([1.0, 0.5])}, users)
+    corpus = evaluation.SynthCorpus(log_of(events), jobs, {"j1": np.array([1.0, 0.5])}, users)
     paths = write_corpus(corpus, tmp_path)
     assert parse_jobs(paths["jobs"].read_text().splitlines()) == (jobs, [])
     assert parse_users(paths["users"].read_text().splitlines()) == (users, [])
@@ -579,7 +578,7 @@ def test_corpus_files_round_trip_fields_that_need_quoting(tmp_path):
 def test_corpus_files_refuse_fields_the_parsers_would_strip(tmp_path, title, category, resume_category, padded):
     jobs = {"j1": JobRecord("j1", title, category, None, REF, JobStatus.ACTIVE)}
     users = {"u1": UserRecord("u1", resume_category, None, True)}
-    corpus = evaluation.SynthCorpus([ev("u1", "j1")], jobs, {}, users)
+    corpus = evaluation.SynthCorpus(log_of([ev("u1", "j1")]), jobs, {}, users)
     with pytest.raises(ValueError, match="whitespace") as exc:
         write_corpus(corpus, tmp_path)
     assert repr(padded) in str(exc.value)
@@ -590,7 +589,7 @@ def test_embeddings_file_refuses_a_job_id_it_would_split(tmp_path, job_id):
     # parse_embeddings splits a line on whitespace: 'j 1 1.0 0.5' would read
     # back as job 'j' with the vector [1.0, 1.0, 0.5]
     jobs = {job_id: JobRecord(job_id, "Driver", "transport", None, REF, JobStatus.ACTIVE)}
-    corpus = evaluation.SynthCorpus([], jobs, {job_id: np.array([1.0, 0.5])}, {})
+    corpus = evaluation.SynthCorpus(log_of([]), jobs, {job_id: np.array([1.0, 0.5])}, {})
     with pytest.raises(ValueError, match="whitespace") as exc:
         write_corpus(corpus, tmp_path)
     assert repr(job_id) in str(exc.value)
@@ -598,14 +597,14 @@ def test_embeddings_file_refuses_a_job_id_it_would_split(tmp_path, job_id):
 
 def test_synth_zero_noise_confines_events_to_home_cluster():
     corpus = synth_corpus(4, 8, 30, 0.0, seed=1)
-    for e in corpus.events:
+    for e in event_records(corpus.events):
         home = corpus.cluster_of_user[e.user_id]
         assert corpus.cluster_of_job[e.job_id] == home
 
 
 def test_synth_noise_rate_matches_target():
     corpus = synth_corpus(5, 10, 400, 0.1, seed=2)
-    applies = [e for e in corpus.events if e.kind is SignalKind.APPLY]
+    applies = [e for e in event_records(corpus.events) if e.kind is SignalKind.APPLY]
     assert len(applies) >= 1000
     at_home = sum(
         1
@@ -618,7 +617,7 @@ def test_synth_noise_rate_matches_target():
 def test_synth_cold_jobs_receive_no_events():
     corpus = synth_corpus(4, 10, 100, 0.1, seed=3, cold_fraction=0.25)
     assert corpus.cold_jobs
-    touched = {e.job_id for e in corpus.events}
+    touched = {e.job_id for e in event_records(corpus.events)}
     assert not touched & corpus.cold_jobs
     for j in corpus.cold_jobs:
         assert corpus.jobs[j].is_active
@@ -638,8 +637,9 @@ def test_synth_expired_jobs_are_outside_posting_window():
 
 def test_synth_event_mix_per_user():
     corpus = synth_corpus(2, 10, 12, 0.0, seed=5, events_per_user=8)
+    events = event_records(corpus.events)
     for u in corpus.users:
-        mine = [e for e in corpus.events if e.user_id == u]
+        mine = [e for e in events if e.user_id == u]
         kinds = {}
         for e in mine:
             kinds[e.kind] = kinds.get(e.kind, 0) + 1
@@ -651,7 +651,7 @@ def test_synth_event_mix_per_user():
 def test_synth_click_sessions_share_query_and_cluster():
     corpus = synth_corpus(3, 12, 40, 0.0, seed=6)
     sessions = {}
-    for e in corpus.events:
+    for e in event_records(corpus.events):
         if e.kind is SignalKind.CLICK:
             assert e.query_id is not None
             sessions.setdefault(e.query_id, []).append(e)
@@ -665,7 +665,7 @@ def test_synth_click_sessions_share_query_and_cluster():
 def test_synth_timestamps_are_whole_seconds_inside_window():
     corpus = synth_corpus(2, 6, 15, 0.3, seed=7)
     horizon = corpus.reference_date - timedelta(days=corpus.window_days)
-    for e in corpus.events:
+    for e in event_records(corpus.events):
         assert e.timestamp.microsecond == 0
         assert horizon < e.timestamp < corpus.reference_date
 
@@ -703,6 +703,8 @@ def test_synth_parameter_validation():
         synth_corpus(3, 10, 5, 0.1, seed=0, events_per_user=0)
     with pytest.raises(ValueError):
         synth_corpus(3, 10, 5, 0.1, seed=0, expired_fraction=1.0)
+    with pytest.raises(ValueError, match="window_days must be >= 1, got 0"):
+        synth_corpus(3, 10, 5, 0.1, seed=0, window_days=0)
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +861,7 @@ def test_evaluate_mf_ranks_by_the_implicit_model(monkeypatch):
     )
     # clicks are never held out, and every synth event lies in the window
     clicks = {}
-    for e in corpus.events:
+    for e in event_records(corpus.events):
         if e.kind is SignalKind.CLICK:
             clicks.setdefault(e.user_id, set()).add(e.job_id)
     assert len(calls) > 100

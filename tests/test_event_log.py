@@ -11,6 +11,8 @@ and 2 query ids, and unknown jobs.
 import csv
 import io
 import itertools
+import tempfile
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -24,6 +26,7 @@ from helpers import (
     co_maps,
     ev,
     event_records,
+    log_of,
     make_jobs,
     reference_build_matrix,
     reference_build_profiles,
@@ -37,7 +40,7 @@ from helpers import (
     signal_records,
 )
 from jobgraph import ingest
-from jobgraph.evaluation import build_cf_index, holdout_split, synth_corpus
+from jobgraph.evaluation import DEFAULT_REFERENCE_DATE, build_cf_index, holdout_split, synth_corpus, write_corpus
 from jobgraph.graph import build_costats
 from jobgraph.ingest import (
     EventLog,
@@ -137,6 +140,28 @@ def test_a_written_events_file_is_read_as_plain_blocks(monkeypatch):
     assert event_records(log) == want and issues == want_issues == []
 
 
+@given(
+    st.integers(1, 4), st.integers(1, 6), st.integers(0, 12), st.sampled_from([0.0, 0.3]), st.integers(0, 2**32),
+    st.integers(1, 9), st.sampled_from([1, 2, 180]),
+    st.sampled_from([DEFAULT_REFERENCE_DATE, datetime(2017, 6, 1, 5, 30, 0, 250000, timezone(timedelta(hours=3)))]),
+)
+def test_a_synth_corpus_reads_back_from_its_events_file(
+    clusters, jobs_per_cluster, users, noise, seed, events_per_user, window_days, reference_date
+):
+    corpus = synth_corpus(clusters, jobs_per_cluster, users, noise, seed, events_per_user=events_per_user,
+                          window_days=window_days, reference_date=reference_date)
+    with tempfile.TemporaryDirectory() as out:
+        with write_corpus(corpus, out)["events"].open(encoding="utf-8") as fh:
+            log, issues = parse_events(fh)
+    assert issues == []
+    for column in fields(EventLog):
+        got, want = getattr(log, column.name), getattr(corpus.events, column.name)
+        if isinstance(want, list):
+            assert got == want, column.name
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), column.name
+
+
 @given(event_files, st.sampled_from([0.0, 0.3, 0.5, 0.75]), st.integers(0, 3), st.sampled_from([1, 180, 400]))
 def test_each_stage_matches_its_record_oracle(lines, fraction, seed, window_days):
     log, _ = parse_events(lines)
@@ -155,8 +180,6 @@ def test_each_stage_matches_its_record_oracle(lines, fraction, seed, window_days
     signals = dedupe(train)
     want_signals = reference_dedupe(want_train)
     assert signal_records(signals) == want_signals
-    # a record list enters through the same constructor
-    assert signal_records(dedupe(want_train)) == want_signals
 
     # cf lists depend on neither the order of the jobs nor of a user's applies: only each
     # job's newest-first appliers are pinned
@@ -184,13 +207,13 @@ def test_clicks_with_two_query_ids_keep_both_through_dedupe_and_selection():
         ev("u1", "j2", SignalKind.CLICK, 2.5, query_id="q1"),
         ev("u1", "j1", SignalKind.APPLY, 1.0, query_id="q9"),  # a query id on an apply is not kept
     ]
-    signals = dedupe(events)
+    signals = dedupe(log_of(events))
     assert [(s.job_id, s.kind, sorted(s.query_ids)) for s in signal_records(signals)] == [
         ("j1", SignalKind.APPLY, []), ("j1", SignalKind.CLICK, ["q1", "q2"]), ("j2", SignalKind.CLICK, ["q1"])
     ]
     kept = signals.take(np.array([False, True, True]))
     assert [sorted(s.query_ids) for s in signal_records(kept)] == [["q1", "q2"], ["q1"]]
-    assert signal_records(EventLog.from_records(signal_records(signals))) == signal_records(signals)
+    assert signal_records(log_of(signal_records(signals))) == signal_records(signals)
 
 
 def test_plain_timestamps_read_as_a_block_match_parse_timestamp(monkeypatch):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import REF, co_maps, co_pairs, make_jobs, reference_costats, ts
+from helpers import REF, DedupedSignal, co_maps, co_pairs, log_of, make_jobs, reference_costats, ts
 from jobgraph.graph import build_costats, dump_graph, load_graph
-from jobgraph.ingest import DedupedSignal, SignalKind
+from jobgraph.ingest import SignalKind
 
 
 def sig(user, job, kind=SignalKind.APPLY, age_days=1.0, queries=()):
@@ -33,7 +33,7 @@ def test_two_users_co_applying():
         sig("u2", "j2"),
         sig("u3", "j3"),
     ]
-    graph = build_costats(signals, jobs)
+    graph = build_costats(log_of(signals), jobs)
     assert costats(graph, "j1", "j2")[0] == 2
     assert costats(graph, "j2", "j1")[0] == 2
     assert costats(graph, "j1", "j3")[0] == 0
@@ -43,7 +43,7 @@ def test_two_users_co_applying():
 
 def test_every_listed_job_becomes_a_node():
     jobs = make_jobs("j1", "j2", "lonely")
-    nodes, edges = co_maps(build_costats([sig("u1", "j1")], jobs))
+    nodes, edges = co_maps(build_costats(log_of([sig("u1", "j1")]), jobs))
     assert set(nodes) == {"j1", "j2", "lonely"}
     assert nodes["lonely"] == (0, 0)
     assert not any("lonely" in pair for pair in edges)
@@ -51,7 +51,7 @@ def test_every_listed_job_becomes_a_node():
 
 def test_signal_for_unknown_job_raises():
     with pytest.raises(KeyError):
-        build_costats([sig("u1", "ghost")], make_jobs("j1"))
+        build_costats(log_of([sig("u1", "ghost")]), make_jobs("j1"))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_co_clicks_same_query():
         sig("u1", "a", SignalKind.CLICK, 1.0, queries={"q1"}),
         sig("u1", "b", SignalKind.CLICK, 50.0, queries={"q1", "q2"}),
     ]
-    graph = build_costats(signals, jobs)
+    graph = build_costats(log_of(signals), jobs)
     assert costats(graph, "a", "b")[1] == 1
 
 
@@ -74,7 +74,7 @@ def test_co_clicks_disjoint_queries_do_not_pair():
         sig("u1", "a", SignalKind.CLICK, 1.0, queries={"q1"}),
         sig("u1", "b", SignalKind.CLICK, 1.0, queries={"q2"}),
     ]
-    assert costats(build_costats(signals, jobs), "a", "b")[1] == 0
+    assert costats(build_costats(log_of(signals), jobs), "a", "b")[1] == 0
 
 
 def test_co_clicks_session_gap_fallback():
@@ -84,7 +84,7 @@ def test_co_clicks_session_gap_fallback():
         sig("u1", "b", SignalKind.CLICK, age_days=1.0 - 29 / (24 * 60)),
         sig("u1", "c", SignalKind.CLICK, age_days=1.0 - 31 / (24 * 60)),
     ]
-    graph = build_costats(signals, jobs, session_gap_minutes=30.0)
+    graph = build_costats(log_of(signals), jobs, session_gap_minutes=30.0)
     assert costats(graph, "a", "b")[1] == 1
     assert costats(graph, "a", "c")[1] == 0
     assert costats(graph, "b", "c")[1] == 1
@@ -96,7 +96,7 @@ def test_mixed_query_and_timestamp_clicks_never_pair():
         sig("u1", "a", SignalKind.CLICK, 1.0, queries={"q1"}),
         sig("u1", "b", SignalKind.CLICK, 1.0),
     ]
-    assert costats(build_costats(signals, jobs), "a", "b")[1] == 0
+    assert costats(build_costats(log_of(signals), jobs), "a", "b")[1] == 0
 
 
 def test_distinct_user_counting_across_users():
@@ -107,7 +107,7 @@ def test_distinct_user_counting_across_users():
         sig("u2", "a", SignalKind.CLICK, 2.0, queries={"z"}),
         sig("u2", "b", SignalKind.CLICK, 2.0, queries={"z"}),
     ]
-    assert costats(build_costats(signals, jobs), "a", "b")[1] == 2
+    assert costats(build_costats(log_of(signals), jobs), "a", "b")[1] == 2
 
 
 def click_at(user, job, microseconds, queries=()):
@@ -163,9 +163,9 @@ def test_build_costats_equals_the_dict_reference(case):
         want = reference_costats(signals, jobs, gap_minutes)
     except KeyError:
         with pytest.raises(KeyError, match="signal references unknown job"):
-            build_costats(signals, jobs, gap_minutes)
+            build_costats(log_of(signals), jobs, gap_minutes)
         return
-    graph = build_costats(signals, jobs, gap_minutes)
+    graph = build_costats(log_of(signals), jobs, gap_minutes)
     assert co_maps(graph) == want
     assert graph.ids == sorted(jobs) and graph.num_nodes == len(jobs)
     keys = graph.a.astype(np.int64) * graph.num_nodes + graph.b
@@ -195,7 +195,7 @@ def test_co_apps_equal_applier_set_intersections():
     rng = random.Random(5)
     signals = _random_signals(rng)
     jobs = make_jobs(*[f"j{j:02d}" for j in range(20)])
-    nodes, edges = co_maps(build_costats(signals, jobs))
+    nodes, edges = co_maps(build_costats(log_of(signals), jobs))
 
     appliers = {}
     clickers = {}
@@ -214,7 +214,7 @@ def test_counts_bounded_by_endpoint_totals_and_symmetric():
     rng = random.Random(6)
     signals = _random_signals(rng, users=30, jobs=12)
     jobs = make_jobs(*[f"j{j:02d}" for j in range(12)])
-    graph = build_costats(signals, jobs)
+    graph = build_costats(log_of(signals), jobs)
     nodes, edges = co_maps(graph)
     for (i, j), (co_apps, co_clicks) in edges.items():
         assert co_apps <= min(nodes[i][0], nodes[j][0])
@@ -226,8 +226,8 @@ def test_signal_order_does_not_matter():
     rng = random.Random(7)
     signals = _random_signals(rng, users=15, jobs=8)
     jobs = make_jobs(*[f"j{j:02d}" for j in range(8)])
-    forward = build_costats(signals, jobs)
-    backward = build_costats(list(reversed(signals)), jobs)
+    forward = build_costats(log_of(signals), jobs)
+    backward = build_costats(log_of(list(reversed(signals))), jobs)
     assert co_maps(forward) == co_maps(backward)
 
 
@@ -235,7 +235,7 @@ def test_dump_load_round_trip(tmp_path):
     rng = random.Random(9)
     signals = _random_signals(rng, users=20, jobs=9)
     jobs = make_jobs(*[f"j{j:02d}" for j in range(9)])
-    graph = build_costats(signals, jobs)
+    graph = build_costats(log_of(signals), jobs)
     nodes_path = tmp_path / "nodes.csv"
     edges_path = tmp_path / "edges.csv"
     with nodes_path.open("w") as nfh, edges_path.open("w") as efh:

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import REF, ev, event_records, make_job, reference_parse_embeddings, signal_records, ts
+from helpers import (
+    REF, InteractionEvent, ev, event_records, log_of, make_job, reference_parse_embeddings, signal_records, ts,
+)
 from jobgraph import ingest
 from jobgraph.evaluation import synth_corpus
 from jobgraph.ingest import (
-    InteractionEvent,
     ParseIssue,
     SignalKind,
     dedupe,
@@ -126,7 +127,7 @@ def test_event_round_trip_is_fixed_point(tmp_path):
     ]
     path = tmp_path / "events.csv"
     with path.open("w") as fh:
-        write_events(events, fh)
+        write_events(log_of(events), fh)
     reparsed, issues = parse_events(path.read_text().splitlines())
     assert not issues
     assert event_records(reparsed) == events
@@ -158,8 +159,32 @@ def test_parse_events_peak_memory_stays_near_one_block():
 def test_write_events_refuses_a_field_the_parser_would_strip(tmp_path, user_id, query_id, padded):
     event = ev(user_id, "j1", SignalKind.CLICK, query_id=query_id)
     with (tmp_path / "events.csv").open("w") as fh, pytest.raises(ValueError, match="whitespace") as exc:
-        write_events([event], fh)
+        write_events(log_of([event]), fh)
     assert repr(padded) in str(exc.value)
+
+
+def test_write_events_refuses_a_row_with_two_query_ids(tmp_path):
+    # a click signal of dedupe holds every query id of its clicks; an events
+    # line holds one, so writing the row would drop all but one of them
+    signals = dedupe(log_of([
+        ev("u1", "j1", SignalKind.CLICK, 2.0, query_id="q1"),
+        ev("u2", "j2", SignalKind.CLICK, 2.0, query_id="q1"),
+        ev("u2", "j2", SignalKind.CLICK, 1.0, query_id="q2"),
+        ev("u3", "j3", SignalKind.CLICK, 1.0, query_id="q1"),
+        ev("u3", "j3", SignalKind.CLICK, 3.0, query_id="q3"),
+    ]))
+    with (tmp_path / "events.csv").open("w") as fh, pytest.raises(ValueError, match="more than one query id") as exc:
+        write_events(signals, fh)
+    assert "'u2'" in str(exc.value) and "'j2'" in str(exc.value)
+    assert (tmp_path / "events.csv").read_text() == ""
+    # a signal log whose rows hold at most one query id each is written
+    single = dedupe(log_of([ev("u1", "j1", SignalKind.CLICK, 2.0, query_id="q1"), ev("u1", "j1", SignalKind.APPLY)]))
+    out = io.StringIO()
+    write_events(single, out)
+    assert out.getvalue().splitlines() == [
+        f"u1,j1,apply,{format_timestamp(ts(1.0))},",
+        f"u1,j1,click,{format_timestamp(ts(2.0))},q1",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +364,19 @@ def test_window_boundary_is_strict():
     boundary = ev("u", "c", age_days=180.0)
     outside = ev("u", "d", age_days=181.0)
     future = ev("u", "e", age_days=-1.0)
-    kept = event_records(window_filter([inside, just_inside, boundary, outside, future], REF, 180))
+    kept = event_records(window_filter(log_of([inside, just_inside, boundary, outside, future]), REF, 180))
     assert [e.job_id for e in kept] == ["a", "b", "e"]
 
 
 def test_window_filter_rejects_bad_window():
     with pytest.raises(ValueError):
-        window_filter([], REF, 0)
+        window_filter(log_of([]), REF, 0)
 
 
 def test_window_filter_matches_comprehension_oracle():
     rng = random.Random(9)
     events = [ev(f"u{i}", f"j{i}", age_days=rng.uniform(-10, 400)) for i in range(300)]
-    kept = event_records(window_filter(events, REF, 180))
+    kept = event_records(window_filter(log_of(events), REF, 180))
     expected = [e for e in events if (REF - e.timestamp) < timedelta(days=180)]
     assert kept == expected
 
@@ -363,7 +388,7 @@ def test_window_filter_matches_comprehension_oracle():
 def test_resolve_jobs_drops_unknown():
     jobs = {"j1": make_job("j1")}
     events = [ev("u1", "j1"), ev("u1", "ghost"), ev("u2", "j1")]
-    kept, dropped = resolve_jobs(events, jobs)
+    kept, dropped = resolve_jobs(log_of(events), jobs)
     assert dropped == 1
     assert [e.job_id for e in event_records(kept)] == ["j1", "j1"]
 
@@ -376,7 +401,7 @@ def test_dedupe_keeps_latest_and_unions_queries():
         ev("u1", "j1", SignalKind.APPLY, 4.0),
         ev("u1", "j1", SignalKind.APPLY, 7.0),
     ]
-    out = signal_records(dedupe(events))
+    out = signal_records(dedupe(log_of(events)))
     assert len(out) == 2
     by_kind = {s.kind: s for s in out}
     assert by_kind[SignalKind.CLICK].timestamp == ts(2.0)
@@ -398,7 +423,7 @@ def test_dedupe_matches_brute_force_oracle():
         )
         for _ in range(400)
     ]
-    out = signal_records(dedupe(events))
+    out = signal_records(dedupe(log_of(events)))
     expected = {}
     for e in events:
         key = (e.user_id, e.job_id, e.kind)
@@ -428,4 +453,4 @@ def test_dedupe_is_order_invariant(order):
         )
         for _ in range(12)
     ]
-    assert signal_records(dedupe([base[i] for i in order])) == signal_records(dedupe(base))
+    assert signal_records(dedupe(log_of([base[i] for i in order]))) == signal_records(dedupe(log_of(base)))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     _solve_row,
     ev,
+    log_of,
     reference_als_train,
     reference_recommend_mf,
     reference_uniform_init,
@@ -39,7 +40,7 @@ from jobgraph.mf import (
 
 
 def signals(*events):
-    return signal_records(dedupe(list(events)))
+    return signal_records(dedupe(log_of(events)))
 
 
 def entry_map(matrix):
@@ -74,11 +75,11 @@ def random_matrix(rng, m=8, n=6, density=0.5, with_implicit=False):
 
 def test_build_matrix_signs():
     m = build_matrix(
-        signals(
+        log_of(signals(
             ev("u1", "a", SignalKind.APPLY),
             ev("u1", "b", SignalKind.EMAIL_OPEN_NO_CLICK),
             ev("u2", "a", SignalKind.EMAIL_OPEN_NO_CLICK),
-        )
+        ))
     )
     assert entry_map(m) == {("u1", "a"): 1.0, ("u1", "b"): -1.0, ("u2", "a"): -1.0}
     assert m.user_ids == ["u1", "u2"] and m.job_ids == ["a", "b"]
@@ -86,16 +87,16 @@ def test_build_matrix_signs():
 
 def test_build_matrix_apply_beats_ignored_email_in_both_orders():
     first_apply = build_matrix(
-        [
+        log_of([
             *signals(ev("u", "a", SignalKind.APPLY, age_days=5)),
             *signals(ev("u", "a", SignalKind.EMAIL_OPEN_NO_CLICK, age_days=1)),
-        ]
+        ])
     )
     first_email = build_matrix(
-        [
+        log_of([
             *signals(ev("u", "a", SignalKind.EMAIL_OPEN_NO_CLICK, age_days=5)),
             *signals(ev("u", "a", SignalKind.APPLY, age_days=1)),
-        ]
+        ])
     )
     assert entry_map(first_apply) == {("u", "a"): 1.0}
     assert entry_map(first_email) == {("u", "a"): 1.0}
@@ -103,13 +104,13 @@ def test_build_matrix_apply_beats_ignored_email_in_both_orders():
 
 def test_build_matrix_clicks_become_implicit_sets_only():
     m = build_matrix(
-        signals(
+        log_of(signals(
             ev("u1", "a", SignalKind.APPLY),
             ev("u1", "b", SignalKind.APPLY),
             ev("u1", "b", SignalKind.CLICK),
             ev("u1", "zz", SignalKind.CLICK),  # job never rated by anyone
             ev("u2", "a", SignalKind.CLICK),  # user never rates anything
-        )
+        ))
     )
     assert m.user_ids == ["u1"]
     assert m.job_ids == ["a", "b"]
@@ -129,8 +130,8 @@ def test_build_matrix_matches_dict_oracle_on_random_streams():
             )
             for _ in range(rng.randint(1, 60))
         ]
-        deduped = signal_records(dedupe(stream))
-        matrix = build_matrix(dedupe(stream))
+        deduped = signal_records(dedupe(log_of(stream)))
+        matrix = build_matrix(dedupe(log_of(stream)))
         want = {}
         for s in deduped:
             if s.kind is SignalKind.APPLY:

@@ -1,6 +1,7 @@
 """The README's library example runs as written, and its configuration
 table names exactly the settings of EngineConfig, with their defaults."""
 
+import io
 import re
 from dataclasses import fields
 from datetime import timedelta
@@ -8,7 +9,7 @@ from pathlib import Path
 
 from jobgraph.config import EngineConfig
 from jobgraph.evaluation import synth_corpus
-from jobgraph.ingest import InteractionEvent, SignalKind
+from jobgraph.ingest import format_timestamp, parse_events, write_events
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,12 +22,15 @@ def library_snippet() -> str:
 def test_library_snippet_runs_on_a_synth_corpus():
     corpus = synth_corpus(3, 10, 30, 0.1, seed=3)
     user_id = "u00001"
-    # an event whose job is missing from the jobs map, as real logs hold
-    stray = InteractionEvent(
-        user_id, "no_such_job", SignalKind.APPLY, corpus.reference_date - timedelta(days=1)
-    )
+    # the corpus's events file, and an event whose job is missing from the
+    # jobs map, as real logs hold
+    out = io.StringIO()
+    write_events(corpus.events, out)
+    stray = f"{user_id},no_such_job,apply,{format_timestamp(corpus.reference_date - timedelta(days=1))}\n"
+    events, issues = parse_events(out.getvalue().splitlines(keepends=True) + [stray])
+    assert not issues and len(events) == len(corpus.events) + 1
     namespace = {
-        "events": corpus.events + [stray],
+        "events": events,
         "jobs": corpus.jobs,
         "embeddings": corpus.embeddings,
         "users": corpus.users,

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     REF,
+    DedupedSignal,
     brute_force_levels,
     edge_map,
     embed_sim,
     ev,
     from_corr,
+    log_of,
     make_job,
     random_digraph,
     reference_haversine_km,
@@ -27,7 +29,7 @@ from helpers import (
 )
 from jobgraph import mf
 from jobgraph.config import ConfigError, EngineConfig
-from jobgraph.ingest import DedupedSignal, SignalKind, UserRecord, dedupe, epoch_us
+from jobgraph.ingest import SignalKind, UserRecord, dedupe, epoch_us
 from jobgraph.recommend import (
     Catalogue,
     Provenance,
@@ -52,7 +54,7 @@ from jobgraph.scoring import dump_digraph, load_digraph
 
 def profile(user_id="u1", triples=(), category=None, location=None):
     """The profile ``build_profiles`` makes of (job, kind, age in days) signals."""
-    signals = [DedupedSignal(user_id, job, kind, ts(age)) for job, kind, age in triples]
+    signals = log_of(DedupedSignal(user_id, job, kind, ts(age)) for job, kind, age in triples)
     return build_profiles(signals, {user_id: UserRecord(user_id, category, location, True)})[user_id]
 
 
@@ -91,7 +93,7 @@ def test_engaged_jobs_excludes_ignored_emails():
 
 
 def test_build_profiles_merges_events_and_user_records():
-    signals = dedupe([ev("u1", "a"), ev("u2", "b", SignalKind.CLICK)])
+    signals = dedupe(log_of([ev("u1", "a"), ev("u2", "b", SignalKind.CLICK)]))
     users = {
         "u2": UserRecord("u2", "sales", (10.0, 20.0), True),
         "u3": UserRecord("u3", "retail", None, True),
@@ -105,12 +107,12 @@ def test_build_profiles_merges_events_and_user_records():
 
 
 def test_profiles_keep_the_latest_engagement_and_every_seen_job():
-    signals = dedupe([
+    signals = dedupe(log_of([
         ev("u1", "b", SignalKind.APPLY, 5.0),
         ev("u1", "b", SignalKind.CLICK, 3.0),
         ev("u1", "b", SignalKind.EMAIL_OPEN_NO_CLICK, 1.0),  # later, but not an engagement
         ev("u1", "a", SignalKind.EMAIL_OPEN_NO_CLICK, 2.0),
-    ])
+    ]))
     p = build_profiles(signals)["u1"]
     assert p.engaged == (("b", epoch_us(ts(3.0))),)
     assert p.seen == ("a", "b")
@@ -119,7 +121,7 @@ def test_profiles_keep_the_latest_engagement_and_every_seen_job():
 def test_build_profiles_drops_category_outside_taxonomy(caplog):
     users = {"u1": UserRecord("u1", "astronaut", None, True)}
     with caplog.at_level("WARNING"):
-        profiles = build_profiles([], users, taxonomy=["sales", "retail"])
+        profiles = build_profiles(log_of([]), users, taxonomy=["sales", "retail"])
     assert profiles["u1"].resume_category is None
     assert any("astronaut" in r.message for r in caplog.records)
 
