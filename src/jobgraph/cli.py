@@ -21,6 +21,7 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 from datetime import datetime
 from pathlib import Path
@@ -45,6 +46,7 @@ from .ingest import (
     parse_users,
     resolve_jobs,
     window_filter,
+    write_rows,
 )
 from .recommend import UserProfile, build_profiles, classify_user, recommend_users
 from .scoring import build_digraph, dump_digraph, edge_diagnostics, load_digraph
@@ -211,8 +213,8 @@ def _cmd_recommend(args) -> int:
         logger.warning("user %s has no events and no record: treated as anonymous", args.user_id)
     profile = profiles.get(args.user_id) or UserProfile(args.user_id)
     recs = next(serve([profile]))
-    for rank, rec in enumerate(recs, start=1):
-        print(f"{rank},{rec.job_id},{rec.score!r},{rec.provenance.value}")
+    rows = [(str(rank), rec.job_id, repr(rec.score), rec.provenance.value) for rank, rec in enumerate(recs, start=1)]
+    write_rows(rows, sys.stdout)
     logger.info("user %s (%s): %d recommendations", args.user_id, classify_user(profile).value, len(recs))
     return EXIT_OK
 
@@ -222,13 +224,12 @@ def _cmd_serve_batch(args) -> int:
     requested = _read(args.user_ids, lambda fh: [u for u in map(str.strip, fh) if u], "user-ids")
     unknown = sum(user_id not in profiles for user_id in requested)
     served = serve([profiles.get(user_id) or UserProfile(user_id) for user_id in requested])
-    provenance_counts: dict[str, int] = {}
+    provenance_counts: Counter[str] = Counter()
     with open(args.out, "w", encoding="utf-8") as fh:
         for user_id, recs in zip(requested, served):
-            for rank, rec in enumerate(recs, start=1):
-                fh.write(f"{user_id},{rank},{rec.job_id},{rec.score!r},{rec.provenance.value}\n")
-                key = rec.provenance.value
-                provenance_counts[key] = provenance_counts.get(key, 0) + 1
+            rows = [(user_id, str(rank), r.job_id, repr(r.score), r.provenance.value) for rank, r in enumerate(recs, 1)]
+            write_rows(rows, fh)
+            provenance_counts.update(row[4] for row in rows)
     logger.info("served %d users, %d unknown ids as anonymous", len(requested), unknown)
     print(f"served={len(requested)} unknown={unknown}")
     for key in sorted(provenance_counts):

@@ -313,19 +313,6 @@ def _pagerank(
     return PageRankResult(scores, converged, iterations)
 
 
-def _kept_pagerank(
-    digraph: RecDigraph, seeds: tuple[str, ...] | None, damping: float, epsilon: float
-) -> PageRankResult:
-    """The walk restarting from ``seeds`` (sorted active jobs; None: every
-    active job), run on first use and kept in ``digraph.pagerank_results``
-    under ``(seeds, damping, epsilon)``."""
-    results = digraph.pagerank_results
-    key = (seeds, damping, epsilon)
-    if key not in results:
-        results[key] = _pagerank(digraph, sorted(digraph.active_jobs) if seeds is None else seeds, damping, epsilon)
-    return results[key]
-
-
 def global_pagerank(
     digraph: RecDigraph,
     damping: float = 0.85,
@@ -333,16 +320,15 @@ def global_pagerank(
 ) -> PageRankResult:
     """Popularity scores over all active jobs; scores sum to 1.
 
-    Computed once per digraph and settings and kept on the digraph
-    (``pagerank_results``, seeds ``None``); the result is shared, so callers
-    must not mutate it.
+    Walks on every call; :meth:`Catalogue.walk` keeps the result for
+    serving.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
     if not digraph.active_jobs:
         logger.warning("global pagerank on empty digraph")
         return PageRankResult({}, True, 0)
-    return _kept_pagerank(digraph, None, damping, epsilon)
+    return _pagerank(digraph, sorted(digraph.active_jobs), damping, epsilon)
 
 
 def personalized_pagerank(
@@ -350,17 +336,13 @@ def personalized_pagerank(
     preference_jobs: Iterable[str],
     damping: float = 0.85,
     epsilon: float = 1e-10,
-    *,
-    keep: bool = False,
 ) -> PageRankResult:
     """PageRank whose restart mass is uniform over the preference jobs.
 
     Only jobs out-reachable from the preference set hold mass (dangling
     mass also returns to the preference set), so only they are listed.
-    With ``keep``, the result is computed once per digraph, seed set and
-    settings and kept on the digraph, keyed by the sorted preference jobs
-    that are active in it; it is then shared, so callers must not mutate
-    it. Keep only seed sets that recur, as a resume category's jobs do.
+    Walks on every call; :meth:`Catalogue.walk` keeps a resume category's
+    walk for serving.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
@@ -368,8 +350,6 @@ def personalized_pagerank(
     if not prefs:
         logger.warning("preference set shares no jobs with the digraph")
         return PageRankResult({}, True, 0)
-    if keep:
-        return _kept_pagerank(digraph, tuple(prefs), damping, epsilon)
     return _pagerank(digraph, prefs, damping, epsilon)
 
 
@@ -397,7 +377,8 @@ class Catalogue:
     """What serving reads of one jobs map and one embeddings map alone, each
     part built on first use and then kept: each category's active jobs, the
     active jobs that have an embedding with their stacked matrix and row
-    norms, and each located job's :func:`_point`.
+    norms, each located job's :func:`_point`, and the walks (:meth:`walk`)
+    of the digraph that keeps it.
 
     It holds the two maps it was built from and reads them as they are then,
     so a caller who changes a job or an embedding passes a new map object
@@ -407,6 +388,21 @@ class Catalogue:
     def __init__(self, jobs: Mapping[str, JobRecord], embeddings: Mapping[str, np.ndarray]):
         self.jobs = jobs
         self.embeddings = embeddings
+        self.walks: dict[tuple[str | None, float, float], PageRankResult] = {}
+
+    def walk(self, digraph: RecDigraph, category: str | None, damping: float, epsilon: float) -> PageRankResult:
+        """The global walk (``category`` None) or the walk restarting from
+        the category's active jobs (topic-sensitive PageRank), run on first
+        use and kept in :attr:`walks` under ``(category, damping, epsilon)``;
+        the result is shared, so callers must not mutate it."""
+        key = (category, damping, epsilon)
+        if key not in self.walks:
+            self.walks[key] = (
+                global_pagerank(digraph, damping, epsilon)
+                if category is None
+                else personalized_pagerank(digraph, self.categories[category], damping, epsilon)
+            )
+        return self.walks[key]
 
     @functools.cached_property
     def categories(self) -> dict[str, frozenset[str]]:
@@ -565,16 +561,17 @@ def recommend_users(
     Users are taken a block at a time (:func:`~jobgraph.mf.blocks`): level 1
     ranks the block's active users in one call and level 2, in one more, those
     it leaves short; the random-walk fills and the location re-rank are per
-    user. A personalized fill whose seeds all lie in the user's resume
-    category reads that category's walk, kept on the digraph, as the global
-    fill reads the global walk. Each list is yielded once it is ranked, so a
-    caller can write or score it and drop it before the next block.
+    user. Each list is yielded once it is ranked, so a caller can write or
+    score it and drop it before the next block.
 
-    Besides the walks, the digraph keeps the :class:`Catalogue` of ``jobs``
-    and ``embeddings`` that the preference seeds and the location re-rank
-    read. It is keyed by the identity of the two mappings and holds them, so
-    a caller who changes a job or an embedding must pass a new mapping
-    object; the same two objects reuse the kept index.
+    The digraph keeps the :class:`Catalogue` of ``jobs`` and ``embeddings``,
+    which the preference seeds and the location re-rank read and which keeps
+    the walks: a personalized fill whose seeds all lie in the user's resume
+    category reads that category's walk, as the global fill reads the global
+    walk; any other seed set is walked per request. It is keyed by the
+    identity of the two mappings, so a caller who changes a job or an
+    embedding passes a new mapping object, and its new catalogue walks again
+    (no command changes the maps of a loaded digraph).
 
     Output invariants: only active jobs, never jobs from the user's
     apply/click history, no duplicates, scores non-increasing within each
@@ -588,6 +585,7 @@ def recommend_users(
         return
 
     catalogue = _catalogue(digraph, jobs, embeddings)
+    settings = (params.damping, params.pagerank_epsilon)
     for block in blocks(len(profiles), len(digraph.nodes)):
         users = profiles[block]
         histories = [profile.engaged_jobs() for profile in users]
@@ -616,15 +614,16 @@ def recommend_users(
                     if similar or in_category:
                         # seeds all in the resume category are that category's
                         # jobs, whose walk is kept; any other seed set is walked
-                        ppr = personalized_pagerank(
-                            digraph, similar | in_category, params.damping, params.pagerank_epsilon,
-                            keep=similar <= in_category,
+                        ppr = (
+                            catalogue.walk(digraph, profile.resume_category, *settings)
+                            if in_category and similar <= in_category
+                            else personalized_pagerank(digraph, similar | in_category, *settings)
                         )
                         picked = _pagerank_fill(ppr, banned, slots)
                 if picked:
                     tiers.append((Provenance.PERSONALIZED_PAGERANK, picked))
                 else:
-                    gpr = global_pagerank(digraph, params.damping, params.pagerank_epsilon)
+                    gpr = catalogue.walk(digraph, None, *settings)
                     picked = _pagerank_fill(gpr, banned, slots)
                     if picked:
                         tiers.append((Provenance.GLOBAL_PAGERANK, picked))
@@ -646,7 +645,7 @@ def recommend(
     params: EngineConfig = EngineConfig(),
 ) -> list[Recommendation]:
     """The ranked top-k list of one user (any type): :func:`recommend_users`
-    of ``[profile]``, with the same invariants. The digraph keeps its walks
-    and its catalogue index between calls; pass a new ``jobs`` or
+    of ``[profile]``, with the same invariants. The digraph keeps its
+    catalogue index and walks between calls; pass a new ``jobs`` or
     ``embeddings`` mapping object, not a changed one, when either changes."""
     return next(recommend_users([profile], digraph, jobs, embeddings, reference_date, params))

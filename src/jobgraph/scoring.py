@@ -193,14 +193,9 @@ class RecDigraph:
         # one gather of the edge rows, none when they are in order already
         self.corr = corr if rows is None else corr[rows]
         self.evidence = evidence if rows is None else evidence[rows]
-        # PageRank results per (seeds, damping, epsilon), filled on first use
-        # by recommend.global_pagerank (seeds None: every active job) and by
-        # recommend_users for a resume category's active jobs (seeds their
-        # sorted tuple): at most one entry per category served, plus the
-        # global one, per setting
-        self.pagerank_results: dict[tuple[tuple[str, ...] | None, float, float], object] = {}
         # the recommend.Catalogue of the jobs and embeddings maps last served
-        # from this digraph, kept while the same two map objects are served
+        # from this digraph, with its kept walks, kept while the same two map
+        # objects are served
         self.catalogue = None
 
     @property

@@ -570,6 +570,44 @@ def test_serve_batch_counts_and_file_format(graph_dir, corpus_dir, tmp_path, cap
     assert capsys.readouterr().out.splitlines() == stranger
 
 
+def test_served_ids_with_a_comma_and_a_quote_read_back_as_csv(tmp_path, capsys):
+    # a job id and a user id that csv.writer must quote, in every input file
+    job, user = 'a,"1', 'u,"1'
+    assert cli.main(["synth", "--quiet", "--clusters", "2", "--jobs-per-cluster", "4",
+                     "--users", "6", "--seed", "1", "--out-dir", str(tmp_path / "corpus")]) == 0
+    renamed = {"j00_0000": job, "u00000": user}
+    for name in ("events.csv", "jobs.csv", "users.csv"):
+        path = tmp_path / "corpus" / name
+        with path.open(encoding="utf-8", newline="") as fh:
+            rows = [[renamed.get(field, field) for field in row] for row in csv.reader(fh)]
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    inputs = [
+        "--events", str(tmp_path / "corpus" / "events.csv"),
+        "--jobs", str(tmp_path / "corpus" / "jobs.csv"),
+        "--reference-date", REF_ARG,
+    ]
+    assert cli.main(["build", "--quiet", *inputs, "--out-dir", str(tmp_path / "build")]) == 0
+    serving = [*inputs, "--users", str(tmp_path / "corpus" / "users.csv"), "--graph-dir", str(tmp_path / "build")]
+    ids = tmp_path / "ids.txt"
+    ids.write_text("".join(f"{u}\n" for u in [user, "u00001", "u00002", "u00003", "u00004", "u00005"]))
+    out = tmp_path / "recs.csv"
+    assert cli.main(["serve-batch", "--quiet", *serving, "--user-ids", str(ids), "--out", str(out)]) == 0
+    capsys.readouterr()
+    with out.open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows and all(len(row) == 5 for row in rows)
+    assert user in {row[0] for row in rows}
+    assert job in {row[2] for row in rows}
+    assert all(row[4] in PROVENANCE_VALUES for row in rows)
+
+    # recommend prints the user's rows without the user id, quoted alike
+    assert cli.main(["recommend", "--quiet", *serving, "--user-id", "u00001"]) == 0
+    printed = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert printed == [row[1:] for row in rows if row[0] == "u00001"]
+    assert job in {row[1] for row in printed}
+
+
 @pytest.fixture(scope="module")
 def serving_corpus(tmp_path_factory):
     """synth_corpus(4, 25, 200, 0.1, 0), built, with users of every kind

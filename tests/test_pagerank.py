@@ -25,6 +25,7 @@ from jobgraph.evaluation import synth_corpus
 from jobgraph.ingest import JobStatus
 from jobgraph.recommend import (
     PageRankResult,
+    Provenance,
     UserProfile,
     global_pagerank,
     personalized_pagerank,
@@ -208,7 +209,7 @@ def test_walks_converge_within_the_derived_cap():
             assert result.iterations <= recommend_module._iteration_cap(damping, epsilon)
 
 
-def test_global_pagerank_iterates_once_per_digraph_and_settings(monkeypatch):
+def test_the_global_walk_runs_once_per_catalogue_and_settings(monkeypatch):
     runs = []
     power_iteration = recommend_module._pagerank
 
@@ -218,23 +219,28 @@ def test_global_pagerank_iterates_once_per_digraph_and_settings(monkeypatch):
 
     monkeypatch.setattr(recommend_module, "_pagerank", counted)
     digraph = from_corr({("a", "b"): 1.0, ("c", "b"): 0.5}, ["a", "b", "c"])
-    jobs = {j: make_job(j) for j in digraph.active_jobs}
+    jobs, embeddings = {j: make_job(j) for j in digraph.active_jobs}, {}
     anonymous = UserProfile("anon")
-    first = recommend(anonymous, digraph, jobs, {}, REF)
-    second = recommend(anonymous, digraph, jobs, {}, REF)
+    first = recommend(anonymous, digraph, jobs, embeddings, REF)
+    second = recommend(anonymous, digraph, jobs, embeddings, REF)
     assert first == second and first[0].job_id == "b"
     assert len(runs) == 1
-    assert global_pagerank(digraph) is global_pagerank(digraph)
-    assert len(runs) == 1
-
-    recommend(anonymous, digraph, jobs, {}, REF, EngineConfig(damping=0.5))
+    assert list(digraph.catalogue.walks) == [(None, 0.85, 1e-10)]
+    # global_pagerank itself walks on every call, to the kept bytes
+    assert repr(global_pagerank(digraph)) == repr(digraph.catalogue.walks[None, 0.85, 1e-10])
     assert len(runs) == 2
+
+    recommend(anonymous, digraph, jobs, embeddings, REF, EngineConfig(damping=0.5))
+    assert len(runs) == 3
+    # a new jobs map object starts a new catalogue, which walks again
+    assert recommend(anonymous, digraph, dict(jobs), embeddings, REF) == first
+    assert len(runs) == 4
     fresh = from_corr({("a", "b"): 1.0, ("c", "b"): 0.5}, ["a", "b", "c"])
     assert global_pagerank(fresh).scores == global_pagerank(digraph).scores
-    assert len(runs) == 3
+    assert len(runs) == 6
     with pytest.raises(ValueError):
         global_pagerank(digraph, damping=1.0)
-    assert len(runs) == 3
+    assert len(runs) == 6
 
 
 def bridged_digraph(rng: np.random.Generator) -> RecDigraph:
@@ -366,30 +372,39 @@ def test_kept_walks_serve_the_bytes_of_a_fresh_digraph(case):
     dump = buf.getvalue()
     users = kept_batch(corpus, profiles)
     args = (corpus.jobs, corpus.embeddings, REF, config)
-
-    def walked(digraph, seeds, damping, epsilon):
-        restart = sorted(digraph.active_jobs) if seeds is None else seeds
-        return recommend_module._pagerank(digraph, restart, damping, epsilon)
-
-    # each user alone on a digraph fresh from the dump, every walk run and
-    # the catalogue index built afresh and nothing kept
-    with mock.patch.object(recommend_module, "_kept_pagerank", walked), fresh_catalogues():
+    # each user alone on a digraph fresh from the dump, with the catalogue
+    # index built afresh, so every walk runs and nothing is kept
+    with fresh_catalogues():
         want = [recommend(user, load_digraph(StringIO(dump), active), *args) for user in users]
     digraph = load_digraph(StringIO(dump), active)
-    batch = list(recommend_users(users, digraph, *args))
-    again = [recommend(user, digraph, *args) for user in users]
+    walked = []
+    personalized = recommend_module.personalized_pagerank
+
+    def counted(digraph, preference_jobs, *settings):
+        walked.append(frozenset(preference_jobs))
+        return personalized(digraph, preference_jobs, *settings)
+
+    with mock.patch.object(recommend_module, "personalized_pagerank", counted):
+        batch = list(recommend_users(users, digraph, *args))
+        again = [recommend(user, digraph, *args) for user in users]
     # repr shows each float exactly
     assert repr(batch) == repr(want)
     assert repr(again) == repr(want)
     # one walk kept per category served (every category: each has a
-    # resume-only user) and the global one; the leaver's seeds are walked
+    # resume-only user) and the global one, each walked once; the leaver's
+    # seeds are walked on every request
     categories = sorted({rec.category for rec in corpus.jobs.values()})
-    kept = {(category_seeds(corpus.jobs, c), config.damping, config.pagerank_epsilon) for c in categories}
+    kept = {(c, config.damping, config.pagerank_epsilon) for c in categories}
     kept.add((None, config.damping, config.pagerank_epsilon))
-    assert set(digraph.pagerank_results) == kept
+    assert set(digraph.catalogue.walks) == kept
+    category_jobs = [frozenset(category_seeds(corpus.jobs, c)) for c in categories]
+    assert all(walked.count(jobs) == 1 for jobs in category_jobs)
     leaver = users[2 * len(categories)]
-    leaver_seeds = tuple(preference_vector(leaver, corpus.jobs, corpus.embeddings, config.similar_actives_per_expired))
-    assert leaver_seeds not in {seeds for seeds, _, _ in kept}
+    leaver_seeds = frozenset(
+        preference_vector(leaver, corpus.jobs, corpus.embeddings, config.similar_actives_per_expired)
+    )
+    assert leaver_seeds not in category_jobs
+    assert walked.count(leaver_seeds) >= 2
 
 
 @st.composite
@@ -481,33 +496,62 @@ def test_each_digraph_keeps_its_own_walks(monkeypatch):
     monkeypatch.setattr(recommend_module, "_pagerank", counted)
     corpus = synth_corpus(3, 8, 30, 0.1, seed=0, expired_fraction=0.25)
     _, built, active, profiles = built_pipeline(corpus)
-    buf = StringIO()
-    dump_digraph(built, buf)
+    dump = dump_digraph_text(built)
     args = (corpus.jobs, corpus.embeddings, REF, EngineConfig())
     users = kept_batch(corpus, profiles)
-    first = load_digraph(StringIO(buf.getvalue()), active)
+    first = load_digraph(StringIO(dump), active)
     list(recommend_users(users, first, *args))
-    seeds = [category_seeds(corpus.jobs, c) for c in ("cat00", "cat01", "cat02")]
-    assert sorted(first.pagerank_results, key=str) == sorted(
-        [(s, 0.85, 1e-10) for s in seeds] + [(None, 0.85, 1e-10)], key=str
+    categories = ["cat00", "cat01", "cat02"]
+    seeds = [category_seeds(corpus.jobs, c) for c in categories]
+    assert sorted(first.catalogue.walks, key=str) == sorted(
+        [(c, 0.85, 1e-10) for c in categories] + [(None, 0.85, 1e-10)], key=str
     )
     # each category and the global walk ran once; the leaver's seeds, the
     # first category's nearest actives and the second's jobs, every time
     assert all(runs.count(s) == 1 for s in seeds)
     leaver = tuple(preference_vector(users[6], corpus.jobs, corpus.embeddings))
     assert runs.count(leaver) == 1 and leaver not in seeds
-    kept = dict(first.pagerank_results)
+    kept = dict(first.catalogue.walks)
     recommend(users[6], first, *args)
     assert runs.count(leaver) == 2
 
     # a second digraph from the same dump walks its own category once
-    second = load_digraph(StringIO(buf.getvalue()), active)
+    second = load_digraph(StringIO(dump), active)
     recommend(users[0], second, *args)
     recommend(users[0], second, *args)
-    assert list(second.pagerank_results) == [(seeds[0], 0.85, 1e-10)]
+    assert list(second.catalogue.walks) == [("cat00", 0.85, 1e-10)]
     assert runs.count(seeds[0]) == 2
     recommend(users[0], second, corpus.jobs, corpus.embeddings, REF, EngineConfig(damping=0.5))
-    assert list(second.pagerank_results) == [(seeds[0], 0.85, 1e-10), (seeds[0], 0.5, 1e-10)]
+    assert list(second.catalogue.walks) == [("cat00", 0.85, 1e-10), ("cat00", 0.5, 1e-10)]
     assert runs.count(seeds[0]) == 3
-    assert second.pagerank_results[seeds[0], 0.85, 1e-10] is not kept[seeds[0], 0.85, 1e-10]
-    assert first.pagerank_results == kept
+    assert second.catalogue.walks["cat00", 0.85, 1e-10] is not kept["cat00", 0.85, 1e-10]
+    assert first.catalogue.walks == kept
+
+
+def test_a_warm_catalogue_serves_resume_only_and_anonymous_users_without_a_walk(monkeypatch):
+    corpus = synth_corpus(3, 8, 30, 0.1, seed=0, expired_fraction=0.25)
+    _, built, active, profiles = built_pipeline(corpus)
+    args = (corpus.jobs, corpus.embeddings, REF, EngineConfig())
+    users = kept_batch(corpus, profiles)
+    resume_only, leaver = users[:3], users[6]
+    passes = resume_only + [UserProfile("anon")]
+    digraph = load_digraph(StringIO(dump_digraph_text(built)), active)
+    warm = list(recommend_users(passes, digraph, *args))
+    calls = []
+    for name in ("personalized_pagerank", "global_pagerank"):
+        walk = getattr(recommend_module, name)
+
+        def counted(*walk_args, _name=name, _walk=walk, **walk_kwargs):
+            calls.append(_name)
+            return _walk(*walk_args, **walk_kwargs)
+
+        monkeypatch.setattr(recommend_module, name, counted)
+    assert list(recommend_users(passes, digraph, *args)) == warm
+    assert calls == []
+    assert [{rec.provenance for rec in recs} for recs in warm] == [
+        {Provenance.PERSONALIZED_PAGERANK}
+    ] * 3 + [{Provenance.GLOBAL_PAGERANK}]
+    # seeds that leave the resume category are walked on every request
+    for n in (1, 2):
+        assert recommend(leaver, digraph, *args)[0].provenance is Provenance.PERSONALIZED_PAGERANK
+        assert calls == ["personalized_pagerank"] * n
